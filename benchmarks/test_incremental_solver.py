@@ -1,28 +1,26 @@
 """Benchmark: incremental re-solves vs. full rebuilds in the ISDC loop.
 
-Runs the same multi-iteration designs with ``solver="full"`` and
-``solver="incremental"`` and compares the cumulative scheduling re-solve
-time (the per-iteration ``solver_runtime_s``, excluding the shared baseline
-solve).  The estimator backend keeps the synthesis half cheap so the solver
-half dominates and the comparison is stable.  A second case exercises the
-runner CLI with ``--solver incremental`` and validates that the per-phase
-timing split is visible in the ``--json`` payload.
+Runs the same multi-iteration designs through the default loop (in-place
+bound patching) and through a reference run with the loop's
+``IncrementalSolver`` swapped for ``FullSolver`` (rebuild every iteration),
+and compares the cumulative scheduling re-solve time (the per-iteration
+``solver_runtime_s``, excluding the shared baseline solve).  The estimator
+backend keeps the synthesis half cheap so the solver half dominates and the
+comparison is stable.
 """
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
+import repro.isdc.scheduler as isdc_scheduler
 from repro.designs.suite import table1_suite
-from repro.experiments.runner import main
-from repro.experiments.serialize import SCHEMA_VERSION
 from repro.isdc.config import IsdcConfig
 from repro.isdc.scheduler import IsdcScheduler
+from repro.sdc.solver import FullSolver
 
 
-def _run(design: str, solver: str, max_iterations: int):
+def _run(design: str, max_iterations: int):
     case = next(c for c in table1_suite() if c.name == design)
     config = IsdcConfig(clock_period_ps=case.clock_period_ps,
                         subgraphs_per_iteration=8,
@@ -30,7 +28,7 @@ def _run(design: str, solver: str, max_iterations: int):
                         patience=max_iterations,
                         track_estimation_error=False,
                         use_characterized_delays=False,
-                        backend="estimator", solver=solver)
+                        backend="estimator")
     scheduler = IsdcScheduler(config)
     result = scheduler.schedule(case.build())
     return result, scheduler
@@ -43,17 +41,20 @@ def _resolve_time(result) -> float:
 
 @pytest.mark.benchmark(group="incremental-solver")
 @pytest.mark.parametrize("design", ["internal datapath", "fpexp 32"])
-def test_incremental_reduces_cumulative_solver_time(benchmark, design, scale):
+def test_incremental_reduces_cumulative_solver_time(benchmark, design, scale,
+                                                    monkeypatch):
     iterations = 6 if scale == "quick" else 15
 
-    full, _ = _run(design, "full", iterations)
+    with monkeypatch.context() as patch:
+        patch.setattr(isdc_scheduler, "IncrementalSolver", FullSolver)
+        full, _ = _run(design, iterations)
     full_resolve = _resolve_time(full)
 
-    incremental, scheduler = _run(design, "incremental", iterations)
+    incremental, scheduler = _run(design, iterations)
     incremental_resolve = _resolve_time(incremental)
 
     def run():
-        result, _ = _run(design, "incremental", iterations)
+        result, _ = _run(design, iterations)
         return result
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -70,23 +71,3 @@ def test_incremental_reduces_cumulative_solver_time(benchmark, design, scale):
     assert result.final_schedule.stages == full.final_schedule.stages
     assert [r.num_registers for r in result.history] == \
         [r.num_registers for r in full.history]
-
-
-@pytest.mark.benchmark(group="incremental-solver")
-def test_runner_json_exposes_per_phase_timing(benchmark, tmp_path):
-    path = tmp_path / "table1_incremental.json"
-
-    def run():
-        assert main(["table1", "--quick", "--solver", "incremental",
-                     "--json", str(path)]) == 0
-        return json.loads(path.read_text())
-
-    payload = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    assert payload["schema"] == SCHEMA_VERSION
-    assert payload["solver"] == "incremental"
-    for row in payload["data"]["rows"]:
-        assert row["isdc_solver_time_s"] > 0
-        assert row["isdc_synthesis_time_s"] > 0
-        assert row["isdc_solver_time_s"] + row["isdc_synthesis_time_s"] <= \
-            row["isdc_time_s"]

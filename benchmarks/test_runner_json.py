@@ -19,7 +19,8 @@ ROW_COLUMNS = {
     "benchmark", "clock_period_ps",
     "sdc_slack_ps", "sdc_stages", "sdc_registers", "sdc_time_s",
     "isdc_slack_ps", "isdc_stages", "isdc_registers", "isdc_time_s",
-    "isdc_iterations", "isdc_solver_time_s", "isdc_synthesis_time_s",
+    "isdc_iterations", "isdc_evaluations", "isdc_solver_time_s",
+    "isdc_synthesis_time_s",
 }
 
 
@@ -38,7 +39,7 @@ def test_table1_json_artifact(benchmark, tmp_path):
     assert payload["experiment"] == "table1"
     assert payload["quick"] is True
     assert payload["jobs"] == 2
-    assert payload["solver"] == "full"
+    assert "solver" not in payload  # one re-solve path, no strategy field
     assert payload["elapsed_s"] > 0
 
     rows = payload["data"]["rows"]
@@ -48,6 +49,7 @@ def test_table1_json_artifact(benchmark, tmp_path):
         assert row["isdc_registers"] <= row["sdc_registers"]
         assert row["isdc_stages"] <= row["sdc_stages"]
         assert row["isdc_solver_time_s"] > 0
+        assert row["isdc_synthesis_time_s"] > 0
         assert row["isdc_solver_time_s"] + row["isdc_synthesis_time_s"] <= \
             row["isdc_time_s"]
 

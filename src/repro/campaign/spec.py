@@ -2,7 +2,7 @@
 
 A :class:`CampaignSpec` names the axes of a sweep -- designs (Table-I rows
 or ``gen:`` generated-design specs), clock periods, extraction/expansion
-strategies, solver strategies and per-iteration subgraph budgets -- and
+strategies and per-iteration subgraph budgets -- and
 expands their cross product into an ordered list of :class:`CampaignJob`.
 
 Every job carries a *content-addressed id*: the SHA-256 of its canonical
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -88,7 +88,6 @@ class CampaignSpec:
             design default).
         extraction: extraction-strategy axis (``"fanout"``/``"delay"``).
         expansion: expansion-strategy axis (``"path"``/``"cone"``/``"window"``).
-        solvers: solver-strategy axis (``"full"``/``"incremental"``).
         subgraph_counts: per-iteration subgraph budget axis (``m``).
         max_iterations: iteration cap applied to every job.
         patience: early-stop patience applied to every job.
@@ -102,7 +101,6 @@ class CampaignSpec:
     clock_periods_ps: list[float | None] = field(default_factory=lambda: [None])
     extraction: list[str] = field(default_factory=lambda: ["fanout"])
     expansion: list[str] = field(default_factory=lambda: ["window"])
-    solvers: list[str] = field(default_factory=lambda: ["full"])
     subgraph_counts: list[int] = field(default_factory=lambda: [16])
     max_iterations: int = 15
     patience: int = 3
@@ -111,12 +109,10 @@ class CampaignSpec:
     track_estimation_error: bool = False
 
     def __post_init__(self) -> None:
-        if not self.designs:
-            raise ValueError("a campaign needs at least one design")
-        for axis_name in ("clock_periods_ps", "extraction", "expansion",
-                          "solvers", "subgraph_counts"):
+        for axis_name in ("designs", "clock_periods_ps", "extraction",
+                          "expansion", "subgraph_counts"):
             if not getattr(self, axis_name):
-                raise ValueError(f"axis {axis_name} must not be empty")
+                raise ValueError(f"field {axis_name!r} must not be empty")
 
     # ------------------------------------------------------------- expansion
 
@@ -140,39 +136,40 @@ class CampaignSpec:
         jobs: list[CampaignJob] = []
         seen: set[str] = set()
         for design in self.designs:
-            case = case_from_name(design)  # raises on unknown/malformed names
+            try:
+                case = case_from_name(design)
+            except (KeyError, ValueError) as error:
+                raise ValueError(f"field 'designs': {error.args[0]}") from None
             for clock in self.clock_periods_ps:
                 for extraction in self.extraction:
                     for expansion in self.expansion:
-                        for solver in self.solvers:
-                            for count in self.subgraph_counts:
-                                config = IsdcConfig(
-                                    clock_period_ps=(case.clock_period_ps
-                                                     if clock is None
-                                                     else float(clock)),
-                                    subgraphs_per_iteration=count,
-                                    max_iterations=self.max_iterations,
-                                    patience=self.patience,
-                                    extraction=extraction,
-                                    expansion=expansion,
-                                    solver=solver,
-                                    backend=self.backend,
-                                    use_characterized_delays=(
-                                        self.use_characterized_delays),
-                                    track_estimation_error=(
-                                        self.track_estimation_error),
-                                ).to_payload()
-                                digest = _canonical_digest(
-                                    {"design": design, "config": config})
-                                job_id = digest[:JOB_ID_BYTES * 2]
-                                if job_id in seen:
-                                    continue
-                                seen.add(job_id)
-                                jobs.append(CampaignJob(
-                                    index=len(jobs),
-                                    job_id=job_id,
-                                    design=design,
-                                    config=config))
+                        for count in self.subgraph_counts:
+                            config = IsdcConfig(
+                                clock_period_ps=(case.clock_period_ps
+                                                 if clock is None
+                                                 else float(clock)),
+                                subgraphs_per_iteration=count,
+                                max_iterations=self.max_iterations,
+                                patience=self.patience,
+                                extraction=extraction,
+                                expansion=expansion,
+                                backend=self.backend,
+                                use_characterized_delays=(
+                                    self.use_characterized_delays),
+                                track_estimation_error=(
+                                    self.track_estimation_error),
+                            ).to_payload()
+                            digest = _canonical_digest(
+                                {"design": design, "config": config})
+                            job_id = digest[:JOB_ID_BYTES * 2]
+                            if job_id in seen:
+                                continue
+                            seen.add(job_id)
+                            jobs.append(CampaignJob(
+                                index=len(jobs),
+                                job_id=job_id,
+                                design=design,
+                                config=config))
         return jobs
 
     # ---------------------------------------------------------- serialisation
@@ -186,14 +183,27 @@ class CampaignSpec:
         """Build a spec from :meth:`to_dict` output / a parsed spec file.
 
         Raises:
-            TypeError: on unknown fields.
+            TypeError: on a payload that is not a dict, or unknown fields.
             ValueError: on invalid axis values.
         """
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected a JSON object, got "
+                            f"{type(payload).__name__}")
+        unknown = sorted(set(payload) - {item.name for item in fields(cls)})
+        if unknown:
+            raise TypeError(f"unknown field {unknown[0]!r}")
         return cls(**payload)
 
     @classmethod
     def from_file(cls, path: str | Path) -> "CampaignSpec":
-        """Load a JSON spec file."""
+        """Load a JSON spec file.
+
+        Raises:
+            OSError: the file cannot be read.
+            json.JSONDecodeError: the file is not valid JSON.
+            TypeError: on a non-object document or unknown fields.
+            ValueError: on invalid axis values.
+        """
         return cls.from_dict(json.loads(Path(path).read_text()))
 
     def fingerprint(self) -> str:

@@ -48,8 +48,7 @@ def run_single_ablation(graph: DataflowGraph, clock_period_ps: float,
                         extraction: ExtractionStrategy,
                         expansion: ExpansionStrategy,
                         subgraphs_per_iteration: int,
-                        iterations: int,
-                        solver: str = "full") -> AblationCurve:
+                        iterations: int) -> AblationCurve:
     """Run one ablation configuration and return its trajectory."""
     config = IsdcConfig(
         clock_period_ps=clock_period_ps,
@@ -59,7 +58,6 @@ def run_single_ablation(graph: DataflowGraph, clock_period_ps: float,
         extraction=extraction,
         expansion=expansion,
         track_estimation_error=False,
-        solver=solver,
     )
     result = IsdcScheduler(config).schedule(graph.copy())
     return AblationCurve(
@@ -77,15 +75,14 @@ def _run_default_design_ablation(payload: tuple) -> AblationCurve:
     :func:`~repro.designs.suite.ablation_design`, because graphs are cheap to
     rebuild deterministically while configuration tuples pickle trivially.
     """
-    extraction, expansion, count, iterations, solver = payload
+    extraction, expansion, count, iterations = payload
     design, clock_period_ps = ablation_design()
     return run_single_ablation(design, clock_period_ps,
                                ExtractionStrategy(extraction),
-                               ExpansionStrategy(expansion), count, iterations,
-                               solver=solver)
+                               ExpansionStrategy(expansion), count, iterations)
 
 
-def _ablation_grid(configurations: list[tuple[str, str, int, int, str]],
+def _ablation_grid(configurations: list[tuple[str, str, int, int]],
                    design: DataflowGraph | None,
                    clock_period_ps: float | None,
                    jobs: int) -> list[AblationCurve]:
@@ -96,18 +93,15 @@ def _ablation_grid(configurations: list[tuple[str, str, int, int, str]],
         design, clock_period_ps = ablation_design()
     return [run_single_ablation(design, clock_period_ps,
                                 ExtractionStrategy(extraction),
-                                ExpansionStrategy(expansion), count, iterations,
-                                solver=solver)
-            for extraction, expansion, count, iterations, solver
-            in configurations]
+                                ExpansionStrategy(expansion), count, iterations)
+            for extraction, expansion, count, iterations in configurations]
 
 
 def run_extraction_ablation(subgraph_counts: tuple[int, ...] = (4, 8, 16),
                             iterations: int = 30,
                             design: DataflowGraph | None = None,
                             clock_period_ps: float | None = None,
-                            jobs: int = 1,
-                            solver: str = "full"
+                            jobs: int = 1
                             ) -> dict[tuple[str, int], AblationCurve]:
     """Reproduce Fig. 5: delay-driven vs. fanout-driven, path-based expansion.
 
@@ -115,18 +109,17 @@ def run_extraction_ablation(subgraph_counts: tuple[int, ...] = (4, 8, 16),
         jobs: run the ablation configurations concurrently (default-design
             runs only; explicit ``design`` graphs may not pickle and run
             serially).  Trajectories are identical to a serial run.
-        solver: ISDC re-solve strategy; trajectories are identical for both.
 
     Returns:
         Mapping from ``(strategy, m)`` to the corresponding trajectory.
     """
     configurations = [
-        (strategy.value, ExpansionStrategy.PATH.value, count, iterations, solver)
+        (strategy.value, ExpansionStrategy.PATH.value, count, iterations)
         for count in subgraph_counts
         for strategy in (ExtractionStrategy.DELAY, ExtractionStrategy.FANOUT)]
     results = _ablation_grid(configurations, design, clock_period_ps, jobs)
     return {(extraction, count): curve
-            for (extraction, _, count, _, _), curve
+            for (extraction, _, count, _), curve
             in zip(configurations, results)}
 
 

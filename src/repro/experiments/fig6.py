@@ -21,27 +21,24 @@ def run_expansion_ablation(subgraph_counts: tuple[int, ...] = (4, 8, 16),
                            iterations: int = 30,
                            design: DataflowGraph | None = None,
                            clock_period_ps: float | None = None,
-                           jobs: int = 1,
-                           solver: str = "full"
+                           jobs: int = 1
                            ) -> dict[tuple[str, int], AblationCurve]:
     """Reproduce Fig. 6: path/cone/window expansion under fanout-driven ranking.
 
     Args:
         jobs: run the ablation configurations concurrently (see Fig. 5).
-        solver: ISDC re-solve strategy; trajectories are identical for both.
 
     Returns:
         Mapping from ``(expansion, m)`` to the corresponding trajectory.
     """
     configurations = [
-        (ExtractionStrategy.FANOUT.value, expansion.value, count, iterations,
-         solver)
+        (ExtractionStrategy.FANOUT.value, expansion.value, count, iterations)
         for count in subgraph_counts
         for expansion in (ExpansionStrategy.PATH, ExpansionStrategy.CONE,
                           ExpansionStrategy.WINDOW)]
     results = _ablation_grid(configurations, design, clock_period_ps, jobs)
     return {(expansion, count): curve
-            for (_, expansion, count, _, _), curve
+            for (_, expansion, count, _), curve
             in zip(configurations, results)}
 
 

@@ -45,7 +45,7 @@ class EstimationAccuracyResult:
 
 
 def _accuracy_curves(case: BenchmarkCase, max_iterations: int,
-                     subgraphs_per_iteration: int, solver: str = "full"
+                     subgraphs_per_iteration: int
                      ) -> tuple[list[float], list[float]]:
     """ISDC and naive-SDC estimation-error curves of one benchmark case."""
     graph = case.build()
@@ -53,8 +53,7 @@ def _accuracy_curves(case: BenchmarkCase, max_iterations: int,
                         subgraphs_per_iteration=subgraphs_per_iteration,
                         max_iterations=max_iterations,
                         patience=max_iterations,
-                        track_estimation_error=True,
-                        solver=solver)
+                        track_estimation_error=True)
     result = IsdcScheduler(config).schedule(graph)
     isdc_curve = [record.estimation_error for record in result.history]
     sdc_curve = [record.naive_estimation_error
@@ -67,19 +66,18 @@ def _accuracy_curves(case: BenchmarkCase, max_iterations: int,
 
 def _accuracy_registry_case(payload: tuple) -> tuple[list[float], list[float]]:
     """Worker-side accuracy run, shipped by case name (lambdas don't pickle)."""
-    name, max_iterations, subgraphs_per_iteration, solver = payload
+    name, max_iterations, subgraphs_per_iteration = payload
     for case in table1_suite():
         if case.name == name:
             return _accuracy_curves(case, max_iterations,
-                                    subgraphs_per_iteration, solver)
+                                    subgraphs_per_iteration)
     raise KeyError(f"benchmark case {name!r} not in the Table-I suite")
 
 
 def run_estimation_accuracy(cases: list[BenchmarkCase] | None = None,
                             max_iterations: int = 8,
                             subgraphs_per_iteration: int = 16,
-                            jobs: int = 1,
-                            solver: str = "full"
+                            jobs: int = 1
                             ) -> EstimationAccuracyResult:
     """Reproduce Fig. 7 on the given benchmark cases.
 
@@ -91,7 +89,6 @@ def run_estimation_accuracy(cases: list[BenchmarkCase] | None = None,
         subgraphs_per_iteration: ISDC's ``m``.
         jobs: run cases concurrently over a process pool; curves are
             identical to a serial run.
-        solver: ISDC re-solve strategy; curves are identical for both.
     """
     if cases is None:
         cases = [case for case in table1_suite() if case.scale != "large"]
@@ -100,8 +97,7 @@ def run_estimation_accuracy(cases: list[BenchmarkCase] | None = None,
     if jobs > 1:
         registry = registry_case_names(cases)
         indices = [i for i, case in enumerate(cases) if case.name in registry]
-        payloads = [(cases[i].name, max_iterations, subgraphs_per_iteration,
-                     solver)
+        payloads = [(cases[i].name, max_iterations, subgraphs_per_iteration)
                     for i in indices]
         for i, pair in zip(indices, parallel_map(_accuracy_registry_case,
                                                  payloads, jobs)):
@@ -111,7 +107,7 @@ def run_estimation_accuracy(cases: list[BenchmarkCase] | None = None,
     per_design_sdc: dict[str, list[float]] = {}
     for i, case in enumerate(cases):
         isdc_curve, sdc_curve = curves[i] or _accuracy_curves(
-            case, max_iterations, subgraphs_per_iteration, solver)
+            case, max_iterations, subgraphs_per_iteration)
         per_design_isdc[case.name] = isdc_curve
         per_design_sdc[case.name] = sdc_curve
 

@@ -2,15 +2,11 @@
 
 Usage::
 
-    python -m repro.experiments.runner table1 [--quick] [--jobs N] \
-        [--solver full|incremental] [--json PATH]
+    python -m repro.experiments.runner table1 [--quick] [--jobs N] [--json PATH]
     python -m repro.experiments.runner fig1 [--jobs N] [--json PATH]
-    python -m repro.experiments.runner fig5 [--quick] [--jobs N] \
-        [--solver full|incremental] [--json PATH]
-    python -m repro.experiments.runner fig6 [--quick] [--jobs N] \
-        [--solver full|incremental] [--json PATH]
-    python -m repro.experiments.runner fig7 [--jobs N] \
-        [--solver full|incremental] [--json PATH]
+    python -m repro.experiments.runner fig5 [--quick] [--jobs N] [--json PATH]
+    python -m repro.experiments.runner fig6 [--quick] [--jobs N] [--json PATH]
+    python -m repro.experiments.runner fig7 [--jobs N] [--json PATH]
     python -m repro.experiments.runner fig8 [--jobs N] [--json PATH]
     python -m repro.experiments.runner campaign \
         (--spec SPEC.json | --quick | --design NAME) \
@@ -33,11 +29,7 @@ subsets so a run finishes in well under a minute.  ``--jobs N`` fans the
 independent units of work (benchmark cases, ablation configurations,
 campaign jobs) out over N worker processes with deterministic result
 ordering -- every schedule-quality figure is identical to a serial run.
-``--solver`` picks the ISDC re-solve strategy for the experiments that run
-the iterative loop (``full`` rebuilds the LP every iteration,
-``incremental`` patches the persistent problem in place; schedules and
-every quality figure are byte-identical, only the solver-time columns
-move).  ``--json PATH`` additionally writes the machine-readable payload
+``--json PATH`` additionally writes the machine-readable payload
 described in :mod:`repro.experiments.serialize`; for ``table1`` the payload
 carries the per-row phase split ``isdc_solver_time_s`` /
 ``isdc_synthesis_time_s``.
@@ -95,9 +87,10 @@ import argparse
 import json
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, NoReturn
 
-from repro.campaign import CampaignSpec, RunStore, quick_spec, run_campaign
+from repro.campaign import (CampaignSpec, RunStore, StoreMismatchError,
+                            quick_spec, run_campaign)
 from repro.designs.suite import table1_suite
 from repro.experiments.fig1 import format_profile, run_delay_profile
 from repro.experiments.fig5 import format_ablation, run_extraction_ablation
@@ -117,7 +110,6 @@ def _small_cases():
 
 
 def run_experiment_result(name: str, quick: bool = False, jobs: int = 1,
-                          solver: str = "full",
                           spec: CampaignSpec | None = None,
                           store_path: str | None = None,
                           resume: bool = False) -> tuple[Any, str]:
@@ -127,9 +119,6 @@ def run_experiment_result(name: str, quick: bool = False, jobs: int = 1,
         name: ``table1``, ``fig1``/``5``/``6``/``7``/``8`` or ``campaign``.
         quick: use reduced settings.
         jobs: worker processes for the experiment's parallel fan-out.
-        solver: ISDC re-solve strategy for the loop-running experiments
-            (``table1``, ``fig5``, ``fig6``, ``fig7``); ``fig1``/``fig8``
-            do not run the loop and ignore it.
         spec: the ``campaign`` sweep description; defaults to the built-in
             quick spec when ``quick`` is set.
         store_path: the ``campaign`` JSONL run store (in-memory when omitted).
@@ -152,7 +141,7 @@ def run_experiment_result(name: str, quick: bool = False, jobs: int = 1,
         result = run_table1(subgraphs_per_iteration=8 if quick else 16,
                             max_iterations=5 if quick else 15,
                             cases=_small_cases() if quick else None,
-                            jobs=jobs, solver=solver)
+                            jobs=jobs)
         return result, format_table1(result)
     if name == "fig1":
         points = run_delay_profile(_small_cases() if quick else None,
@@ -161,17 +150,17 @@ def run_experiment_result(name: str, quick: bool = False, jobs: int = 1,
     if name == "fig5":
         curves = run_extraction_ablation(
             subgraph_counts=(4, 16) if quick else (4, 8, 16),
-            iterations=8 if quick else 30, jobs=jobs, solver=solver)
+            iterations=8 if quick else 30, jobs=jobs)
         return curves, format_ablation(curves)
     if name == "fig6":
         curves = run_expansion_ablation(
             subgraph_counts=(8,) if quick else (4, 8, 16),
-            iterations=8 if quick else 30, jobs=jobs, solver=solver)
+            iterations=8 if quick else 30, jobs=jobs)
         return curves, format_ablation(curves)
     if name == "fig7":
         result = run_estimation_accuracy(
             _small_cases() if quick else None,
-            max_iterations=5 if quick else 10, jobs=jobs, solver=solver)
+            max_iterations=5 if quick else 10, jobs=jobs)
         return result, format_estimation_accuracy(result)
     if name == "fig8":
         result = run_aig_correlation(_small_cases() if quick else None,
@@ -180,21 +169,18 @@ def run_experiment_result(name: str, quick: bool = False, jobs: int = 1,
     raise ValueError(f"unknown experiment {name!r}; expected table1 or fig1/5/6/7/8")
 
 
-def run_experiment(name: str, quick: bool = False, jobs: int = 1,
-                   solver: str = "full") -> str:
+def run_experiment(name: str, quick: bool = False, jobs: int = 1) -> str:
     """Run one experiment by name and return its printable report.
 
     Args:
         name: one of ``table1``, ``fig1``, ``fig5``, ``fig6``, ``fig7``, ``fig8``.
         quick: use reduced settings.
         jobs: worker processes for the experiment's parallel fan-out.
-        solver: ISDC re-solve strategy (see :func:`run_experiment_result`).
 
     Raises:
         ValueError: for an unknown experiment name.
     """
-    _, report = run_experiment_result(name, quick=quick, jobs=jobs,
-                                      solver=solver)
+    _, report = run_experiment_result(name, quick=quick, jobs=jobs)
     return report
 
 
@@ -238,12 +224,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="worker processes for the experiment's parallel "
                              "fan-out (results are identical to --jobs 1)")
-    parser.add_argument("--solver", choices=("full", "incremental"),
-                        default="full",
-                        help="ISDC re-solve strategy: rebuild the LP every "
-                             "iteration (full) or patch the persistent "
-                             "problem in place (incremental); schedules are "
-                             "byte-identical either way")
     parser.add_argument("--json", dest="json_path", metavar="PATH",
                         help="also write the machine-readable result payload "
                              "to PATH")
@@ -274,10 +254,22 @@ def main(argv: list[str] | None = None) -> int:
     if arguments.json_path and Path(arguments.json_path).is_dir():
         parser.error(f"--json {arguments.json_path!r} is a directory, "
                      "expected a file path")
+    def fail(message: str) -> NoReturn:
+        parser.exit(2, f"{parser.prog} campaign: error: {message}\n")
+
     spec = None
     if arguments.experiment == "campaign":
+        source = (f"--spec {arguments.spec_path}" if arguments.spec_path
+                  else "--design")
         if arguments.spec_path:
-            spec = CampaignSpec.from_file(arguments.spec_path)
+            try:
+                spec = CampaignSpec.from_file(arguments.spec_path)
+            except FileNotFoundError:
+                fail(f"{source}: file not found")
+            except json.JSONDecodeError as error:
+                fail(f"{source}: invalid JSON ({error})")
+            except (OSError, TypeError, ValueError) as error:
+                fail(f"{source}: {error}")
             for name in arguments.extra_designs or ():
                 if name not in spec.designs:
                     spec.designs.append(name)
@@ -290,27 +282,31 @@ def main(argv: list[str] | None = None) -> int:
                          "--design NAME")
         if arguments.resume and not arguments.store_path:
             parser.error("--resume needs --out STORE.jsonl to resume from")
+        if spec is not None:
+            try:
+                spec.jobs()  # resolve every design before touching --out
+            except ValueError as error:
+                fail(f"{source}: {error}")
     elif (arguments.spec_path or arguments.store_path or arguments.resume
           or arguments.extra_designs):
         parser.error("--spec/--out/--resume/--design apply to the campaign "
                      "experiment only")
 
     start = time.perf_counter()
-    result, report = run_experiment_result(arguments.experiment,
-                                           quick=arguments.quick,
-                                           jobs=arguments.jobs,
-                                           solver=arguments.solver,
-                                           spec=spec,
-                                           store_path=arguments.store_path,
-                                           resume=arguments.resume)
+    try:
+        result, report = run_experiment_result(
+            arguments.experiment, quick=arguments.quick, jobs=arguments.jobs,
+            spec=spec, store_path=arguments.store_path,
+            resume=arguments.resume)
+    except (FileExistsError, StoreMismatchError) as error:
+        fail(f"--out: {error}")
     elapsed = time.perf_counter() - start
     print(report)
 
     if arguments.json_path or arguments.archive_store:
         payload = experiment_payload(arguments.experiment, result,
                                      quick=arguments.quick,
-                                     jobs=arguments.jobs, elapsed_s=elapsed,
-                                     solver=arguments.solver)
+                                     jobs=arguments.jobs, elapsed_s=elapsed)
         if arguments.json_path:
             path = Path(arguments.json_path)
             path.parent.mkdir(parents=True, exist_ok=True)

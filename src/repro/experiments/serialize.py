@@ -5,12 +5,11 @@ can be archived, diffed and consumed by the benchmark suite (``--json PATH``
 on :mod:`repro.experiments.runner`).  The payload envelope is::
 
     {
-      "schema": 8,
+      "schema": 9,
       "experiment": "<name>",
       "store_key": "<hex>",  # content key of (experiment, data), see repro.store
       "quick": bool,
       "jobs": int,
-      "solver": "full" | "incremental",
       "elapsed_s": float,
       "data": {...}          # experiment-specific, see the builders below
     }
@@ -18,7 +17,7 @@ on :mod:`repro.experiments.runner`).  The payload envelope is::
 Wall-clock fields (``elapsed_s`` and the per-row ``*_time_s`` columns,
 including the ``table1`` per-phase ``isdc_solver_time_s`` /
 ``isdc_synthesis_time_s`` split) are the only values expected to differ
-between runs or ``--jobs``/``--solver`` settings; all schedule-quality
+between runs or ``--jobs`` settings; all schedule-quality
 figures are deterministic.  The ``campaign`` experiment's ``data`` section
 carries no wall-clock fields at all: it is byte-identical across runs,
 resumes and ``PYTHONHASHSEED`` values.
@@ -45,7 +44,8 @@ alongside Table-I rows and ``gen:`` specs; 8 added the ``service``
 payload (the scheduling-service benchmark of :mod:`repro.service.bench`:
 throughput, p50/p95 latency, warm hit / coalesce rates and the
 warm-vs-cold speedup -- all wall-clock-derived by nature, gated
-direction-aware by ``runner report diff``).
+direction-aware by ``runner report diff``); 9 removed the ``solver``
+envelope field (the ISDC loop has one re-solve path).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from repro.experiments.fig8 import AigCorrelationResult
 from repro.experiments.table1 import TableOneResult
 from repro.store import payload_key
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 
 def _table1_payload(result: TableOneResult) -> dict[str, Any]:
@@ -149,8 +149,7 @@ _PAYLOAD_BUILDERS = {
 
 
 def experiment_payload(name: str, result: Any, quick: bool = False,
-                       jobs: int = 1, elapsed_s: float = 0.0,
-                       solver: str = "full") -> dict[str, Any]:
+                       jobs: int = 1, elapsed_s: float = 0.0) -> dict[str, Any]:
     """Wrap one experiment's result in the machine-readable envelope.
 
     Args:
@@ -160,7 +159,6 @@ def experiment_payload(name: str, result: Any, quick: bool = False,
         quick: whether reduced settings were used.
         jobs: worker processes the run was configured with.
         elapsed_s: wall-clock duration of the run.
-        solver: ISDC re-solve strategy the run was configured with.
 
     Raises:
         ValueError: for an unknown experiment name.
@@ -175,7 +173,6 @@ def experiment_payload(name: str, result: Any, quick: bool = False,
         "experiment": name,
         "quick": quick,
         "jobs": jobs,
-        "solver": solver,
         "elapsed_s": elapsed_s,
         "data": builder(result),
     }

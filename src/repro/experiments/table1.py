@@ -118,16 +118,15 @@ class TableOneResult:
 
 
 def run_table1_case(case: BenchmarkCase, subgraphs_per_iteration: int = 16,
-                    max_iterations: int = 15, verbose: bool = False,
-                    solver: str = "full") -> TableOneRow:
+                    max_iterations: int = 15, verbose: bool = False
+                    ) -> TableOneRow:
     """Run SDC + ISDC on one benchmark case and produce its Table-I row."""
     graph = case.build()
     config = IsdcConfig(clock_period_ps=case.clock_period_ps,
                         subgraphs_per_iteration=subgraphs_per_iteration,
                         max_iterations=max_iterations,
                         track_estimation_error=False,
-                        verbose=verbose,
-                        solver=solver)
+                        verbose=verbose)
     result = IsdcScheduler(config).schedule(graph)
     return TableOneRow(
         benchmark=case.name,
@@ -154,18 +153,16 @@ def _run_registry_case(payload: tuple) -> TableOneRow:
     worker, because :class:`BenchmarkCase` factories are lambdas and do not
     pickle.
     """
-    name, subgraphs_per_iteration, max_iterations, solver = payload
+    name, subgraphs_per_iteration, max_iterations = payload
     for case in table1_suite():
         if case.name == name:
-            return run_table1_case(case, subgraphs_per_iteration, max_iterations,
-                                   solver=solver)
+            return run_table1_case(case, subgraphs_per_iteration, max_iterations)
     raise KeyError(f"benchmark case {name!r} not in the Table-I suite")
 
 
 def run_table1(cases: list[BenchmarkCase] | None = None,
                subgraphs_per_iteration: int = 16, max_iterations: int = 15,
-               verbose: bool = False, jobs: int = 1,
-               solver: str = "full") -> TableOneResult:
+               verbose: bool = False, jobs: int = 1) -> TableOneResult:
     """Run the full Table-I benchmark (or a subset of its cases).
 
     Args:
@@ -178,9 +175,6 @@ def run_table1(cases: list[BenchmarkCase] | None = None,
             wall-clock timing columns differ).  Cases whose names are not in
             the Table-I registry cannot be shipped to workers and run
             serially.
-        solver: re-solve strategy for the ISDC loop ("full" or
-            "incremental"); schedule-quality figures are identical for both,
-            only the solver-time columns differ.
     """
     case_list = list(cases) if cases is not None else table1_suite()
     rows: list[TableOneRow | None] = [None] * len(case_list)
@@ -189,8 +183,7 @@ def run_table1(cases: list[BenchmarkCase] | None = None,
         registry = registry_case_names(case_list)
         indices = [i for i, case in enumerate(case_list)
                    if case.name in registry]
-        payloads = [(case_list[i].name, subgraphs_per_iteration, max_iterations,
-                     solver)
+        payloads = [(case_list[i].name, subgraphs_per_iteration, max_iterations)
                     for i in indices]
         for i, row in zip(indices, parallel_map(_run_registry_case, payloads,
                                                 jobs)):
@@ -199,7 +192,7 @@ def run_table1(cases: list[BenchmarkCase] | None = None,
     result = TableOneResult()
     for i, case in enumerate(case_list):
         row = rows[i] or run_table1_case(case, subgraphs_per_iteration,
-                                         max_iterations, solver=solver)
+                                         max_iterations)
         result.rows.append(row)
         if verbose:
             print(f"  {row.benchmark:35s} registers {row.sdc_registers:6d} -> "

@@ -122,8 +122,8 @@ def format_campaign(result) -> str:
     Args:
         result: a :class:`~repro.campaign.executor.CampaignRunResult`.
     """
-    headers = ["Job", "Design", "Clock (ps)", "Extract", "Expand", "Solver",
-               "m", "Regs SDC", "Regs ISDC", "Stages", "Iters", "Evals"]
+    headers = ["Job", "Design", "Clock (ps)", "Extract", "Expand", "m",
+               "Regs SDC", "Regs ISDC", "Stages", "Iters", "Evals"]
     rows = []
     for job in result.payload["jobs"]:
         config = job["config"]
@@ -133,7 +133,7 @@ def format_campaign(result) -> str:
             design = design[:37] + "..."
         rows.append([
             job["job_id"][:8], design, f"{config['clock_period_ps']:.0f}",
-            config["extraction"], config["expansion"], config["solver"],
+            config["extraction"], config["expansion"],
             config["subgraphs_per_iteration"],
             outcome["initial"]["registers"], outcome["final"]["registers"],
             outcome["final"]["stages"], outcome["iterations"],

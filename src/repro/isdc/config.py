@@ -58,12 +58,6 @@ class IsdcConfig:
         track_estimation_error: record per-iteration delay-estimation error
             (needs one extra stage synthesis per iteration; used by Fig. 7).
         verbose: print a one-line summary per iteration.
-        solver: re-solve strategy for the per-iteration LP (``"full"``
-            rebuilds the constraint system and LP from scratch every
-            iteration; ``"incremental"`` keeps one persistent
-            :class:`~repro.sdc.problem.ScheduleProblem`, patches only the
-            dirty timing bounds and warm-starts the rounding repair).  Both
-            produce byte-identical schedules and histories.
         backend: flow-backend registry name for the downstream evaluations
             (``"local"`` for the full synthesis pipeline, ``"estimator"`` for
             the cheap closed-form quick mode).
@@ -85,7 +79,6 @@ class IsdcConfig:
     latency_weight: float = 1e-3
     track_estimation_error: bool = True
     verbose: bool = False
-    solver: str = "full"
     backend: str = "local"
     jobs: int = 1
     cache_path: str | None = None
@@ -101,9 +94,6 @@ class IsdcConfig:
             raise ValueError("patience must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.solver not in ("full", "incremental"):
-            raise ValueError(
-                f"solver must be 'full' or 'incremental', got {self.solver!r}")
         if isinstance(self.extraction, str):
             self.extraction = ExtractionStrategy(self.extraction)
         if isinstance(self.expansion, str):

@@ -62,7 +62,6 @@ class IsdcResult:
         baseline_runtime_s: wall-clock time of the initial SDC schedule alone.
         subgraphs_evaluated: total distinct subgraphs synthesised (true
             backend runs; disk-cache answers are excluded).
-        solver: the re-solve strategy the run used ("full" or "incremental").
         solver_runtime_s: cumulative scheduling-solve time across the run
             (sum of the per-iteration ``solver_runtime_s``).
         synthesis_runtime_s: cumulative subgraph extraction + downstream
@@ -79,7 +78,6 @@ class IsdcResult:
     total_runtime_s: float = 0.0
     baseline_runtime_s: float = 0.0
     subgraphs_evaluated: int = 0
-    solver: str = "full"
     solver_runtime_s: float = 0.0
     synthesis_runtime_s: float = 0.0
 

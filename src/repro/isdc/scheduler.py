@@ -16,7 +16,7 @@ from repro.isdc.reformulate import propagate_delays
 from repro.sdc.pipeline import PipelineAnalyzer, count_pipeline_registers
 from repro.sdc.problem import ScheduleProblem
 from repro.sdc.scheduler import Schedule, SdcScheduler
-from repro.sdc.solver import ScheduleSolver, create_solver
+from repro.sdc.solver import IncrementalSolver
 from repro.synth.backend import create_backend
 from repro.synth.estimator import CharacterizedOperatorModel
 from repro.tech.delay_model import OperatorModel
@@ -35,13 +35,13 @@ class IsdcScheduler:
 
     One persistent :class:`~repro.sdc.problem.ScheduleProblem` (built by the
     baseline SDC schedule) is held for the whole loop, so the register
-    weights, users map and constraint system are computed once per graph.
-    How the per-iteration re-solve uses it is the config's ``solver`` knob:
-    ``"full"`` rebuilds everything from the delay matrix each iteration,
-    ``"incremental"`` patches only the timing bounds the iteration's dirty
-    delay-matrix entries touched.  Both strategies produce byte-identical
-    schedules and histories; after a run, ``last_problem`` and
-    ``last_solver`` expose the rebuild/patch counters.
+    weights, users map, constraint system and assembled LP are built once
+    per graph.  Each iteration's re-solve patches only the timing bounds the
+    iteration's dirty delay-matrix entries touched
+    (:class:`~repro.sdc.solver.IncrementalSolver`), with schedules and
+    histories byte-identical to rebuilding everything from the delay matrix
+    (see ``tests/isdc/test_solver_parity.py``).  After a run,
+    ``last_problem`` and ``last_solver`` expose the rebuild/patch counters.
 
     Args:
         config: loop configuration; a default :class:`IsdcConfig` is used
@@ -81,7 +81,7 @@ class IsdcScheduler:
         self.analyzer = PipelineAnalyzer(flow=self.feedback.backend,
                                          library=self.library)
         self.last_problem: ScheduleProblem | None = None
-        self.last_solver: ScheduleSolver | None = None
+        self.last_solver: IncrementalSolver | None = None
 
     # ------------------------------------------------------------------ public
 
@@ -97,7 +97,7 @@ class IsdcScheduler:
         base_result = baseline.schedule(graph)
         baseline_runtime = base_result.runtime_s
         problem = base_result.problem
-        solver = create_solver(config.solver)
+        solver = IncrementalSolver()
         self.last_problem = problem
         self.last_solver = solver
 
@@ -178,14 +178,13 @@ class IsdcScheduler:
             total_runtime_s=total_runtime,
             baseline_runtime_s=baseline_runtime,
             subgraphs_evaluated=self.feedback.evaluations,
-            solver=config.solver,
             solver_runtime_s=sum(r.solver_runtime_s for r in history),
             synthesis_runtime_s=sum(r.synthesis_runtime_s for r in history),
         )
 
     # ----------------------------------------------------------------- helpers
 
-    def _reschedule(self, problem: ScheduleProblem, solver: ScheduleSolver,
+    def _reschedule(self, problem: ScheduleProblem, solver: IncrementalSolver,
                     delay_matrix: DelayMatrix) -> Schedule:
         """Re-solve the persistent problem against the updated delay matrix."""
         dirty = delay_matrix.consume_dirty()

@@ -46,7 +46,7 @@ from repro.campaign.store import RunStore
 
 #: Grouping axes a frame row may carry (besides metrics).
 AXES = ("source", "design", "clock_period_ps", "extraction", "expansion",
-        "solver", "subgraphs_per_iteration", "backend")
+        "subgraphs_per_iteration", "backend")
 
 #: Axis aliases accepted by the CLI (`m` is the paper's subgraph budget).
 AXIS_ALIASES = {"m": "subgraphs_per_iteration", "clock": "clock_period_ps"}
@@ -194,7 +194,7 @@ def _campaign_row(source: str, job_id: str, design: str, config: dict,
                   result: dict, runtime_s: float | None) -> ReportRow:
     """Build a frame row from one campaign job's (config, result) payloads."""
     axes = {"design": design}
-    for axis in ("clock_period_ps", "extraction", "expansion", "solver",
+    for axis in ("clock_period_ps", "extraction", "expansion",
                  "subgraphs_per_iteration", "backend"):
         if axis in config:
             axes[axis] = config[axis]
@@ -267,7 +267,6 @@ def load_run_store(path: str | Path, source: str | None = None) -> ReportFrame:
 
 
 def _table1_rows(source: str, envelope: dict) -> list[ReportRow]:
-    solver = envelope.get("solver")
     rows = []
     for raw in envelope.get("data", {}).get("rows", []):
         design = raw.get("benchmark", "")
@@ -275,8 +274,6 @@ def _table1_rows(source: str, envelope: dict) -> list[ReportRow]:
         axes = {"design": design}
         if clock is not None:
             axes["clock_period_ps"] = clock
-        if solver is not None:
-            axes["solver"] = solver
         metrics: dict = {}
         for key, name in (("sdc_registers", "registers_initial"),
                           ("isdc_registers", "registers_final"),
@@ -392,7 +389,7 @@ def _payload_envelope_rows(label: str, envelope: dict,
 
 def load_experiment_payload(path: str | Path,
                             source: str | None = None) -> ReportFrame:
-    """Load a runner ``--json`` payload (envelope schemas 1-8) into a frame.
+    """Load a runner ``--json`` payload (envelope schemas 1-9) into a frame.
 
     Supported experiments: ``campaign`` (one row per job, axes from each
     job's config), ``table1`` (one row per benchmark, SDC columns as the

@@ -12,8 +12,8 @@ that both XLS and the paper's baseline use:
   assembled LP structure) and its delta timing updates;
 * :mod:`~repro.sdc.solver` -- LP solution (scipy HiGHS) of the constraint
   system with a register-lifetime objective, ASAP/ALAP solvers based on
-  longest-path propagation, and the full/incremental re-solve strategies
-  over a persistent problem;
+  longest-path propagation, and the incremental re-solve of a persistent
+  problem (plus the from-scratch reference it is tested against);
 * :mod:`~repro.sdc.scheduler` -- the end-to-end baseline scheduler;
 * :mod:`~repro.sdc.pipeline` -- schedule → pipeline stages, register usage,
   post-synthesis slack.
@@ -26,7 +26,6 @@ from repro.sdc.solver import (
     FullSolver,
     IncrementalSolver,
     SdcInfeasibleError,
-    create_solver,
     solve_alap,
     solve_asap,
     solve_lp,
@@ -47,7 +46,6 @@ __all__ = [
     "SdcInfeasibleError",
     "FullSolver",
     "IncrementalSolver",
-    "create_solver",
     "SdcScheduler",
     "Schedule",
     "PipelineAnalyzer",

@@ -206,10 +206,10 @@ def assemble_lp(system: ConstraintSystem,
                 latency_weight: float = 1e-3) -> AssembledLp:
     """Assemble the register-lifetime-minimising LP for a constraint system.
 
-    This is the single assembly routine shared by every solve path (one-shot
-    :func:`~repro.sdc.solver.solve_lp`, the full re-solve strategy and the
-    incremental one), which is what makes cached-and-patched structures
-    byte-identical to rebuilt ones.
+    This is the single assembly routine shared by every solve path (the
+    cached :meth:`ScheduleProblem.lp` and the one-shot reference
+    :func:`~repro.sdc.solver.solve_lp`), which is what makes
+    cached-and-patched structures byte-identical to rebuilt ones.
     """
     register_weights = register_weights or {}
     users = users or {}

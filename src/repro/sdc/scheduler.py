@@ -19,7 +19,7 @@ from repro.sdc.problem import (
     register_weights,
     users_map,
 )
-from repro.sdc.solver import solve_lp
+from repro.sdc.solver import solve_problem
 from repro.tech.delay_model import OperatorModel
 
 __all__ = [
@@ -166,9 +166,7 @@ class SdcScheduler:
             ii, solution = min_feasible_ii(problem)
         else:
             ii = 1
-            solution = solve_lp(problem.system, problem.register_weights,
-                                problem.users_map,
-                                latency_weight=self.latency_weight)
+            solution = solve_problem(problem)
         end_time = time.perf_counter()
         schedule = Schedule(graph=graph, clock_period_ps=self.clock_period_ps,
                             stages=solution, ii=ii)

@@ -1,6 +1,6 @@
 """Solvers for SDC constraint systems.
 
-Three solution paths are provided:
+The solution paths:
 
 * :func:`solve_asap` / :func:`solve_alap` -- pure-Python least/greatest
   fixpoint propagation over the difference constraints (Bellman-Ford style).
@@ -10,23 +10,24 @@ Three solution paths are provided:
   objective XLS's SDC scheduler uses), solved with scipy's HiGHS backend.
   The constraint matrix is totally unimodular, so the LP optimum is integral;
   rounding plus a fixpoint repair guards against floating-point noise.
-* the **re-solve strategies** :class:`FullSolver` and
-  :class:`IncrementalSolver` -- one interface
-  (:meth:`ScheduleSolver.solve`) over a persistent
-  :class:`~repro.sdc.problem.ScheduleProblem`, used by the ISDC loop.  The
-  full strategy reproduces the historical behaviour (rebuild the constraint
-  system and LP from the delay matrix on every call); the incremental one
-  patches only the dirty timing bounds of the cached LP, warm-starts the
-  rounding repair, and falls back to a full rebuild when the constraint
-  structure changes.  Both yield byte-identical schedules: the LP input
-  arrays are identical either way (see :mod:`repro.sdc.problem`), and the
-  repair fixpoint is unique regardless of relaxation order.
+  This one-shot form assembles a fresh LP per call; production code uses
+  the cached form below, and tests use this one as the reference.
+* :func:`solve_problem` -- the production solve of a persistent
+  :class:`~repro.sdc.problem.ScheduleProblem` on its cached LP, shared by
+  the baseline schedule, the ISDC loop, the DSE engine and min-II search.
+* :class:`IncrementalSolver` -- the ISDC loop's re-solve: it patches only
+  the dirty timing bounds of the cached LP and falls back to a full rebuild
+  when the constraint structure changes.  :class:`FullSolver` rebuilds the
+  constraint system and LP from the delay matrix on every call; it is the
+  reference the tests hold the incremental path byte-identical to (the LP
+  input arrays are identical either way, see :mod:`repro.sdc.problem`, and
+  the repair fixpoint is unique regardless of relaxation order).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import Mapping, Protocol
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linprog
@@ -224,11 +225,12 @@ def solve_lp(system: ConstraintSystem,
 def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
     """Solve a persistent problem on its cached (or freshly assembled) LP.
 
-    This is the one solve path shared by the incremental ISDC strategy and
-    the DSE warm-start engine: the problem's cached LP (bounds possibly
-    patched in place by delta updates or a clock-period rebase) is solved
-    with HiGHS, the integral rounding is repaired over the cached row
-    adjacency, and the result is checked feasible.  Because
+    This is the one production solve path, shared by the baseline SDC
+    schedule, the ISDC loop and the DSE warm-start engine: the problem's
+    cached LP (bounds possibly patched in place by delta updates or a
+    clock-period rebase) is solved with HiGHS, the integral rounding is
+    repaired over the cached row adjacency, and the result is checked
+    feasible.  Because
     :func:`~repro.sdc.problem.assemble_lp` is deterministic in the system,
     a problem whose patched arrays equal a freshly built problem's arrays
     produces a byte-identical schedule.
@@ -246,36 +248,16 @@ def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
 
 
 # --------------------------------------------------------------------------
-# Re-solve strategies over a persistent ScheduleProblem
+# Re-solves of a persistent ScheduleProblem
 # --------------------------------------------------------------------------
-
-
-class ScheduleSolver(Protocol):
-    """One re-solve of a persistent scheduling problem.
-
-    ``solve`` receives the problem, the current delay matrix (with its node
-    index) and the set of matrix entries dirtied since the previous solve,
-    and returns the integral schedule.  Implementations are free to ignore
-    the dirty set (the full strategy does).
-    """
-
-    name: str
-
-    def solve(self, problem: ScheduleProblem, matrix: np.ndarray,
-              index_of: Mapping[int, int],
-              dirty_pairs: set[tuple[int, int]] | None = None
-              ) -> dict[int, int]:  # pragma: no cover - protocol
-        ...
 
 
 class FullSolver:
     """Rebuild the constraint system and LP from scratch on every call.
 
-    This is the historical behaviour of the ISDC loop's re-schedule step and
-    the reference the incremental strategy is held byte-identical to.
+    The reference the ISDC loop's :class:`IncrementalSolver` is held
+    byte-identical to; production code never calls it.
     """
-
-    name = "full"
 
     def solve(self, problem: ScheduleProblem, matrix: np.ndarray,
               index_of: Mapping[int, int],
@@ -289,7 +271,7 @@ class FullSolver:
 class IncrementalSolver:
     """Patch the cached LP in place and warm-start the rounding repair.
 
-    Per call, the strategy asks the problem to swap the dirty timing bounds
+    Per call, the solver asks the problem to swap the dirty timing bounds
     into the cached LP's right-hand side
     (:meth:`~repro.sdc.problem.ScheduleProblem.update_timing`); if the
     constraint structure changed instead, it falls back to a full rebuild.
@@ -303,8 +285,6 @@ class IncrementalSolver:
         incremental_solves: calls served by in-place bound patching.
         fallback_solves: calls that required a structural rebuild.
     """
-
-    name = "incremental"
 
     def __init__(self) -> None:
         self.incremental_solves = 0
@@ -321,23 +301,3 @@ class IncrementalSolver:
         else:
             self.incremental_solves += 1
         return solve_problem(problem)
-
-
-SOLVERS = {
-    "full": FullSolver,
-    "incremental": IncrementalSolver,
-}
-
-
-def create_solver(name: str) -> ScheduleSolver:
-    """Construct a re-solve strategy by registry name.
-
-    Raises:
-        ValueError: for an unknown strategy name.
-    """
-    try:
-        factory = SOLVERS[name]
-    except KeyError:
-        known = ", ".join(sorted(SOLVERS))
-        raise ValueError(f"unknown solver {name!r}; expected one of {known}")
-    return factory()

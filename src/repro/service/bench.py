@@ -15,7 +15,7 @@ points with probability ``--hot-fraction`` and each drawn point is
 submitted ``--dup`` times back-to-back, so the run exercises all three
 serving layers (warm hits, coalesced duplicates, batched cold misses).
 
-The result payload (schema-8 ``service`` experiment envelope, written by
+The result payload (schema-9 ``service`` experiment envelope, written by
 ``--out``) records sustained requests/s, p50/p95 latency, warm hit rate,
 coalesce rate and the warm-vs-cold speedup; ``runner report`` loads it
 and ``report diff`` gates those metrics direction-aware.  The committed
@@ -165,7 +165,7 @@ class ServiceBenchResult:
         return cold / warm if warm > 0 else 0.0
 
     def to_payload(self) -> dict:
-        """The ``service`` experiment payload body (serialize schema 8)."""
+        """The ``service`` experiment payload body (since serialize schema 8)."""
         return {
             "workload": {
                 "name": self.workload_name,
@@ -329,7 +329,7 @@ def bench_main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-check", dest="check", action="store_false",
                         help="skip the offline parity cross-check")
     parser.add_argument("--out", metavar="PATH",
-                        help="write the schema-8 'service' payload here "
+                        help="write the schema-9 'service' payload here "
                              "(e.g. BENCH_service.json)")
     parser.add_argument("--min-hit-rate", type=float, default=0.0,
                         metavar="F",

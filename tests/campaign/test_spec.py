@@ -59,12 +59,20 @@ def test_jobs_validate_through_isdc_config():
     with pytest.raises(ValueError):
         _small_spec(subgraph_counts=[0]).jobs()
     with pytest.raises(ValueError):
-        _small_spec(solvers=["simulated-annealing"]).jobs()
+        _small_spec(extraction=["simulated-annealing"]).jobs()
 
 
 def test_unknown_design_rejected_at_expansion():
-    with pytest.raises(KeyError):
+    # A ValueError (not the registry's KeyError), as the docstring promises.
+    with pytest.raises(ValueError, match="designs.*not a benchmark"):
         _small_spec(designs=["not a benchmark"]).jobs()
+
+
+def test_from_dict_rejects_non_objects_and_unknown_fields():
+    with pytest.raises(TypeError, match="JSON object"):
+        CampaignSpec.from_dict(["rrot"])
+    with pytest.raises(TypeError, match="unknown field 'solvers'"):
+        CampaignSpec.from_dict({"designs": ["rrot"], "solvers": ["full"]})
 
 
 def test_spec_round_trips_through_dict():

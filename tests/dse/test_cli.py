@@ -120,7 +120,7 @@ class TestSerializeAndReportWiring:
 
         result = run_dse([SMALL], resolution_ps=100.0)
         payload = experiment_payload("dse", result)
-        assert payload["schema"] == SCHEMA_VERSION == 8
+        assert payload["schema"] == SCHEMA_VERSION == 9
         assert payload["data"]["designs"][0]["design"] == SMALL
 
     def test_frame_loads_dse_payload(self, tmp_path):

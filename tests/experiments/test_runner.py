@@ -143,3 +143,63 @@ def test_campaign_design_flag_extends_spec(tmp_path, capsys):
 def test_design_flag_rejected_for_other_experiments():
     with pytest.raises(SystemExit):
         main(["fig8", "--quick", "--design", "rrot"])
+
+
+_MINI_SPEC = {"name": "mini", "designs": ["rrot"], "subgraph_counts": [4],
+              "max_iterations": 1, "backend": "estimator",
+              "use_characterized_delays": False}
+
+
+def _spec_args(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    return ["--spec", str(path)]
+
+
+def _store_args(tmp_path, resume_spec):
+    """An existing --out store written for the mini spec, then reused."""
+    store = tmp_path / "store.jsonl"
+    assert main(["campaign", *_spec_args(tmp_path, json.dumps(_MINI_SPEC)),
+                 "--out", str(store)]) == 0
+    args = _spec_args(tmp_path, json.dumps(resume_spec))
+    resume = ["--resume"] if resume_spec != _MINI_SPEC else []
+    return [*args, "--out", str(store), *resume]
+
+
+# case -> (argv builder, fragments the one-line message must contain)
+BAD_CAMPAIGN_INPUTS = {
+    "missing-file": (lambda tmp: ["--spec", str(tmp / "absent.json")],
+                     ["absent.json", "file not found"]),
+    "malformed-json": (lambda tmp: _spec_args(tmp, "{bad"),
+                       ["spec.json", "invalid JSON"]),
+    "non-object": (lambda tmp: _spec_args(tmp, "[1, 2]"),
+                   ["spec.json", "JSON object"]),
+    "unknown-field": (lambda tmp: _spec_args(
+        tmp, json.dumps({**_MINI_SPEC, "solvers": ["full"]})),
+        ["spec.json", "unknown field 'solvers'"]),
+    "empty-designs": (lambda tmp: _spec_args(
+        tmp, json.dumps({**_MINI_SPEC, "designs": []})),
+        ["spec.json", "'designs'"]),
+    "unknown-design": (lambda tmp: _spec_args(
+        tmp, json.dumps({**_MINI_SPEC, "designs": ["no such row"]})),
+        ["spec.json", "'designs'", "no such row"]),
+    "existing-out": (lambda tmp: _store_args(tmp, _MINI_SPEC),
+                     ["--out", "store.jsonl", "already exists"]),
+    "store-mismatch": (lambda tmp: _store_args(
+        tmp, {**_MINI_SPEC, "name": "other"}),
+        ["--out", "store.jsonl", "cannot resume"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CAMPAIGN_INPUTS))
+def test_campaign_bad_input_is_one_line_and_exit_2(case, tmp_path, capsys):
+    build, fragments = BAD_CAMPAIGN_INPUTS[case]
+    argv = build(tmp_path)
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["campaign", *argv])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    for fragment in fragments:
+        assert fragment in err

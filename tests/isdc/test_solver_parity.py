@@ -1,9 +1,11 @@
 """Incremental re-solves must not change any ISDC result.
 
-The tentpole guarantee: ``solver="incremental"`` (persistent problem, patched
-LP bounds, warm-started repair) produces byte-identical schedules, iteration
-histories and serialized JSON to ``solver="full"`` (rebuild every iteration)
-on every design of the arith + misc suites -- the same spirit as the
+The ISDC loop re-solves through :class:`~repro.sdc.solver.IncrementalSolver`
+(persistent problem, patched LP bounds, warm-started repair).  It must
+produce byte-identical schedules, iteration histories and serialized JSON
+to a reference run with that class swapped for
+:class:`~repro.sdc.solver.FullSolver` (rebuild every iteration) on every
+design of the arith + misc suites -- the same spirit as the
 ``jobs=1 == jobs=4`` determinism test.
 """
 
@@ -14,8 +16,10 @@ import pickle
 import pytest
 
 from repro.designs.suite import table1_suite
+import repro.isdc.scheduler as isdc_scheduler
 from repro.isdc.config import IsdcConfig
 from repro.isdc.scheduler import IsdcScheduler
+from repro.sdc.solver import FullSolver
 
 # The arith suite designs plus the misc-package design, by Table-I row name.
 ARITH_MISC_DESIGNS = (
@@ -31,18 +35,25 @@ def _case(name):
     return next(case for case in table1_suite() if case.name == name)
 
 
-def _run(name: str, solver: str, backend: str = "estimator"):
+def _run(name: str, backend: str = "estimator"):
     case = _case(name)
     config = IsdcConfig(clock_period_ps=case.clock_period_ps,
                         subgraphs_per_iteration=4, max_iterations=3,
                         patience=3, track_estimation_error=False,
                         use_characterized_delays=(backend == "local"),
-                        backend=backend, solver=solver)
+                        backend=backend)
     scheduler = IsdcScheduler(config)
     result = scheduler.schedule(case.build())
     if hasattr(scheduler.feedback.backend, "close"):
         scheduler.feedback.backend.close()
     return result, scheduler
+
+
+def _reference(monkeypatch, name: str, backend: str = "estimator"):
+    """The same run with every re-solve rebuilt from scratch."""
+    with monkeypatch.context() as patch:
+        patch.setattr(isdc_scheduler, "IncrementalSolver", FullSolver)
+        return _run(name, backend)
 
 
 def _canonical_history(result):
@@ -53,7 +64,7 @@ def _canonical_history(result):
 
 
 def _canonical_json(result):
-    """Serialized run outcome with the wall-clock (and knob) fields dropped."""
+    """Serialized run outcome with the wall-clock fields dropped."""
     payload = {
         "design": result.design,
         "initial_stages": sorted(result.initial_schedule.stages.items()),
@@ -70,9 +81,9 @@ def _canonical_json(result):
 
 
 @pytest.mark.parametrize("design", ARITH_MISC_DESIGNS)
-def test_incremental_matches_full_on_arith_misc(design):
-    full, _ = _run(design, solver="full")
-    incremental, scheduler = _run(design, solver="incremental")
+def test_incremental_matches_full_on_arith_misc(design, monkeypatch):
+    full, _ = _reference(monkeypatch, design)
+    incremental, scheduler = _run(design)
 
     assert pickle.dumps(_canonical_history(full)) == \
         pickle.dumps(_canonical_history(incremental))
@@ -80,9 +91,6 @@ def test_incremental_matches_full_on_arith_misc(design):
     assert full.final_schedule.stages == incremental.final_schedule.stages
     assert _canonical_json(full) == _canonical_json(incremental)
 
-    # The knob is faithfully recorded on the result.
-    assert full.solver == "full"
-    assert incremental.solver == "incremental"
     # The incremental engine was exercised (patched or structural fallback,
     # but always through the persistent problem).
     solver = scheduler.last_solver
@@ -90,10 +98,10 @@ def test_incremental_matches_full_on_arith_misc(design):
         incremental.iterations
 
 
-def test_incremental_matches_full_through_real_synthesis():
+def test_incremental_matches_full_through_real_synthesis(monkeypatch):
     """Parity also holds under the full local synthesis backend."""
-    full, _ = _run("rrot", solver="full", backend="local")
-    incremental, _ = _run("rrot", solver="incremental", backend="local")
+    full, _ = _reference(monkeypatch, "rrot", backend="local")
+    incremental, _ = _run("rrot", backend="local")
     assert pickle.dumps(_canonical_history(full)) == \
         pickle.dumps(_canonical_history(incremental))
     assert full.final_schedule.stages == incremental.final_schedule.stages
@@ -102,7 +110,7 @@ def test_incremental_matches_full_through_real_synthesis():
 
 def test_incremental_patches_bounds_on_a_multi_iteration_design():
     """The delta path is really taken: bounds are patched, not rebuilt."""
-    result, scheduler = _run("fpexp 32", solver="incremental")
+    result, scheduler = _run("fpexp 32")
     assert result.iterations >= 2
     assert scheduler.last_problem.bound_patches > 0
     assert scheduler.last_solver.incremental_solves >= 1
@@ -131,10 +139,10 @@ def test_weights_and_users_computed_once_per_graph(monkeypatch):
     monkeypatch.setattr(problem_module, "register_weights", counting_weights)
     monkeypatch.setattr(problem_module, "users_map", counting_users)
 
-    result, _ = _run("rrot", solver="incremental")
+    result, _ = _run("rrot")
     assert result.iterations >= 2
     assert calls == {"register_weights": 1, "users_map": 1}
 
-    result, _ = _run("rrot", solver="full")
+    result, _ = _reference(monkeypatch, "rrot")
     assert result.iterations >= 2
     assert calls == {"register_weights": 2, "users_map": 2}

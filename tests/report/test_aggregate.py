@@ -98,12 +98,12 @@ class TestGrouping:
             [("new.jsonl",), ("old.jsonl",)]
 
     def test_rows_missing_an_axis_group_under_none(self):
-        frame = _frame([({"design": "x", "solver": "full"},
+        frame = _frame([({"design": "x", "backend": "local"},
                          {"iterations": 1.0}),
                         ({"design": "x"}, {"iterations": 3.0})])
-        report = aggregate(frame, group_by=("solver",),
+        report = aggregate(frame, group_by=("backend",),
                            metrics=("iterations",), reducers=("mean",))
-        assert {group.key for group in report.groups} == {(None,), ("full",)}
+        assert {group.key for group in report.groups} == {(None,), ("local",)}
 
 
 class TestValidation:

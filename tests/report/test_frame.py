@@ -48,6 +48,16 @@ class TestRunStoreLoading:
         with pytest.raises(FileNotFoundError):
             load_run_store(tmp_path / "nope.jsonl")
 
+    def test_unresolvable_header_design_loads_without_axes(self, store_path):
+        # The header's spec names a design no process can resolve: the
+        # store still loads, its rows just carry no configuration axes.
+        text = store_path.read_text()
+        store_path.write_text(text.replace('"designs": ["rrot"]',
+                                           '"designs": ["no such row"]', 1))
+        frame = load_run_store(store_path)
+        assert len(frame.rows) == 4
+        assert frame.rows[0].axes == {"design": "rrot"}
+
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"kind": "job", "job_id": "x"}\n')

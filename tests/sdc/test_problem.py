@@ -8,7 +8,7 @@ from repro.sdc.constraints import ConstraintSystem
 from repro.sdc.delays import NOT_CONNECTED, critical_path_matrix, node_delays
 from repro.sdc.problem import ScheduleProblem, assemble_lp
 from repro.sdc.scheduler import SdcScheduler
-from repro.sdc.solver import FullSolver, IncrementalSolver, create_solver, solve_lp
+from repro.sdc.solver import FullSolver, IncrementalSolver, solve_lp
 from repro.tech.delay_model import OperatorModel
 
 CLOCK_PS = 2500.0
@@ -112,12 +112,6 @@ class TestScheduleProblem:
 
 
 class TestSolverStrategies:
-    def test_create_solver_registry(self):
-        assert create_solver("full").name == "full"
-        assert create_solver("incremental").name == "incremental"
-        with pytest.raises(ValueError):
-            create_solver("magic")
-
     def test_full_and_incremental_agree_from_scratch(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
         reference = solve_lp(problem.system, problem.register_weights,

@@ -102,7 +102,7 @@ def test_bench_main_writes_a_loadable_payload(tmp_path):
                        "--out", str(out), "--require-coalescing"])
     assert code == 0
     envelope = json.loads(out.read_text())
-    assert envelope["schema"] == 8
+    assert envelope["schema"] == 9
     assert envelope["experiment"] == "service"
     assert envelope["data"]["served"].get("coalesced", 0) > 0
 

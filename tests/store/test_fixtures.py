@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import RunStore
 from repro.report.frame import (load_any, load_artifact_store,
                                 load_experiment_payload, load_run_store)
@@ -67,16 +66,15 @@ class TestCampaignFixture:
         legacy = FIXTURES / "campaign_v1.jsonl"
         unified = tmp_path / "unified.jsonl"
         migrate_file(legacy, unified)
-        spec = CampaignSpec.from_dict(RunStore.load(legacy).header["spec"])
-        want = json.dumps(RunStore.load(legacy).final_payload(spec),
-                          sort_keys=True)
-        got = json.dumps(RunStore.load(unified).final_payload(spec),
-                         sort_keys=True)
-        assert got == want
+
+        def loaded(path):
+            store = RunStore.load(path)
+            return json.dumps([store.header, store.results], sort_keys=True)
+
+        want = loaded(legacy)
+        assert loaded(unified) == want
         ArtifactStore(unified).open_for_append().compact()
-        compacted = json.dumps(RunStore.load(unified).final_payload(spec),
-                               sort_keys=True)
-        assert compacted == want
+        assert loaded(unified) == want
 
 
 class TestCacheFixture:
