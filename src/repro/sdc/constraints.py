@@ -1,27 +1,56 @@
-"""Difference constraints and the SDC constraint system.
+"""Difference constraints and the array-native SDC constraint system.
 
 All HLS scheduling constraints used here are integer-difference constraints
 of the form ``s_u - s_v <= bound`` (paper Eq. 1), which keeps the LP's
 constraint matrix totally unimodular and therefore guarantees an integral
 optimum (Cong & Zhang, DAC'06).
+
+A :class:`ConstraintSystem` stores its rows as four aligned integer arrays
+``u``, ``v``, ``bound`` and ``kind``; row ``i`` is
+``s_u[i] - s_v[i] <= bound[i]``.  Construction, LP assembly, bound patches
+and the rounding repair all read these arrays directly.  A three-node
+chain where node 2 must start at least two cycles after node 0:
+
+>>> system = ConstraintSystem()
+>>> system.add_dependency(producer=0, consumer=1)
+True
+>>> system.add_dependency(producer=1, consumer=2)
+True
+>>> system.add_timing(source=0, sink=2, min_distance=2)
+True
+>>> system.u.tolist(), system.v.tolist(), system.bound.tolist()
+([0, 1, 0], [1, 2, 2], [0, 0, -2])
+>>> [KIND_NAMES[code] for code in system.kind]
+['dependency', 'dependency', 'timing']
+>>> system.violations({0: 0, 1: 0, 2: 1})
+[DifferenceConstraint(u=0, v=2, bound=-2, kind='timing')]
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+
+import numpy as np
+
+#: Row categories, indexed by the codes stored in :attr:`ConstraintSystem.kind`.
+KIND_NAMES = ("dependency", "timing", "loop", "user")
+DEPENDENCY, TIMING, LOOP, USER = range(len(KIND_NAMES))
 
 
 @dataclass(frozen=True)
 class DifferenceConstraint:
     """One integer-difference constraint ``s_u - s_v <= bound``.
 
+    The value :meth:`ConstraintSystem.constraints` and
+    :meth:`ConstraintSystem.violations` return for inspection and error
+    messages; the system itself stores rows as arrays.
+
     Attributes:
         u: node id of the left variable.
         v: node id of the right variable.
         bound: the integer bound.
-        kind: constraint category, used for reporting and for selective
-            rebuilds ("dependency", "timing", "pin", "user").
+        kind: constraint category ("dependency", "timing", "loop", "user",
+            or "pin" for a violated pin).
     """
 
     u: int
@@ -34,26 +63,30 @@ class DifferenceConstraint:
         return schedule[self.u] - schedule[self.v] <= self.bound
 
 
-@dataclass
+def _rows(values=()) -> np.ndarray:
+    return np.asarray(values, dtype=np.int64).reshape(-1)
+
+
+@dataclass(eq=False)
 class ConstraintSystem:
-    """A collection of difference constraints over node variables.
+    """Difference constraints over node variables, as four aligned arrays.
 
     Attributes:
         variables: the node ids that appear as variables.
         pinned: variables fixed to a specific time step (e.g. parameters
             pinned to cycle 0).
+        u: left variable of every row.
+        v: right variable of every row.
+        bound: bound of every row; the only array bound patches write.
+        kind: category code of every row (an index into :data:`KIND_NAMES`).
     """
 
     variables: set[int] = field(default_factory=set)
     pinned: dict[int, int] = field(default_factory=dict)
-    _constraints: list[DifferenceConstraint] = field(default_factory=list)
-    _seen: set[tuple[int, int, int]] = field(default_factory=set, repr=False)
-    _timing_rows: dict[tuple[int, int], int] = field(default_factory=dict,
-                                                     repr=False)
-    _loop_rows: dict[tuple[int, int], int] = field(default_factory=dict,
-                                                   repr=False)
-    _loop_distances: dict[tuple[int, int], int] = field(default_factory=dict,
-                                                        repr=False)
+    u: np.ndarray = field(default_factory=_rows)
+    v: np.ndarray = field(default_factory=_rows)
+    bound: np.ndarray = field(default_factory=_rows)
+    kind: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int8))
 
     def add_variable(self, node_id: int) -> None:
         """Register a schedule variable."""
@@ -64,25 +97,39 @@ class ConstraintSystem:
         self.add_variable(node_id)
         self.pinned[node_id] = time_step
 
-    def add(self, u: int, v: int, bound: int, kind: str = "user") -> bool:
-        """Add ``s_u - s_v <= bound``.
+    def extend(self, u, v, bound, kind) -> int:
+        """Append rows ``s_u - s_v <= bound`` of category code(s) ``kind``.
 
-        Duplicate (u, v, bound) triples are ignored; when several bounds exist
-        for the same (u, v) pair all are kept (the tightest governs anyway).
+        A ``(u, v, bound)`` triple already present, or repeated within the
+        batch, is kept once, at its first position; when several bounds
+        exist for one ``(u, v)`` pair all are kept (the tightest governs).
+        The arrays are replaced, never written in place, so a clone sharing
+        them is unaffected.
 
         Returns:
-            True if the constraint was newly added.
+            The number of rows actually added.
         """
-        self.add_variable(u)
-        self.add_variable(v)
-        key = (u, v, bound)
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        if kind == "timing":
-            self._timing_rows[(u, v)] = len(self._constraints)
-        self._constraints.append(DifferenceConstraint(u, v, bound, kind))
-        return True
+        u, v, bound = _rows(u), _rows(v), _rows(bound)
+        kind = np.broadcast_to(np.asarray(kind, dtype=np.int8), u.shape)
+        self.variables.update(np.unique(np.concatenate([u, v])).tolist())
+        columns = [np.concatenate(pair) for pair in
+                   ((self.u, u), (self.v, v), (self.bound, bound),
+                    (self.kind, kind))]
+        # lexsort is stable, so the first row of every run of equal triples
+        # is the triple's first occurrence.
+        by_triple = np.lexsort(columns[2::-1])
+        ordered = np.stack([column[by_triple] for column in columns[:3]])
+        repeat = np.zeros(len(by_triple), dtype=bool)
+        repeat[1:] = (ordered[:, 1:] == ordered[:, :-1]).all(axis=0)
+        keep = np.sort(by_triple[~repeat])
+        before = len(self)
+        self.u, self.v, self.bound, self.kind = (column[keep]
+                                                 for column in columns)
+        return len(self) - before
+
+    def add(self, u: int, v: int, bound: int, kind: str = "user") -> bool:
+        """Add ``s_u - s_v <= bound``; False if the triple already exists."""
+        return self.extend([u], [v], [bound], KIND_NAMES.index(kind)) == 1
 
     def add_dependency(self, producer: int, consumer: int) -> bool:
         """Require ``consumer`` to be scheduled no earlier than ``producer``."""
@@ -95,131 +142,47 @@ class ConstraintSystem:
         """
         return self.add(source, sink, -min_distance, kind="timing")
 
-    def add_loop(self, src: int, phi: int, distance: int, ii: int) -> bool:
-        """Add the loop-carried (recurrence) constraint of one back-edge.
+    def rows_of(self, kind: str) -> np.ndarray:
+        """Indices of the rows of one category, in row order."""
+        return np.flatnonzero(self.kind == KIND_NAMES.index(kind))
 
-        For a back-edge ``src -> phi`` at iteration distance ``d`` and
-        initiation interval ``II``, the carried value must reach the phi's
-        loop register before iteration ``i + d`` reads it:
-        ``s_src - s_phi <= II * d - 1`` (the ``-1`` is the register
-        boundary the value crosses).
-
-        Like timing constraints, loop constraints have stable row
-        identities so :meth:`set_loop_bound` can rebase every bound in
-        place when the II changes during the minimum-II search.
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense variable index of the rows.
 
         Returns:
-            True if the constraint was newly added.
+            ``(order, tail, head)``: the sorted variable ids, and the
+            position in ``order`` of every row's ``u`` and ``v``.
         """
-        added = self.add(src, phi, ii * distance - 1, kind="loop")
-        if added:
-            self._loop_rows[(src, phi)] = len(self._constraints) - 1
-            self._loop_distances[(src, phi)] = distance
-        return added
-
-    def set_loop_bound(self, src: int, phi: int, ii: int) -> bool:
-        """Rebase the loop constraint on ``(src, phi)`` to a new II.
-
-        The constraint keeps its row identity; only the bound changes.
-
-        Returns:
-            True if the bound actually changed.
-
-        Raises:
-            KeyError: if no loop constraint exists for the pair.
-        """
-        row = self._loop_rows[(src, phi)]
-        distance = self._loop_distances[(src, phi)]
-        bound = ii * distance - 1
-        old = self._constraints[row]
-        if old.bound == bound:
-            return False
-        self._seen.discard((src, phi, old.bound))
-        self._seen.add((src, phi, bound))
-        self._constraints[row] = DifferenceConstraint(src, phi, bound, "loop")
-        return True
-
-    def loop_entries(self) -> list[tuple[int, int, int, int]]:
-        """All ``(src, phi, distance, row)`` loop entries in insertion order."""
-        return [(src, phi, self._loop_distances[(src, phi)], row)
-                for (src, phi), row in self._loop_rows.items()]
-
-    def num_loop_pairs(self) -> int:
-        """Number of back-edges currently carrying a loop constraint."""
-        return len(self._loop_rows)
-
-    def timing_row(self, u: int, v: int) -> int | None:
-        """Stable row index of the timing constraint on ``(u, v)``, if any.
-
-        Row indices are positions in the constraint list and never move once
-        assigned: :meth:`set_timing_bound` replaces the constraint in place,
-        so cached LP rows and adjacency lists built over row indices stay
-        valid across delta updates.
-        """
-        return self._timing_rows.get((u, v))
-
-    def timing_bound(self, u: int, v: int) -> int | None:
-        """Current bound of the timing constraint on ``(u, v)``, if any."""
-        row = self._timing_rows.get((u, v))
-        if row is None:
-            return None
-        return self._constraints[row].bound
-
-    def num_timing_pairs(self) -> int:
-        """Number of node pairs currently carrying a timing constraint."""
-        return len(self._timing_rows)
-
-    def timing_entries(self) -> list[tuple[int, int, int]]:
-        """All ``(u, v, row)`` timing entries in insertion (row-major) order.
-
-        Insertion order is the enumeration order of the builder
-        (:func:`~repro.sdc.problem.add_timing_constraints` walks
-        ``np.nonzero(matrix > budget)`` row-major), which is what lets the
-        clock-period rebase pack the pairs into arrays aligned with a fresh
-        row-major enumeration.
-        """
-        return [(u, v, row) for (u, v), row in self._timing_rows.items()]
-
-    def set_timing_bound(self, u: int, v: int, bound: int) -> bool:
-        """Replace the bound of the existing timing constraint on ``(u, v)``.
-
-        The constraint keeps its row identity (list position); only the bound
-        changes.
-
-        Returns:
-            True if the bound actually changed.
-
-        Raises:
-            KeyError: if no timing constraint exists for the pair.
-        """
-        row = self._timing_rows[(u, v)]
-        old = self._constraints[row]
-        if old.bound == bound:
-            return False
-        self._seen.discard((u, v, old.bound))
-        self._seen.add((u, v, bound))
-        self._constraints[row] = DifferenceConstraint(u, v, bound, "timing")
-        return True
-
-    def constraint_at(self, row: int) -> DifferenceConstraint:
-        """The constraint stored at a given row index."""
-        return self._constraints[row]
+        order = np.array(sorted(self.variables), dtype=np.int64)
+        return (order, np.searchsorted(order, self.u),
+                np.searchsorted(order, self.v))
 
     def constraints(self, kind: str | None = None) -> list[DifferenceConstraint]:
-        """All constraints, optionally filtered by ``kind``."""
-        if kind is None:
-            return list(self._constraints)
-        return [c for c in self._constraints if c.kind == kind]
+        """All rows as :class:`DifferenceConstraint` values, optionally of one kind."""
+        rows = np.arange(len(self)) if kind is None else self.rows_of(kind)
+        return self._values(rows)
+
+    def _values(self, rows: np.ndarray) -> list[DifferenceConstraint]:
+        return [DifferenceConstraint(u, v, bound, KIND_NAMES[code])
+                for u, v, bound, code in zip(self.u[rows].tolist(),
+                                             self.v[rows].tolist(),
+                                             self.bound[rows].tolist(),
+                                             self.kind[rows].tolist())]
 
     def __len__(self) -> int:
-        return len(self._constraints)
-
-    def __iter__(self) -> Iterator[DifferenceConstraint]:
-        return iter(self._constraints)
+        return len(self.u)
 
     def violations(self, schedule: dict[int, int]) -> list[DifferenceConstraint]:
-        """Constraints violated by ``schedule`` (pins included)."""
-        violated = [c for c in self._constraints if not c.is_satisfied(schedule)]
+        """Constraints violated by ``schedule`` (pins included).
+
+        Raises:
+            KeyError: if ``schedule`` misses a variable.
+        """
+        order, tail, head = self.columns()
+        values = np.array([schedule[node] for node in order.tolist()],
+                          dtype=np.int64)
+        violated = self._values(np.flatnonzero(
+            values[tail] - values[head] > self.bound))
         for node_id, time_step in self.pinned.items():
             if schedule.get(node_id) != time_step:
                 violated.append(DifferenceConstraint(node_id, node_id, -1, kind="pin"))
@@ -230,37 +193,12 @@ class ConstraintSystem:
         return not self.violations(schedule)
 
     def clone(self) -> "ConstraintSystem":
-        """An independent deep copy of this system.
+        """A copy whose bounds (and variables, pins) are independent.
 
-        The constraint list, seen-set, timing-row map, variables and pins are
-        all duplicated, so mutating the clone (``add``, ``set_timing_bound``)
-        never touches the original.  The :class:`DifferenceConstraint`
-        entries themselves are frozen and therefore shared.
+        ``u``, ``v`` and ``kind`` never change in place (:meth:`extend`
+        replaces them), so the copy shares them; ``bound`` is the one array
+        bound patches write and is copied.
         """
-        duplicate = ConstraintSystem(
-            variables=set(self.variables),
-            pinned=dict(self.pinned),
-            _constraints=list(self._constraints),
-            _seen=set(self._seen),
-            _timing_rows=dict(self._timing_rows),
-            _loop_rows=dict(self._loop_rows),
-            _loop_distances=dict(self._loop_distances),
-        )
-        return duplicate
-
-    def merge(self, other: "ConstraintSystem") -> None:
-        """Merge another system's variables, pins and constraints into this one."""
-        for node_id in other.variables:
-            self.add_variable(node_id)
-        for node_id, time_step in other.pinned.items():
-            self.pin(node_id, time_step)
-        for constraint in other:
-            self.add(constraint.u, constraint.v, constraint.bound, constraint.kind)
-
-
-def count_by_kind(constraints: Iterable[DifferenceConstraint]) -> dict[str, int]:
-    """Histogram of constraint kinds (reporting helper)."""
-    counts: dict[str, int] = {}
-    for constraint in constraints:
-        counts[constraint.kind] = counts.get(constraint.kind, 0) + 1
-    return counts
+        return ConstraintSystem(variables=set(self.variables),
+                                pinned=dict(self.pinned), u=self.u, v=self.v,
+                                bound=self.bound.copy(), kind=self.kind)

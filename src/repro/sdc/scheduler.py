@@ -13,8 +13,6 @@ from repro.sdc.constraints import ConstraintSystem
 from repro.sdc.delays import critical_path_matrix, node_delays
 from repro.sdc.problem import (
     ScheduleProblem,
-    add_dependency_constraints,
-    add_timing_constraints,
     build_system,
     register_weights,
     users_map,
@@ -26,8 +24,6 @@ __all__ = [
     "Schedule",
     "SchedulingResult",
     "SdcScheduler",
-    "add_dependency_constraints",
-    "add_timing_constraints",
     "register_weights",
     "users_map",
 ]

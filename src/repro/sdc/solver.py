@@ -2,10 +2,10 @@
 
 The solution paths:
 
-* :func:`solve_asap` / :func:`solve_alap` -- pure-Python least/greatest
-  fixpoint propagation over the difference constraints (Bellman-Ford style).
-  These need no LP solver and are used for feasibility checks, bounds and as
-  a repair step after LP rounding.
+* :func:`solve_asap` / :func:`solve_alap` -- least/greatest fixpoint of the
+  difference constraints, a vectorized Bellman-Ford over the system's row
+  arrays.  These need no LP solver and are used for feasibility checks and
+  bounds; the same fixpoint repairs the LP rounding.
 * :func:`solve_lp` -- the register-lifetime-minimising linear program (the
   objective XLS's SDC scheduler uses), solved with scipy's HiGHS backend.
   The constraint matrix is totally unimodular, so the LP optimum is integral;
@@ -21,12 +21,11 @@ The solution paths:
   constraint system and LP from the delay matrix on every call; it is the
   reference the tests hold the incremental path byte-identical to (the LP
   input arrays are identical either way, see :mod:`repro.sdc.problem`, and
-  the repair fixpoint is unique regardless of relaxation order).
+  the repair fixpoint is unique).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
 from typing import Mapping
 
 import numpy as np
@@ -40,104 +39,74 @@ class SdcInfeasibleError(Exception):
     """Raised when the SDC constraint system has no solution."""
 
 
-def _propagate_lower_bounds(system: ConstraintSystem,
-                            start: dict[int, int]) -> dict[int, int]:
-    """Least fixpoint of the constraints above the given starting values.
+def _least_fixpoint(order: np.ndarray, tail: np.ndarray, head: np.ndarray,
+                    bound: np.ndarray, pinned: np.ndarray,
+                    values: np.ndarray) -> np.ndarray:
+    """Least values at or above ``values`` that satisfy every row.
 
-    Every constraint ``s_u - s_v <= b`` is read as ``s_v >= s_u - b``; values
-    are raised until all constraints hold.  Pinned variables may not move.
+    Row ``i`` reads ``values[head[i]] >= values[tail[i]] - bound[i]``.  Each
+    round raises every violated head at once (Bellman-Ford in Jacobi
+    rounds), so after ``k`` rounds every value is the best one derivable
+    through ``k`` rows.  Without a positive cycle every improving chain is
+    simple, so the values settle within ``|V|`` rounds; a row still violated
+    after that lies downstream of a positive cycle.  The least fixpoint
+    above a start is unique, so the result does not depend on the round
+    structure.
 
-    Divergence is detected per variable: each relaxation records the length
-    of the chain of constraints that produced the new value, and a chain
-    longer than ``|V|`` must revisit some variable at a strictly larger
-    value -- i.e. traverse a positive cycle -- because in a cycle-free system
-    every improving chain is simple.  This keeps legitimately large systems
-    (many variables, large bounds) out of the failure path that a global
-    update budget would conflate with real divergence.
+    Args:
+        order: variable id of every column (for error messages).
+        tail: column of every row's ``u``.
+        head: column of every row's ``v``.
+        bound: bound of every row.
+        pinned: per-column flag; a pinned variable may not move.
+        values: per-column start values (not modified).
 
     Raises:
         SdcInfeasibleError: if a pinned variable would have to be raised or
-            a positive cycle is detected (the error names the variable).
+            propagation diverges (the error names the variable).
     """
-    by_source: dict[int, list] = defaultdict(list)
-    for constraint in system:
-        by_source[constraint.u].append(constraint)
-    return _relax_to_fixpoint(system, dict(start), by_source.__getitem__,
-                              deque(start))
+    values = values.copy()
+    for _ in range(len(order) + 1):
+        required = values[tail] - bound
+        violated = np.flatnonzero(required > values[head])
+        if not len(violated):
+            return values
+        blocked = violated[pinned[head[violated]]]
+        if len(blocked):
+            row = blocked[0]
+            raise SdcInfeasibleError(
+                f"pinned variable {order[head[row]]} violates "
+                f"s_{order[tail[row]]} - s_{order[head[row]]} <= {bound[row]}")
+        np.maximum.at(values, head[violated], required[violated])
+    row = violated[0]
+    raise SdcInfeasibleError(
+        f"constraint propagation diverged at variable s_{order[head[row]]}: "
+        f"its value still rose after {len(order) + 1} rounds over "
+        f"{len(order)} variables, which implies a positive cycle through "
+        f"s_{order[tail[row]]} - s_{order[head[row]]} <= {bound[row]}")
 
 
-def _relax_to_fixpoint(system: ConstraintSystem, values: dict[int, int],
-                       outgoing, queue: deque[int]) -> dict[int, int]:
-    """Shared relaxation core of the cold and warm-started propagation.
+def _pins(system: ConstraintSystem, order: np.ndarray,
+          mirror_at: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Column flags of the pinned variables, and start values with pins set.
 
-    Args:
-        system: the constraint system (pins and variable count).
-        values: starting values, raised in place.
-        outgoing: callable mapping a variable to its outgoing constraints.
-        queue: initial worklist of variables to relax from.
-
-    The least fixpoint above the starting values is unique (the feasible
-    region of difference constraints is closed under pointwise minimum), so
-    any seeding that covers every violated constraint yields the same result.
+    With ``mirror_at`` the pins are mirrored to ``mirror_at - pin``.
     """
-    max_chain = len(system.variables)
-    chain: dict[int, int] = defaultdict(int)
-    while queue:
-        u = queue.popleft()
-        for constraint in outgoing(u):
-            required = values[u] - constraint.bound
-            if values[constraint.v] < required:
-                if constraint.v in system.pinned:
-                    raise SdcInfeasibleError(
-                        f"pinned variable {constraint.v} violates "
-                        f"s_{constraint.u} - s_{constraint.v} <= {constraint.bound}")
-                values[constraint.v] = required
-                chain[constraint.v] = chain[u] + 1
-                if chain[constraint.v] > max_chain:
-                    raise SdcInfeasibleError(
-                        f"constraint propagation diverged at variable "
-                        f"s_{constraint.v}: its value was derived through a "
-                        f"chain of more than {max_chain} constraints, which "
-                        f"implies a positive cycle through "
-                        f"s_{constraint.u} - s_{constraint.v} <= "
-                        f"{constraint.bound}")
-                queue.append(constraint.v)
-    return values
-
-
-def _repair_with_adjacency(system: ConstraintSystem, start: dict[int, int],
-                           adjacency: dict[int, list[int]]) -> dict[int, int]:
-    """Warm-started fixpoint repair over cached row adjacency.
-
-    Instead of seeding the worklist with every variable, one sweep finds the
-    constraints the starting values violate and seeds only their sources --
-    when the LP rounding is already feasible (the common case once the ISDC
-    loop converges towards a schedule), the repair is a single O(m) check
-    with zero relaxations.  The fixpoint reached is identical to the cold
-    propagation's (see :func:`_relax_to_fixpoint`).
-    """
-    violated_sources: list[int] = []
-    seen: set[int] = set()
-    for constraint in system:
-        if start[constraint.u] - constraint.bound > start[constraint.v]:
-            if constraint.u not in seen:
-                seen.add(constraint.u)
-                violated_sources.append(constraint.u)
-    if not violated_sources:
-        return start
-
-    def outgoing(u: int):
-        return [system.constraint_at(row) for row in adjacency.get(u, ())]
-
-    return _relax_to_fixpoint(system, dict(start), outgoing,
-                              deque(violated_sources))
+    columns = np.searchsorted(order, list(system.pinned))
+    pins = np.array(list(system.pinned.values()), dtype=np.int64)
+    pinned = np.zeros(len(order), dtype=bool)
+    pinned[columns] = True
+    start = np.zeros(len(order), dtype=np.int64)
+    start[columns] = pins if mirror_at is None else mirror_at - pins
+    return pinned, start
 
 
 def solve_asap(system: ConstraintSystem) -> dict[int, int]:
     """Earliest feasible schedule (every variable as small as possible)."""
-    start = {v: 0 for v in system.variables}
-    start.update(system.pinned)
-    return _propagate_lower_bounds(system, start)
+    order, tail, head = system.columns()
+    pinned, start = _pins(system, order)
+    values = _least_fixpoint(order, tail, head, system.bound, pinned, start)
+    return dict(zip(order.tolist(), values.tolist()))
 
 
 def solve_alap(system: ConstraintSystem, latency: int) -> dict[int, int]:
@@ -151,20 +120,17 @@ def solve_alap(system: ConstraintSystem, latency: int) -> dict[int, int]:
         SdcInfeasibleError: if no schedule fits within ``latency``.
     """
     # Greatest fixpoint by negating the problem: t = latency - s turns every
-    # constraint s_u - s_v <= b into t_v - t_u <= b, and maximising s into
-    # minimising t.
-    mirrored = ConstraintSystem()
-    for variable in system.variables:
-        mirrored.add_variable(variable)
-    for node_id, pin in system.pinned.items():
-        mirrored.pin(node_id, latency - pin)
-    for constraint in system:
-        mirrored.add(constraint.v, constraint.u, constraint.bound, constraint.kind)
-    mirrored_solution = solve_asap(mirrored)
-    solution = {v: latency - t for v, t in mirrored_solution.items()}
-    if any(value < 0 for value in solution.values()):
+    # row s_u - s_v <= b into t_v - t_u <= b (the swapped arrays), and
+    # maximising s into minimising t.
+    order, tail, head = system.columns()
+    pinned, start = _pins(system, order, mirror_at=latency)
+    mirrored = _least_fixpoint(order, head, tail, system.bound, pinned, start)
+    solution = latency - mirrored
+    if (solution < 0).any() or (solution > latency).any():
+        # Below 0: the rows need more than ``latency`` cycles; above it: a
+        # pin lies beyond the latency.
         raise SdcInfeasibleError(f"latency {latency} is too small for the system")
-    return solution
+    return dict(zip(order.tolist(), solution.tolist()))
 
 
 def _solve_assembled(lp: AssembledLp) -> np.ndarray:
@@ -179,14 +145,20 @@ def _solve_assembled(lp: AssembledLp) -> np.ndarray:
     return result.x
 
 
-def _round_solution(system: ConstraintSystem, lp: AssembledLp,
-                    x: np.ndarray) -> dict[int, int]:
-    """Round the LP solution to integers and re-impose the pins."""
-    rounded = {node_id: int(round(x[index]))
-               for node_id, index in lp.var_index.items()}
-    for node_id, pin in system.pinned.items():
-        rounded[node_id] = pin
-    return rounded
+def _repair(system: ConstraintSystem, x: np.ndarray) -> dict[int, int]:
+    """Round the LP solution, re-impose the pins and repair to feasibility.
+
+    Raises:
+        SdcInfeasibleError: if the rounding cannot be repaired.
+    """
+    order, tail, head = system.columns()
+    pinned, pins = _pins(system, order)
+    rounded = np.where(pinned, pins, np.rint(x[:len(order)]).astype(np.int64))
+    values = _least_fixpoint(order, tail, head, system.bound, pinned, rounded)
+    repaired = dict(zip(order.tolist(), values.tolist()))
+    if not system.is_feasible_schedule(repaired):
+        raise SdcInfeasibleError("rounded LP solution could not be repaired")
+    return repaired
 
 
 def solve_lp(system: ConstraintSystem,
@@ -215,11 +187,7 @@ def solve_lp(system: ConstraintSystem,
         SdcInfeasibleError: if the LP (or the rounding repair) is infeasible.
     """
     lp = assemble_lp(system, register_weights, users, latency_weight)
-    rounded = _round_solution(system, lp, _solve_assembled(lp))
-    repaired = _propagate_lower_bounds(system, rounded)
-    if not system.is_feasible_schedule(repaired):
-        raise SdcInfeasibleError("rounded LP solution could not be repaired")
-    return repaired
+    return _repair(system, _solve_assembled(lp))
 
 
 def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
@@ -229,22 +197,15 @@ def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
     schedule, the ISDC loop and the DSE warm-start engine: the problem's
     cached LP (bounds possibly patched in place by delta updates or a
     clock-period rebase) is solved with HiGHS, the integral rounding is
-    repaired over the cached row adjacency, and the result is checked
-    feasible.  Because
-    :func:`~repro.sdc.problem.assemble_lp` is deterministic in the system,
-    a problem whose patched arrays equal a freshly built problem's arrays
-    produces a byte-identical schedule.
+    repaired by the array fixpoint, and the result is checked feasible.
+    Because :func:`~repro.sdc.problem.assemble_lp` is deterministic in the
+    system, a problem whose patched arrays equal a freshly built problem's
+    arrays produces a byte-identical schedule.
 
     Raises:
         SdcInfeasibleError: if the LP (or the rounding repair) is infeasible.
     """
-    lp = problem.lp()
-    rounded = _round_solution(problem.system, lp, _solve_assembled(lp))
-    repaired = _repair_with_adjacency(problem.system, rounded,
-                                      problem.repair_adjacency())
-    if not problem.system.is_feasible_schedule(repaired):
-        raise SdcInfeasibleError("rounded LP solution could not be repaired")
-    return repaired
+    return _repair(problem.system, _solve_assembled(problem.lp()))
 
 
 # --------------------------------------------------------------------------
@@ -269,17 +230,13 @@ class FullSolver:
 
 
 class IncrementalSolver:
-    """Patch the cached LP in place and warm-start the rounding repair.
+    """Patch the cached LP in place, or rebuild when the structure changed.
 
-    Per call, the solver asks the problem to swap the dirty timing bounds
-    into the cached LP's right-hand side
+    Per call, the solver asks the problem to write the dirty timing bounds
+    into the system and the cached LP's right-hand side
     (:meth:`~repro.sdc.problem.ScheduleProblem.update_timing`); if the
     constraint structure changed instead, it falls back to a full rebuild.
-    The LP is then solved on the cached (or freshly rebuilt) arrays, and the
-    integer rounding is repaired with a worklist seeded only from violated
-    constraints over the problem's cached row adjacency
-    (:func:`_repair_with_adjacency`), keeping the previous schedule's
-    fixpoint machinery warm across iterations.
+    The LP is then solved on the cached (or freshly rebuilt) arrays.
 
     Attributes:
         incremental_solves: calls served by in-place bound patching.

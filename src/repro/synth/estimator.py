@@ -71,9 +71,13 @@ class CharacterizedOperatorModel:
         operands = []
         for index in range(len(node.operands)):
             operands.append(builder.param(f"op{index}", node.width).node_id)
+        # ``add_node`` records an explicit width in ``attrs`` too, so pass it
+        # once, as the keyword.
+        attrs = {key: value for key, value in node.attrs.items()
+                 if key != "width"}
         try:
             isolated = builder.graph.add_node(node.kind, operands,
-                                              width=node.width, **dict(node.attrs))
+                                              width=node.width, **attrs)
         except (ValueError, KeyError):
             return self._fallback.delay(node.kind, node.width,
                                         max(2, len(node.operands)))

@@ -162,29 +162,52 @@ class TestCloneIsolation:
         clone.system.add(some_node, some_node, 0, kind="user")
         assert len(donor.system) == before
 
-    def test_clone_shares_timing_pack_and_immutables(self, context):
+    def test_clone_shares_row_structure_and_immutables(self, context):
         donor = self._fresh_problem(context)
-        pack = donor.timing_pack(context.index_of)
+        lp = donor.lp()
         clone = donor.clone()
-        assert clone.timing_pack(context.index_of) is pack
+        assert clone.system.u is donor.system.u
+        assert clone.system.v is donor.system.v
+        assert clone.system.kind is donor.system.kind
+        assert clone.system.bound is not donor.system.bound
+        clone_lp = clone.lp()
+        assert clone_lp.a_ub is lp.a_ub
+        assert clone_lp.objective is lp.objective
+        assert clone_lp.b_ub is not lp.b_ub
+        np.testing.assert_array_equal(clone_lp.b_ub, lp.b_ub)
         assert clone.register_weights is donor.register_weights
         assert clone.users_map is donor.users_map
 
 
+def _lp_arrays(problem: ScheduleProblem) -> list[np.ndarray]:
+    lp = problem.lp()
+    return [lp.a_ub.indptr, lp.a_ub.indices, lp.a_ub.data, lp.b_ub,
+            lp.objective]
+
+
 class TestTimingPackRebase:
-    def test_pack_matches_constraint_system(self, context):
-        problem = ScheduleProblem(
-            context.graph, context.matrix, context.index_of,
-            context.default_clock_ps - context.register_overhead_ps)
-        pack = problem.timing_pack(context.index_of)
-        entries = problem.system.timing_entries()
-        assert len(pack.rows) == len(entries)
-        for position, (u, v, row) in enumerate(entries):
-            assert pack.node_u[position] == u
-            assert pack.node_v[position] == v
-            assert pack.lp_rows[position] == row
-            assert pack.rows[position] == context.index_of[u]
-            assert pack.cols[position] == context.index_of[v]
+    def test_rebased_clone_lp_equals_cold_build(self, context):
+        budget = context.default_clock_ps - context.register_overhead_ps
+        donor = ScheduleProblem(context.graph, context.matrix,
+                                context.index_of, budget)
+        solve_problem(donor)
+        rebased = 0
+        for delta in (1.0, 5.0, 25.0, 100.0, -100.0):
+            clone = donor.clone()
+            if not clone.rebase_timing(context.matrix, context.index_of,
+                                       budget + delta):
+                continue
+            rebased += 1
+            cold = ScheduleProblem(context.graph, context.matrix,
+                                   context.index_of, budget + delta)
+            for patched, fresh in zip(_lp_arrays(clone), _lp_arrays(cold)):
+                assert patched.dtype == fresh.dtype
+                np.testing.assert_array_equal(patched, fresh)
+            np.testing.assert_array_equal(clone.system.bound,
+                                          cold.system.bound)
+            assert clone.lp().bounds == cold.lp().bounds
+            assert clone.system.u is donor.system.u
+        assert rebased
 
     def test_rebase_equals_fresh_build(self, context):
         budget = context.default_clock_ps - context.register_overhead_ps
@@ -212,10 +235,8 @@ class TestTimingPackRebase:
         target = context.worst_delay_ps * 1.01
         if context.pair_rank(target) == context.pair_rank(budget):
             pytest.skip("pair set did not move over the tested range")
-        bounds_before = [(c.u, c.v, c.bound)
-                         for c in problem.system.constraints("timing")]
+        bounds_before = problem.system.bound.copy()
         assert not problem.rebase_timing(context.matrix, context.index_of,
                                          target)
-        assert [(c.u, c.v, c.bound)
-                for c in problem.system.constraints("timing")] \
-            == bounds_before
+        np.testing.assert_array_equal(problem.system.bound, bounds_before)
+        assert problem.timing_budget_ps == budget

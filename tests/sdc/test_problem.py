@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.designs.arith import build_rrot
-from repro.sdc.constraints import ConstraintSystem
+from repro.sdc.constraints import TIMING, ConstraintSystem
 from repro.sdc.delays import NOT_CONNECTED, critical_path_matrix, node_delays
 from repro.sdc.problem import ScheduleProblem, assemble_lp
 from repro.sdc.scheduler import SdcScheduler
@@ -27,40 +27,66 @@ def rrot_setup():
     return graph, matrix, index_of, problem, scheduler
 
 
+def _timing_row(system, u, v):
+    """Row of the timing constraint on ``(u, v)``, or None."""
+    rows = np.flatnonzero((system.u == u) & (system.v == v)
+                          & (system.kind == TIMING))
+    return int(rows[0]) if len(rows) else None
+
+
+def _timing_pair(problem, min_distance=1):
+    """Some constrained pair needing at least ``min_distance`` cycles."""
+    row = next(int(row) for row in problem.system.rows_of("timing")
+               if problem.system.bound[row] <= -min_distance)
+    return int(problem.system.u[row]), int(problem.system.v[row])
+
+
 class TestConstraintRowIdentity:
-    def test_timing_rows_recorded(self):
-        system = ConstraintSystem()
-        system.add_dependency(0, 1)
-        system.add_timing(0, 2, 3)
-        assert system.timing_bound(0, 2) == -3
-        assert system.timing_bound(0, 1) is None
-        assert system.num_timing_pairs() == 1
+    def test_timing_rows_recorded(self, rrot_setup):
+        """Dependencies first, then timing rows in row-major matrix order."""
+        graph, matrix, index_of, problem, _ = rrot_setup
+        system = problem.system
+        timing = system.rows_of("timing")
+        dependencies = system.rows_of("dependency")
+        assert len(dependencies) + len(timing) == len(system)
+        np.testing.assert_array_equal(dependencies,
+                                      np.arange(len(dependencies)))
+        np.testing.assert_array_equal(
+            timing, len(dependencies) + np.arange(len(timing)))
+        rows = np.array([index_of[u] for u in system.u[timing].tolist()])
+        cols = np.array([index_of[v] for v in system.v[timing].tolist()])
+        keys = rows * len(matrix) + cols
+        assert (np.diff(keys) > 0).all()
+        assert (system.bound[timing] < 0).all()
 
-    def test_set_timing_bound_keeps_row(self):
-        system = ConstraintSystem()
-        system.add_timing(0, 1, 3)
-        system.add_timing(1, 2, 2)
-        row = system.timing_row(0, 1)
-        assert system.set_timing_bound(0, 1, -2)
-        assert system.timing_row(0, 1) == row
-        assert system.constraint_at(row).bound == -2
-        assert system.constraint_at(row).kind == "timing"
-        assert system.timing_bound(0, 1) == -2
-        # Unchanged bound is a no-op.
-        assert not system.set_timing_bound(0, 1, -2)
+    def test_bound_write_keeps_row_positions(self, rrot_setup):
+        graph, matrix, index_of, problem, scheduler = rrot_setup
+        lp = problem.lp()
+        u, v, kind = problem.system.u, problem.system.v, problem.system.kind
+        bounds = problem.system.bound.copy()
+        pair = _timing_pair(problem, min_distance=2)
+        row = _timing_row(problem.system, *pair)
+        matrix[index_of[pair[0]], index_of[pair[1]]] = \
+            scheduler.timing_budget_ps * 1.5
+        assert problem.update_timing({pair}, matrix, index_of)
+        assert problem.system.u is u and problem.system.v is v
+        assert problem.system.kind is kind
+        bounds[row] = -1
+        np.testing.assert_array_equal(problem.system.bound, bounds)
+        np.testing.assert_array_equal(lp.b_ub[:len(bounds)], bounds)
 
-    def test_set_timing_bound_missing_pair_raises(self):
-        system = ConstraintSystem()
-        with pytest.raises(KeyError):
-            system.set_timing_bound(3, 4, -1)
+    def test_unchanged_bound_is_not_a_patch(self, rrot_setup):
+        graph, matrix, index_of, problem, _ = rrot_setup
+        pair = _timing_pair(problem)
+        assert problem.update_timing({pair}, matrix, index_of)
+        assert problem.bound_patches == 0
 
 
 class TestScheduleProblem:
     def test_system_matches_scratch_build(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
         scratch = scheduler.build_constraints(graph, matrix, index_of)
-        assert [(c.u, c.v, c.bound, c.kind) for c in problem.system] == \
-            [(c.u, c.v, c.bound, c.kind) for c in scratch]
+        assert problem.system.constraints() == scratch.constraints()
         assert problem.system.pinned == scratch.pinned
 
     def test_weights_and_users_cached(self, rrot_setup):
@@ -75,27 +101,35 @@ class TestScheduleProblem:
         lp = problem.lp()
         # Pick a pair that carries a timing constraint spanning >= 2 cycles
         # and lower its delay so the constraint relaxes but survives.
-        pair = next((u, v) for (u, v), row in
-                    [((c.u, c.v), i) for i, c in enumerate(problem.system)
-                     if c.kind == "timing" and c.bound <= -2][:1])
-        row = problem.system.timing_row(*pair)
-        old_bound = problem.system.timing_bound(*pair)
+        pair = _timing_pair(problem, min_distance=2)
+        row = _timing_row(problem.system, *pair)
+        old_bound = problem.system.bound[row]
         new_delay = budget * 1.5  # one stage boundary needed
         matrix[index_of[pair[0]], index_of[pair[1]]] = new_delay
         assert problem.update_timing({pair}, matrix, index_of)
-        assert problem.system.timing_bound(*pair) == -1 != old_bound
-        assert problem.system.timing_row(*pair) == row
+        assert problem.system.bound[row] == -1 != old_bound
+        assert _timing_row(problem.system, *pair) == row
         assert lp.b_ub[row] == -1.0
         assert problem.bound_patches == 1
 
     def test_update_timing_detects_vanishing_constraint(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
-        pair = next((c.u, c.v) for c in problem.system if c.kind == "timing")
+        pair = _timing_pair(problem)
         matrix[index_of[pair[0]], index_of[pair[1]]] = \
             scheduler.timing_budget_ps / 2
         assert not problem.update_timing({pair}, matrix, index_of)
         # Nothing was modified: the stale constraint is still there.
-        assert problem.system.timing_bound(*pair) is not None
+        assert _timing_row(problem.system, *pair) is not None
+        assert problem.bound_patches == 0
+
+    def test_update_timing_refuses_unknown_nodes(self, rrot_setup):
+        graph, matrix, index_of, problem, _ = rrot_setup
+        bounds = problem.system.bound.copy()
+        node = next(iter(index_of))
+        unknown = max(index_of) + 1
+        for pair in ((node, unknown), (unknown, node), (-1, node)):
+            assert not problem.update_timing({pair}, matrix, index_of)
+        np.testing.assert_array_equal(problem.system.bound, bounds)
         assert problem.bound_patches == 0
 
     def test_update_timing_ignores_diagonal(self, rrot_setup):
@@ -155,7 +189,7 @@ class TestSolverStrategies:
         schedule = incremental.solve(problem, matrix, index_of,
                                      dirty_pairs={(constraint.u, constraint.v)})
         assert incremental.fallback_solves >= 1
-        assert problem.system.timing_bound(constraint.u, constraint.v) is None
+        assert _timing_row(problem.system, constraint.u, constraint.v) is None
 
         fresh = ScheduleProblem(graph, matrix, index_of,
                                 scheduler.timing_budget_ps)

@@ -93,3 +93,29 @@ class TestNaiveEstimator:
         measured = SynthesisFlow(library).evaluate_subgraph(
             adder_chain_graph, path).delay_ps
         assert estimated > measured
+
+
+class TestGeneratedDesignCharacterization:
+    """Regression: MUL nodes carry ``width`` in their attrs as well."""
+
+    def test_every_mul_of_a_generated_design_characterizes(self):
+        from repro.designs.generator import GeneratorParams, case_from_name
+
+        graph = case_from_name(GeneratorParams(seed=0).name).build()
+        muls = [node for node in graph.nodes() if node.kind is OpKind.MUL]
+        assert muls and all("width" in node.attrs for node in muls)
+        model = CharacterizedOperatorModel(pessimism=1.0)
+        for node in muls:
+            assert model._characterize(node) > 0.0
+
+    def test_default_isdc_schedules_a_small_generated_design(self):
+        from repro.designs.generator import GeneratorParams, case_from_name
+        from repro.isdc import IsdcConfig, IsdcScheduler
+
+        case = case_from_name(GeneratorParams(seed=0, depth=3, width=2).name)
+        graph = case.build()
+        assert any(node.kind is OpKind.MUL for node in graph.nodes())
+        config = IsdcConfig(clock_period_ps=case.clock_period_ps)
+        assert config.use_characterized_delays
+        result = IsdcScheduler(config).schedule(graph)
+        assert result.final_schedule.num_stages >= 1

@@ -6,7 +6,9 @@ Four families of properties:
   level netlist computes exactly what the IR interpreter computes;
 * optimiser soundness: logic optimisation never changes the function and
   never increases the critical-path delay;
-* difference-constraint solving: ASAP solutions are feasible and minimal;
+* difference-constraint solving: ASAP solutions are feasible and minimal,
+  and the ASAP/ALAP fixpoints match a brute-force longest-path reference
+  on random systems with cycles and pins;
 * delay-matrix feedback: updates are monotone (estimates only decrease) and
   propagation keeps the matrix internally consistent.
 """
@@ -25,7 +27,7 @@ from repro.netlist.optimizer import LogicOptimizer
 from repro.netlist.sta import StaticTimingAnalysis
 from repro.sdc.constraints import ConstraintSystem
 from repro.sdc.delays import NOT_CONNECTED, node_delays
-from repro.sdc.solver import SdcInfeasibleError, solve_asap
+from repro.sdc.solver import SdcInfeasibleError, solve_alap, solve_asap
 from repro.tech.delay_model import OperatorModel
 
 _BINARY_OPS = ["add", "sub", "mul", "and_", "or_", "xor", "andn",
@@ -99,6 +101,67 @@ class TestOptimizerSoundness:
             assert original_values[a] == optimized_values[b]
 
 
+def _longest_paths(num_vars, rows, pins):
+    """Brute-force Floyd-Warshall (max-plus) reference for the fixpoint.
+
+    Variable ``num_vars`` is a virtual origin at time 0.  Every row
+    ``s_u - s_v <= b`` is the edge ``u -> v`` of weight ``-b``
+    (``s_v >= s_u - b``); ``s_v >= 0`` is ``origin -> v`` of weight 0, and
+    every pin ``s_p = c`` adds ``origin -> p`` of weight ``c`` and
+    ``p -> origin`` of weight ``-c``.
+
+    Returns:
+        The least solution (longest distances from the origin), or None
+        when a positive cycle makes the system infeasible.
+    """
+    origin = num_vars
+    size = num_vars + 1
+    minus_inf = float("-inf")
+    dist = [[0 if i == j else minus_inf for j in range(size)]
+            for i in range(size)]
+
+    def edge(a, b, weight):
+        dist[a][b] = max(dist[a][b], weight)
+
+    for u, v, bound in rows:
+        edge(u, v, -bound)
+    for v in range(num_vars):
+        edge(origin, v, 0)
+    for p, c in pins.items():
+        edge(origin, p, c)
+        edge(p, origin, -c)
+    for k in range(size):
+        for i in range(size):
+            for j in range(size):
+                if dist[i][k] + dist[k][j] > dist[i][j]:
+                    dist[i][j] = dist[i][k] + dist[k][j]
+    if any(dist[i][i] > 0 for i in range(size)):
+        return None
+    return {v: dist[origin][v] for v in range(num_vars)}
+
+
+@st.composite
+def cyclic_systems(draw):
+    """Random rows (cycles allowed) and pins over a few variables."""
+    num_vars = draw(st.integers(2, 6))
+    var = st.integers(0, num_vars - 1)
+    rows = draw(st.lists(st.tuples(var, var, st.integers(-3, 2)),
+                         max_size=12))
+    pins = draw(st.dictionaries(var, st.integers(0, 4), max_size=2))
+    return num_vars, rows, pins
+
+
+def _system(num_vars, rows, pins):
+    system = ConstraintSystem()
+    for node in range(num_vars):
+        system.add_variable(node)
+    for u, v, bound in rows:
+        system.add(u, v, bound)
+    for node, step in pins.items():
+        system.pin(node, step)
+    return system
+
+
 class TestDifferenceConstraintSolver:
     @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7),
                               st.integers(0, 3)), min_size=1, max_size=15))
@@ -126,6 +189,54 @@ class TestDifferenceConstraintSolver:
             lowered = dict(schedule)
             lowered[node] = value - 1
             assert not system.is_feasible_schedule(lowered)
+
+    @given(cyclic_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_asap_matches_brute_force(self, case):
+        num_vars, rows, pins = case
+        system = _system(num_vars, rows, pins)
+        expected = _longest_paths(num_vars, rows, pins)
+        if expected is None:
+            # A positive cycle, or a pin the rows push upwards.
+            try:
+                solve_asap(system)
+            except SdcInfeasibleError:
+                return
+            raise AssertionError("infeasible system was solved")
+        schedule = solve_asap(system)
+        assert system.is_feasible_schedule(schedule)
+        # The least solution: equal to the longest-path distances, so no
+        # variable can be lowered without breaking a row, a pin or s >= 0.
+        assert schedule == expected
+
+    @given(cyclic_systems(), st.integers(0, 8))
+    @settings(max_examples=150, deadline=None)
+    def test_alap_matches_brute_force(self, case, latency):
+        num_vars, rows, pins = case
+        system = _system(num_vars, rows, pins)
+        # Mirror t = latency - s: rows swap ends, pins become latency - c,
+        # and s <= latency becomes t >= 0.
+        mirrored = _longest_paths(
+            num_vars, [(v, u, bound) for u, v, bound in rows],
+            {node: latency - step for node, step in pins.items()})
+        feasible = mirrored is not None and \
+            all(t <= latency for t in mirrored.values())
+        if not feasible:
+            try:
+                solve_alap(system, latency)
+            except SdcInfeasibleError:
+                return
+            raise AssertionError("infeasible system was solved")
+        schedule = solve_alap(system, latency)
+        assert system.is_feasible_schedule(schedule)
+        assert all(0 <= step <= latency for step in schedule.values())
+        assert schedule == {v: latency - t for v, t in mirrored.items()}
+        # Maximal: raising any free variable by one breaks feasibility or
+        # the latency.
+        for node, step in schedule.items():
+            raised = dict(schedule)
+            raised[node] = step + 1
+            assert step == latency or not system.is_feasible_schedule(raised)
 
 
 class TestDelayMatrixProperties:
