@@ -10,12 +10,11 @@ restarting.  See ``python -m repro.experiments.runner campaign --help``.
 
 from repro.campaign.executor import CampaignRunResult, execute_job, run_campaign
 from repro.campaign.spec import CampaignJob, CampaignSpec, quick_spec
-from repro.campaign.store import (LEGACY_STORE_SCHEMA_VERSION, RunStore,
-                                  StoreMismatchError, STORE_SCHEMA_VERSION)
+from repro.campaign.store import (RunStore, StoreMismatchError,
+                                  STORE_SCHEMA_VERSION)
 
 __all__ = [
     "CampaignJob",
-    "LEGACY_STORE_SCHEMA_VERSION",
     "CampaignRunResult",
     "CampaignSpec",
     "RunStore",

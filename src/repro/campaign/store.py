@@ -21,11 +21,12 @@ reads its own kinds.
 
 A kill can leave a torn final line (no trailing newline, or half-written
 JSON).  Loading tolerates exactly that -- the shared parser lives in
-:mod:`repro.store.jsonl` now -- a corrupt *trailing* line is truncated away
+:mod:`repro.store.jsonl` -- a corrupt *trailing* line is truncated away
 (its job simply re-runs) while corruption anywhere earlier is an error.
-Legacy schema-1 run stores (the pre-unification ``{"kind": "header"}``
-format) still load everywhere, and resuming one migrates it to the unified
-format in place first.
+Every read goes through :class:`~repro.store.ArtifactStore`, so a file
+that is not a unified store -- such as a run store written before the
+store existed -- is refused with :class:`~repro.store.StoreFormatError`
+and left untouched; re-run the campaign to regenerate it.
 
 Everything in the ``result`` payload is deterministic (no wall-clock
 fields); per-job ``runtime_s`` lives beside it and never enters
@@ -54,7 +55,7 @@ machinery without touching disk::
 
 For *analysis* of a finished (or interrupted) store -- where the spec is
 whatever the file says it is -- use :meth:`RunStore.load`, which reads any
-campaign's store (either format) without demanding a matching spec.
+campaign's store without demanding a matching spec.
 """
 
 from __future__ import annotations
@@ -62,36 +63,18 @@ from __future__ import annotations
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from repro.store import (ArtifactStore, campaign_header_record,
-                         campaign_job_record, migrate_records, sniff_format)
-# Re-exported for backward compatibility: the torn-tail parser used to be
-# private here and is now the shared crash-tolerance primitive.
-from repro.store.jsonl import parse_jsonl_tail  # noqa: F401
-from repro.store.migrate import CAMPAIGN_BODY_SCHEMA
+from repro.store import (CAMPAIGN_BODY_SCHEMA, ArtifactStore,
+                         campaign_header_record, campaign_job_record)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.campaign.spec import CampaignJob, CampaignSpec
 
-#: Campaign body schema in the unified store (1 was the legacy standalone
-#: JSONL format; 2 is the unified-record form).
+#: Campaign body schema in the unified store.
 STORE_SCHEMA_VERSION = CAMPAIGN_BODY_SCHEMA
-LEGACY_STORE_SCHEMA_VERSION = 1
 
 
 class StoreMismatchError(ValueError):
     """The store on disk belongs to a different campaign or schema."""
-
-
-def _legacy_records_to_store(records) -> tuple[dict | None, dict[str, dict]]:
-    """Split migrated records into ``(header body, job_id -> job body)``."""
-    header = None
-    results: dict[str, dict] = {}
-    for record in records:
-        if record.kind == "campaign-header" and header is None:
-            header = record.body
-        elif record.kind == "campaign-job":
-            results[record.key] = record.body
-    return header, results
 
 
 class RunStore:
@@ -127,6 +110,7 @@ class RunStore:
         Raises:
             FileExistsError: the file exists and ``resume`` is false.
             StoreMismatchError: the file's header disagrees with ``spec``.
+            StoreFormatError: the file is not a unified store.
             ValueError: the file is corrupt before its final line.
         """
         self._header = {
@@ -143,32 +127,10 @@ class RunStore:
                 raise FileExistsError(
                     f"run store {self.path} already exists; pass resume=True "
                     "(--resume) to continue it or choose another path")
-            self._migrate_legacy_in_place()
             self._load()
         else:
             self._store.open_for_append()
             self._store.put(campaign_header_record(self._header))
-
-    def _migrate_legacy_in_place(self) -> None:
-        """Rewrite a legacy schema-1 file as unified records before resuming."""
-        if sniff_format(self.path) != "run-store-v1":
-            return
-        self._check_legacy_schema()
-        _, records = migrate_records(self.path)
-        ArtifactStore(self.path).replace_with(records)
-        self._store = ArtifactStore(self.path)
-
-    def _check_legacy_schema(self) -> None:
-        records, _, _, _ = parse_jsonl_tail(self.path, tolerant=False)
-        header = records[0] if records else {}
-        if header.get("kind") != "header":
-            raise StoreMismatchError(
-                f"run store {self.path} has no campaign header")
-        if header.get("schema") != LEGACY_STORE_SCHEMA_VERSION:
-            raise StoreMismatchError(
-                f"run store {self.path} has schema {header.get('schema')}, "
-                f"expected {LEGACY_STORE_SCHEMA_VERSION} or "
-                f"{STORE_SCHEMA_VERSION}")
 
     def _load(self) -> None:
         store = self._store.open_for_append()
@@ -218,32 +180,17 @@ class RunStore:
         Unlike :meth:`open`, no spec is required: the header on disk *is*
         the campaign identity, so any store -- finished, interrupted, even
         one with a torn trailing line -- loads as-is (the file is never
-        modified; a torn tail is simply ignored).  Legacy schema-1 files
-        load equally.  This is the entry point the report engine
-        (:mod:`repro.report`) uses.
+        modified; a torn tail is simply ignored).  This is the entry point
+        the report engine (:mod:`repro.report`) uses.
 
         Raises:
             FileNotFoundError: no file at ``path``.
             StoreMismatchError: the file has no campaign header or a
-                foreign store schema.
+                foreign campaign schema.
+            StoreFormatError: the file is not a unified store.
             ValueError: the file is corrupt before its final line.
         """
         store = cls(path)
-        detected = sniff_format(store.path)
-        if detected not in ("store", "run-store-v1"):
-            # Headerless or foreign files are a mismatch, not corruption.
-            raise StoreMismatchError(
-                f"run store {path} has no campaign header")
-        if detected == "run-store-v1":
-            store._check_legacy_schema()
-            _, records = migrate_records(store.path)
-            header, results = _legacy_records_to_store(records)
-            if header is None:
-                raise StoreMismatchError(
-                    f"run store {path} has no campaign header")
-            store._header = header
-            store.results = results
-            return store
         artifacts = ArtifactStore.load(store.path)
         store._header = store._find_header(artifacts, store.path)
         for record in artifacts.kind("campaign-job"):
@@ -312,5 +259,4 @@ class RunStore:
         }
 
 
-__all__ = ["LEGACY_STORE_SCHEMA_VERSION", "RunStore", "StoreMismatchError",
-           "STORE_SCHEMA_VERSION", "parse_jsonl_tail"]
+__all__ = ["RunStore", "StoreMismatchError", "STORE_SCHEMA_VERSION"]

@@ -21,7 +21,9 @@ settings.  ``--json PATH`` writes the schema-7 machine-readable payload
 ``dse-probe`` record (plus the payload as a ``payload`` record) to a
 unified artifact store -- probe keys are content-addressed over the
 question asked (design, mode, period, stage bound), so re-running a
-search supersedes its probes instead of duplicating them.
+search supersedes its probes instead of duplicating them.  The store is
+opened before the search starts: a file that is not a unified store is
+refused with one error line and exit code 2.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ import json
 import time
 from pathlib import Path
 
-from repro.dse.search import MODES, DseResult, run_dse
+from repro.dse.search import MODES, DseResult, probe_records, run_dse
 from repro.experiments.tables import format_table
+from repro.store import ArtifactStore, payload_record
 
 #: Designs covered by ``--quick`` (small Table-I cases, seconds to search).
 QUICK_DESIGNS = ("rrot", "crc32")
@@ -184,6 +187,12 @@ def dse_main(argv: list[str] | None = None) -> int:
         if not arguments.quick:
             parser.error("name designs with --designs NAMES, or use --quick")
         designs = list(QUICK_DESIGNS)
+    store = None
+    if arguments.store_path:
+        try:  # a bad --store must fail before the search, not after it
+            store = ArtifactStore(arguments.store_path).open_for_append()
+        except (OSError, ValueError) as error:
+            parser.exit(2, f"{parser.prog}: error: --store: {error}\n")
     start = time.perf_counter()
     try:
         result = run_dse(designs, mode=arguments.mode, jobs=arguments.jobs,
@@ -197,7 +206,7 @@ def dse_main(argv: list[str] | None = None) -> int:
         parser.error(str(error))
     elapsed = time.perf_counter() - start
     print(format_dse(result))
-    if arguments.json_path or arguments.store_path:
+    if arguments.json_path or store is not None:
         from repro.experiments.serialize import experiment_payload
 
         payload = experiment_payload("dse", result, quick=arguments.quick,
@@ -206,11 +215,7 @@ def dse_main(argv: list[str] | None = None) -> int:
             path = Path(arguments.json_path)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps(payload, indent=2) + "\n")
-        if arguments.store_path:
-            from repro.dse.search import probe_records
-            from repro.store import ArtifactStore, payload_record
-
-            store = ArtifactStore(arguments.store_path).open_for_append()
+        if store is not None:
             store.put_many(probe_records(result))
             store.put(payload_record(payload))
     return 0

@@ -22,12 +22,9 @@ from repro.experiments.fig5 import run_extraction_ablation
 from repro.experiments.fig6 import run_expansion_ablation
 from repro.experiments.fig7 import run_estimation_accuracy
 from repro.experiments.fig8 import run_aig_correlation
-from repro.experiments.runner import run_experiment, run_experiment_result
 from repro.experiments.serialize import experiment_payload
 
 __all__ = [
-    "run_experiment",
-    "run_experiment_result",
     "experiment_payload",
     "geometric_mean",
     "format_table",

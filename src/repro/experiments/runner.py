@@ -19,7 +19,7 @@ Usage::
         [--mode minclock|pareto] [--jobs N] [--speculate K] \
         [--resolution-ps PS] [--max-stages N] [--json PATH]
     python -m repro.experiments.runner store \
-        (ls|verify|compact|gc|migrate) STORE.jsonl [...]
+        (ls|verify|compact|gc) STORE.jsonl [...]
     python -m repro.experiments.runner serve [--stdin] [--port N] \
         [--jobs N] [--store STORE.jsonl] [...]
 
@@ -63,11 +63,12 @@ cold-miss execution over a persistent worker pool.  See
 
 ``store`` maintains unified artifact-store files (:mod:`repro.store`):
 ``ls`` summarises, ``verify`` health-checks, ``compact`` drops superseded
-duplicate keys, ``gc`` applies size/age retention, and ``migrate`` folds
-the legacy formats (pre-unification campaign stores, evaluation-cache
-JSONL, ``--json`` payloads) into one store file.  ``--store STORE.jsonl``
-on any experiment additionally archives the run's payload as a
-``payload`` record in that store.
+duplicate keys and ``gc`` applies size/age retention.  ``--store
+STORE.jsonl`` on any experiment additionally archives the run's payload as
+a ``payload`` record in that store.  A ``--store`` or ``--out`` file that
+is not a unified store (for instance one written before the store
+existed) is refused with one error line and exit code 2 before any work
+runs; re-run the command that wrote it to regenerate it.
 
 Example::
 
@@ -100,6 +101,7 @@ from repro.experiments.fig8 import format_aig_correlation, run_aig_correlation
 from repro.experiments.serialize import experiment_payload
 from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.tables import format_campaign
+from repro.store import ArtifactStore, StoreFormatError, payload_record
 
 EXPERIMENTS = ("table1", "fig1", "fig5", "fig6", "fig7", "fig8", "campaign")
 
@@ -202,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
 
         return dse_main(argv[1:])
     if argv and argv[0] == "store":
-        # Artifact-store maintenance (ls/verify/compact/gc/migrate) owns
+        # Artifact-store maintenance (ls/verify/compact/gc) owns
         # its own subcommand grammar too.
         from repro.store.cli import store_main
 
@@ -255,7 +257,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--json {arguments.json_path!r} is a directory, "
                      "expected a file path")
     def fail(message: str) -> NoReturn:
-        parser.exit(2, f"{parser.prog} campaign: error: {message}\n")
+        parser.exit(2, f"{parser.prog} {arguments.experiment}: error: "
+                       f"{message}\n")
 
     spec = None
     if arguments.experiment == "campaign":
@@ -292,18 +295,25 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--spec/--out/--resume/--design apply to the campaign "
                      "experiment only")
 
+    archive = None
+    if arguments.archive_store:
+        try:  # a bad --store must fail before the run, not after it
+            archive = ArtifactStore(arguments.archive_store).open_for_append()
+        except (OSError, ValueError) as error:
+            fail(f"--store: {error}")
+
     start = time.perf_counter()
     try:
         result, report = run_experiment_result(
             arguments.experiment, quick=arguments.quick, jobs=arguments.jobs,
             spec=spec, store_path=arguments.store_path,
             resume=arguments.resume)
-    except (FileExistsError, StoreMismatchError) as error:
+    except (FileExistsError, StoreMismatchError, StoreFormatError) as error:
         fail(f"--out: {error}")
     elapsed = time.perf_counter() - start
     print(report)
 
-    if arguments.json_path or arguments.archive_store:
+    if arguments.json_path or archive is not None:
         payload = experiment_payload(arguments.experiment, result,
                                      quick=arguments.quick,
                                      jobs=arguments.jobs, elapsed_s=elapsed)
@@ -311,10 +321,7 @@ def main(argv: list[str] | None = None) -> int:
             path = Path(arguments.json_path)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(json.dumps(payload, indent=2) + "\n")
-        if arguments.archive_store:
-            from repro.store import ArtifactStore, payload_record
-
-            archive = ArtifactStore(arguments.archive_store).open_for_append()
+        if archive is not None:
             archive.put(payload_record(payload))
     return 0
 

@@ -20,6 +20,10 @@ Two modes share one entry point (:func:`report_main`):
 
 ``--json PATH`` additionally writes the schema-5 machine-readable payload
 (:mod:`repro.experiments.serialize`), whatever ``--format`` is printed.
+An input that cannot be read -- missing, corrupt, an unknown metric, or a
+JSON-lines file that is not a unified store (such as a run store written
+before the store existed) -- is reported as one error line with exit
+code 2.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import argparse
 import json
 import time
 from pathlib import Path
+from typing import NoReturn
 
 from repro.report.aggregate import DEFAULT_REDUCERS, REDUCERS, aggregate
 from repro.report.diff import DEFAULT_THRESHOLD, diff_frames
@@ -88,6 +93,9 @@ def report_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     arguments = parser.parse_args(argv)
 
+    def fail(message: str) -> NoReturn:
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
+
     inputs = list(arguments.inputs)
     diff_mode = bool(inputs) and inputs[0] == "diff"
     if diff_mode:
@@ -127,9 +135,9 @@ def report_main(argv: list[str] | None = None) -> int:
             rendered = render_aggregate(result, arguments.fmt)
             exit_code = 0
     except FileNotFoundError as error:
-        parser.error(f"input not found: {error.filename or error}")
+        fail(f"input not found: {error.filename or error}")
     except ValueError as error:
-        parser.error(str(error))
+        fail(str(error))
     elapsed = time.perf_counter() - start
 
     print(rendered)

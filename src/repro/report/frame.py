@@ -3,10 +3,9 @@
 Every analysis in :mod:`repro.report` operates on one in-memory shape, the
 :class:`ReportFrame`: a flat list of :class:`ReportRow`, one per (design x
 configuration) run, regardless of whether the run came from a campaign
-:class:`~repro.campaign.store.RunStore` file (legacy or unified format), a
-unified :class:`~repro.store.ArtifactStore` holding campaign/payload
-records, or an experiment ``--json`` payload (envelope schemas 1-6).  A
-row carries
+:class:`~repro.campaign.store.RunStore` file, a unified
+:class:`~repro.store.ArtifactStore` holding campaign/payload records, or an
+experiment ``--json`` payload (envelope schemas 1-9).  A row carries
 
 * a content-addressed ``job_id`` (the campaign job id, or a synthesised
   digest for table1 rows) that baseline diffs join on,
@@ -460,17 +459,17 @@ def load_artifact_store(path: str | Path,
 def load_any(path: str | Path, source: str | None = None) -> ReportFrame:
     """Load any supported input kind by sniffing the first line.
 
-    A file whose first line is a legacy ``{"kind": "header", ...}`` record
-    is a pre-unification campaign RunStore; a store envelope (``kind`` /
-    ``key`` / ``schema`` / ``body``) marks a unified artifact store;
-    anything else must be a runner ``--json`` payload.
+    A first line that is a whole JSON object other than a runner payload
+    marks a JSON-lines file, which must be a unified artifact store; the
+    store's strict load names the first line that is not a record envelope
+    (:class:`~repro.store.StoreFormatError`).  Anything else must be a
+    runner ``--json`` payload.
 
     Raises:
         FileNotFoundError: no file at ``path``.
-        ValueError: neither a store, a run store nor a supported payload.
+        StoreFormatError: a JSON-lines file that is not a unified store.
+        ValueError: neither a store nor a supported payload.
     """
-    from repro.store import is_store_record
-
     path = Path(path)
     with path.open() as handle:
         first_line = handle.readline()
@@ -478,10 +477,8 @@ def load_any(path: str | Path, source: str | None = None) -> ReportFrame:
         first = json.loads(first_line)
     except json.JSONDecodeError:
         first = None
-    if is_store_record(first):
+    if isinstance(first, dict) and "experiment" not in first:
         return load_artifact_store(path, source=source)
-    if isinstance(first, dict) and first.get("kind") == "header":
-        return load_run_store(path, source=source)
     return load_experiment_payload(path, source=source)
 
 

@@ -14,24 +14,26 @@ fingerprint x backend signature, payload digest, DSE probe key).
   lookup, offline compaction (atomic rewrite-and-rename), size/age GC,
   and per-worker shard :meth:`~ArtifactStore.merge` for distributed
   executors;
-* :mod:`repro.store.migrate` -- legacy-format detection and migration;
 * :mod:`repro.store.cli` -- the ``runner store`` subcommand
-  (``ls`` / ``verify`` / ``compact`` / ``gc`` / ``migrate``).
+  (``ls`` / ``verify`` / ``compact`` / ``gc``).
 
-See ``docs/file-formats.md`` for the on-disk format and the migration
-table.
+The store is the only on-disk format any entry point reads: a strict
+load that meets a line which is not a record envelope -- such as a file
+written before the store existed -- raises :class:`StoreFormatError`,
+and such a file is regenerated by re-running the command that wrote it.
+See ``docs/file-formats.md`` for the on-disk format.
 """
 
 from repro.store.jsonl import (append_line, append_lines, parse_jsonl_tail,
                                truncate_torn_tail)
 from repro.store.lock import FileLock, LockTimeoutError
-from repro.store.migrate import (CAMPAIGN_BODY_SCHEMA, SYNTH_EVAL_BODY_SCHEMA,
-                                 campaign_header_record, campaign_job_record,
-                                 migrate_file, migrate_records, payload_key,
-                                 payload_record, sniff_format, synth_eval_key)
-from repro.store.record import (KEY_BYTES, STORE_KINDS, StoreRecord,
-                                canonical_json, content_key, is_store_record)
-from repro.store.store import ArtifactStore, GcPolicy, StoreReport
+from repro.store.record import (CAMPAIGN_BODY_SCHEMA, KEY_BYTES, STORE_KINDS,
+                                SYNTH_EVAL_BODY_SCHEMA, StoreRecord,
+                                campaign_header_record, campaign_job_record,
+                                canonical_json, content_key, is_store_record,
+                                payload_key, payload_record, synth_eval_key)
+from repro.store.store import (ArtifactStore, GcPolicy, StoreFormatError,
+                               StoreReport)
 
 __all__ = [
     "ArtifactStore",
@@ -42,6 +44,7 @@ __all__ = [
     "KEY_BYTES",
     "STORE_KINDS",
     "SYNTH_EVAL_BODY_SCHEMA",
+    "StoreFormatError",
     "StoreRecord",
     "StoreReport",
     "append_line",
@@ -51,12 +54,9 @@ __all__ = [
     "canonical_json",
     "content_key",
     "is_store_record",
-    "migrate_file",
-    "migrate_records",
     "parse_jsonl_tail",
     "payload_key",
     "payload_record",
-    "sniff_format",
     "synth_eval_key",
     "truncate_torn_tail",
 ]

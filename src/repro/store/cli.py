@@ -7,23 +7,22 @@ Operational surface of the unified artifact store::
     python -m repro.experiments.runner store compact STORE
     python -m repro.experiments.runner store gc STORE [--max-bytes N]
         [--max-records N] [--max-age-s S]
-    python -m repro.experiments.runner store migrate SRC [SRC...] --into STORE
 
 ``ls`` lists records (kind, key, schema, body size); ``verify`` re-parses
 the file strictly and reports duplicates / torn tails without modifying
 it; ``compact`` rewrites the file without superseded duplicate keys
 (atomic rename); ``gc`` applies a size/age retention policy on top of
-compaction; ``migrate`` folds legacy files -- campaign run stores (schema
-1), evaluation-cache JSONL, runner ``--json`` payloads -- into a unified
-store, idempotently.
+compaction.  A file that is not a unified store (for instance one written
+before the store existed) is refused with one error line and exit code 2,
+never modified.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from typing import NoReturn
 
-from repro.store.migrate import migrate_file
 from repro.store.store import ArtifactStore, GcPolicy
 
 
@@ -57,15 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gc.add_argument("--max-age-s", type=float, metavar="S",
                     help="drop records whose envelope timestamp is older "
                          "than S seconds (untimestamped records are kept)")
-
-    migrate = commands.add_parser(
-        "migrate", help="fold legacy files into a unified store")
-    migrate.add_argument("sources", nargs="+", metavar="SRC",
-                         help="legacy campaign run store (schema 1), "
-                              "cache JSONL, runner --json payload, or an "
-                              "existing unified store")
-    migrate.add_argument("--into", required=True, metavar="STORE",
-                         help="destination store (created if missing)")
     return parser
 
 
@@ -73,6 +63,9 @@ def store_main(argv: list[str] | None = None) -> int:
     """Entry point of ``runner store``; returns the process exit code."""
     parser = _build_parser()
     arguments = parser.parse_args(argv)
+
+    def fail(message: str) -> NoReturn:
+        parser.exit(2, f"{parser.prog}: error: {message}\n")
 
     try:
         if arguments.command == "ls":
@@ -122,19 +115,10 @@ def store_main(argv: list[str] | None = None) -> int:
                   f"kept {report.num_records} "
                   f"({report.bytes_before} -> {report.bytes_after} bytes)")
             return 0
-
-        if arguments.command == "migrate":
-            total = 0
-            for source in arguments.sources:
-                detected, added = migrate_file(source, arguments.into)
-                total += added
-                print(f"{source}: {detected} -> {added} records")
-            print(f"{arguments.into}: {total} records migrated")
-            return 0
     except FileNotFoundError as error:
-        parser.error(f"input not found: {error.filename or error}")
+        fail(f"input not found: {error.filename or error}")
     except ValueError as error:
-        parser.error(str(error))
+        fail(str(error))
     raise AssertionError(f"unhandled command {arguments.command!r}")
 
 

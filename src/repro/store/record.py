@@ -127,5 +127,45 @@ def is_store_record(obj: Any) -> bool:
             and isinstance(obj.get("body"), dict))
 
 
-__all__ = ["KEY_BYTES", "STORE_KINDS", "StoreRecord", "canonical_json",
-           "content_key", "is_store_record"]
+#: Body schema of campaign records written by the unified store.
+CAMPAIGN_BODY_SCHEMA = 2
+#: Body schema of synthesis-evaluation records.
+SYNTH_EVAL_BODY_SCHEMA = 1
+
+
+def campaign_header_record(header_body: dict) -> StoreRecord:
+    """Store record for a campaign header body (name/fingerprint/spec)."""
+    return StoreRecord(kind="campaign-header",
+                       key=header_body["fingerprint"],
+                       schema=CAMPAIGN_BODY_SCHEMA, body=header_body)
+
+
+def campaign_job_record(job_id: str, body: dict) -> StoreRecord:
+    """Store record for one completed campaign job."""
+    return StoreRecord(kind="campaign-job", key=job_id,
+                       schema=CAMPAIGN_BODY_SCHEMA, body=body)
+
+
+def synth_eval_key(backend_signature: str, fingerprint: str) -> str:
+    """Content key of one (backend configuration, subgraph) evaluation."""
+    return content_key({"backend": backend_signature,
+                        "fingerprint": fingerprint})
+
+
+def payload_key(envelope: dict) -> str:
+    """Content key of a runner payload (experiment name + data body)."""
+    return content_key({"experiment": envelope.get("experiment"),
+                        "data": envelope.get("data")})
+
+
+def payload_record(envelope: dict) -> StoreRecord:
+    """Store record archiving one runner ``--json`` payload envelope."""
+    return StoreRecord(kind="payload", key=payload_key(envelope),
+                       schema=int(envelope.get("schema", 0)), body=envelope)
+
+
+__all__ = ["CAMPAIGN_BODY_SCHEMA", "KEY_BYTES", "STORE_KINDS",
+           "SYNTH_EVAL_BODY_SCHEMA", "StoreRecord", "campaign_header_record",
+           "campaign_job_record", "canonical_json", "content_key",
+           "is_store_record", "payload_key", "payload_record",
+           "synth_eval_key"]

@@ -43,6 +43,16 @@ from repro.store.lock import FileLock
 from repro.store.record import StoreRecord, is_store_record
 
 
+class StoreFormatError(ValueError):
+    """A strict load met a line that is not a store record envelope.
+
+    The artifact store is the only on-disk format: files written before it
+    existed (schema-1 campaign run stores, flat evaluation-cache JSONL) are
+    not read and must be regenerated by re-running the command that wrote
+    them.
+    """
+
+
 @dataclass(frozen=True)
 class GcPolicy:
     """Size/age retention policy applied by :meth:`ArtifactStore.gc`.
@@ -154,8 +164,8 @@ class ArtifactStore:
 
         Raises:
             FileNotFoundError: no file at ``path``.
-            ValueError: strict mode only -- corrupt before the final
-                line, or a non-envelope record.
+            StoreFormatError: strict mode only -- a non-envelope record.
+            ValueError: strict mode only -- corrupt before the final line.
         """
         store = cls(path, fsync=fsync)
         store._read(tolerant=tolerant)
@@ -186,20 +196,23 @@ class ArtifactStore:
             self.path, tolerant=tolerant)
         self.records.clear()
         self._duplicates = 0
-        kept: list[bytes] = []
         for envelope, line in zip(records, complete):
             if not is_store_record(envelope):
                 if not tolerant:
-                    raise ValueError(
-                        f"store file {self.path} contains a non-envelope "
-                        f"record: {str(envelope)[:80]!r}")
+                    number = self.path.read_bytes().split(b"\n").index(line)
+                    raise StoreFormatError(
+                        f"store file {self.path} line {number + 1} is a "
+                        f"non-envelope record "
+                        f"({line.decode(errors='replace')[:80]}); files "
+                        "written before the unified artifact store are no "
+                        "longer read -- re-run the command that wrote this "
+                        "file to regenerate it")
                 skipped += 1
                 continue
             record = StoreRecord.from_dict(envelope)
             if record.identity in self.records:
                 self._duplicates += 1
             self.records[record.identity] = record
-            kept.append(line)
         self.skipped_lines = skipped
         return records, complete, tail
 
@@ -340,17 +353,6 @@ class ArtifactStore:
         self.skipped_lines = 0
         return report
 
-    def replace_with(self, records: Iterable[StoreRecord]) -> None:
-        """Atomically replace the store's contents with ``records``.
-
-        Used by format migration: the backing file is rewritten via the
-        same write-to-temp-and-rename path as :meth:`compact`.
-        """
-        self.records = {record.identity: record for record in records}
-        self._duplicates = 0
-        if self.path is not None:
-            self._rewrite(self.records.values())
-
     def merge(self, shard_paths: Sequence[str | Path],
               tolerant: bool = True) -> int:
         """Fold per-worker shard files into this store.
@@ -425,4 +427,4 @@ class ArtifactStore:
             os.replace(temporary, self.path)
 
 
-__all__ = ["ArtifactStore", "GcPolicy", "StoreReport"]
+__all__ = ["ArtifactStore", "GcPolicy", "StoreFormatError", "StoreReport"]

@@ -35,13 +35,17 @@ from repro.tech.sky130 import sky130_library
 class FlowBackend(Protocol):
     """What the evaluation stack requires of a downstream flow.
 
-    Any object exposing these two methods (plus a ``library`` attribute for
+    Any object exposing these three methods (plus a ``library`` attribute for
     register-overhead lookups) can serve :class:`~repro.isdc.feedback.FeedbackEngine`,
     :class:`~repro.sdc.pipeline.PipelineAnalyzer` and the experiment
     harnesses.  ``evaluate_batch`` must return results in input order.
     """
 
     library: TechLibrary
+
+    def signature(self) -> str:
+        """Configuration identity scoping persisted evaluation records."""
+        ...
 
     def evaluate_subgraph(self, graph: DataflowGraph, node_ids: Iterable[int],
                           name: str = "") -> SynthesisReport:

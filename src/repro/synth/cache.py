@@ -27,47 +27,22 @@ from typing import Iterable, Sequence
 from repro.ir.graph import DataflowGraph
 from repro.store import (SYNTH_EVAL_BODY_SCHEMA, ArtifactStore, StoreRecord,
                          synth_eval_key)
+from repro.synth.backend import FlowBackend
 from repro.synth.fingerprint import subgraph_fingerprint
 from repro.synth.report import SynthesisReport
 
 
-def backend_signature(backend) -> str:
+def backend_signature(backend: FlowBackend) -> str:
     """Configuration signature of a backend, for persisted-record scoping.
 
     Reports persisted by one backend configuration must never be served to a
     differently-configured one, so every disk record carries this signature
-    and mismatching records are skipped on load.
-
-    Backends declare their own identity via an explicit ``signature()``
-    method (see :meth:`~repro.synth.flow.SynthesisFlow.signature`), which is
-    expected to cover everything that changes reported numbers -- including
-    the *content* identity of the technology library / delay model, which
-    the old attribute-probing fallback silently conflated across
-    characterisations.  The fallback below remains only for third-party
-    backends that predate the protocol; it now at least appends the
-    library's content signature when one is available.
+    and mismatching records are skipped on load.  Backends declare it via
+    :meth:`~repro.synth.backend.FlowBackend.signature`, which covers
+    everything that changes reported numbers -- including the *content*
+    identity of the technology library / delay model.
     """
-    declared = getattr(backend, "signature", None)
-    if callable(declared):
-        return declared()
-    parts = [type(backend).__name__]
-    for attribute in ("optimize", "compute_aig", "pessimism"):
-        if hasattr(backend, attribute):
-            parts.append(f"{attribute}={getattr(backend, attribute)}")
-    optimizer = getattr(backend, "_optimizer", None)
-    if optimizer is not None:
-        parts.append(f"balance={optimizer.balance}")
-    library = getattr(backend, "library", None)
-    if library is not None:
-        content = getattr(library, "signature", None)
-        label = content() if callable(content) else \
-            getattr(library, "name", type(library).__name__)
-        parts.append(f"library={label}")
-    return ",".join(parts)
-
-
-#: Deprecated alias kept for code written against the pre-store cache.
-_backend_signature = backend_signature
+    return backend.signature()
 
 
 @dataclass
@@ -205,9 +180,8 @@ class EvaluationCache:
         """Warm the second-level dict from the store's ``synth-eval`` records.
 
         Only records written under *this* backend's signature are loaded;
-        records from other configurations (or legacy records whose old-style
-        signature can no longer match any current backend) stay on disk,
-        ignored.  Malformed bodies are skipped, never fatal.
+        records from other configurations stay on disk, ignored.  Malformed
+        bodies are skipped, never fatal.
         """
         if self._store is None:
             return
@@ -254,11 +228,6 @@ class EvaluationCache:
             t=time.time()))
 
     # -------------------------------------------------------------- plumbing
-
-    @property
-    def flow(self):
-        """Backward-compatible alias for :attr:`backend`."""
-        return self.backend
 
     def __len__(self) -> int:
         return len(self._entries)

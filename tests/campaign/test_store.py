@@ -6,6 +6,7 @@ import pytest
 
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import RunStore, StoreMismatchError
+from repro.store import StoreFormatError
 
 
 def _spec(**overrides):
@@ -45,44 +46,40 @@ def _legacy_store_file(path, spec, jobs_with_results):
     path.write_text("\n".join(lines) + "\n")
 
 
-def test_legacy_schema1_store_loads_readonly(tmp_path):
-    spec = _spec()
-    path = tmp_path / "legacy.jsonl"
-    jobs = spec.jobs()
-    _legacy_store_file(path, spec, [(job, _fake_result(job))
-                                    for job in jobs[:2]])
+def _refused_unchanged(path, load):
+    """``load(path)`` raises the typed format error and leaves ``path`` as-is."""
     before = path.read_bytes()
-    store = RunStore.load(path)
-    assert store.header["fingerprint"] == spec.fingerprint()
-    assert store.completed == {jobs[0].job_id, jobs[1].job_id}
-    assert store.results[jobs[0].job_id]["result"] == _fake_result(jobs[0])
-    assert path.read_bytes() == before  # analysis never modifies the file
+    with pytest.raises(StoreFormatError,
+                       match=r"line 1 is a non-envelope record.*re-run"):
+        load(path)
+    assert path.read_bytes() == before
 
 
-def test_legacy_schema1_store_resumes_via_migration(tmp_path):
+def test_schema1_store_is_refused_by_load(tmp_path):
     spec = _spec()
     path = tmp_path / "legacy.jsonl"
     jobs = spec.jobs()
     _legacy_store_file(path, spec, [(job, _fake_result(job))
                                     for job in jobs[:2]])
-    resumed = RunStore(path)
-    resumed.open(spec, resume=True)
-    assert resumed.completed == {jobs[0].job_id, jobs[1].job_id}
-    assert resumed.missing(spec) == jobs[2:]
-    # The file is now in the unified format and keeps working.
-    first = json.loads(path.read_text().splitlines()[0])
-    assert first["kind"] == "campaign-header"
-    resumed.record(jobs[2], _fake_result(jobs[2]), runtime_s=0.1)
-    reread = RunStore.load(path)
-    assert reread.completed == {job.job_id for job in jobs[:3]}
+    _refused_unchanged(path, RunStore.load)
 
 
-def test_legacy_resume_still_rejects_a_different_campaign(tmp_path):
+def test_schema1_store_is_refused_on_resume(tmp_path):
     spec = _spec()
     path = tmp_path / "legacy.jsonl"
-    _legacy_store_file(path, spec, [])
-    with pytest.raises(StoreMismatchError):
+    jobs = spec.jobs()
+    _legacy_store_file(path, spec, [(job, _fake_result(job))
+                                    for job in jobs[:2]])
+    _refused_unchanged(path, lambda p: RunStore(p).open(spec, resume=True))
+
+
+def test_format_error_is_not_a_campaign_mismatch(tmp_path):
+    path = tmp_path / "legacy.jsonl"
+    _legacy_store_file(path, _spec(), [])
+    with pytest.raises(StoreFormatError) as excinfo:
         RunStore(path).open(_spec(max_iterations=3), resume=True)
+    assert not isinstance(excinfo.value, StoreMismatchError)
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_final_payload_survives_compaction(tmp_path):

@@ -1,6 +1,10 @@
 """Tests for the experiment CLI runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,3 +207,50 @@ def test_campaign_bad_input_is_one_line_and_exit_2(case, tmp_path, capsys):
     assert len(err.splitlines()) == 1, err
     for fragment in fragments:
         assert fragment in err
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("the run started despite an unreadable store")
+
+
+# case -> (argv before the store path, function the refusal must pre-empt)
+LEGACY_STORE_INPUTS = {
+    "table1-store": (["table1", "--quick", "--store"],
+                     "repro.experiments.runner.run_experiment_result"),
+    "dse-store": (["dse", "--designs", "rrot", "--store"],
+                  "repro.dse.cli.run_dse"),
+    "campaign-resume-out": (["campaign", "--quick", "--resume", "--out"],
+                            "repro.campaign.executor.execute_job"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEGACY_STORE_INPUTS))
+def test_legacy_store_is_refused_before_the_run(case, tmp_path, capsys,
+                                                monkeypatch):
+    argv, guarded = LEGACY_STORE_INPUTS[case]
+    monkeypatch.setattr(guarded, _never_called)
+    legacy = tmp_path / "legacy.jsonl"
+    legacy.write_text(json.dumps(
+        {"kind": "header", "schema": 1, "name": "sweep",
+         "fingerprint": "f" * 32, "num_jobs": 0, "spec": {}}) + "\n")
+    before = legacy.read_bytes()
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, str(legacy)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    for fragment in (argv[-1], "legacy.jsonl line 1 is a non-envelope record",
+                     "re-run the command that wrote this file"):
+        assert fragment in err
+    assert legacy.read_bytes() == before
+
+
+def test_cli_help_prints_no_runtime_warning():
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    completed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.experiments.runner", "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""

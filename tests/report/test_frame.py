@@ -7,6 +7,7 @@ import pytest
 from repro.report.frame import (ReportFrame, ReportRow, load_any,
                                 load_experiment_payload, load_frames,
                                 load_run_store, metric_spec, resolve_axis)
+from repro.store import StoreFormatError
 from tests.report.conftest import make_spec, synthetic_result, write_store
 
 
@@ -60,7 +61,8 @@ class TestRunStoreLoading:
 
     def test_headerless_file_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"kind": "job", "job_id": "x"}\n')
+        path.write_text('{"kind": "campaign-job", "key": "x", "schema": 2, '
+                        '"body": {}}\n')
         with pytest.raises(ValueError, match="no campaign header"):
             load_run_store(path)
 
@@ -162,8 +164,7 @@ class TestArtifactStoreLoading:
                        if row.axes.get("design") == "crc32"]
         assert table1_rows[0].metrics["registers_final"] == 12.0
 
-    def test_legacy_run_store_still_loads_through_load_any(self, tmp_path,
-                                                           spec):
+    def test_legacy_run_store_is_refused_by_load_any(self, tmp_path, spec):
         legacy = tmp_path / "legacy.jsonl"
         jobs = spec.jobs()
         lines = [json.dumps({"kind": "header", "schema": 1,
@@ -171,8 +172,6 @@ class TestArtifactStoreLoading:
                              "fingerprint": spec.fingerprint(),
                              "num_jobs": len(jobs),
                              "spec": spec.to_dict()})]
-        from tests.report.conftest import synthetic_result
-
         for job in jobs:
             lines.append(json.dumps({"kind": "job", "job_id": job.job_id,
                                      "design": job.design,
@@ -180,10 +179,11 @@ class TestArtifactStoreLoading:
                                      "runtime_s": 0.25}))
         legacy.write_text("\n".join(lines) + "\n")
         before = legacy.read_bytes()
-        frame = load_any(legacy)
-        assert len(frame.rows) == len(jobs)
-        assert frame.rows[0].axes["design"] == "rrot"
-        assert legacy.read_bytes() == before  # analysis never migrates
+        with pytest.raises(StoreFormatError,
+                           match=r"legacy\.jsonl line 1 is a non-envelope "
+                                 r"record.*re-run"):
+            load_any(legacy)
+        assert legacy.read_bytes() == before
 
 
 class TestSniffingAndMerging:

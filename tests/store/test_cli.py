@@ -77,19 +77,19 @@ class TestSubcommands:
         # The campaign header is pinned against size pressure.
         assert survivors.get("campaign-header", "f" * 32) is not None
 
-    def test_migrate_folds_legacy_files(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["ls", "verify", "compact", "gc"])
+    def test_legacy_file_is_one_error_line_and_exit_2(self, tmp_path, capsys,
+                                                      command):
         legacy = tmp_path / "legacy.jsonl"
         legacy.write_text(json.dumps(
             {"kind": "header", "schema": 1, "name": "sweep",
              "fingerprint": "f" * 32, "num_jobs": 0, "spec": {}}) + "\n")
-        payload = tmp_path / "payload.json"
-        payload.write_text(json.dumps(
-            {"schema": 2, "experiment": "table1", "data": {"rows": []}}))
-        destination = tmp_path / "unified.jsonl"
-        assert main(["store", "migrate", str(legacy), str(payload),
-                     "--into", str(destination)]) == 0
-        out = capsys.readouterr().out
-        assert "run-store-v1 -> 1 records" in out
-        assert "payload-json -> 1 records" in out
-        merged = ArtifactStore.load(destination)
-        assert merged.kinds() == {"campaign-header": 1, "payload": 1}
+        before = legacy.read_bytes()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["store", command, str(legacy)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert "legacy.jsonl line 1 is a non-envelope record" in err
+        assert "re-run the command that wrote this file" in err
+        assert legacy.read_bytes() == before

@@ -4,8 +4,11 @@ import json
 
 import pytest
 
-from repro.store import (KEY_BYTES, StoreRecord, canonical_json, content_key,
-                         is_store_record)
+from repro.store import (CAMPAIGN_BODY_SCHEMA, KEY_BYTES,
+                         SYNTH_EVAL_BODY_SCHEMA, StoreRecord,
+                         campaign_header_record, campaign_job_record,
+                         canonical_json, content_key, is_store_record,
+                         payload_key, payload_record, synth_eval_key)
 
 
 class TestContentKey:
@@ -70,3 +73,57 @@ class TestStoreRecord:
         """The store is kind-agnostic; STORE_KINDS is documentation."""
         assert is_store_record({"kind": "future-kind", "key": "ab",
                                 "schema": 9, "body": {"v": 1}})
+
+
+class TestRecordBuilders:
+    """Kinds, keys, schemas and bodies of the records the entry points write.
+
+    The pinned digests and lines are what earlier builds wrote; a change
+    here orphans every record already on disk.
+    """
+
+    ENVELOPE = {"schema": 9, "experiment": "table1", "quick": True,
+                "elapsed_s": 1.0, "data": {"rows": [{"benchmark": "rrot"}]}}
+
+    def test_body_schemas_are_pinned(self):
+        assert CAMPAIGN_BODY_SCHEMA == 2
+        assert SYNTH_EVAL_BODY_SCHEMA == 1
+
+    def test_campaign_header_record_is_keyed_by_fingerprint(self):
+        body = {"name": "sweep", "fingerprint": "f" * 32, "num_jobs": 2,
+                "spec": {"name": "sweep"}}
+        record = campaign_header_record(body)
+        assert record.to_line() == (
+            '{"kind": "campaign-header", "key": "' + "f" * 32 + '", '
+            '"schema": 2, "body": {"name": "sweep", "fingerprint": "'
+            + "f" * 32 + '", "num_jobs": 2, "spec": {"name": "sweep"}}}\n')
+
+    def test_campaign_job_record_is_keyed_by_job_id(self):
+        body = {"design": "rrot", "result": {"final": {"registers": 9}},
+                "runtime_s": 0.5}
+        record = campaign_job_record("a" * 32, body)
+        assert record.identity == ("campaign-job", "a" * 32)
+        assert record.schema == CAMPAIGN_BODY_SCHEMA
+        assert record.body is body
+
+    def test_synth_eval_key_is_pinned(self):
+        key = synth_eval_key("SynthesisFlow(optimize=True)", "fp1")
+        assert key == "0e3028469b4cb64776fb8dc97e55b396"
+        assert key == content_key({"backend": "SynthesisFlow(optimize=True)",
+                                   "fingerprint": "fp1"})
+
+    def test_payload_key_covers_only_experiment_and_data(self):
+        key = payload_key(self.ENVELOPE)
+        assert key == "517fd311c3ddec292a1926ff55c787a2"
+        rerun = dict(self.ENVELOPE, quick=False, elapsed_s=9.0, schema=3)
+        assert payload_key(rerun) == key
+        changed = dict(self.ENVELOPE, data={"rows": []})
+        assert payload_key(changed) != key
+
+    def test_payload_record_takes_its_schema_from_the_envelope(self):
+        record = payload_record(self.ENVELOPE)
+        assert record.identity == ("payload", payload_key(self.ENVELOPE))
+        assert record.schema == 9
+        assert record.body == self.ENVELOPE
+        unversioned = {"experiment": "fig5", "data": {}}
+        assert payload_record(unversioned).schema == 0

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.store import ArtifactStore, GcPolicy, StoreRecord
+from repro.store import ArtifactStore, GcPolicy, StoreFormatError, StoreRecord
 
 
 def _record(kind="payload", key="k1", schema=1, body=None, t=None):
@@ -80,6 +80,17 @@ class TestCrashTolerance:
         path.write_text('{"kind": "header", "fingerprint": "legacy"}\n')
         with pytest.raises(ValueError, match="non-envelope"):
             ArtifactStore.load(path)
+
+    def test_strict_load_names_the_first_offending_line(self, tmp_path):
+        path = tmp_path / "store.jsonl"
+        path.write_text(_record(key="a").to_line() + "\n"
+                        + '{"key": "ab", "backend": "x"}\n{"foreign": 1}\n')
+        with pytest.raises(StoreFormatError) as excinfo:
+            ArtifactStore.load(path)
+        message = str(excinfo.value)
+        assert f"{path} line 3 is a non-envelope record" in message
+        assert '"backend": "x"' in message
+        assert "re-run the command that wrote this file" in message
 
     def test_tolerant_load_counts_and_skips(self, tmp_path):
         path = tmp_path / "store.jsonl"
