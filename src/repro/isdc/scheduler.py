@@ -78,7 +78,9 @@ class IsdcScheduler:
         self.feedback = FeedbackEngine(self.library,
                                        backend=backend,
                                        cache_path=self.config.cache_path)
-        self.analyzer = PipelineAnalyzer(flow=self.feedback.backend,
+        # Reports go through the loop's cache: their stage sets have usually
+        # been synthesised already (by the estimation-error tracking).
+        self.analyzer = PipelineAnalyzer(flow=self.feedback.cache,
                                          library=self.library)
         self.last_problem: ScheduleProblem | None = None
         self.last_solver: IncrementalSolver | None = None
@@ -165,6 +167,9 @@ class IsdcScheduler:
                 break
 
         total_runtime = time.perf_counter() - total_start
+        # Read before the reports: ``subgraphs_evaluated`` counts the loop's
+        # syntheses, not the report stages the cache had to synthesise.
+        evaluations = self.feedback.evaluations
         initial_report = self.analyzer.report(base_result.schedule)
         final_report = self.analyzer.report(best_schedule)
         return IsdcResult(
@@ -177,7 +182,7 @@ class IsdcScheduler:
             iterations=iterations_run,
             total_runtime_s=total_runtime,
             baseline_runtime_s=baseline_runtime,
-            subgraphs_evaluated=self.feedback.evaluations,
+            subgraphs_evaluated=evaluations,
             solver_runtime_s=sum(r.solver_runtime_s for r in history),
             synthesis_runtime_s=sum(r.synthesis_runtime_s for r in history),
         )

@@ -29,6 +29,12 @@ class GateKind(enum.Enum):
     MUX2 = "mux2"
     MAJ3 = "maj3"
 
+    def __init__(self, value: str) -> None:
+        #: True for primary inputs and tie cells (gates with no driving
+        #: logic); a plain per-member attribute because it sits on every
+        #: gate-count and STA path.
+        self.is_source = value in ("input", "const0", "const1")
+
     @property
     def num_inputs(self) -> int:
         return _NUM_INPUTS[self]
@@ -37,10 +43,6 @@ class GateKind(enum.Enum):
     def cell_name(self) -> str | None:
         """Technology-library cell implementing this gate (None for inputs)."""
         return _CELL_NAME.get(self)
-
-    @property
-    def is_source(self) -> bool:
-        return self in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
 
 
 _NUM_INPUTS = {

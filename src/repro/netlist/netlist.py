@@ -30,6 +30,7 @@ class Netlist:
         self._outputs: list[int] = []
         self._next_id = 0
         self._version = 0
+        self._num_logic = 0
 
     @property
     def structural_version(self) -> int:
@@ -66,6 +67,8 @@ class Netlist:
             self._fanout[input_id].append(gate.gate_id)
         self._next_id += 1
         self._version += 1
+        if not kind.is_source:
+            self._num_logic += 1
         record_add(self, gate.gate_id, input_ids, kind.is_source)
         return gate.gate_id
 
@@ -96,6 +99,8 @@ class Netlist:
             self._fanout[input_id] = [g for g in self._fanout[input_id]
                                       if g != gate_id]
         self._version += 1
+        if not gate.kind.is_source:
+            self._num_logic -= 1
         record_remove(self, gate_id)
 
     def add_input(self, name: str = "") -> int:
@@ -153,7 +158,7 @@ class Netlist:
 
     def num_logic_gates(self) -> int:
         """Number of gates excluding primary inputs and tie cells."""
-        return sum(1 for g in self._gates.values() if not g.kind.is_source)
+        return self._num_logic
 
     def kind_code_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """``(gate_ids, kind_codes)`` arrays in ascending gate-id order.
@@ -227,6 +232,7 @@ class Netlist:
             clone._gates[gid] = Gate(gate.gate_id, gate.kind, gate.inputs, gate.name)
         clone._fanout = {k: list(v) for k, v in self._fanout.items()}
         clone._outputs = list(self._outputs)
+        clone._num_logic = self._num_logic
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -11,8 +11,17 @@ the paper's feedback loop is designed to capture:
   earliest-arriving leaves first);
 * dead-gate elimination (only the cone of the primary outputs is kept).
 
-The optimiser rebuilds a fresh netlist rather than mutating in place, which
-keeps every pass simple and makes the before/after report trustworthy.
+Each pass rewrites into a fresh gate list rather than mutating in place,
+which keeps every pass simple.  The rewriter (``_Rebuilder``) numbers gates
+itself and builds no netlist; its dead-gate elimination (``prune``) then
+emits the pass's one :class:`~repro.netlist.netlist.Netlist`, numbered in
+the kernel's deterministic Kahn order, with every surviving gate checked
+by :meth:`~repro.netlist.netlist.Netlist.add_gate`.
+
+STA runs twice per :meth:`LogicOptimizer.optimize` call: once for the
+balancing pass's arrival times, and once on the final netlist, whose
+:class:`~repro.netlist.sta.TimingResult` the report carries so callers
+(the synthesis flow) need not time it again.
 """
 
 from __future__ import annotations
@@ -20,9 +29,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from repro.kernel.view import _kahn_order
 from repro.netlist.gates import GateKind, GATE_FUNCTIONS
 from repro.netlist.netlist import Netlist
-from repro.netlist.sta import StaticTimingAnalysis
+from repro.netlist.sta import StaticTimingAnalysis, TimingResult
 from repro.tech.library import TechLibrary
 from repro.tech.sky130 import sky130_library
 
@@ -41,15 +51,14 @@ class OptimizationReport:
     Attributes:
         gates_before: logic-gate count of the input netlist.
         gates_after: logic-gate count of the optimised netlist.
-        delay_before_ps: pre-optimisation critical-path delay.
-        delay_after_ps: post-optimisation critical-path delay.
+        timing: STA of the optimised netlist (default endpoints), so the
+            caller need not time it again.
         passes: names of the passes that ran, in order.
     """
 
     gates_before: int
     gates_after: int
-    delay_before_ps: float
-    delay_after_ps: float
+    timing: TimingResult
     passes: tuple[str, ...]
 
     @property
@@ -61,33 +70,81 @@ class OptimizationReport:
 
 
 class _Rebuilder:
-    """Builds a new netlist applying local rewrites and structural hashing."""
+    """Collects a rewritten gate list, applying local rewrites and hashing.
+
+    Gates are numbered here, in emission order, and kept as plain
+    kind/inputs/name maps: the only :class:`Netlist` a pass produces is the
+    pruned one :meth:`prune` builds from them.
+    """
 
     def __init__(self, name: str) -> None:
-        self.netlist = Netlist(name)
+        self.name = name
+        self.outputs: list[int] = []
         self._memo: dict[tuple, int] = {}
         self._const: dict[int, int] = {}
         self._kind_of: dict[int, GateKind] = {}
         self._inputs_of: dict[int, tuple[int, ...]] = {}
+        self._name_of: dict[int, str] = {}
 
     # ----------------------------------------------------------------- plumbing
 
-    def _record(self, gate_id: int, kind: GateKind, inputs: tuple[int, ...]) -> int:
+    def _record(self, kind: GateKind, inputs: tuple[int, ...],
+                name: str = "") -> int:
+        gate_id = len(self._kind_of)
         self._kind_of[gate_id] = kind
         self._inputs_of[gate_id] = inputs
+        self._name_of[gate_id] = name
         return gate_id
 
     def constant(self, value: int) -> int:
         value &= 1
         if value not in self._const:
             kind = GateKind.CONST1 if value else GateKind.CONST0
-            gate_id = self.netlist.add_gate(kind, ())
-            self._const[value] = self._record(gate_id, kind, ())
+            self._const[value] = self._record(kind, ())
         return self._const[value]
 
     def add_input(self, name: str = "") -> int:
-        gate_id = self.netlist.add_input(name)
-        return self._record(gate_id, GateKind.INPUT, ())
+        return self._record(GateKind.INPUT, (), name)
+
+    def prune(self) -> Netlist:
+        """The pass's netlist: the gates in the fan-in of some output.
+
+        Surviving gates are renumbered in the deterministic Kahn order
+        :class:`~repro.kernel.GraphView` uses.  The kept set is closed under
+        fan-in, so its Kahn order is the full gate list's order restricted
+        to it, and ids match a prune of a fully built netlist exactly.
+        Without outputs nothing is pruned and every gate keeps its id.
+        """
+        operands = self._inputs_of
+        pruned = Netlist(self.name)
+        if not self.outputs:
+            for gate_id, kind in self._kind_of.items():
+                pruned.add_gate(kind, operands[gate_id], self._name_of[gate_id])
+            return pruned
+        keep: set[int] = set()
+        stack = list(self.outputs)
+        while stack:
+            current = stack.pop()
+            if current in keep:
+                continue
+            keep.add(current)
+            stack.extend(operands[current])
+        # Keep primary inputs even if dead so interfaces stay stable.
+        keep.update(gate_id for gate_id, kind in self._kind_of.items()
+                    if kind is GateKind.INPUT)
+
+        mapping: dict[int, int] = {}
+        order = _kahn_order(
+            sorted(keep), operands,
+            f"netlist {self.name!r} contains a combinational cycle")
+        for gate_id in order:
+            mapping[gate_id] = pruned.add_gate(
+                self._kind_of[gate_id],
+                tuple(mapping[i] for i in operands[gate_id]),
+                self._name_of[gate_id])
+        for output in self.outputs:
+            pruned.mark_output(mapping[output])
+        return pruned
 
     def constant_value(self, gate_id: int) -> int | None:
         kind = self._kind_of[gate_id]
@@ -117,8 +174,7 @@ class _Rebuilder:
         key = (kind, inputs)
         if key in self._memo:
             return self._memo[key]
-        gate_id = self.netlist.add_gate(kind, inputs, name)
-        self._record(gate_id, kind, inputs)
+        gate_id = self._record(kind, inputs, name)
         self._memo[key] = gate_id
         return gate_id
 
@@ -230,7 +286,7 @@ class LogicOptimizer:
 
     Args:
         library: technology library used for the delay-aware balancing pass
-            and the before/after timing report.
+            and the report's timing of the optimised netlist.
         balance: whether to run the tree-balancing pass.
     """
 
@@ -245,9 +301,8 @@ class LogicOptimizer:
         """Constant folding + identity rewrites + structural hashing + DCE."""
         builder = _Rebuilder(netlist.name)
         mapping = _copy_into(netlist, builder)
-        for output in netlist.outputs():
-            builder.netlist.mark_output(mapping[output])
-        return self._prune(builder.netlist)
+        builder.outputs = [mapping[output] for output in netlist.outputs()]
+        return builder.prune()
 
     def _balance_pass(self, netlist: Netlist) -> Netlist:
         """Rebalance AND/OR/XOR trees using arrival times."""
@@ -288,9 +343,8 @@ class LogicOptimizer:
             new_inputs = tuple(mapping[i] for i in gate.inputs)
             mapping[gate_id] = builder.emit(gate.kind, new_inputs, gate.name)
 
-        for output in netlist.outputs():
-            builder.netlist.mark_output(mapping[output])
-        return self._prune(builder.netlist)
+        builder.outputs = [mapping[output] for output in netlist.outputs()]
+        return builder.prune()
 
     def _build_balanced(self, builder: _Rebuilder, kind: GateKind,
                         leaves: list[int], mapping: dict[int, int],
@@ -309,39 +363,10 @@ class LogicOptimizer:
             counter += 1
         return heap[0][2]
 
-    def _prune(self, netlist: Netlist) -> Netlist:
-        """Remove gates not in the transitive fan-in of any output."""
-        outputs = netlist.outputs()
-        if not outputs:
-            return netlist
-        keep: set[int] = set()
-        stack = list(outputs)
-        while stack:
-            current = stack.pop()
-            if current in keep:
-                continue
-            keep.add(current)
-            stack.extend(netlist.gate(current).inputs)
-        # Keep primary inputs even if dead so interfaces stay stable.
-        keep.update(netlist.inputs())
-
-        pruned = Netlist(netlist.name)
-        mapping: dict[int, int] = {}
-        for gate_id in netlist.topological_order():
-            if gate_id not in keep:
-                continue
-            gate = netlist.gate(gate_id)
-            mapping[gate_id] = pruned.add_gate(
-                gate.kind, tuple(mapping[i] for i in gate.inputs), gate.name)
-        for output in outputs:
-            pruned.mark_output(mapping[output])
-        return pruned
-
     # -------------------------------------------------------------------- run
 
     def optimize(self, netlist: Netlist) -> tuple[Netlist, OptimizationReport]:
         """Run the full pipeline and return (optimised netlist, report)."""
-        before_timing = self._sta.run(netlist)
         passes: list[str] = []
 
         current = self._strash_pass(netlist)
@@ -352,12 +377,10 @@ class LogicOptimizer:
             current = self._strash_pass(current)
             passes.append("strash")
 
-        after_timing = self._sta.run(current)
         report = OptimizationReport(
             gates_before=netlist.num_logic_gates(),
             gates_after=current.num_logic_gates(),
-            delay_before_ps=before_timing.critical_path_delay_ps,
-            delay_after_ps=after_timing.critical_path_delay_ps,
+            timing=self._sta.run(current),
             passes=tuple(passes),
         )
         return current, report

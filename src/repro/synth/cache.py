@@ -30,6 +30,7 @@ from repro.store import (SYNTH_EVAL_BODY_SCHEMA, ArtifactStore, StoreRecord,
 from repro.synth.backend import FlowBackend
 from repro.synth.fingerprint import subgraph_fingerprint
 from repro.synth.report import SynthesisReport
+from repro.tech.library import TechLibrary
 
 
 def backend_signature(backend: FlowBackend) -> str:
@@ -112,6 +113,16 @@ class EvaluationCache:
         else:
             self._store = None
         self._load_disk()
+
+    @property
+    def library(self) -> TechLibrary:
+        """The wrapped backend's technology library.
+
+        Lets a cache stand wherever a backend is expected, e.g. as the flow
+        of a :class:`~repro.sdc.pipeline.PipelineAnalyzer`, whose register
+        overhead must come from the library that timed the stages.
+        """
+        return self.backend.library
 
     # -------------------------------------------------------------- evaluate
 

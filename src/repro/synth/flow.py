@@ -78,9 +78,10 @@ class SynthesisFlow:
         gates_unoptimized = netlist.num_logic_gates()
 
         if self.optimize:
-            netlist, _ = self._optimizer.optimize(netlist)
-
-        timing = self._sta.run(netlist)
+            netlist, optimization = self._optimizer.optimize(netlist)
+            timing = optimization.timing
+        else:
+            timing = self._sta.run(netlist)
         aig_depth = None
         if self.compute_aig:
             aig_depth = netlist_to_aig(netlist).depth()

@@ -44,6 +44,25 @@ class TestConstruction:
         with pytest.raises(KeyError):
             netlist.mark_output(3)
 
+    def test_logic_gate_count_follows_edits(self, xor_netlist):
+        """The kept count equals a recount after every kind of edit."""
+        netlist, (a, b, _) = xor_netlist
+
+        def recount(target: Netlist) -> int:
+            return sum(1 for gate in target if not gate.kind.is_source)
+
+        assert netlist.num_logic_gates() == recount(netlist) == 4
+        netlist.add_constant(1)
+        extra = netlist.add_gate(GateKind.AND2, (a, b))
+        assert netlist.num_logic_gates() == recount(netlist) == 5
+        clone = netlist.copy()
+        assert clone.num_logic_gates() == recount(clone) == 5
+        netlist.remove_gate(extra)
+        assert netlist.num_logic_gates() == recount(netlist) == 4
+        assert clone.num_logic_gates() == recount(clone) == 5
+        clone.remove_gate(clone.add_input("dead"))
+        assert clone.num_logic_gates() == recount(clone) == 5
+
     def test_mark_output_adds_one_port_per_call(self, xor_netlist):
         netlist, (_, _, result) = xor_netlist
         netlist.mark_output(result)

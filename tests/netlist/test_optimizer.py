@@ -97,7 +97,9 @@ class TestBalancing:
         optimized, report = optimizer.optimize(netlist)
         after = sta.run(optimized).critical_path_delay_ps
         assert after <= before / 2
-        assert report.delay_after_ps <= report.delay_before_ps
+        # The report's timing is the returned netlist's; a copy gets its own
+        # kernel view, so this STA shares nothing with the optimiser's.
+        assert report.timing == sta.run(optimized.copy())
 
     def test_balancing_preserves_function(self, optimizer):
         netlist = Netlist("balance_equiv")

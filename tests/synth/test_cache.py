@@ -159,6 +159,30 @@ def test_empty_cache_is_not_discarded_by_the_analyzer(library):
     assert analyzer.flow is cache
 
 
+def test_analyzer_over_cache_uses_the_backend_library(adder_chain_graph,
+                                                     library):
+    """An analyzer given only a cache charges the cached backend's register
+    overhead, not the default library's."""
+    import dataclasses
+
+    from repro.sdc.pipeline import PipelineAnalyzer
+    from repro.sdc.scheduler import SdcScheduler
+
+    slow_flops = dataclasses.replace(
+        library, register_delay_ps=library.register_delay_ps + 275.0)
+    cache = EvaluationCache(SynthesisFlow(slow_flops))
+    assert cache.library is slow_flops
+
+    schedule = SdcScheduler(clock_period_ps=2500.0).schedule(
+        adder_chain_graph).schedule
+    report = PipelineAnalyzer(flow=cache).report(schedule)
+    expected = (schedule.clock_period_ps - max(report.stage_delays_ps)
+                - slow_flops.register_delay_ps)
+    assert report.slack_ps == expected
+    default = PipelineAnalyzer(flow=SynthesisFlow(library)).report(schedule)
+    assert report.slack_ps == pytest.approx(default.slack_ps - 275.0)
+
+
 def test_disk_layer_skips_corrupt_lines(adder_chain_graph, library, tmp_path):
     path = tmp_path / "evals.jsonl"
     path.write_text("not json\n{\"key\": \"missing fields\"}\n")
