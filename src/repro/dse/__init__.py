@@ -23,8 +23,10 @@ Modules:
 * :mod:`repro.dse.search` -- the batched driver threading probes through a
   process pool with per-worker caches.
 * :mod:`repro.dse.cli` -- the ``runner dse`` subcommand.
-* :mod:`repro.dse.bench` -- the warm-vs-cold benchmark behind
-  ``BENCH_dse.json``.
+
+The warm-vs-cold speedup gate lives in ``benchmarks/test_speedup_gates.py``;
+end-to-end DSE timings are measured by ``perfbench/`` (see
+``perfbench/README.md``).
 """
 
 from repro.dse.optimizer import (

@@ -41,11 +41,10 @@ scheduling: the ``dse`` payload grows the ``min-ii`` mode (per-design
 ``min_ii`` and per-probe ``ii`` fields), and design axes accept
 ``loop:`` generated-loop specs and textual-IR ``.ir`` file paths
 alongside Table-I rows and ``gen:`` specs; 8 added the ``service``
-payload (the scheduling-service benchmark of :mod:`repro.service.bench`:
-throughput, p50/p95 latency, warm hit / coalesce rates and the
-warm-vs-cold speedup -- all wall-clock-derived by nature, gated
-direction-aware by ``runner report diff``); 9 removed the ``solver``
-envelope field (the ISDC loop has one re-solve path).
+payload (a scheduling-service benchmark run), since retired together with
+that benchmark -- ``runner report`` now refuses it like any other
+unsupported experiment; 9 removed the ``solver`` envelope field (the ISDC
+loop has one re-solve path).
 """
 
 from __future__ import annotations
@@ -126,18 +125,9 @@ def _dse_payload(result: Any) -> dict[str, Any]:
     return result.to_payload()
 
 
-def _service_payload(result: Any) -> dict[str, Any]:
-    # A repro.service.bench.ServiceBenchResult serialises itself.  Unlike
-    # the other experiments this payload is *measurement*, not schedule
-    # quality: every figure is wall-clock-derived, and report diff gates
-    # it with thresholds rather than byte equality.
-    return result.to_payload()
-
-
 _PAYLOAD_BUILDERS = {
     "campaign": _campaign_payload,
     "dse": _dse_payload,
-    "service": _service_payload,
     "report": _report_payload,
     "table1": _table1_payload,
     "fig1": _profile_payload,
@@ -154,7 +144,7 @@ def experiment_payload(name: str, result: Any, quick: bool = False,
 
     Args:
         name: experiment name (``table1``, ``fig1``/``5``/``6``/``7``/``8``,
-            ``campaign``, ``report``, ``dse`` or ``service``).
+            ``campaign``, ``report`` or ``dse``).
         result: the raw object the experiment's ``run_*`` function returned.
         quick: whether reduced settings were used.
         jobs: worker processes the run was configured with.

@@ -46,9 +46,11 @@ from repro.ir.ops import OpKind
 
 _SAFE_TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-./]*")
 
-_NODE_LINE_RE = re.compile(
-    r"^n(?P<id>\d+)\s*=\s*(?P<kind>[a-z_]+)\s*\((?P<args>.*)\)\s*:\s*"
-    r"(?P<width>\d+)\s*(?:#\s*(?P<name>.*))?$")
+# A node line is split in two around the argument list, which ends at the
+# first ``)`` outside a quoted string: a quoted name after ``#`` may itself
+# contain ``) : <digits>``, so one greedy regex cannot find the boundary.
+_NODE_HEAD_RE = re.compile(r"n(?P<id>\d+)\s*=\s*(?P<kind>[a-z_]+)\s*\(")
+_NODE_TAIL_RE = re.compile(r"\s*:\s*(?P<width>\d+)\s*(?:#\s*(?P<name>.*))?")
 
 _BACKEDGE_LINE_RE = re.compile(
     r"^backedge\s+n(?P<src>\d+)\s*->\s*n(?P<phi>\d+)\s+"
@@ -110,6 +112,36 @@ def _parse_quoted(raw: str, line_no: int, what: str) -> str:
         raise ValueError(
             f"line {line_no}: quoted {what} {raw!r} is not a string")
     return value
+
+
+def _match_node_line(line: str) -> dict[str, str | None] | None:
+    """Split a node line into id, kind, args, width and name fields.
+
+    Returns ``None`` when ``line`` is not a well-formed node line.
+    """
+    head = _NODE_HEAD_RE.match(line)
+    if not head:
+        return None
+    in_string = False
+    escape = False
+    for index in range(head.end(), len(line)):
+        ch = line[index]
+        if in_string:
+            if escape:
+                escape = False
+            elif ch == "\\":
+                escape = True
+            elif ch == '"':
+                in_string = False
+        elif ch == '"':
+            in_string = True
+        elif ch == ")":
+            tail = _NODE_TAIL_RE.fullmatch(line, index + 1)
+            if not tail:
+                return None
+            return {"id": head.group("id"), "kind": head.group("kind"),
+                    "args": line[head.end():index], **tail.groupdict()}
+    return None
 
 
 def _split_args(args: str, line_no: int) -> list[str]:
@@ -234,26 +266,26 @@ def parse_design_text(text: str) -> tuple[DataflowGraph, float | None]:
                 raise ValueError(f"line {line_no}: {exc}") from None
             continue
 
-        match = _NODE_LINE_RE.match(line)
-        if not match:
+        fields = _match_node_line(line)
+        if fields is None:
             raise ValueError(f"line {line_no}: malformed IR line {line!r}")
-        text_id = int(match.group("id"))
+        text_id = int(fields["id"])
         if text_id in id_map:
             raise ValueError(f"line {line_no}: duplicate node id n{text_id}")
         try:
-            kind = OpKind(match.group("kind"))
+            kind = OpKind(fields["kind"])
         except ValueError:
             raise ValueError(
                 f"line {line_no}: unknown opcode "
-                f"{match.group('kind')!r}") from None
-        width = int(match.group("width"))
+                f"{fields['kind']!r}") from None
+        width = int(fields["width"])
         if width <= 0:
             raise ValueError(f"line {line_no}: non-positive width {width}")
-        name = _parse_name(match.group("name") or "", line_no)
+        name = _parse_name(fields["name"] or "", line_no)
 
         operands: list[int] = []
         attrs: dict[str, object] = {}
-        for piece in _split_args(match.group("args"), line_no):
+        for piece in _split_args(fields["args"], line_no):
             if "=" in piece and not piece.startswith('"'):
                 key, _, raw = piece.partition("=")
                 key = key.strip()

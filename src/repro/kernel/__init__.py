@@ -21,10 +21,11 @@ depth metric (:mod:`repro.aig`).
 * :mod:`repro.kernel.patch` -- incremental :class:`GraphView` patching from
   the containers' recorded structural deltas.
 * :mod:`repro.kernel.reference` -- the historical pure-Python algorithms,
-  kept as the executable specification the parity tests and the
-  ``bench-kernel`` CI gate diff against.
-* :mod:`repro.kernel.bench` -- the old-vs-new micro-benchmark behind
-  ``BENCH_kernel.json`` (``python -m repro.kernel.bench``).
+  kept as the executable specification the parity tests diff against.
+
+Kernel timings live in ``benchmarks/test_speedup_gates.py`` (reference vs
+kernel, dense vs sparse, rebuild vs patch) and in the end-to-end benchmark
+described in ``perfbench/README.md``.
 """
 
 from repro.kernel.config import (

@@ -20,8 +20,8 @@ without code changes::
     REPRO_KERNEL_PATCH_MAX_DELTA=256        (absolute small-delta bound)
 
 Both paths are bit-identical by construction (enforced by the
-``tests/kernel`` parity suites and the bench divergence gate), so flipping
-these knobs can only ever change speed, never results.
+``tests/kernel`` parity suites and ``benchmarks/test_speedup_gates.py``),
+so flipping these knobs can only ever change speed, never results.
 
 scipy is optional here: the sparse sweep itself is pure numpy, scipy.sparse
 is only used to *export* results (:meth:`~repro.kernel.sparse.SparseMatrix.

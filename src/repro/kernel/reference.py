@@ -2,10 +2,11 @@
 
 These are the historical per-layer algorithms, kept verbatim (modulo
 deterministic iteration) as an executable specification: the parity tests in
-``tests/kernel/`` and the divergence gate of :mod:`repro.kernel.bench` run
-every kernel primitive against them across the Table-I suite and seeded
-``gen:`` designs.  They are deliberately duck-typed (plain mappings instead
-of Schedule/DelayMatrix objects) so this module never imports upward.
+``tests/kernel/`` run every kernel primitive against them across the
+Table-I suite and seeded ``gen:`` designs, and
+``benchmarks/test_speedup_gates.py`` times the kernel against them.  They
+are deliberately duck-typed (plain mappings instead of Schedule/DelayMatrix
+objects) so this module never imports upward.
 """
 
 from __future__ import annotations

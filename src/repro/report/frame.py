@@ -2,10 +2,10 @@
 
 Every analysis in :mod:`repro.report` operates on one in-memory shape, the
 :class:`ReportFrame`: a flat list of :class:`ReportRow`, one per (design x
-configuration) run, regardless of whether the run came from a campaign
-:class:`~repro.campaign.store.RunStore` file, a unified
-:class:`~repro.store.ArtifactStore` holding campaign/payload records, or an
-experiment ``--json`` payload (envelope schemas 1-9).  A row carries
+configuration) run, regardless of whether the run came from a unified
+:class:`~repro.store.ArtifactStore` holding campaign/payload records (a
+campaign run store is one) or an experiment ``--json`` payload (envelope
+schemas 1-9).  A row carries
 
 * a content-addressed ``job_id`` (the campaign job id, or a synthesised
   digest for table1 rows) that baseline diffs join on,
@@ -40,8 +40,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
-
-from repro.campaign.store import RunStore
 
 #: Grouping axes a frame row may carry (besides metrics).
 AXES = ("source", "design", "clock_period_ps", "extraction", "expansion",
@@ -84,13 +82,8 @@ METRICS: dict[str, MetricSpec] = {
     "min_clock_ps": MetricSpec(False, "minimum feasible clock period found by the DSE search"),
     "min_ii": MetricSpec(False, "minimum feasible initiation interval found by the DSE min-ii search"),
     "dse_probes": MetricSpec(False, "clock-period probes the DSE search evaluated"),
-    "warm_hit_rate": MetricSpec(True, "fraction of probes/requests served warm (DSE memo or patched re-solve; service cache hits)"),
+    "warm_hit_rate": MetricSpec(True, "fraction of DSE probes served warm (memo or patched re-solve)"),
     "lp_rebuilds": MetricSpec(False, "DSE probes that needed a full LP rebuild"),
-    "requests_per_s": MetricSpec(True, "sustained scheduling-service throughput (service bench)"),
-    "p50_latency_s": MetricSpec(False, "median per-request service latency (service bench)"),
-    "p95_latency_s": MetricSpec(False, "95th-percentile per-request service latency (service bench)"),
-    "coalesce_rate": MetricSpec(True, "fraction of requests coalesced into an in-flight duplicate (service bench)"),
-    "warm_speedup": MetricSpec(True, "mean cold latency over mean warm latency (service bench)"),
 }
 
 
@@ -235,36 +228,6 @@ def _job_configs_from_spec(spec_payload: dict) -> dict[str, dict]:
         return {}
 
 
-def load_run_store(path: str | Path, source: str | None = None) -> ReportFrame:
-    """Load a campaign RunStore JSONL file into a frame.
-
-    Job rows get their axes from the header's re-expanded spec and their
-    ``runtime_s`` metric from the per-job checkpoint records.
-
-    Raises:
-        FileNotFoundError: no file at ``path``.
-        ValueError: the file is corrupt or has no campaign header
-            (:class:`~repro.campaign.store.StoreMismatchError` is a
-            subclass of :class:`ValueError`).
-    """
-    path = Path(path)
-    label = source if source is not None else path.name
-    store = RunStore.load(path)
-    configs = _job_configs_from_spec(store.header.get("spec", {}))
-    rows = []
-    for job_id, record in store.results.items():
-        rows.append(_campaign_row(
-            source=label, job_id=job_id,
-            design=record.get("design", ""),
-            config=configs.get(job_id, {}),
-            result=record.get("result", {}),
-            runtime_s=record.get("runtime_s")))
-    # Store iteration order is insertion (= completion) order; reports want
-    # the deterministic content-addressed order instead.
-    rows.sort(key=lambda row: row.job_id)
-    return ReportFrame(rows)
-
-
 def _table1_rows(source: str, envelope: dict) -> list[ReportRow]:
     rows = []
     for raw in envelope.get("data", {}).get("rows", []):
@@ -330,34 +293,6 @@ def _dse_rows(source: str, envelope: dict) -> list[ReportRow]:
     return rows
 
 
-def _service_rows(source: str, envelope: dict) -> list[ReportRow]:
-    """One row per service benchmark run (schema >= 8 ``service`` payloads).
-
-    All metrics are wall-clock-derived measurements; ``report diff``
-    gates them with thresholds, direction-aware (throughput and hit
-    rates up, latencies down).
-    """
-    data = envelope.get("data", {})
-    workload = data.get("workload", {})
-    metrics: dict = {}
-    for key in ("requests_per_s", "p50_latency_s", "p95_latency_s",
-                "warm_hit_rate", "coalesce_rate", "warm_speedup"):
-        if data.get(key) is not None:
-            metrics[key] = float(data[key])
-    if data.get("elapsed_s") is not None:
-        metrics["runtime_s"] = float(data["elapsed_s"])
-    # Synthesised join key: stable across runs of the same workload shape,
-    # so `report diff BENCH_service.json fresh.json` joins on it.
-    job_id = _digest({"experiment": "service",
-                      "workload": workload.get("name"),
-                      "submitted": workload.get("submitted"),
-                      "dup": workload.get("dup"),
-                      "hot_fraction": workload.get("hot_fraction")})
-    return [ReportRow(job_id=job_id, source=source,
-                      axes={"design": f"service:{workload.get('name', '?')}"},
-                      metrics=metrics)]
-
-
 def _campaign_payload_rows(source: str, envelope: dict) -> list[ReportRow]:
     return [
         _campaign_row(source=source, job_id=job.get("job_id", ""),
@@ -379,11 +314,9 @@ def _payload_envelope_rows(label: str, envelope: dict,
         return _table1_rows(label, envelope)
     if experiment == "dse":
         return _dse_rows(label, envelope)
-    if experiment == "service":
-        return _service_rows(label, envelope)
     raise ValueError(
         f"cannot build report rows from the {experiment!r} payload in "
-        f"{origin}; supported experiments: campaign, dse, service, table1")
+        f"{origin}; supported experiments: campaign, dse, table1")
 
 
 def load_experiment_payload(path: str | Path,
@@ -392,12 +325,10 @@ def load_experiment_payload(path: str | Path,
 
     Supported experiments: ``campaign`` (one row per job, axes from each
     job's config), ``table1`` (one row per benchmark, SDC columns as the
-    ``*_initial`` metrics), ``dse`` (one row per searched design with
-    the ``min_clock_ps`` / warm-start metrics) and ``service`` (one row
-    per benchmark run with throughput/latency/hit-rate metrics).  The
-    figure payloads carry
-    curves rather than per-run records and are rejected with a clear
-    error.
+    ``*_initial`` metrics) and ``dse`` (one row per searched design with
+    the ``min_clock_ps`` / warm-start metrics).  The figure payloads
+    carry curves rather than per-run records and are rejected with a
+    clear error.
 
     Raises:
         ValueError: not a runner payload, or an unsupported experiment.
@@ -417,9 +348,9 @@ def load_artifact_store(path: str | Path,
                         source: str | None = None) -> ReportFrame:
     """Load a unified artifact store (:mod:`repro.store`) into a frame.
 
-    Campaign records (``campaign-header`` + ``campaign-job``) become the
-    same rows :func:`load_run_store` produces -- axes re-expanded from each
-    header's spec, ``runtime_s`` from the job bodies; a store holding
+    Campaign records (``campaign-header`` + ``campaign-job``) become one
+    row per job -- axes re-expanded from each header's spec,
+    ``runtime_s`` from the job bodies; a store holding
     several campaigns loads them all (job ids are content-addressed, so
     they cannot collide).  Archived ``payload`` records contribute rows
     for the row-shaped experiments (campaign/table1/dse); figure payloads
@@ -428,18 +359,23 @@ def load_artifact_store(path: str | Path,
 
     Raises:
         FileNotFoundError: no file at ``path``.
-        ValueError: mid-file corruption (strict store load).
+        ValueError: mid-file corruption (strict store load), or campaign
+            job records with no campaign header to give them axes.
     """
     from repro.store import ArtifactStore
 
     path = Path(path)
     label = source if source is not None else path.name
     store = ArtifactStore.load(path)
+    headers = list(store.kind("campaign-header"))
+    jobs = list(store.kind("campaign-job"))
+    if jobs and not headers:
+        raise ValueError(f"{path} holds campaign jobs but no campaign header")
     configs: dict[str, dict] = {}
-    for header in store.kind("campaign-header"):
+    for header in headers:
         configs.update(_job_configs_from_spec(header.body.get("spec", {})))
     rows = []
-    for record in store.kind("campaign-job"):
+    for record in jobs:
         body = record.body
         rows.append(_campaign_row(
             source=label, job_id=record.key,
@@ -510,7 +446,6 @@ __all__ = [
     "load_artifact_store",
     "load_experiment_payload",
     "load_frames",
-    "load_run_store",
     "metric_spec",
     "resolve_axis",
 ]

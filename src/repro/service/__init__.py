@@ -28,11 +28,12 @@ parity suite under ``tests/service/`` enforces this).
 * :mod:`repro.service.daemon` -- :class:`SchedulingService` (cache,
   coalescing, bounded queue, batching, deadlines, crash recovery);
 * :mod:`repro.service.frontends` -- the stdin and TCP/HTTP front ends;
-* :mod:`repro.service.cli` -- the ``runner serve`` subcommand;
-* :mod:`repro.service.bench` -- the replay-driven load generator behind
-  ``python -m repro.service.bench`` and ``BENCH_service.json``.
+* :mod:`repro.service.cli` -- the ``runner serve`` subcommand.
 
-See ``docs/service.md`` for the protocol and operational details.
+See ``docs/service.md`` for the protocol and operational details.  The
+service's hit-rate, speedup and throughput gates live in
+``benchmarks/test_speedup_gates.py``; end-to-end serving timings are
+measured by ``perfbench/`` (see ``perfbench/README.md``).
 """
 
 from repro.service.daemon import SchedulingService, ServiceConfig, ServiceStats

@@ -18,7 +18,10 @@ coalesce even when they arrive on one connection.
 
 A client that disconnects mid-request never disturbs the daemon: the
 computation finishes, populates the warm cache, and only the response
-write is dropped (counted in ``stats.client_disconnects``).
+write is dropped (counted in ``stats.client_disconnects``).  A TCP line
+longer than :data:`LINE_LIMIT` bytes, or an HTTP ``Content-Length`` that
+is not a non-negative integer, is answered with one ``bad-request``
+response and the connection is closed.
 """
 
 from __future__ import annotations
@@ -43,9 +46,18 @@ _HTTP_STATUS = {
     protocol.ERROR_INTERNAL: 500,
 }
 
+#: Longest TCP request line (and HTTP header line) in bytes: asyncio's
+#: default ``StreamReader`` limit, passed explicitly so errors can name it.
+LINE_LIMIT = 2 ** 16
+
 _HTTP_REASON = {200: "OK", 400: "Bad Request", 422: "Unprocessable Entity",
                 429: "Too Many Requests", 500: "Internal Server Error",
                 503: "Service Unavailable", 504: "Gateway Timeout"}
+
+
+def _line_too_long() -> dict:
+    return error_response(protocol.ERROR_BAD_REQUEST,
+                          f"request line exceeds the {LINE_LIMIT}-byte limit")
 
 
 def _decode_line(line: str) -> tuple[object | None, dict | None]:
@@ -117,6 +129,29 @@ async def _write_line(service: SchedulingService, writer: asyncio.StreamWriter,
             service.stats.client_disconnects += 1
 
 
+async def _http_response(service: SchedulingService, method: str,
+                         target: str, content_length: int,
+                         reader: asyncio.StreamReader) -> dict:
+    """Serve one parsed HTTP request; returns the protocol response."""
+    if method == "GET":
+        kind = {"/ping": "ping", "/stats": "stats"}.get(target)
+        if kind is None:
+            return error_response(protocol.ERROR_BAD_REQUEST,
+                                  f"GET {target} is not served; try "
+                                  "/ping or /stats")
+        return await service.handle({"kind": kind})
+    if method == "POST":
+        body = await reader.readexactly(content_length) if content_length else b""
+        try:
+            raw = json.loads(body) if body else None
+        except ValueError as error:  # malformed JSON or not UTF-8
+            return error_response(protocol.ERROR_BAD_REQUEST,
+                                  f"request body is not JSON: {error}")
+        return await service.handle(raw)
+    return error_response(protocol.ERROR_BAD_REQUEST,
+                          f"method {method!r} is not served")
+
+
 async def _handle_http(service: SchedulingService, request_line: bytes,
                        reader: asyncio.StreamReader,
                        writer: asyncio.StreamWriter) -> None:
@@ -125,37 +160,27 @@ async def _handle_http(service: SchedulingService, request_line: bytes,
     method = parts[0] if parts else ""
     target = parts[1] if len(parts) > 1 else "/"
     content_length = 0
-    while True:  # drain headers
-        header = await reader.readline()
-        if header in (b"", b"\r\n", b"\n"):
-            break
-        name, _, value = header.decode("latin-1").partition(":")
-        if name.strip().lower() == "content-length":
-            try:
-                content_length = int(value.strip())
-            except ValueError:
-                content_length = 0
-    if method == "GET":
-        kind = {"/ping": "ping", "/stats": "stats"}.get(target)
-        if kind is None:
-            response = error_response(protocol.ERROR_BAD_REQUEST,
-                                      f"GET {target} is not served; try "
-                                      "/ping or /stats")
-        else:
-            response = await service.handle({"kind": kind})
-    elif method == "POST":
-        body = await reader.readexactly(content_length) if content_length else b""
-        try:
-            raw = json.loads(body) if body else None
-        except json.JSONDecodeError as error:
-            raw = None
-            response = error_response(protocol.ERROR_BAD_REQUEST,
-                                      f"request body is not JSON: {error}")
-        else:
-            response = await service.handle(raw)
-    else:
-        response = error_response(protocol.ERROR_BAD_REQUEST,
-                                  f"method {method!r} is not served")
+    response = None
+    try:
+        while True:  # drain headers
+            header = await reader.readline()
+            if header in (b"", b"\r\n", b"\n"):
+                break
+            name, _, value = header.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                text = value.strip()
+                if text.isascii() and text.isdigit():
+                    content_length = int(text)
+                else:
+                    response = error_response(
+                        protocol.ERROR_BAD_REQUEST,
+                        f"Content-Length {text!r} is not a non-negative "
+                        "integer")
+    except ValueError:  # a header line past LINE_LIMIT
+        response = _line_too_long()
+    if response is None:
+        response = await _http_response(service, method, target,
+                                         content_length, reader)
     status = (200 if response.get("ok")
               else _HTTP_STATUS.get(response.get("error"), 500))
     payload = (json.dumps(response) + "\n").encode()
@@ -195,6 +220,8 @@ async def _handle_connection(service: SchedulingService,
                 tasks.add(task)
                 task.add_done_callback(tasks.discard)
             line = await reader.readline()
+    except ValueError:  # a line past LINE_LIMIT: answer, then hang up
+        await _write_line(service, writer, lock, _line_too_long())
     except (ConnectionError, asyncio.IncompleteReadError):
         service.stats.client_disconnects += 1
     finally:
@@ -222,7 +249,8 @@ async def serve_tcp(service: SchedulingService, host: str = "127.0.0.1",
                             writer: asyncio.StreamWriter) -> None:
         await _handle_connection(service, reader, writer)
 
-    server = await asyncio.start_server(on_connection, host=host, port=port)
+    server = await asyncio.start_server(on_connection, host=host, port=port,
+                                        limit=LINE_LIMIT)
     bound = server.sockets[0].getsockname()
     announce.write(json.dumps({"event": "listening", "host": bound[0],
                                "port": bound[1]}) + "\n")
@@ -231,4 +259,4 @@ async def serve_tcp(service: SchedulingService, host: str = "127.0.0.1",
         await service.wait_closing()
 
 
-__all__ = ["serve_stdin", "serve_tcp"]
+__all__ = ["LINE_LIMIT", "serve_stdin", "serve_tcp"]

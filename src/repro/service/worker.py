@@ -126,8 +126,8 @@ def reference_result(request_identity: dict) -> dict:
     """The offline reference answer for one request identity (no service).
 
     Evaluates the same work spec on a *fresh* cache in this process --
-    the parity baseline the determinism tests and the benchmark's
-    ``--check`` compare served results against.  ``schedule`` requests
+    the parity baseline the service tests and perfbench's answer checks
+    compare served results against.  ``schedule`` requests
     additionally bypass every warm path via
     :meth:`~repro.dse.warm.ProblemCache.cold_probe`.
     """

@@ -5,12 +5,14 @@ The warm-start engine's core contract: a probe served by any warm path
 schedule a from-scratch cold solve returns -- same stages dict, same stage
 count, same register count -- at every probed period, in any probe order.
 A hypothesis sweep drives randomized clock orders over seeded generated
-designs; subprocess tests pin hash-seed independence and ``--jobs``
+designs; real min-clock searches are replayed probe by probe against fully
+cold solves; subprocess tests pin hash-seed independence and ``--jobs``
 independence of the deterministic payload.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -20,8 +22,23 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.dse.search import deterministic_payload, run_dse
+from repro.designs.generator import case_from_name
+from repro.dse.optimizer import MinClockOptimizer
+from repro.dse.search import deterministic_payload, drive_optimizer, run_dse
 from repro.dse.warm import ProblemCache
+
+#: Designs whose warm searches the warm-vs-cold speedup gate times
+#: (``benchmarks/test_speedup_gates.py``): plateaus wide enough that warm
+#: starting pays.
+GATED_DESIGNS = ("rrot", "ML-core datapath1", "hsv2rgb")
+
+#: Narrow-plateau designs: crc32's ceil-bucket boundaries sit ~0.02 ps
+#: apart near its minimum clock, so nearly every rebase patches bounds.
+EXTENDED_DESIGNS = (
+    "crc32",
+    "gen:seed=3,depth=8,width=6,fanout=2,bits=16,inputs=4,clock=2500,"
+    "mix=add4+sub2+xor3+and2+or2+rotr1",
+)
 
 
 def gen_design(seed: int) -> str:
@@ -61,23 +78,51 @@ def test_warm_equals_cold_in_any_probe_order(data):
         assert_probe_parity(again, cache.cold_probe(design, period))
 
 
-def test_warm_equals_cold_across_real_design_search():
-    """End-to-end: every probe of a real min-clock search is cold-identical."""
-    cache = ProblemCache()
-    from repro.dse.optimizer import MinClockOptimizer
-    from repro.dse.search import drive_optimizer
+@functools.cache
+def warm_search(design: str, start_clock_ps: float | None = None,
+                resolution_ps: float = 1.0, speculate: int = 4):
+    """One warm min-clock search: ``(converged, probes)``.
 
-    optimizer = MinClockOptimizer("rrot", 2500.0, resolution_ps=5.0)
+    ``start_clock_ps`` defaults to the design's own clock period.
+    """
+    if start_clock_ps is None:
+        start_clock_ps = case_from_name(design).clock_period_ps
+    cache = ProblemCache()
+    optimizer = MinClockOptimizer(design, start_clock_ps,
+                                  resolution_ps=resolution_ps)
     probes = drive_optimizer(
         optimizer,
-        lambda batch: [cache.probe("rrot", period) for period in batch],
-        width=3)
-    assert optimizer.converged
+        lambda batch: [cache.probe(design, period) for period in batch],
+        width=speculate)
+    return optimizer.converged, tuple(probes)
+
+
+@pytest.mark.parametrize("search", [
+    ("rrot", 2500.0, 5.0, 3),
+    *((design, None, 1.0, 4) for design in GATED_DESIGNS + EXTENDED_DESIGNS),
+], ids=lambda search: f"{search[0]}@{search[2]:g}ps/x{search[3]}")
+def test_warm_equals_cold_across_real_design_search(search):
+    """End-to-end: a real min-clock search converges, and every probe is
+    identical to a cold solve from a fresh cache (nothing shared)."""
+    design = search[0]
+    converged, probes = warm_search(*search)
+    assert converged
     warm_served = [p for p in probes if p.warm_patched or p.memo_hit]
     assert warm_served, "search too short to exercise any warm path"
     for probe in probes:
-        assert_probe_parity(probe, cache.cold_probe("rrot",
-                                                    probe.clock_period_ps))
+        assert_probe_parity(
+            probe, ProblemCache().cold_probe(design, probe.clock_period_ps))
+
+
+def test_warm_searches_rebuild_fewer_lps():
+    """Over the gated designs, warm starting skips >= 30% of the LP
+    rebuilds a cache-less tool pays (one per non-budget probe)."""
+    probes = [probe for design in GATED_DESIGNS
+              for probe in warm_search(design)[1]]
+    lp_probes = sum(1 for p in probes if p.reason != "budget")
+    rebuilds = sum(1 for p in probes if p.lp_rebuild)
+    assert lp_probes > 0
+    assert 1.0 - rebuilds / lp_probes >= 0.3, (rebuilds, lp_probes)
 
 
 def test_jobs_do_not_change_the_deterministic_payload():

@@ -89,6 +89,21 @@ def test_design_name_round_trips(name):
     assert graph_from_text(graph_to_text(graph)).name == graph.name
 
 
+@pytest.mark.parametrize("name", [") : 0 #", ") : 8 #", ") : 8 #x",
+                                  "a(b) : 1"])
+def test_name_mimicking_width_suffix_round_trips(name):
+    # The argument list ends at the first unquoted ")", not at a ") : N"
+    # inside the quoted name comment.
+    builder = GraphBuilder("g")
+    param = builder.param("p0", 8)
+    builder.output(builder.add(param, param, name=name), name="o")
+    text = graph_to_text(builder.graph)
+    parsed = graph_from_text(text)
+    assert [(n.name, n.width) for n in parsed.nodes()] == [
+        (n.name, n.width) for n in builder.graph.nodes()]
+    assert graph_to_text(parsed) == text
+
+
 def test_string_attribute_round_trips():
     graph = DataflowGraph("g")
     node = graph.add_node(OpKind.PARAM, [], width=8, name="x",

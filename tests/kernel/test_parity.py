@@ -4,6 +4,9 @@ These are the refactor's safety net (and the executable form of the
 "byte-identical before/after" acceptance criterion): every kernel primitive
 is checked against the historical pure-Python implementation preserved in
 :mod:`repro.kernel.reference` -- exact array equality, not approximate.
+The delay matrix and STA are also checked on an 89- to 2117-node ladder
+of generated designs; ``benchmarks/test_speedup_gates.py`` times the
+largest.
 """
 
 import numpy as np
@@ -11,7 +14,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from repro.designs.generator import GeneratorParams, build_generated_design
+from repro.designs.generator import (
+    LEAN_OP_MIX,
+    GeneratorParams,
+    build_generated_design,
+)
 from repro.designs.suite import table1_suite
 from repro.ir.builder import GraphBuilder
 from repro.kernel import (
@@ -41,8 +48,15 @@ _TABLE1_NAMES = [case.name for case in table1_suite()]
 _GEN_PARAMS = [GeneratorParams(seed=seed, depth=6, width=4)
                for seed in (0, 11, 23)]
 
+#: A size ladder of generated designs, 89 to 2117 nodes.
+_LADDER_NAMES = [GeneratorParams(seed=7, depth=depth, width=width,
+                                 op_mix=LEAN_OP_MIX).name
+                 for depth, width in ((8, 8), (14, 20), (20, 40), (28, 60))]
+
 
 def _build(name: str):
+    if name.startswith("gen:"):
+        return build_generated_design(GeneratorParams.from_name(name))
     for case in table1_suite():
         if case.name == name:
             return case.build()
@@ -59,31 +73,14 @@ def _all_designs():
 @pytest.mark.parametrize("design_name", _TABLE1_NAMES
                          + [p.name for p in _GEN_PARAMS])
 class TestGraphParity:
-    def _graph(self, design_name):
-        if design_name.startswith("gen:"):
-            return build_generated_design(GeneratorParams.from_name(design_name))
-        return _build(design_name)
-
     def test_topological_order(self, design_name):
-        graph = self._graph(design_name)
+        graph = _build(design_name)
         view = GraphView.from_dataflow(graph)
         assert view.order_ids() == reference_topological_order(
             *graph_adjacency(graph))
 
-    def test_critical_path_matrix_byte_identical(self, design_name):
-        graph = self._graph(design_name)
-        delays = node_delays(graph, OperatorModel())
-        ids, operands, users = graph_adjacency(graph)
-        order = reference_topological_order(ids, operands, users)
-        expected, expected_index = reference_critical_path_matrix(
-            order, operands, delays)
-        view = GraphView.from_dataflow(graph)
-        actual = kernel_matrix(view, view.delay_vector(delays))
-        assert expected_index == view.index_of
-        assert np.array_equal(expected, actual)
-
     def test_levels_match_reference(self, design_name):
-        graph = self._graph(design_name)
+        graph = _build(design_name)
         view = GraphView.from_dataflow(graph)
         ids, operands, _users = graph_adjacency(graph)
         expected = reference_longest_path_lengths(view.order_ids(), operands)
@@ -91,7 +88,7 @@ class TestGraphParity:
                 for nid in ids} == expected
 
     def test_reachability_sets_match(self, design_name):
-        graph = self._graph(design_name)
+        graph = _build(design_name)
         view = GraphView.from_dataflow(graph)
         _ids, operands, users = graph_adjacency(graph)
         for nid in graph.node_ids()[::5]:
@@ -104,7 +101,7 @@ class TestGraphParity:
                 reference_reaching_to(operands, nid)
 
     def test_critical_path_between_matches(self, design_name):
-        graph = self._graph(design_name)
+        graph = _build(design_name)
         delays = node_delays(graph, OperatorModel())
         ids, operands, users = graph_adjacency(graph)
         order = reference_topological_order(ids, operands, users)
@@ -117,11 +114,27 @@ class TestGraphParity:
                     expected
 
 
+@pytest.mark.parametrize("design_name", _TABLE1_NAMES
+                         + [p.name for p in _GEN_PARAMS] + _LADDER_NAMES)
+def test_critical_path_matrix_byte_identical(design_name):
+    graph = _build(design_name)
+    delays = node_delays(graph, OperatorModel())
+    ids, operands, users = graph_adjacency(graph)
+    order = reference_topological_order(ids, operands, users)
+    expected, expected_index = reference_critical_path_matrix(
+        order, operands, delays)
+    view = GraphView.from_dataflow(graph)
+    actual = kernel_matrix(view, view.delay_vector(delays))
+    assert expected_index == view.index_of
+    assert np.array_equal(expected, actual)
+
+
 class TestStaParity:
-    """Arrival-time STA vs the reference loop on lowered Table-I designs."""
+    """Arrival-time STA vs the reference loop on lowered designs."""
 
     @pytest.mark.parametrize("design_name", ["rrot", "binary divide",
-                                             "hsv2rgb", "crc32"])
+                                             "hsv2rgb", "crc32"]
+                             + _LADDER_NAMES)
     def test_lowered_design(self, design_name):
         from repro.netlist.lowering import lower_graph
         from repro.netlist.sta import StaticTimingAnalysis

@@ -9,6 +9,33 @@ from repro.experiments.serialize import SCHEMA_VERSION
 from tests.report.conftest import make_spec, synthetic_result, write_store
 
 
+#: The envelope the retired service benchmark committed (schema 8, the
+#: ``service`` experiment kind ``runner report`` no longer reads).
+RETIRED_SERVICE_PAYLOAD = {
+    "schema": 8, "experiment": "service", "quick": False, "jobs": 2,
+    "solver": "full", "elapsed_s": 0.17712981499789748,
+    "store_key": "47168aec12eb6298a3d605345b19c2e9",
+    "data": {
+        "workload": {"name": "quick", "submitted": 600, "unique": 16,
+                     "dup": 2, "hot_fraction": 0.9, "concurrency": 12,
+                     "jobs": 2, "batch_window_ms": 5.0, "max_batch": 16},
+        "requests_per_s": 3936.214329081877,
+        "p50_latency_s": 2.9655999242095277e-05,
+        "p95_latency_s": 0.02084635299979709,
+        "warm_hit_rate": 0.86, "coalesce_rate": 0.11333333333333333,
+        "warm_speedup": 730.986152141692,
+        "warm_latency_s": 3.0850912748586454e-05,
+        "cold_latency_s": 0.02255159000014828,
+        "ok": 600, "errors": 0,
+        "served": {"cold": 16, "warm": 516, "coalesced": 68},
+        "cold_computed": 16, "parity_checked": 2,
+        "elapsed_s": 0.15243072399971425,
+        "service_stats": {"requests": 600, "warm_hits": 516,
+                          "coalesced": 68, "cold_done": 16},
+    },
+}
+
+
 @pytest.fixture
 def two_stores(tmp_path, spec):
     """(identical-content baseline, candidate) store paths."""
@@ -75,6 +102,21 @@ class TestSummaryMode:
         with pytest.raises(SystemExit) as excinfo:
             main(["report", str(tmp_path / "absent.jsonl")])
         assert excinfo.value.code == 2
+
+    def test_retired_service_payload_is_a_one_line_error(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "service.json"
+        path.write_text(json.dumps(RETIRED_SERVICE_PAYLOAD))
+        for argv in (["report", str(path)],
+                     ["report", "diff", str(path), str(path),
+                      "--metric", "warm_hit_rate"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert "'service' payload" in err
+            assert "supported experiments: campaign, dse, table1" in err
 
     def test_help_works(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -5,15 +5,17 @@ import json
 import pytest
 
 from repro.report.frame import (ReportFrame, ReportRow, load_any,
-                                load_experiment_payload, load_frames,
-                                load_run_store, metric_spec, resolve_axis)
+                                load_artifact_store, load_experiment_payload,
+                                load_frames, metric_spec, resolve_axis)
 from repro.store import StoreFormatError
 from tests.report.conftest import make_spec, synthetic_result, write_store
 
 
 class TestRunStoreLoading:
+    """A campaign run store loads through the unified store loader."""
+
     def test_rows_carry_axes_and_metrics(self, store_path, spec):
-        frame = load_run_store(store_path)
+        frame = load_artifact_store(store_path)
         assert len(frame.rows) == len(spec.jobs())
         row = frame.rows[0]
         assert row.axes["design"] == "rrot"
@@ -28,26 +30,26 @@ class TestRunStoreLoading:
             1 - row.metrics["register_ratio"])
 
     def test_rows_sorted_by_job_id(self, store_path):
-        frame = load_run_store(store_path)
+        frame = load_artifact_store(store_path)
         ids = [row.job_id for row in frame.rows]
         assert ids == sorted(ids)
 
     def test_source_defaults_to_file_name(self, store_path):
-        assert load_run_store(store_path).rows[0].source == "store.jsonl"
-        assert load_run_store(store_path, source="x").rows[0].source == "x"
+        assert load_artifact_store(store_path).rows[0].source == "store.jsonl"
+        assert load_artifact_store(store_path, source="x").rows[0].source == "x"
 
     def test_torn_trailing_line_is_tolerated_and_file_untouched(
             self, store_path):
         original = store_path.read_bytes()
         store_path.write_bytes(original + b'{"kind": "job", "job_')
-        frame = load_run_store(store_path)
+        frame = load_artifact_store(store_path)
         assert len(frame.rows) == 4
         # Read-only analysis must not repair (rewrite) the store.
         assert store_path.read_bytes().endswith(b'{"kind": "job", "job_')
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            load_run_store(tmp_path / "nope.jsonl")
+            load_artifact_store(tmp_path / "nope.jsonl")
 
     def test_unresolvable_header_design_loads_without_axes(self, store_path):
         # The header's spec names a design no process can resolve: the
@@ -55,7 +57,7 @@ class TestRunStoreLoading:
         text = store_path.read_text()
         store_path.write_text(text.replace('"designs": ["rrot"]',
                                            '"designs": ["no such row"]', 1))
-        frame = load_run_store(store_path)
+        frame = load_artifact_store(store_path)
         assert len(frame.rows) == 4
         assert frame.rows[0].axes == {"design": "rrot"}
 
@@ -64,7 +66,7 @@ class TestRunStoreLoading:
         path.write_text('{"kind": "campaign-job", "key": "x", "schema": 2, '
                         '"body": {}}\n')
         with pytest.raises(ValueError, match="no campaign header"):
-            load_run_store(path)
+            load_artifact_store(path)
 
 
 class TestPayloadLoading:
@@ -136,19 +138,22 @@ class TestPayloadLoading:
 
 class TestArtifactStoreLoading:
     def test_unified_store_loads_like_a_run_store(self, store_path):
-        from repro.report.frame import load_artifact_store
+        from repro.campaign.store import RunStore
 
-        run_frame = load_run_store(store_path, source="s")
+        run_store = RunStore.load(store_path)
         store_frame = load_artifact_store(store_path, source="s")
-        assert store_frame.rows == run_frame.rows
+        assert {row.job_id for row in store_frame.rows} == run_store.completed
+        for row in store_frame.rows:
+            record = run_store.results[row.job_id]
+            assert row.axes["design"] == record["design"]
+            assert row.metrics["runtime_s"] == record["runtime_s"]
 
     def test_mixed_store_adds_payload_rows_and_skips_other_kinds(
             self, tmp_path, store_path):
-        from repro.report.frame import load_artifact_store
         from repro.store import ArtifactStore, StoreRecord, payload_record
 
         store = ArtifactStore(store_path).open_for_append()
-        num_campaign_rows = len(load_run_store(store_path).rows)
+        num_campaign_rows = len(load_artifact_store(store_path).rows)
         store.put(StoreRecord(kind="synth-eval", key="e1", schema=1,
                               body={"backend": "x", "fingerprint": "fp"}))
         store.put(payload_record(

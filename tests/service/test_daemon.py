@@ -5,16 +5,21 @@ loop with :func:`asyncio.run`.
 """
 
 import asyncio
+import random
 
 import pytest
 
 from repro.parallel import close_shared_pool
 from repro.service.daemon import SchedulingService, ServiceConfig
 from repro.service.protocol import CRASH_DESIGN
-from repro.store import ArtifactStore
+from repro.service.worker import reference_result
+from repro.store import ArtifactStore, canonical_json
 
 DESIGN = "rrot"
 CLOCK = 2000.0  # feasible for rrot (its min clock is ~1620 ps)
+
+#: (design, clock) questions the coalescing tests ask.
+QUESTIONS = [(DESIGN, CLOCK), ("rrot", 2400.0), ("crc32", 3000.0)]
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -42,20 +47,33 @@ async def _drained(service, *, timeout_s=60.0):
         await asyncio.sleep(0.01)
 
 
-def test_coalescing_then_warm():
+def _reference(design, clock):
+    """Canonical JSON of the offline answer to one schedule question."""
+    return canonical_json(reference_result(
+        {"kind": "schedule", "design": design,
+         "clock_period_ps": float(clock),
+         "latency_weight": ServiceConfig().latency_weight}))
+
+
+@pytest.mark.parametrize("design, clock", QUESTIONS)
+def test_coalescing_then_warm(design, clock):
     async def scenario():
         service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0))
         try:
-            burst = await asyncio.gather(*(service.handle(_schedule(id=i))
-                                           for i in range(3)))
+            burst = await asyncio.gather(*(
+                service.handle(_schedule(design, clock, id=i))
+                for i in range(3)))
             assert [r["ok"] for r in burst] == [True] * 3
             assert sorted(r["served"] for r in burst) == [
                 "coalesced", "coalesced", "cold"]
             # All three answers are the same object's payload.
             assert burst[0]["result"] == burst[1]["result"] == burst[2]["result"]
             assert {r["id"] for r in burst} == {"0", "1", "2"}
+            # ... and byte-identical to the offline answer.
+            assert canonical_json(burst[0]["result"]) == \
+                _reference(design, clock)
 
-            again = await service.handle(_schedule())
+            again = await service.handle(_schedule(design, clock))
             assert again["served"] == "warm"
             assert again["result"] == burst[0]["result"]
 
@@ -65,6 +83,45 @@ def test_coalescing_then_warm():
         finally:
             await service.stop()
     asyncio.run(scenario())
+
+
+def test_mixed_workload_serves_all_three_layers():
+    """Seeded hot/cold draws in duplicate bursts from concurrent clients:
+    no errors, every layer used, fewer cold computations than requests,
+    and every answer byte-identical to the offline reference."""
+    rng = random.Random(0)
+    draws = QUESTIONS + [rng.choice(QUESTIONS) for _ in range(27)]
+    workload = [_schedule(design, clock, id=f"r{draw}.{burst}")
+                for draw, (design, clock) in enumerate(draws)
+                for burst in range(2)]
+
+    async def scenario():
+        service = await _started(ServiceConfig(jobs=1))
+        pending = iter(workload)
+        responses = []
+
+        async def client():
+            for request in pending:
+                responses.append(await service.handle(request))
+
+        try:
+            await asyncio.gather(*(client() for _ in range(6)))
+            return responses, service.stats
+        finally:
+            await service.stop()
+
+    responses, stats = asyncio.run(scenario())
+    assert len(responses) == len(workload)
+    assert all(response["ok"] for response in responses)
+    served = {response["served"] for response in responses}
+    assert served == {"cold", "coalesced", "warm"}
+    assert 0 < stats.cold_done <= len(QUESTIONS) < stats.requests
+    references = {question: _reference(*question) for question in QUESTIONS}
+    by_id = {response["id"]: response for response in responses}
+    for request in workload:
+        question = (request["design"], request["clock_period_ps"])
+        assert canonical_json(by_id[request["id"]]["result"]) == \
+            references[question]
 
 
 def test_queue_full_is_a_typed_rejection():
@@ -115,6 +172,10 @@ def test_deadline_miss_still_caches_the_result():
 
 
 def test_worker_crash_fails_the_batch_and_recovers():
+    # The shared pool only grows: drop one an earlier test module left
+    # with more workers, so both requests below share one worker.
+    close_shared_pool()
+
     async def scenario():
         service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0,
                                                allow_crash_probes=True))

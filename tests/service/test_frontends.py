@@ -157,6 +157,55 @@ def test_tcp_line_and_http_views_share_one_cache(tcp_daemon):
     assert daemon.returncode == 0, err
 
 
+def test_tcp_overlong_line_is_a_typed_error_then_close(tcp_daemon):
+    daemon, host, port = tcp_daemon
+
+    # A ~70 KB ping: valid JSON, but past the per-line limit.
+    raw = {"kind": "ping", "id": "big", "pad": "x" * 70_000}
+    with socket.create_connection((host, port), timeout=60) as sock:
+        sock.sendall((json.dumps(raw) + "\n").encode())
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:  # the daemon hung up after answering
+                break
+            reply += chunk
+    (line,) = reply.decode().splitlines()
+    response = json.loads(line)
+    assert response["ok"] is False and response["error"] == "bad-request"
+    from repro.service.frontends import LINE_LIMIT
+    assert f"{LINE_LIMIT}-byte limit" in response["message"]
+
+    # The daemon keeps serving other connections.
+    assert _line_request(host, port, {"kind": "ping"})["result"] == {
+        "pong": True}
+    _line_request(host, port, {"kind": "shutdown"})
+    out, err = daemon.communicate(timeout=60)
+    assert daemon.returncode == 0, err
+
+
+@pytest.mark.parametrize("length", ["-5", "abc", "+7"])
+def test_http_bad_content_length_is_a_400(tcp_daemon, length):
+    daemon, host, port = tcp_daemon
+    head = (f"POST / HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode()
+    status, refused = _http_exchange(host, port, head,
+                                     json.dumps({"kind": "ping"}).encode())
+    assert status == 400 and refused["error"] == "bad-request"
+    assert f"Content-Length {length!r}" in refused["message"]
+    assert _line_request(host, port, {"kind": "ping"})["ok"] is True
+
+
+def test_http_non_utf8_body_is_a_400(tcp_daemon):
+    daemon, host, port = tcp_daemon
+    body = b'{"kind": "\xff"}'  # 0xff is never valid UTF-8
+    head = (f"POST / HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode()
+    status, refused = _http_exchange(host, port, head, body)
+    assert status == 400 and refused["error"] == "bad-request"
+    assert "not JSON" in refused["message"]
+
+
 def test_tcp_client_disconnect_leaves_the_daemon_serving(tcp_daemon):
     daemon, host, port = tcp_daemon
 
