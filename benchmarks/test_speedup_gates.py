@@ -38,26 +38,21 @@ from repro.designs.generator import (
 from repro.dse.optimizer import MinClockOptimizer
 from repro.dse.search import drive_optimizer
 from repro.dse.warm import ProblemCache
-from repro.ir.ops import OpKind
 from repro.kernel import (
     NOT_CONNECTED,
     UNREACHED,
     GraphView,
-    kernel_config,
     longest_path_from,
-    set_kernel_config,
     sparse_critical_path_matrix,
 )
 from repro.kernel import critical_path_matrix as kernel_matrix
-from repro.kernel.delta import delta_log
-from repro.kernel.patch import patch_view
 from repro.kernel.reference import (
     graph_adjacency,
     reference_critical_path_matrix,
     reference_sta,
     reference_topological_order,
 )
-from repro.kernel.view import _CACHE_ATTR
+from repro.kernel.sparse import DENSITY_BUDGET, MIN_SPARSE_NODES
 from repro.netlist.lowering import lower_graph
 from repro.netlist.sta import StaticTimingAnalysis
 from repro.sdc.delays import node_delays
@@ -74,9 +69,6 @@ LADDER_SPEEDUP_FLOOR = 0.8 * 4.544
 #: Sparse over dense all-pairs sweep, on every huge shape the
 #: auto-selector sends down the sparse path.
 SPARSE_SPEEDUP_FLOOR = 3.0
-
-#: Incremental GraphView patch over a from-scratch rebuild, every huge shape.
-PATCH_SPEEDUP_FLOOR = 5.0
 
 #: Warm over cold min-clock searches, aggregated over the gated designs:
 #: 0.8 x 3.035, the recorded aggregate less a 20% regression allowance.
@@ -97,9 +89,6 @@ LADDER_XLARGE = GeneratorParams(seed=7, depth=28, width=60,
 #: Above this node count a dense n x n matrix is not built (a 30k matrix
 #: alone is ~7 GB); sparse parity then runs against sampled rows.
 DENSE_NODE_CAP = 20_000
-
-#: Structural edits applied before timing patch against rebuild.
-PATCH_DELTA = 64
 
 #: Sampled sources for the parity check of dense-infeasible shapes.
 PARITY_SAMPLES = 16
@@ -163,9 +152,6 @@ class HugeRecord:
     sparse_s: float
     dense_s: float | None
     parity_ok: bool
-    patch_s: float
-    rebuild_s: float
-    patch_matches_rebuild: bool
 
 
 def _dense_equals_sparse(dense: np.ndarray, sparse) -> bool:
@@ -196,13 +182,6 @@ def _sampled_parity(view: GraphView, delay_vector: np.ndarray,
     return True
 
 
-def _same_view(left: GraphView, right: GraphView) -> bool:
-    return (left.order_ids() == right.order_ids()
-            and all(np.array_equal(getattr(left, name), getattr(right, name))
-                    for name in ("levels", "pred_indptr", "pred_indices",
-                                 "succ_indptr", "succ_indices")))
-
-
 @functools.cache
 def huge_record(shape: str) -> HugeRecord:
     params = dict(HUGE_SHAPES)[shape]
@@ -213,9 +192,8 @@ def huge_record(shape: str) -> HugeRecord:
 
     sparse_s, sparse = best_of(lambda: sparse_critical_path_matrix(
         view, delay_vector, nnz_budget=None))
-    config = kernel_config()
-    auto_picks_sparse = (config.wants_sparse(n)
-                         and sparse.nnz <= config.nnz_budget(n))
+    auto_picks_sparse = (n >= MIN_SPARSE_NODES
+                         and sparse.nnz <= int(DENSITY_BUDGET * n * n))
     dense_s = None
     if n <= DENSE_NODE_CAP:
         dense_s, dense = best_of(lambda: kernel_matrix(view, delay_vector))
@@ -224,30 +202,9 @@ def huge_record(shape: str) -> HugeRecord:
     else:
         parity_ok = _sampled_parity(view, delay_vector, sparse)
     del sparse
-
-    rng = random.Random(12345)
-    node_ids = graph.node_ids()
-    for _ in range(PATCH_DELTA):
-        graph.add_node(OpKind.XOR, (rng.choice(node_ids), rng.choice(node_ids)))
-    delta = list(delta_log(graph))
-    patch_s, patched = best_of(lambda: patch_view(view, delta))
-
-    def rebuild():
-        if hasattr(graph, _CACHE_ATTR):
-            delattr(graph, _CACHE_ATTR)
-        return GraphView.from_dataflow(graph)
-
-    saved = kernel_config()
-    set_kernel_config(saved, patch_mode="never")
-    try:
-        rebuild_s, rebuilt = best_of(rebuild)
-    finally:
-        set_kernel_config(saved)
     record = HugeRecord(
         num_nodes=n, auto_picks_sparse=auto_picks_sparse, sparse_s=sparse_s,
-        dense_s=dense_s, parity_ok=parity_ok, patch_s=patch_s,
-        rebuild_s=rebuild_s, patch_matches_rebuild=_same_view(patched,
-                                                              rebuilt))
+        dense_s=dense_s, parity_ok=parity_ok)
     print(f"huge {shape}: {record}")
     return record
 
@@ -262,22 +219,11 @@ def test_huge_sparse_matches_dense(shape):
 
 
 @pytest.mark.parametrize("shape", HUGE_SHAPE_NAMES)
-def test_huge_patch_matches_rebuild(shape):
-    assert huge_record(shape).patch_matches_rebuild
-
-
-@pytest.mark.parametrize("shape", HUGE_SHAPE_NAMES)
 def test_huge_sparse_speedup(shape):
     record = huge_record(shape)
     if record.dense_s is None or not record.auto_picks_sparse:
         pytest.skip("no dense timing, or the auto-selector keeps dense")
     assert record.dense_s / record.sparse_s >= SPARSE_SPEEDUP_FLOOR
-
-
-@pytest.mark.parametrize("shape", HUGE_SHAPE_NAMES)
-def test_huge_patch_speedup(shape):
-    record = huge_record(shape)
-    assert record.rebuild_s / record.patch_s >= PATCH_SPEEDUP_FLOOR
 
 
 def test_auto_selector_takes_both_paths():

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.kernel.delta import record_add
-
 #: A literal is ``2 * node_id + complement``; node 0 is the constant TRUE node,
 #: so literal 0 is constant-1 and literal 1 is constant-0.
 Literal = int
@@ -94,7 +92,6 @@ class Aig:
         self._nodes.append(node)
         self._inputs.append(node.node_id)
         self._version += 1
-        record_add(self, node.node_id, (), True)
         if name:
             self._input_names[node.node_id] = name
         return make_literal(node.node_id)
@@ -124,8 +121,6 @@ class Aig:
         self._nodes.append(node)
         self._strash[key] = node.node_id
         self._version += 1
-        record_add(self, node.node_id,
-                   (literal_node(a), literal_node(b)), False)
         return make_literal(node.node_id)
 
     def add_or(self, a: Literal, b: Literal) -> Literal:

@@ -23,7 +23,6 @@ import networkx as nx
 
 from repro.ir.node import Node
 from repro.ir.ops import OpKind, infer_result_width
-from repro.kernel.delta import record_add, record_remove
 
 
 @dataclass(frozen=True)
@@ -67,8 +66,8 @@ class DataflowGraph:
 
         The kernel caches its levelized-CSR :class:`~repro.kernel.GraphView`
         on the graph keyed by this counter; node additions and removals
-        invalidate the cached view (small runs of them are patched into it
-        instead of forcing a rebuild), attribute edits (renames) do not.
+        invalidate the cached view (the next query rebuilds it), attribute
+        edits (renames) do not.
         """
         return self._version
 
@@ -115,7 +114,6 @@ class DataflowGraph:
             self._users[operand].append(node.node_id)
         self._next_id += 1
         self._version += 1
-        record_add(self, node.node_id, operand_ids, node.is_source)
         return node
 
     def add_back_edge(self, phi_id: int, src_id: int, distance: int) -> BackEdge:
@@ -170,9 +168,7 @@ class DataflowGraph:
         """Remove a sink node (one with no users) from the graph.
 
         Restricting removal to user-free nodes keeps every remaining node's
-        operand list valid and is what lets the kernel patch its cached
-        :class:`~repro.kernel.GraphView` instead of rebuilding it; remove
-        consumers first to take out a whole cone.
+        operand list valid; remove consumers first to take out a whole cone.
 
         Raises:
             KeyError: if ``node_id`` is not in the graph.
@@ -199,7 +195,6 @@ class DataflowGraph:
             self._users[operand] = [u for u in self._users[operand]
                                     if u != node_id]
         self._version += 1
-        record_remove(self, node_id)
 
     # ----------------------------------------------------------------- access
 

@@ -7,13 +7,10 @@ subgraph lowers the entries of all node pairs the subgraph covers -- but only
 when the measured delay is smaller than the current estimate, so each
 evaluation is exploited maximally without ever making estimates worse.
 
-Storage stays dense (the SDC solver slices whole rows/columns), but the
-initialisation routes through the kernel's dense/sparse dispatcher, and when
-the sparse sweep built the matrix its connectivity pattern -- which is exact
-reachability, and *static* across the whole ISDC loop because feedback only
-ever lowers connected entries -- is kept on the side.  The Algorithm 2
-re-propagation (:mod:`repro.isdc.reformulate`) then sweeps just the
-connected pairs instead of whole ``n``-wide rows.
+Storage is a dense numpy array: the SDC solver slices whole rows/columns
+and the Algorithm 2 re-propagation (:mod:`repro.isdc.reformulate`) sweeps
+whole rows and columns of it.  The initialisation routes through the
+kernel's dense/sparse dispatcher, which always hands back the dense matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.ir.graph import DataflowGraph
-from repro.kernel import GraphView, SparseMatrix, auto_critical_path_matrix
+from repro.kernel import GraphView, auto_critical_path_matrix
 from repro.sdc.delays import NOT_CONNECTED
 
 
@@ -49,9 +46,6 @@ class DelayMatrix:
         self.index_of = index_of
         self._order: list[int] | None = None  # derived lazily, shared by copies
         self._dirty: set[tuple[int, int]] = set()
-        self._pattern: SparseMatrix | None = None
-        self._pattern_t: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        self._pattern_view: GraphView | None = None
 
     @property
     def view(self) -> GraphView:
@@ -63,36 +57,23 @@ class DelayMatrix:
     @classmethod
     def from_graph(cls, graph: DataflowGraph, delays: Mapping[int, float]
                    ) -> "DelayMatrix":
-        """Initialise from naive estimates (Alg. 1 lines 1--9).
-
-        Uses the kernel's dense/sparse dispatcher; when the sparse sweep
-        produced the matrix, its pattern is retained for the sparse
-        Algorithm 2 sweeps.
-        """
+        """Initialise from naive estimates (Alg. 1 lines 1--9)."""
         view = GraphView.from_dataflow(graph)
-        dense, sparse = auto_critical_path_matrix(view,
-                                                  view.delay_vector(delays))
-        instance = cls(graph, dense, dict(view.index_of))
+        matrix = auto_critical_path_matrix(view, view.delay_vector(delays))
+        instance = cls(graph, matrix, dict(view.index_of))
         instance._order = view.order_ids()
-        if sparse is not None:
-            instance._pattern = sparse
-            instance._pattern_view = view
         return instance
 
     def copy(self) -> "DelayMatrix":
         """Deep copy (the ISDC loop keeps the running matrix across iterations).
 
-        Only the matrix itself is duplicated; the derived node order and the
-        immutable connectivity pattern are shared with the source, so a copy
-        per ISDC iteration stays cheap at 100k nodes.
+        Only the matrix itself is duplicated; the derived node order is
+        shared with the source.
         """
         duplicate = DelayMatrix(self.graph, self.matrix.copy(),
                                 dict(self.index_of))
         duplicate._order = self._order
         duplicate._dirty = set(self._dirty)
-        duplicate._pattern = self._pattern
-        duplicate._pattern_t = self._pattern_t
-        duplicate._pattern_view = self._pattern_view
         return duplicate
 
     # ----------------------------------------------------------------- access
@@ -121,51 +102,9 @@ class DelayMatrix:
         return float(self.matrix[index, index])
 
     def set(self, u: int, v: int, delay: float) -> None:
-        """Overwrite one entry (used by the reformulation pass).
-
-        Connecting or disconnecting a pair this way invalidates the cached
-        connectivity pattern, sending re-propagation back to the dense
-        sweeps (plain lowering of a connected entry keeps it).
-        """
-        row, col = self.index_of[u], self.index_of[v]
-        if ((self.matrix[row, col] == NOT_CONNECTED)
-                != (delay == NOT_CONNECTED)):
-            self._pattern = None
-            self._pattern_t = None
-            self._pattern_view = None
-        self.matrix[row, col] = delay
+        """Overwrite one entry (used by the reformulation pass)."""
+        self.matrix[self.index_of[u], self.index_of[v]] = delay
         self._dirty.add((u, v))
-
-    # -------------------------------------------------- connectivity pattern
-
-    def connectivity_pattern(self) -> SparseMatrix | None:
-        """The static reachability pattern, when known exactly.
-
-        Row ``v`` of the returned :class:`~repro.kernel.SparseMatrix` lists
-        the dense indices of ``v``'s ancestors (diagonal included) -- exactly
-        the non-``NOT_CONNECTED`` entries of :attr:`matrix`, for the whole
-        life of the matrix, because feedback and re-propagation only lower
-        connected entries.  ``None`` when the matrix was built densely or
-        was edited out of pattern; callers then use the dense sweeps.
-        """
-        if self._pattern is None or self._pattern_view is not self.view:
-            return None
-        return self._pattern
-
-    def descendant_pattern(self) -> (
-            tuple[np.ndarray, np.ndarray, np.ndarray] | None):
-        """CSR arrays ``(indptr, indices, data)`` of the transposed pattern.
-
-        Row ``u`` lists the dense indices of ``u``'s descendants (diagonal
-        included).  Cached; ``None`` whenever :meth:`connectivity_pattern`
-        is.
-        """
-        pattern = self.connectivity_pattern()
-        if pattern is None:
-            return None
-        if self._pattern_t is None:
-            self._pattern_t = pattern.transpose_arrays()
-        return self._pattern_t
 
     # ------------------------------------------------------------ dirty pairs
 

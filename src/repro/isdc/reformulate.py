@@ -8,6 +8,8 @@ every node to ``v`` through ``v``'s operands (taking the worst operand, as a
 critical path must), followed by a reverse sweep that propagates through
 users to catch complementary paths.  Entries are only ever *lowered* --
 pruning over-conservative timing constraints is the whole point.
+:func:`propagate_delays` is that one pass over the dense ``D[n][n]``, whole
+rows and columns at a time, one level of the graph per step.
 
 :func:`floyd_warshall_refine` is the O(n^3) alternative the paper mentions:
 it relaxes every pair through every single intermediate node.  It can lower
@@ -21,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.isdc.delay_matrix import DelayMatrix
-from repro.kernel import kernel_config
 from repro.sdc.delays import NOT_CONNECTED
 
 
@@ -38,26 +39,10 @@ def propagate_delays(delay_matrix: DelayMatrix) -> int:
     the level is written, so one gathered ``max``-reduction per level lowers
     exactly the entries the historical per-node loops lowered.
 
-    When the matrix carries its (static) connectivity pattern and the active
-    :class:`~repro.kernel.KernelConfig` favours sparsity, the sweeps iterate
-    over connected pairs only instead of whole ``n``-wide rows -- same
-    entries lowered to the same values, same dirty pairs, a fraction of the
-    work on large sparsely-connected designs.
-
     Returns:
         The total number of matrix entries that were lowered.
     """
     view = delay_matrix.view
-    if kernel_config().wants_sparse(view.num_nodes):
-        pattern = delay_matrix.connectivity_pattern()
-        if pattern is not None:
-            return (_sparse_forward_sweep(delay_matrix, view, pattern)
-                    + _sparse_reverse_sweep(delay_matrix, view))
-    return _dense_propagate(delay_matrix, view)
-
-
-def _dense_propagate(delay_matrix: DelayMatrix, view) -> int:
-    """The historical whole-row/column level-batched sweeps."""
     matrix = delay_matrix.matrix
     index_of = delay_matrix.index_of
     # Dense position -> matrix row/column (identity when the matrix was built
@@ -136,127 +121,6 @@ def _dense_propagate(delay_matrix: DelayMatrix, view) -> int:
                                             changed_cols)
             changed += count
 
-    return changed
-
-
-def _group_max(owners: np.ndarray, keys: np.ndarray, values: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Segmented max of ``values`` grouped by ``(owner, key)``.
-
-    Returns the group owners, keys and maxima.  ``max`` is exact and
-    order-independent, so the result is bit-identical to any positional
-    fold over the same candidates.
-    """
-    grouping = np.lexsort((keys, owners))
-    owners_sorted = owners[grouping]
-    keys_sorted = keys[grouping]
-    boundary = np.empty(owners_sorted.size, dtype=bool)
-    boundary[0] = True
-    np.logical_or(owners_sorted[1:] != owners_sorted[:-1],
-                  keys_sorted[1:] != keys_sorted[:-1], out=boundary[1:])
-    starts = np.nonzero(boundary)[0]
-    return (owners_sorted[starts], keys_sorted[starts],
-            np.maximum.reduceat(values[grouping], starts))
-
-
-def _sparse_forward_sweep(delay_matrix: DelayMatrix, view, pattern) -> int:
-    """Forward Alg. 2 sweep over connected pairs only.
-
-    For a node ``v``, the dense sweep maximises ``D[u][p] + D[v][v]`` over
-    operands ``p`` for *every* row ``u``; but the candidate is real only
-    when ``u`` reaches ``p``, i.e. for the ancestors listed in ``p``'s
-    pattern row.  Gathering exactly those entries per level reproduces the
-    dense sweep's lowered values bit-for-bit (same additions, same maxima)
-    and its dirty set.
-    """
-    matrix = delay_matrix.matrix
-    index_of = delay_matrix.index_of
-    col_of = np.asarray([index_of[nid] for nid in view.order_ids()],
-                        dtype=np.int64)
-    pat_indptr, pat_indices = pattern.indptr, pattern.indices
-    pred_indptr, pred_indices = view.pred_indptr, view.pred_indices
-    changed = 0
-    for level in range(1, view.num_levels):
-        nodes = view.level_nodes(level)
-        parts_u: list[np.ndarray] = []
-        parts_val: list[np.ndarray] = []
-        part_owner: list[int] = []
-        part_len: list[int] = []
-        for v in nodes:
-            column = col_of[v]
-            own_delay = matrix[column, column]
-            for slot in range(pred_indptr[v], pred_indptr[v + 1]):
-                pred = pred_indices[slot]
-                ancestors = pat_indices[pat_indptr[pred]:pat_indptr[pred + 1]]
-                parts_u.append(ancestors)
-                parts_val.append(matrix[col_of[ancestors], col_of[pred]]
-                                 + own_delay)
-                part_owner.append(v)
-                part_len.append(ancestors.size)
-        if not parts_u:
-            continue
-        owners = np.repeat(np.asarray(part_owner, dtype=np.int64),
-                           np.asarray(part_len, dtype=np.int64))
-        group_v, group_u, best = _group_max(owners, np.concatenate(parts_u),
-                                            np.concatenate(parts_val))
-        rows = col_of[group_u]
-        cols = col_of[group_v]
-        current = matrix[rows, cols]
-        improve = current > best  # connected pairs: current is never NC
-        count = int(improve.sum())
-        if count:
-            matrix[rows[improve], cols[improve]] = best[improve]
-            delay_matrix.mark_dirty_indices(rows[improve], cols[improve])
-            changed += count
-    return changed
-
-
-def _sparse_reverse_sweep(delay_matrix: DelayMatrix, view) -> int:
-    """Reverse Alg. 2 sweep over connected pairs only.
-
-    Mirrors :func:`_sparse_forward_sweep` through users: for node ``u`` and
-    user ``s``, candidates ``D[s][w] + D[u][u]`` exist exactly for the
-    descendants ``w`` in ``s``'s transposed pattern row.
-    """
-    matrix = delay_matrix.matrix
-    index_of = delay_matrix.index_of
-    col_of = np.asarray([index_of[nid] for nid in view.order_ids()],
-                        dtype=np.int64)
-    t_indptr, t_indices, _t_data = delay_matrix.descendant_pattern()
-    succ_indptr, succ_indices = view.succ_indptr, view.succ_indices
-    changed = 0
-    for level in range(view.num_levels - 1, -1, -1):
-        nodes = view.level_nodes(level)
-        parts_w: list[np.ndarray] = []
-        parts_val: list[np.ndarray] = []
-        part_owner: list[int] = []
-        part_len: list[int] = []
-        for u in nodes:
-            row = col_of[u]
-            own_delay = matrix[row, row]
-            for slot in range(succ_indptr[u], succ_indptr[u + 1]):
-                user = succ_indices[slot]
-                descendants = t_indices[t_indptr[user]:t_indptr[user + 1]]
-                parts_w.append(descendants)
-                parts_val.append(matrix[col_of[user], col_of[descendants]]
-                                 + own_delay)
-                part_owner.append(u)
-                part_len.append(descendants.size)
-        if not parts_w:
-            continue
-        owners = np.repeat(np.asarray(part_owner, dtype=np.int64),
-                           np.asarray(part_len, dtype=np.int64))
-        group_u, group_w, best = _group_max(owners, np.concatenate(parts_w),
-                                            np.concatenate(parts_val))
-        rows = col_of[group_u]
-        cols = col_of[group_w]
-        current = matrix[rows, cols]
-        improve = current > best
-        count = int(improve.sum())
-        if count:
-            matrix[rows[improve], cols[improve]] = best[improve]
-            delay_matrix.mark_dirty_indices(rows[improve], cols[improve])
-            changed += count
     return changed
 
 

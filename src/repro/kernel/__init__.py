@@ -8,32 +8,23 @@ netlist STA (:mod:`repro.netlist.sta`), the SDC delay matrix
 depth metric (:mod:`repro.aig`).
 
 * :class:`GraphView` -- an immutable levelized-CSR view of any DAG, cached on
-  the container and invalidated by its ``structural_version`` counter.
+  the container and keyed by its ``structural_version`` counter: any
+  structural edit means the next query rebuilds the view from scratch.
 * :mod:`repro.kernel.ops` -- level-batched numpy primitives: forward
   propagation, single-source longest paths, frontier reachability and the
   all-pairs critical-path matrix.
 * :mod:`repro.kernel.sparse` -- the frontier-compressed sparse all-pairs
-  sweep plus :func:`auto_critical_path_matrix`, the density-based
-  dense/sparse dispatcher.
-* :mod:`repro.kernel.config` -- the process-wide :class:`KernelConfig`
-  (sparse-vs-dense cutover, view-patch budgets) with ``REPRO_KERNEL_*``
-  environment overrides.
-* :mod:`repro.kernel.patch` -- incremental :class:`GraphView` patching from
-  the containers' recorded structural deltas.
+  sweep plus :func:`auto_critical_path_matrix`, the dense/sparse dispatcher
+  driven by two module constants (``MIN_SPARSE_NODES`` and
+  ``DENSITY_BUDGET``); it always returns the dense matrix.
 * :mod:`repro.kernel.reference` -- the historical pure-Python algorithms,
   kept as the executable specification the parity tests diff against.
 
 Kernel timings live in ``benchmarks/test_speedup_gates.py`` (reference vs
-kernel, dense vs sparse, rebuild vs patch) and in the end-to-end benchmark
-described in ``perfbench/README.md``.
+kernel, dense vs sparse) and in the end-to-end benchmark described in
+``perfbench/README.md``.
 """
 
-from repro.kernel.config import (
-    HAVE_SCIPY,
-    KernelConfig,
-    kernel_config,
-    set_kernel_config,
-)
 from repro.kernel.ops import (
     NOT_CONNECTED,
     UNREACHED,
@@ -54,20 +45,16 @@ from repro.kernel.view import GraphView
 
 __all__ = [
     "GraphView",
-    "HAVE_SCIPY",
-    "KernelConfig",
     "NOT_CONNECTED",
     "SparseMatrix",
     "UNREACHED",
     "auto_critical_path_matrix",
     "critical_path_matrix",
     "forward_propagate",
-    "kernel_config",
     "longest_path_from",
     "path_delay",
     "reachable_indices",
     "reachable_mask",
     "reconstruct_path",
-    "set_kernel_config",
     "sparse_critical_path_matrix",
 ]

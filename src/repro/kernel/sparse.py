@@ -18,20 +18,27 @@ bit-for-bit (``tests/kernel/test_sparse.py`` enforces this on the Table-I
 suite, seeded ``gen:`` designs and hypothesis-random graphs).
 
 The sweep is budgeted: past ``nnz_budget`` accumulated entries it returns
-``None`` and the caller falls back to the dense kernel, which is exactly the
-automatic density cutover of :class:`~repro.kernel.config.KernelConfig`.
-
-Everything here is pure numpy; scipy.sparse is only used (when installed)
-to export results via :meth:`SparseMatrix.to_scipy`.
+``None`` and the caller falls back to the dense kernel.
+:func:`auto_critical_path_matrix` is that dispatch, driven by two module
+constants: graphs below :data:`MIN_SPARSE_NODES` always take the dense
+sweep, larger ones try the sparse sweep under a budget of
+:data:`DENSITY_BUDGET` ``* n^2`` connected pairs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.kernel.config import HAVE_SCIPY, KernelConfig, kernel_config
 from repro.kernel.ops import NOT_CONNECTED, critical_path_matrix
 from repro.kernel.view import GraphView
+
+#: Graphs below this node count always use the dense sweep (the sparse
+#: bookkeeping only pays off at scale).
+MIN_SPARSE_NODES = 512
+
+#: Connected-pair budget of the sparse attempt, as a fraction of ``n^2``;
+#: past it the sweep gives up and the dense kernel takes over.
+DENSITY_BUDGET = 0.25
 
 
 class SparseMatrix:
@@ -98,7 +105,6 @@ class SparseMatrix:
 
         Returns ``(indptr, indices, data)`` where row ``u`` lists every
         descendant ``v`` (ascending, diagonal first) with delay ``D[u][v]``.
-        Pure numpy (lexsort), so it works without scipy.
         """
         n = self.num_nodes
         owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
@@ -106,21 +112,6 @@ class SparseMatrix:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.indices, minlength=n), out=indptr[1:])
         return indptr, owner[order], self.data[order]
-
-    def to_scipy(self):
-        """Export as ``scipy.sparse.csr_matrix`` in consumer orientation.
-
-        Raises:
-            RuntimeError: when scipy is not installed.
-        """
-        if not HAVE_SCIPY:
-            raise RuntimeError("scipy is not available; SparseMatrix.to_scipy"
-                               " needs scipy.sparse")
-        from scipy import sparse
-
-        indptr, indices, data = self.transpose_arrays()
-        return sparse.csr_matrix((data, indices, indptr),
-                                 shape=(self.num_nodes, self.num_nodes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"SparseMatrix({self.num_nodes} nodes, {self.nnz} entries, "
@@ -239,26 +230,22 @@ def sparse_critical_path_matrix(view: GraphView, delays: np.ndarray, *,
                         np.concatenate(row_val))
 
 
-def auto_critical_path_matrix(view: GraphView, delays: np.ndarray, *,
-                              config: KernelConfig | None = None
-                              ) -> tuple[np.ndarray, SparseMatrix | None]:
-    """All-pairs matrix via whichever sweep the active config picks.
+def auto_critical_path_matrix(view: GraphView, delays: np.ndarray
+                              ) -> np.ndarray:
+    """All-pairs matrix via whichever sweep suits the graph.
 
-    The decision tree of :class:`~repro.kernel.config.KernelConfig`: small
-    graphs (or ``matrix_mode="dense"``) go straight to the dense kernel;
-    otherwise the sparse sweep runs under the config's nnz budget and falls
-    back to dense when the graph turns out too connected.
+    Graphs below :data:`MIN_SPARSE_NODES` go straight to the dense kernel;
+    larger ones run the sparse sweep under a :data:`DENSITY_BUDGET` ``* n^2``
+    budget and fall back to dense when the graph turns out too connected.
+    Both paths yield bit-identical matrices.
 
     Returns:
-        ``(matrix, sparse)`` -- the dense consumer-oriented matrix plus the
-        :class:`SparseMatrix` it was densified from when the sparse path won
-        (``None`` when the dense kernel produced the result).  Both paths
-        yield bit-identical matrices.
+        The dense consumer-oriented matrix.
     """
-    config = kernel_config() if config is None else config
-    if config.wants_sparse(view.num_nodes):
+    n = view.num_nodes
+    if n >= MIN_SPARSE_NODES:
         sparse = sparse_critical_path_matrix(
-            view, delays, nnz_budget=config.nnz_budget(view.num_nodes))
+            view, delays, nnz_budget=int(DENSITY_BUDGET * n * n))
         if sparse is not None:
-            return sparse.to_dense(), sparse
-    return critical_path_matrix(view, delays), None
+            return sparse.to_dense()
+    return critical_path_matrix(view, delays)

@@ -28,12 +28,8 @@ only -- adding or removing a node/gate -- because those are the only edits
 that change the arrays; attribute edits (renames, output marking) leave the
 cached view valid.  Containers without a ``structural_version`` attribute
 are never cached.  ``copy()`` produces a fresh object, so copies never
-share a cache entry with their source.
-
-A stale cached view is not always discarded: containers record their edits
-in a structural-delta log (:mod:`repro.kernel.delta`), and when the log is
-small the new view is *patched* from the cached one
-(:mod:`repro.kernel.patch`) -- identical arrays, a fraction of the cost.
+share a cache entry with their source.  A stale cached view is discarded:
+any structural edit means the next ``from_*`` call rebuilds from scratch.
 """
 
 from __future__ import annotations
@@ -42,9 +38,6 @@ from collections import deque
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-
-from repro.kernel.config import kernel_config
-from repro.kernel.delta import delta_log, reset_delta_log
 
 #: Attribute under which the cached ``(version, view)`` pair is stored.
 _CACHE_ATTR = "_repro_kernel_view"
@@ -136,42 +129,11 @@ class GraphView:
     # ------------------------------------------------------------ constructors
 
     @classmethod
-    def _from_arrays(cls, order_ids: list[int], pred_indptr: np.ndarray,
-                     pred_indices: np.ndarray, succ_indptr: np.ndarray,
-                     succ_indices: np.ndarray, levels: np.ndarray,
-                     source_mask: np.ndarray) -> "GraphView":
-        """Assemble a view directly from final arrays (the patching path).
-
-        Bypasses ``__init__``'s from-scratch Kahn/CSR construction; the
-        caller (:mod:`repro.kernel.patch`) guarantees the arrays are exactly
-        what ``__init__`` would have produced.
-        """
-        view = cls.__new__(cls)
-        view._order_list = order_ids
-        view.num_nodes = len(order_ids)
-        view.order = np.asarray(order_ids, dtype=np.int64)
-        view.index_of = {nid: i for i, nid in enumerate(order_ids)}
-        view.pred_indptr = pred_indptr
-        view.pred_indices = pred_indices
-        view.succ_indptr = succ_indptr
-        view.succ_indices = succ_indices
-        view.levels = levels
-        view.num_levels = int(levels.max()) + 1 if view.num_nodes else 0
-        view.level_order = np.argsort(levels, kind="stable").astype(np.int64)
-        view.level_starts = np.searchsorted(
-            levels[view.level_order], np.arange(view.num_levels + 1))
-        view.source_mask = source_mask
-        return view
-
-    @classmethod
     def from_dataflow(cls, graph) -> "GraphView":
         """Cached view of a :class:`~repro.ir.graph.DataflowGraph`."""
         cached = _cached_view(graph)
         if cached is not None:
             return cached
-        patched = _patched_view(graph)
-        if patched is not None:
-            return patched
         nodes = graph.nodes()
         view = cls(
             ids=[node.node_id for node in nodes],
@@ -188,9 +150,6 @@ class GraphView:
         cached = _cached_view(netlist)
         if cached is not None:
             return cached
-        patched = _patched_view(netlist)
-        if patched is not None:
-            return patched
         gates = netlist.gates()
         view = cls(
             ids=[gate.gate_id for gate in gates],
@@ -212,9 +171,6 @@ class GraphView:
         cached = _cached_view(aig)
         if cached is not None:
             return cached
-        patched = _patched_view(aig)
-        if patched is not None:
-            return patched
         from repro.aig.aig import literal_node
 
         nodes = aig.nodes()
@@ -323,51 +279,12 @@ def _cached_view(container) -> GraphView | None:
     return None
 
 
-def _patched_view(container) -> GraphView | None:
-    """Patch the stale cached view from the container's recorded delta.
-
-    Only applies when the delta log fully accounts for the version drift
-    (``cached version + log length == current version``) and the delta is
-    small by the active :class:`~repro.kernel.config.KernelConfig` budget;
-    anything else -- including delta shapes the patcher does not support --
-    returns ``None`` so the caller rebuilds from scratch.  A successful
-    patch is cached (and the log reset) exactly like a rebuild.
-    """
-    version = getattr(container, "structural_version", None)
-    if version is None:
-        return None
-    cached = getattr(container, _CACHE_ATTR, None)
-    if cached is None:
-        return None
-    old_version, old_view = cached
-    log = delta_log(container)
-    if not log or old_version + len(log) != version:
-        return None
-    if len(log) > kernel_config().patch_budget(old_view.num_nodes):
-        return None
-    from repro.kernel.patch import PatchError, patch_view
-
-    try:
-        view = patch_view(old_view, log)
-    except PatchError:
-        return None
-    _store_view(container, view)
-    return view
-
-
 def _store_view(container, view: GraphView) -> None:
-    """Cache ``view`` on ``container`` keyed by its structural version.
-
-    Also starts a fresh structural-delta log: from this point on the
-    container's mutators record their edits, and the next ``from_*`` call
-    may patch this view instead of rebuilding (see
-    :mod:`repro.kernel.patch`).
-    """
+    """Cache ``view`` on ``container`` keyed by its structural version."""
     version = getattr(container, "structural_version", None)
     if version is None:
         return
     try:
         setattr(container, _CACHE_ATTR, (version, view))
     except AttributeError:  # __slots__ containers opt out of caching
-        return
-    reset_delta_log(container)
+        pass

@@ -7,7 +7,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.kernel import GraphView
-from repro.kernel.delta import record_add, record_remove
 from repro.netlist.gates import Gate, GateKind, GATE_FUNCTIONS, KIND_CODES
 from repro.tech.library import TechLibrary
 
@@ -37,9 +36,9 @@ class Netlist:
         """Monotonic counter advanced on every structural edit.
 
         Keys the kernel's cached :class:`~repro.kernel.GraphView`: gate
-        additions and removals invalidate the view (small runs of them are
-        patched into it instead of forcing a rebuild), output marking and
-        renames (which do not change connectivity or levels) do not.
+        additions and removals invalidate the view (the next query rebuilds
+        it), output marking and renames (which do not change connectivity or
+        levels) do not.
         """
         return self._version
 
@@ -69,7 +68,6 @@ class Netlist:
         self._version += 1
         if not kind.is_source:
             self._num_logic += 1
-        record_add(self, gate.gate_id, input_ids, kind.is_source)
         return gate.gate_id
 
     def remove_gate(self, gate_id: int) -> None:
@@ -77,7 +75,7 @@ class Netlist:
 
         The restriction mirrors :meth:`~repro.ir.graph.DataflowGraph.
         remove_node`: user-free removals keep every surviving gate's input
-        list valid and let the kernel patch its cached view.
+        list valid.
 
         Raises:
             KeyError: if ``gate_id`` is not in the netlist.
@@ -101,7 +99,6 @@ class Netlist:
         self._version += 1
         if not gate.kind.is_source:
             self._num_logic -= 1
-        record_remove(self, gate_id)
 
     def add_input(self, name: str = "") -> int:
         """Add a primary-input gate."""

@@ -66,10 +66,12 @@ def critical_path_matrix(graph: DataflowGraph, delays: Mapping[int, float]
     the diagonal holds individual node delays; unconnected pairs hold
     :data:`NOT_CONNECTED`.
 
-    Routed through the kernel's dense/sparse dispatcher: large, sparsely
-    connected graphs are swept over connected pairs only (see
-    :class:`~repro.kernel.KernelConfig` and the ``REPRO_KERNEL_*``
-    environment switches).  Both paths produce bit-identical matrices.
+    Routed through the kernel's dense/sparse dispatcher
+    (:func:`~repro.kernel.auto_critical_path_matrix`): graphs of at least
+    ``MIN_SPARSE_NODES`` nodes are first swept over connected pairs only,
+    under a ``DENSITY_BUDGET * n^2`` budget, and densified; smaller or
+    denser graphs take the dense sweep.  Both paths produce bit-identical
+    matrices.
 
     Args:
         graph: the dataflow graph.
@@ -80,8 +82,7 @@ def critical_path_matrix(graph: DataflowGraph, delays: Mapping[int, float]
         (the kernel's topological position).
     """
     view = GraphView.from_dataflow(graph)
-    matrix, _sparse = _auto_critical_path_matrix(view,
-                                                 view.delay_vector(delays))
+    matrix = _auto_critical_path_matrix(view, view.delay_vector(delays))
     return matrix, dict(view.index_of)
 
 

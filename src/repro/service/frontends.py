@@ -19,9 +19,11 @@ coalesce even when they arrive on one connection.
 A client that disconnects mid-request never disturbs the daemon: the
 computation finishes, populates the warm cache, and only the response
 write is dropped (counted in ``stats.client_disconnects``).  A TCP line
-longer than :data:`LINE_LIMIT` bytes, or an HTTP ``Content-Length`` that
-is not a non-negative integer, is answered with one ``bad-request``
-response and the connection is closed.
+longer than :data:`LINE_LIMIT` bytes, an HTTP ``Content-Length`` that is
+not a non-negative integer or exceeds :data:`LINE_LIMIT`, and an HTTP body
+that does not arrive in full within :data:`BODY_TIMEOUT_S` seconds are
+each answered with one ``bad-request`` response and the connection is
+closed.
 """
 
 from __future__ import annotations
@@ -49,6 +51,11 @@ _HTTP_STATUS = {
 #: Longest TCP request line (and HTTP header line) in bytes: asyncio's
 #: default ``StreamReader`` limit, passed explicitly so errors can name it.
 LINE_LIMIT = 2 ** 16
+
+#: Seconds an HTTP ``POST`` body has to arrive in full once the headers
+#: are read; a body shorter than its ``Content-Length`` never hangs the
+#: connection past this.
+BODY_TIMEOUT_S = 10.0
 
 _HTTP_REASON = {200: "OK", 400: "Bad Request", 422: "Unprocessable Entity",
                 429: "Too Many Requests", 500: "Internal Server Error",
@@ -141,7 +148,15 @@ async def _http_response(service: SchedulingService, method: str,
                                   "/ping or /stats")
         return await service.handle({"kind": kind})
     if method == "POST":
-        body = await reader.readexactly(content_length) if content_length else b""
+        try:
+            body = (await asyncio.wait_for(reader.readexactly(content_length),
+                                           BODY_TIMEOUT_S)
+                    if content_length else b"")
+        except asyncio.TimeoutError:
+            return error_response(
+                protocol.ERROR_BAD_REQUEST,
+                f"body shorter than Content-Length ({content_length} bytes) "
+                f"after {BODY_TIMEOUT_S:g} s")
         try:
             raw = json.loads(body) if body else None
         except ValueError as error:  # malformed JSON or not UTF-8
@@ -171,6 +186,11 @@ async def _handle_http(service: SchedulingService, request_line: bytes,
                 text = value.strip()
                 if text.isascii() and text.isdigit():
                     content_length = int(text)
+                    if content_length > LINE_LIMIT:
+                        response = error_response(
+                            protocol.ERROR_BAD_REQUEST,
+                            f"Content-Length {content_length} exceeds the "
+                            f"{LINE_LIMIT}-byte limit")
                 else:
                     response = error_response(
                         protocol.ERROR_BAD_REQUEST,

@@ -1,12 +1,12 @@
-"""Sparse all-pairs sweep parity, dispatch and configuration.
+"""Sparse all-pairs sweep parity and dense/sparse dispatch.
 
 The sparse frontier-compressed sweep must reproduce the dense kernel's
 matrix *bit-for-bit* -- same floats, same ``NOT_CONNECTED`` holes -- on every
 design shape, and :func:`~repro.kernel.auto_critical_path_matrix` must pick
-the path the active :class:`~repro.kernel.KernelConfig` asks for.  These
-tests pin both down on the Table-I suite, seeded ``gen:`` designs and
-hypothesis-random graphs, plus the budget abort, the environment overrides
-and the ``PYTHONHASHSEED`` independence of the sparse path.
+the path its two module constants (``MIN_SPARSE_NODES``, ``DENSITY_BUDGET``)
+ask for.  These tests pin both down on the Table-I suite, seeded ``gen:``
+designs and hypothesis-random graphs, plus the budget abort and the
+``PYTHONHASHSEED`` independence of the sparse path.
 """
 
 import os
@@ -22,32 +22,21 @@ from repro.designs.generator import GeneratorParams, build_generated_design
 from repro.designs.suite import table1_suite
 from repro.ir.builder import GraphBuilder
 from repro.kernel import (
-    HAVE_SCIPY,
     GraphView,
-    KernelConfig,
     NOT_CONNECTED,
     auto_critical_path_matrix,
     critical_path_matrix,
-    kernel_config,
     reachable_indices,
     reachable_mask,
-    set_kernel_config,
     sparse_critical_path_matrix,
 )
+from repro.kernel import sparse as sparse_module
 from repro.sdc.delays import node_delays
 from repro.tech.delay_model import OperatorModel
 
 _TABLE1_NAMES = [case.name for case in table1_suite()]
 _GEN_PARAMS = [GeneratorParams(seed=seed, depth=6, width=4)
                for seed in (0, 11, 23)]
-
-
-@pytest.fixture(autouse=True)
-def _restore_kernel_config():
-    """Every test leaves the process-wide config as it found it."""
-    saved = kernel_config()
-    yield
-    set_kernel_config(saved)
 
 
 def _build(name: str):
@@ -93,6 +82,20 @@ class TestSparseDenseParity:
         assert sparse.density == pytest.approx(
             connected / float(view.num_nodes) ** 2)
 
+    def test_auto_dispatch_on_the_sparse_path_is_bit_identical(
+            self, design_name, monkeypatch):
+        view, delays = _view_and_delays(_build(design_name))
+        expected = critical_path_matrix(view, delays)
+        monkeypatch.setattr(sparse_module, "MIN_SPARSE_NODES", 0)
+        monkeypatch.setattr(sparse_module, "DENSITY_BUDGET", 1.0)
+
+        def no_dense(*_args, **_kwargs):
+            raise AssertionError("the dense sweep must not run")
+
+        monkeypatch.setattr(sparse_module, "critical_path_matrix", no_dense)
+        assert np.array_equal(auto_critical_path_matrix(view, delays),
+                              expected)
+
     def test_transpose_arrays_round_trip(self, design_name):
         view, delays = _view_and_delays(_build(design_name))
         sparse = sparse_critical_path_matrix(view, delays)
@@ -125,111 +128,49 @@ class TestBudgetAndDispatch:
         kept = sparse_critical_path_matrix(view, delays, nnz_budget=full.nnz)
         assert kept is not None and kept.nnz == full.nnz
 
-    def test_forced_dense_never_builds_a_pattern(self):
+    def _spy_sparse(self, monkeypatch) -> list:
+        """Record every result of the sparse sweep the dispatcher runs."""
+        results: list = []
+
+        def spy(view, delays, **kwargs):
+            result = sparse_critical_path_matrix(view, delays, **kwargs)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr(sparse_module, "sparse_critical_path_matrix", spy)
+        return results
+
+    def test_below_min_sparse_nodes_stays_dense(self, monkeypatch):
         view, delays = _view_and_delays(self._graph())
-        config = KernelConfig(matrix_mode="dense")
-        matrix, sparse = auto_critical_path_matrix(view, delays,
-                                                   config=config)
-        assert sparse is None
+        monkeypatch.setattr(sparse_module, "MIN_SPARSE_NODES",
+                            view.num_nodes + 1)
+        attempts = self._spy_sparse(monkeypatch)
+        matrix = auto_critical_path_matrix(view, delays)
+        assert attempts == []
         assert np.array_equal(matrix, critical_path_matrix(view, delays))
 
-    def test_forced_sparse_ignores_size_and_density(self):
+    def test_at_min_sparse_nodes_takes_the_sparse_sweep(self, monkeypatch):
         view, delays = _view_and_delays(self._graph())
-        # Forced mode must win even on a graph far below min_sparse_nodes
-        # and with a density threshold the graph certainly exceeds.
-        config = KernelConfig(matrix_mode="sparse", min_sparse_nodes=10**6,
-                              density_threshold=1e-9)
-        matrix, sparse = auto_critical_path_matrix(view, delays,
-                                                   config=config)
-        assert sparse is not None
+        monkeypatch.setattr(sparse_module, "MIN_SPARSE_NODES", view.num_nodes)
+        attempts = self._spy_sparse(monkeypatch)
+        expected = critical_path_matrix(view, delays)
+
+        def no_dense(*_args, **_kwargs):
+            raise AssertionError("the dense sweep must not run")
+
+        monkeypatch.setattr(sparse_module, "critical_path_matrix", no_dense)
+        matrix = auto_critical_path_matrix(view, delays)
+        assert len(attempts) == 1 and attempts[0] is not None
+        assert np.array_equal(matrix, expected)
+
+    def test_density_budget_falls_back_to_dense(self, monkeypatch):
+        view, delays = _view_and_delays(self._graph())
+        monkeypatch.setattr(sparse_module, "MIN_SPARSE_NODES", 0)
+        monkeypatch.setattr(sparse_module, "DENSITY_BUDGET", 1e-9)
+        attempts = self._spy_sparse(monkeypatch)
+        matrix = auto_critical_path_matrix(view, delays)
+        assert attempts == [None]  # budget exceeded mid-sweep
         assert np.array_equal(matrix, critical_path_matrix(view, delays))
-
-    def test_auto_respects_min_sparse_nodes(self):
-        view, delays = _view_and_delays(self._graph())
-        below = KernelConfig(min_sparse_nodes=view.num_nodes + 1)
-        assert auto_critical_path_matrix(view, delays, config=below)[1] is None
-        above = KernelConfig(min_sparse_nodes=view.num_nodes)
-        assert auto_critical_path_matrix(view, delays,
-                                         config=above)[1] is not None
-
-    def test_auto_density_cutover_falls_back_to_dense(self):
-        view, delays = _view_and_delays(self._graph())
-        config = KernelConfig(min_sparse_nodes=0, density_threshold=1e-9)
-        matrix, sparse = auto_critical_path_matrix(view, delays,
-                                                   config=config)
-        assert sparse is None  # budget exceeded mid-sweep
-        assert np.array_equal(matrix, critical_path_matrix(view, delays))
-
-    def test_auto_uses_process_config_by_default(self):
-        view, delays = _view_and_delays(self._graph())
-        set_kernel_config(kernel_config(), matrix_mode="sparse")
-        assert auto_critical_path_matrix(view, delays)[1] is not None
-        set_kernel_config(kernel_config(), matrix_mode="dense")
-        assert auto_critical_path_matrix(view, delays)[1] is None
-
-
-class TestKernelConfig:
-    def test_env_overrides_via_reread(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_MATRIX", "sparse")
-        monkeypatch.setenv("REPRO_KERNEL_DENSITY", "0.125")
-        monkeypatch.setenv("REPRO_KERNEL_MIN_SPARSE_NODES", "7")
-        monkeypatch.setenv("REPRO_KERNEL_PATCH", "off")
-        monkeypatch.setenv("REPRO_KERNEL_PATCH_MAX_DELTA", "17")
-        config = set_kernel_config()  # no args: re-read the environment
-        assert config.matrix_mode == "sparse"
-        assert config.density_threshold == 0.125
-        assert config.min_sparse_nodes == 7
-        assert config.patch_mode == "never"
-        assert config.patch_max_delta == 17
-        assert kernel_config() is config
-
-    def test_invalid_env_override_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL_MATRIX", "bogus")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            set_kernel_config()
-
-    def test_override_kwargs_replace_fields(self):
-        config = set_kernel_config(KernelConfig(), matrix_mode="dense",
-                                   patch_max_delta=3)
-        assert config.matrix_mode == "dense"
-        assert config.patch_max_delta == 3
-        assert config.density_threshold == KernelConfig().density_threshold
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            KernelConfig(matrix_mode="fast")
-        with pytest.raises(ValueError):
-            KernelConfig(patch_mode="sometimes")
-        with pytest.raises(ValueError):
-            KernelConfig(density_threshold=0.0)
-        with pytest.raises(ValueError):
-            KernelConfig(patch_max_delta=-1)
-
-    def test_budget_helpers(self):
-        config = KernelConfig(density_threshold=0.5, min_sparse_nodes=100)
-        assert not config.wants_sparse(99)
-        assert config.wants_sparse(100)
-        assert config.nnz_budget(10) == 50
-        assert KernelConfig(matrix_mode="sparse").nnz_budget(10) == 100
-        assert KernelConfig(patch_mode="never").patch_budget(10**6) == 0
-        assert KernelConfig(patch_max_delta=256,
-                            patch_max_delta_fraction=0.05).patch_budget(10**4) \
-            == 500
-
-
-@pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
-class TestScipyExport:
-    def test_to_scipy_matches_transpose_arrays(self):
-        graph = build_generated_design(GeneratorParams(seed=1, depth=5,
-                                                       width=5))
-        view, delays = _view_and_delays(graph)
-        sparse = sparse_critical_path_matrix(view, delays)
-        exported = sparse.to_scipy()
-        indptr, indices, data = sparse.transpose_arrays()
-        assert exported.shape == (view.num_nodes, view.num_nodes)
-        assert np.array_equal(exported.indptr, indptr)
-        assert np.array_equal(exported.indices, indices)
-        assert np.array_equal(exported.data, data)
 
 
 class TestReachableIndices:

@@ -5,6 +5,8 @@ protocol and its HTTP view) through real sockets against an ephemeral
 port, including a client that disconnects mid-request.
 """
 
+import asyncio
+import io
 import json
 import os
 import socket
@@ -12,6 +14,10 @@ import subprocess
 import sys
 
 import pytest
+
+from repro.parallel import close_shared_pool
+from repro.service import frontends
+from repro.service.daemon import SchedulingService, ServiceConfig
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
@@ -194,6 +200,55 @@ def test_http_bad_content_length_is_a_400(tcp_daemon, length):
     assert status == 400 and refused["error"] == "bad-request"
     assert f"Content-Length {length!r}" in refused["message"]
     assert _line_request(host, port, {"kind": "ping"})["ok"] is True
+
+
+def test_http_content_length_past_the_line_limit_is_a_400(tcp_daemon):
+    daemon, host, port = tcp_daemon
+    length = frontends.LINE_LIMIT + 1
+    head = (f"POST / HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode()
+    # No body follows: the limit is checked before any body read.
+    status, refused = _http_exchange(host, port, head, timeout=30.0)
+    assert status == 400 and refused["error"] == "bad-request"
+    assert f"{frontends.LINE_LIMIT}-byte limit" in refused["message"]
+    assert _line_request(host, port, {"kind": "ping"})["ok"] is True
+
+
+def test_http_body_shorter_than_content_length_times_out(monkeypatch):
+    monkeypatch.setattr(frontends, "BODY_TIMEOUT_S", 0.2)
+
+    async def scenario() -> bytes:
+        service = SchedulingService(ServiceConfig(jobs=1))
+        await service.start()
+        announce = io.StringIO()
+        server = asyncio.create_task(
+            frontends.serve_tcp(service, port=0, announce=announce))
+        try:
+            while not announce.getvalue():
+                await asyncio.sleep(0.01)
+            port = json.loads(announce.getvalue())["port"]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            # 7 of the 100 announced body bytes, and the socket stays open.
+            writer.write(b"POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                         b'{"kind"')
+            await writer.drain()
+            reply = await asyncio.wait_for(reader.read(), timeout=30)
+            writer.close()
+            return reply
+        finally:
+            service.request_shutdown()
+            await server
+            await service.stop()
+
+    try:
+        reply = asyncio.run(scenario())
+    finally:
+        close_shared_pool()
+    headers, _, payload = reply.partition(b"\r\n\r\n")
+    assert int(headers.split()[1]) == 400
+    refused = json.loads(payload)
+    assert refused["error"] == "bad-request"
+    assert "body shorter than Content-Length" in refused["message"]
 
 
 def test_http_non_utf8_body_is_a_400(tcp_daemon):
