@@ -9,9 +9,10 @@ that both XLS and the paper's baseline use:
 * :mod:`~repro.sdc.delays` -- per-node delays and the all-pairs critical-path
   (combinational) delay matrix used for timing constraints;
 * :mod:`~repro.sdc.problem` -- the one vectorized constraint build, the LP
-  assembly (one sparse matrix call over the row arrays) and the persistent
-  :class:`ScheduleProblem`, whose timing, clock and II updates all write
-  new bounds through one step into the rows and the cached LP;
+  assembly (one sparse matrix call over the row arrays), the implied-row
+  rule that keeps the solved LP to the rows no other rows imply, and the
+  persistent :class:`ScheduleProblem`, whose timing, clock and II updates
+  all write new bounds through one step into the rows and the cached LP;
 * :mod:`~repro.sdc.solver` -- LP solution (scipy HiGHS) of the constraint
   system with a register-lifetime objective, ASAP/ALAP and the rounding
   repair as one vectorized Bellman-Ford fixpoint over the row arrays, and

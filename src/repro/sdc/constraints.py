@@ -192,6 +192,13 @@ class ConstraintSystem:
         """True if ``schedule`` satisfies every constraint and pin."""
         return not self.violations(schedule)
 
+    def subsystem(self, rows: np.ndarray) -> "ConstraintSystem":
+        """The given rows, in the given order, over the same variables and pins."""
+        return ConstraintSystem(variables=set(self.variables),
+                                pinned=dict(self.pinned), u=self.u[rows],
+                                v=self.v[rows], bound=self.bound[rows],
+                                kind=self.kind[rows])
+
     def clone(self) -> "ConstraintSystem":
         """A copy whose bounds (and variables, pins) are independent.
 

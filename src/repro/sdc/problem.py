@@ -7,19 +7,30 @@ alive across ISDC iterations, DSE clock probes and II probes.  Each of
 those changes only row *bounds*: :meth:`ScheduleProblem.update_timing`
 (dirty delay-matrix pairs), :meth:`ScheduleProblem.rebase_timing` (a new
 clock budget) and :meth:`ScheduleProblem.rebase_ii` (a new initiation
-interval) compute the new bounds and hand them to one bound-write step,
-which updates the system's ``bound`` array and the cached LP's right-hand
-side together.  Row positions never move between rebuilds, so the LP
-matrix stays valid.
+interval) compute the new bounds and hand them to one bound-write step.
+Row positions never move between rebuilds.
+
+The system keeps every row; the LP HiGHS receives holds only the rows no
+other rows imply (:func:`lp_rows`).  Most Eq. 2 timing rows are implied:
+a timing row ``(u, p)`` needing ``k`` cycles plus the dependency
+``p -> v`` already forces ``(u, v)`` apart by ``k`` cycles.  Which rows
+may imply which depends only on the row structure
+(:func:`implication_pairs`, derived once per rebuild); whether they do
+depends on the bounds, so the bound-write step re-derives the kept rows
+and either patches the cached LP's right-hand side (kept rows unchanged)
+or drops the LP for :meth:`ScheduleProblem.lp` to re-assemble.
 
 Bound patches preserve byte-level parity with a from-scratch rebuild:
 
 * the set of timing pairs is canonical -- :func:`build_system` enumerates
   :func:`timing_pairs` (``np.nonzero(matrix > budget)``) in row-major
   order, so as long as the *set* of constrained pairs is unchanged the row
-  order (and hence the LP row order) is identical;
+  order is identical;
 * patched bounds are computed with the same :func:`timing_bounds` formula
   a rebuild uses;
+* the LP's rows are a pure function of the system's ``(u, v, bound,
+  kind)`` arrays, so equal arrays give byte-identical LPs however the
+  problem got there;
 * whenever the pair set would change (a constraint appears or vanishes),
   :meth:`~ScheduleProblem.update_timing` and
   :meth:`~ScheduleProblem.rebase_timing` refuse and the caller falls back
@@ -138,6 +149,97 @@ def build_system(graph: DataflowGraph, matrix: np.ndarray,
     return system
 
 
+def implication_pairs(system: ConstraintSystem
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Timing rows that imply another timing row through one dependency row.
+
+    With a dependency row ``s_p - s_v <= 0`` (``p`` an operand of ``v``), a
+    timing row ``(u, p)`` implies the timing row ``(u, v)`` whenever it
+    needs at least as many cycles; likewise a timing row ``(c, v)`` implies
+    ``(u, v)`` through a dependency ``u -> c``.  Which rows pair up depends
+    only on the rows' variables and kinds, never on their bounds, so the
+    pairs are derived once per system structure and each bound write only
+    re-compares bounds (:func:`lp_rows`).
+
+    The pairs are found over the row arrays: every timing row is stepped
+    over the dependency rows at one of its ends, and the stepped pair is
+    looked up among the sorted ``u * size + v`` keys of the timing rows.
+
+    Returns:
+        ``(source, target)``: system rows; ``source[i]`` implies
+        ``target[i]`` when ``bound[source[i]] <= bound[target[i]]``.
+    """
+    timing = np.flatnonzero(system.kind == TIMING)
+    dependency = np.flatnonzero(system.kind == DEPENDENCY)
+    if not len(timing) or not len(dependency):
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    size = int(max(system.u.max(), system.v.max())) + 1
+    tu, tv = system.u[timing], system.v[timing]
+    du, dv = system.u[dependency], system.v[dependency]
+    keys = tu * size + tv
+    by_key = np.argsort(keys, kind="stable")
+    sorted_keys = keys[by_key]
+    sources, targets = [], []
+    # (u, p) then p -> v reaches (u, v); u -> c then (c, v) reaches (u, v).
+    for forward, ends, tails, heads in ((True, tv, du, dv),
+                                        (False, tu, dv, du)):
+        rows, reached = _step(ends, tails, heads, size)
+        candidate = (tu[rows] * size + reached if forward
+                     else reached * size + tv[rows])
+        at = np.minimum(np.searchsorted(sorted_keys, candidate),
+                        len(keys) - 1)
+        found = sorted_keys[at] == candidate
+        sources.append(timing[rows[found]])
+        targets.append(timing[by_key[at[found]]])
+    return np.concatenate(sources), np.concatenate(targets)
+
+
+def _step(ends: np.ndarray, tails: np.ndarray, heads: np.ndarray, size: int
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Every edge ``tails[j] -> heads[j]`` leaving each of ``ends``.
+
+    Returns:
+        ``(rows, reached)``: for each such edge, the position in ``ends``
+        it leaves from and the node it reaches.
+    """
+    order = np.argsort(tails, kind="stable")
+    first = np.concatenate([[0], np.cumsum(np.bincount(tails,
+                                                       minlength=size))])
+    starts, counts = first[ends], first[ends + 1] - first[ends]
+    rows = np.repeat(np.arange(len(ends)), counts)
+    slots = np.arange(len(rows)) + np.repeat(
+        starts - (np.cumsum(counts) - counts), counts)
+    return rows, heads[order[slots]]
+
+
+def lp_rows(system: ConstraintSystem,
+            implications: tuple[np.ndarray, np.ndarray] | None = None
+            ) -> np.ndarray:
+    """Rows the LP needs: every row except the implied timing rows.
+
+    A timing row is dropped when a row of :func:`implication_pairs` already
+    forces at least as many cycles.  The implying row spans a strictly
+    shorter stretch of the (acyclic) dependency order, so by induction on
+    that span every dropped row is implied by the rows kept: dropping all
+    of them at once leaves the feasible region -- and so the LP optimum --
+    unchanged.  The result is a pure function of the rows' ``(u, v, bound,
+    kind)``, which is what keeps a patched problem's LP byte-identical to a
+    cold build's.
+
+    Args:
+        system: the full constraint system.
+        implications: :func:`implication_pairs` of ``system``, when cached.
+
+    Returns:
+        The kept system rows, ascending.
+    """
+    source, target = (implication_pairs(system) if implications is None
+                      else implications)
+    keep = np.ones(len(system), dtype=bool)
+    keep[target[system.bound[source] <= system.bound[target]]] = False
+    return np.flatnonzero(keep)
+
+
 @dataclass
 class AssembledLp:
     """The register-minimisation LP of one constraint system, fully assembled.
@@ -146,7 +248,8 @@ class AssembledLp:
     ascending node-id order; the lifetime variables follow.  Rows
     ``0 .. num_constraint_rows - 1`` of ``a_ub``/``b_ub`` are the system's
     rows in order, so a row index of the system is also its right-hand-side
-    index; the lifetime-linking rows follow.
+    index; the lifetime-linking rows follow.  (A :class:`ScheduleProblem`
+    assembles the subsystem of its :attr:`~ScheduleProblem.lp_rows`.)
 
     Attributes:
         num_vars: total LP columns.
@@ -172,12 +275,12 @@ def assemble_lp(system: ConstraintSystem,
     """Assemble the register-lifetime-minimising LP for a constraint system.
 
     This is the single assembly routine shared by every solve path (the
-    cached :meth:`ScheduleProblem.lp` and the one-shot reference
-    :func:`~repro.sdc.solver.solve_lp`), which is what makes
-    cached-and-patched structures byte-identical to rebuilt ones.  Row
-    ``i`` of the system becomes ``x[tail] - x[head] <= bound`` over its
-    dense columns; every user ``w`` of a weighted value ``n`` adds the
-    lifetime row ``x[w] - x[n] - L[n] <= 0``.
+    cached :meth:`ScheduleProblem.lp` over the non-implied rows and the
+    one-shot full-LP reference :func:`~repro.sdc.solver.solve_lp`), which
+    is what makes cached-and-patched structures byte-identical to rebuilt
+    ones.  Row ``i`` of the system becomes ``x[tail] - x[head] <= bound``
+    over its dense columns; every user ``w`` of a weighted value ``n`` adds
+    the lifetime row ``x[w] - x[n] - L[n] <= 0``.
     """
     register_weights = register_weights or {}
     users = users or {}
@@ -227,10 +330,11 @@ class ScheduleProblem:
     Built once per graph (typically by the baseline SDC schedule) and then
     kept alive for the whole ISDC loop: the register weights and users map
     are computed exactly once, the constraint system persists with fixed
-    row positions, and the assembled LP is cached.  Feedback updates, clock
-    rebases and II rebases only compute new bounds and hand them to one
-    bound-write step, which updates the system's ``bound`` array and the
-    cached LP's right-hand side together.
+    row positions, and the LP over the non-implied rows is cached.
+    Feedback updates, clock rebases and II rebases only compute new bounds
+    and hand them to one bound-write step, which updates the system's
+    ``bound`` array and keeps the cached LP in step (see the module
+    docstring).
 
     Attributes:
         graph: the scheduled dataflow graph.
@@ -271,12 +375,15 @@ class ScheduleProblem:
         Also records where the timing rows sit: their system rows and their
         ``row * n + col`` delay-matrix keys, which are ascending because
         :func:`timing_pairs` enumerates row-major.  Both stay fixed until
-        the next rebuild, so clones share them.
+        the next rebuild, so clones share them (as they share the
+        implication pairs, derived on first use).
         """
         self.system = build_system(self.graph, matrix, index_of,
                                    self.timing_budget_ps, self.pin_sources,
                                    ii=self.ii)
         self._lp = None
+        self._lp_rows = None
+        self._implications = None
         self._timing_rows = self.system.rows_of("timing")
         table = _index_table(index_of)
         self._timing_keys = (table[self.system.u[self._timing_rows]]
@@ -292,10 +399,12 @@ class ScheduleProblem:
         """An independent copy sharing only what bound writes never touch.
 
         The system's ``u``, ``v`` and ``kind``, the timing-row index, the
-        weights, the users map and the cached LP's matrix, objective and
-        variable bounds are shared; the system's ``bound`` and the LP's
-        ``b_ub`` -- the two arrays a bound write changes -- are copied, so
-        rebasing or patching the clone can never alias back into the donor.
+        implication pairs, the weights, the users map and the cached LP's
+        row map, matrix, objective and variable bounds are shared; the
+        system's ``bound`` and the LP's ``b_ub`` -- the two arrays a bound
+        write changes in place -- are copied, so rebasing or patching the
+        clone can never alias back into the donor (a write that moves the
+        LP's row set drops the clone's LP instead of editing it).
         Counters start at the donor's values (they describe cumulative work,
         not identity).
         """
@@ -310,6 +419,12 @@ class ScheduleProblem:
     def _write_bounds(self, rows: np.ndarray, bounds: np.ndarray) -> int:
         """Write new bounds into rows of the system (and the cached LP).
 
+        A write to timing rows re-derives the LP's rows (:func:`lp_rows`):
+        when they are unchanged the cached LP's right-hand side is patched,
+        otherwise the LP is dropped and :meth:`lp` re-assembles it.  Other
+        rows never change which timing rows are implied, so a loop-bound
+        write is always a right-hand-side patch.
+
         Returns:
             The number of rows whose bound changed; added to
             :attr:`bound_patches`.
@@ -317,8 +432,13 @@ class ScheduleProblem:
         changed = bounds != self.system.bound[rows]
         rows, bounds = rows[changed], bounds[changed]
         self.system.bound[rows] = bounds
-        if self._lp is not None:
-            self._lp.b_ub[rows] = bounds
+        if self._lp is not None and len(rows):
+            if (self.system.kind[rows] == TIMING).any() \
+                    and not np.array_equal(self._derive_rows(), self._lp_rows):
+                self._lp = None
+            else:
+                self._lp.b_ub[:len(self._lp_rows)] = \
+                    self.system.bound[self._lp_rows]
         self.bound_patches += len(rows)
         return len(rows)
 
@@ -372,13 +492,15 @@ class ScheduleProblem:
         same delay matrix) at many clock periods; between two periods only
         the timing constraints move -- the set of constrained pairs and
         each pair's ``ceil(delay / budget) - 1`` bound.  When the pair set
-        is unchanged the re-target is a bound write over the timing rows,
-        and the cached LP survives with its right-hand side patched.
+        is unchanged the re-target is a bound write over the timing rows:
+        the cached LP's right-hand side is patched, or the LP re-assembled
+        when the new bounds change which rows are implied.
 
         Byte parity with a cold build at ``new_budget_ps`` holds because a
         rebuild enumerates the same :func:`timing_pairs` in the same
         row-major order: an unchanged pair set means an unchanged row order,
-        and the bounds come from the same :func:`timing_bounds` formula.
+        the bounds come from the same :func:`timing_bounds` formula, and
+        the LP's rows are a function of those arrays alone.
 
         Args:
             matrix: the design's delay matrix (unchanged across periods).
@@ -447,12 +569,30 @@ class ScheduleProblem:
 
     # ----------------------------------------------------------------- caches
 
+    def _derive_rows(self) -> np.ndarray:
+        """:func:`lp_rows` of the system at its current bounds."""
+        if self._implications is None:
+            self._implications = implication_pairs(self.system)
+        return lp_rows(self.system, self._implications)
+
     def lp(self) -> AssembledLp:
-        """The assembled LP (cached; bounds are patched in place by writes)."""
+        """The assembled LP over the :attr:`lp_rows` of the system.
+
+        Cached; bound writes patch its right-hand side in place, or drop it
+        when they change which rows it needs.
+        """
         if self._lp is None:
-            self._lp = assemble_lp(self.system, self.register_weights,
-                                   self.users_map, self.latency_weight)
+            self._lp_rows = self._derive_rows()
+            self._lp = assemble_lp(self.system.subsystem(self._lp_rows),
+                                   self.register_weights, self.users_map,
+                                   self.latency_weight)
         return self._lp
+
+    @property
+    def lp_rows(self) -> np.ndarray:
+        """System row of each difference-constraint row of :meth:`lp`."""
+        self.lp()
+        return self._lp_rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ScheduleProblem({self.graph.name!r}, "

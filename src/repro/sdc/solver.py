@@ -10,18 +10,23 @@ The solution paths:
   objective XLS's SDC scheduler uses), solved with scipy's HiGHS backend.
   The constraint matrix is totally unimodular, so the LP optimum is integral;
   rounding plus a fixpoint repair guards against floating-point noise.
-  This one-shot form assembles a fresh LP per call; production code uses
-  the cached form below, and tests use this one as the reference.
+  This one-shot form assembles a fresh LP over *every* row per call;
+  production code uses the cached form below, and tests use this one as
+  the full-LP reference.
 * :func:`solve_problem` -- the production solve of a persistent
-  :class:`~repro.sdc.problem.ScheduleProblem` on its cached LP, shared by
+  :class:`~repro.sdc.problem.ScheduleProblem` on its cached LP, which holds
+  only the rows no other rows imply (:func:`~repro.sdc.problem.lp_rows`);
+  the rounding is repaired and checked against the full system.  Shared by
   the baseline schedule, the ISDC loop, the DSE engine and min-II search.
 * :class:`IncrementalSolver` -- the ISDC loop's re-solve: it patches only
   the dirty timing bounds of the cached LP and falls back to a full rebuild
   when the constraint structure changes.  :class:`FullSolver` rebuilds the
-  constraint system and LP from the delay matrix on every call; it is the
-  reference the tests hold the incremental path byte-identical to (the LP
-  input arrays are identical either way, see :mod:`repro.sdc.problem`, and
-  the repair fixpoint is unique).
+  constraint system from the delay matrix on every call and solves the
+  full LP; it is the reference the tests hold the incremental path
+  byte-identical to.  Dropping implied rows leaves the feasible region and
+  the optimum unchanged, a patched problem hands HiGHS the same LP bytes
+  as a rebuilt one (see :mod:`repro.sdc.problem`), and the repair fixpoint
+  is unique.
 """
 
 from __future__ import annotations
@@ -195,12 +200,14 @@ def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
 
     This is the one production solve path, shared by the baseline SDC
     schedule, the ISDC loop and the DSE warm-start engine: the problem's
-    cached LP (bounds possibly patched in place by delta updates or a
-    clock-period rebase) is solved with HiGHS, the integral rounding is
-    repaired by the array fixpoint, and the result is checked feasible.
-    Because :func:`~repro.sdc.problem.assemble_lp` is deterministic in the
-    system, a problem whose patched arrays equal a freshly built problem's
-    arrays produces a byte-identical schedule.
+    cached LP over its non-implied rows (patched in place by delta updates
+    or a clock-period rebase, or re-assembled when they moved the kept
+    rows) is solved with HiGHS, the integral rounding is repaired by the
+    array fixpoint over the full system, and the result is checked
+    feasible against every row.  Because the kept rows and
+    :func:`~repro.sdc.problem.assemble_lp` are deterministic in the system,
+    a problem whose patched arrays equal a freshly built problem's arrays
+    produces a byte-identical schedule.
 
     Raises:
         SdcInfeasibleError: if the LP (or the rounding repair) is infeasible.
@@ -233,7 +240,7 @@ class IncrementalSolver:
     """Patch the cached LP in place, or rebuild when the structure changed.
 
     Per call, the solver asks the problem to write the dirty timing bounds
-    into the system and the cached LP's right-hand side
+    into the system and the cached LP
     (:meth:`~repro.sdc.problem.ScheduleProblem.update_timing`); if the
     constraint structure changed instead, it falls back to a full rebuild.
     The LP is then solved on the cached (or freshly rebuilt) arrays.

@@ -26,6 +26,7 @@ from repro.designs.generator import case_from_name
 from repro.dse.optimizer import MinClockOptimizer
 from repro.dse.search import deterministic_payload, drive_optimizer, run_dse
 from repro.dse.warm import ProblemCache
+from tests.sdc.certificate import verify_schedule_certificate
 
 #: Designs whose warm searches the warm-vs-cold speedup gate times
 #: (``benchmarks/test_speedup_gates.py``): plateaus wide enough that warm
@@ -102,8 +103,9 @@ def warm_search(design: str, start_clock_ps: float | None = None,
     *((design, None, 1.0, 4) for design in GATED_DESIGNS + EXTENDED_DESIGNS),
 ], ids=lambda search: f"{search[0]}@{search[2]:g}ps/x{search[3]}")
 def test_warm_equals_cold_across_real_design_search(search):
-    """End-to-end: a real min-clock search converges, and every probe is
-    identical to a cold solve from a fresh cache (nothing shared)."""
+    """End-to-end: a real min-clock search converges, every probe is
+    identical to a cold solve from a fresh cache (nothing shared), and
+    every feasible probe's schedule passes the from-scratch certificate."""
     design = search[0]
     converged, probes = warm_search(*search)
     assert converged
@@ -112,6 +114,13 @@ def test_warm_equals_cold_across_real_design_search(search):
     for probe in probes:
         assert_probe_parity(
             probe, ProblemCache().cold_probe(design, probe.clock_period_ps))
+    context = ProblemCache().context(design)
+    for probe in probes:
+        if probe.feasible:
+            verify_schedule_certificate(
+                context.graph, context.matrix, context.index_of,
+                probe.clock_period_ps - context.register_overhead_ps,
+                probe.ii, probe.stages)
 
 
 def test_warm_searches_rebuild_fewer_lps():

@@ -19,7 +19,9 @@ from repro.designs.suite import table1_suite
 import repro.isdc.scheduler as isdc_scheduler
 from repro.isdc.config import IsdcConfig
 from repro.isdc.scheduler import IsdcScheduler
-from repro.sdc.solver import FullSolver
+from repro.sdc.scheduler import SdcScheduler
+from repro.sdc.solver import FullSolver, IncrementalSolver
+from tests.sdc.certificate import verify_schedule_certificate
 
 # The arith suite designs plus the misc-package design, by Table-I row name.
 ARITH_MISC_DESIGNS = (
@@ -46,6 +48,40 @@ def _run(name: str, backend: str = "estimator"):
     result = scheduler.schedule(case.build())
     if hasattr(scheduler.feedback.backend, "close"):
         scheduler.feedback.backend.close()
+    return result, scheduler
+
+
+def _certified_run(monkeypatch, name: str, backend: str = "estimator"):
+    """:func:`_run`, certifying every history schedule from scratch.
+
+    Each schedule -- the baseline's and every re-solve's -- is recorded
+    with the delay matrix it was solved against and checked by
+    :func:`verify_schedule_certificate`.
+    """
+    solves = []
+    real_baseline, real_solve = SdcScheduler.schedule, IncrementalSolver.solve
+
+    def baseline(self, graph):
+        result = real_baseline(self, graph)
+        solves.append((result.delay_matrix.copy(), dict(result.index_of),
+                       dict(result.schedule.stages)))
+        return result
+
+    def solve(self, problem, matrix, index_of, dirty_pairs=None):
+        stages = real_solve(self, problem, matrix, index_of, dirty_pairs)
+        solves.append((matrix.copy(), dict(index_of), dict(stages)))
+        return stages
+
+    with monkeypatch.context() as patch:
+        patch.setattr(SdcScheduler, "schedule", baseline)
+        patch.setattr(IncrementalSolver, "solve", solve)
+        result, scheduler = _run(name, backend)
+    assert len(solves) == len(result.history)
+    for matrix, index_of, stages in solves:
+        verify_schedule_certificate(
+            scheduler.last_problem.graph, matrix, index_of,
+            scheduler.timing_budget_ps, scheduler.last_problem.ii, stages,
+            latency_weight=scheduler.config.latency_weight)
     return result, scheduler
 
 
@@ -83,7 +119,7 @@ def _canonical_json(result):
 @pytest.mark.parametrize("design", ARITH_MISC_DESIGNS)
 def test_incremental_matches_full_on_arith_misc(design, monkeypatch):
     full, _ = _reference(monkeypatch, design)
-    incremental, scheduler = _run(design)
+    incremental, scheduler = _certified_run(monkeypatch, design)
 
     assert pickle.dumps(_canonical_history(full)) == \
         pickle.dumps(_canonical_history(incremental))
@@ -101,7 +137,7 @@ def test_incremental_matches_full_on_arith_misc(design, monkeypatch):
 def test_incremental_matches_full_through_real_synthesis(monkeypatch):
     """Parity also holds under the full local synthesis backend."""
     full, _ = _reference(monkeypatch, "rrot", backend="local")
-    incremental, _ = _run("rrot", backend="local")
+    incremental, _ = _certified_run(monkeypatch, "rrot", backend="local")
     assert pickle.dumps(_canonical_history(full)) == \
         pickle.dumps(_canonical_history(incremental))
     assert full.final_schedule.stages == incremental.final_schedule.stages

@@ -1,0 +1,273 @@
+"""Soundness of the implied-row rule the cached LP is assembled under.
+
+:meth:`ScheduleProblem.lp` hands HiGHS only the rows of
+:func:`~repro.sdc.problem.lp_rows`: every row but the timing rows another
+timing row already implies through one dependency row.  Over every Table-I
+row, the tight-budget designs, the loop example at II 1 and 2 and three
+seeded generated designs, these tests check that
+
+* the reduced system has the same earliest and latest schedules as the
+  full one;
+* every dropped row is implied by the kept rows, by a Floyd–Warshall
+  longest-path oracle written here;
+* after a clock-rebase ladder and after ISDC feedback patches, the warm
+  problem's reduced LP is byte-identical to a cold build's at the same
+  bounds.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.dse.warm import build_context
+from repro.isdc.delay_matrix import DelayMatrix
+from repro.isdc.reformulate import propagate_delays
+from repro.sdc.constraints import DEPENDENCY, TIMING, ConstraintSystem
+from repro.sdc.problem import ScheduleProblem, lp_rows
+from repro.sdc.solver import (SdcInfeasibleError, solve_alap, solve_asap,
+                              solve_problem)
+from tests.sdc.certificate import verify_schedule_certificate
+from tests.sdc.test_lp_golden import cold_problem, lp_cases
+
+GEN_DESIGNS = tuple(
+    f"gen:seed={seed},depth=5,width=3,fanout=2,bits=8,inputs=3,clock=2000,"
+    "mix=add3+xor2+sub1+rotr1" for seed in (1, 2, 3))
+
+#: Budget factors of the clock-rebase ladder, walked in order from the
+#: case's own budget.  Small steps keep the constrained-pair set (bound
+#: patches); the larger ones move it (rebuilds).
+LADDER = (1.001, 1.004, 0.999, 0.99, 1.02, 0.97, 1.1, 0.9)
+
+
+def _cases() -> dict[str, tuple[str, float | None, int]]:
+    cases = lp_cases()
+    for design in GEN_DESIGNS:
+        cases[f"gen/{design}"] = (design, None, 1)
+    return cases
+
+
+CASES = sorted(_cases())
+
+
+def _system_arrays(system: ConstraintSystem) -> list[np.ndarray]:
+    return [system.u, system.v, system.bound, system.kind]
+
+
+def _lp_arrays(problem: ScheduleProblem) -> list:
+    lp = problem.lp()
+    arrays = [problem.lp_rows, lp.b_ub, lp.objective]
+    if lp.a_ub is not None:
+        arrays += [lp.a_ub.indptr, lp.a_ub.indices, lp.a_ub.data]
+    return arrays
+
+
+def assert_lp_equals_cold(warm: ScheduleProblem, cold: ScheduleProblem):
+    """The warm problem's system and reduced LP equal the cold build's."""
+    for patched, fresh in zip(_system_arrays(warm.system),
+                              _system_arrays(cold.system)):
+        np.testing.assert_array_equal(patched, fresh)
+    for patched, fresh in zip(_lp_arrays(warm), _lp_arrays(cold)):
+        assert patched.dtype == fresh.dtype
+        np.testing.assert_array_equal(patched, fresh)
+    assert warm.lp().bounds == cold.lp().bounds
+
+
+def _longest_paths(system: ConstraintSystem, rows: np.ndarray) -> np.ndarray:
+    """Floyd–Warshall over ``rows``: the most cycles each pair is forced apart.
+
+    Row ``s_u - s_v <= b`` is an edge ``u -> v`` of weight ``-b``; entry
+    ``[u, v]`` of the closure is the heaviest path (``-inf`` if none).
+    """
+    order, tail, head = system.columns()
+    closure = np.full((len(order), len(order)), -np.inf)
+    np.fill_diagonal(closure, 0.0)
+    np.maximum.at(closure, (tail[rows], head[rows]), -system.bound[rows])
+    for middle in range(len(order)):
+        np.maximum(closure, closure[:, middle, None] + closure[None, middle, :],
+                   out=closure)
+    return closure
+
+
+@pytest.fixture(scope="module", params=CASES)
+def case(request):
+    name, budget, ii = _cases()[request.param]
+    return request.param, cold_problem(name, budget, ii)
+
+
+def _outcome(solve, *args):
+    """A fixpoint's schedule, or ``"infeasible"`` when it raises."""
+    try:
+        return solve(*args)
+    except SdcInfeasibleError:
+        return "infeasible"
+
+
+def test_reduced_system_has_the_same_asap_and_alap(case):
+    _, problem = case
+    full = problem.system
+    reduced = full.subsystem(problem.lp_rows)
+    asap = _outcome(solve_asap, full)
+    assert _outcome(solve_asap, reduced) == asap
+    latency = max(asap.values()) + 1 if asap != "infeasible" else 8
+    assert _outcome(solve_alap, reduced, latency) \
+        == _outcome(solve_alap, full, latency)
+
+
+def test_every_dropped_row_is_implied_by_the_kept_rows(case):
+    _, problem = case
+    system = problem.system
+    kept = problem.lp_rows
+    dropped = np.setdiff1d(np.arange(len(system)), kept)
+    assert (system.kind[dropped] == TIMING).all()
+    closure = _longest_paths(system, kept)
+    _, tail, head = system.columns()
+    forced = closure[tail[dropped], head[dropped]]
+    assert (forced >= -system.bound[dropped]).all()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dropped_rows_are_implied_at_arbitrary_bounds(seed):
+    """Delay-matrix bounds grow along every path, which hides a rule that
+    ignored them; random DAGs with random timing bounds do not."""
+    rng = np.random.default_rng(seed)
+    size = 14
+    edges = [(a, b) for b in range(1, size) for a in range(b)
+             if rng.random() < 0.25]
+    reach = np.eye(size, dtype=bool)
+    for a, b in edges:  # edges come in topological order of ``b``
+        reach[:, b] |= reach[:, a]
+    sources, sinks = np.nonzero(reach & ~np.eye(size, dtype=bool))
+    chosen = rng.random(len(sources)) < 0.7
+    system = ConstraintSystem(variables=set(range(size)))
+    system.extend([a for a, _ in edges], [b for _, b in edges],
+                  np.zeros(len(edges)), DEPENDENCY)
+    system.extend(sources[chosen], sinks[chosen],
+                  -rng.integers(1, 5, int(chosen.sum())), TIMING)
+    kept = lp_rows(system)
+    dropped = np.setdiff1d(np.arange(len(system)), kept)
+    closure = _longest_paths(system, kept)
+    _, tail, head = system.columns()
+    assert (closure[tail[dropped], head[dropped]]
+            >= -system.bound[dropped]).all()
+    reduced = system.subsystem(kept)
+    asap = solve_asap(system)
+    assert solve_asap(reduced) == asap
+    latency = max(asap.values()) + 1
+    assert solve_alap(reduced, latency) == solve_alap(system, latency)
+
+
+def test_rule_drops_most_timing_rows_at_tight_budgets():
+    for name in ("binary divide", "crc32"):
+        problem = cold_problem(name, "tight", 1)
+        timing = len(problem.system.rows_of("timing"))
+        dropped = len(problem.system) - len(problem.lp_rows)
+        assert dropped > 0.8 * timing, (name, dropped, timing)
+
+
+def test_rebase_ladder_lp_equals_cold_build(case):
+    label, problem = case
+    name, _, ii = _cases()[label]
+    context = build_context(name)
+    warm = problem.clone()
+    warm.lp()
+    for factor in LADDER:
+        budget = problem.timing_budget_ps * factor
+        warm.retarget(context.matrix, context.index_of, budget)
+        cold = ScheduleProblem(context.graph, context.matrix,
+                               context.index_of, budget, ii=ii)
+        assert_lp_equals_cold(warm, cold)
+
+
+def test_rebase_ladder_takes_every_write_path():
+    """Over the ladder, some rebases keep the LP's rows (patched in place),
+    some move them (re-assembled) and some move the pair set (rebuilt)."""
+    paths = {"patched": 0, "reassembled": 0, "rebuilt": 0}
+    for name in ("crc32", "ML-core datapath2", "hsv2rgb"):
+        problem = cold_problem(name, None, 1)
+        context = build_context(name)
+        for factor in LADDER:
+            lp = problem.lp()
+            rows = problem.lp_rows
+            if not problem.retarget(context.matrix, context.index_of,
+                                    problem.timing_budget_ps * factor):
+                paths["rebuilt"] += 1
+            elif problem.lp() is lp:
+                assert np.array_equal(problem.lp_rows, rows)
+                paths["patched"] += 1
+            else:
+                assert not np.array_equal(problem.lp_rows, rows)
+                paths["reassembled"] += 1
+    assert all(paths.values()), paths
+
+
+def test_feedback_patches_lp_equals_cold_build(case):
+    """ISDC-style updates: measured subgraphs lower pairs, Alg. 2
+    re-propagates, and the dirty pairs are patched (or rebuilt)."""
+    label, problem = case
+    name, _, _ = _cases()[label]
+    context = build_context(name)
+    matrix = DelayMatrix(context.graph, context.matrix.copy(),
+                         dict(context.index_of))
+    warm = problem.clone()
+    warm.lp()
+    rng = np.random.default_rng(19)
+    timing = warm.system.rows_of("timing")
+    for _ in range(3):
+        if not len(timing):
+            break
+        for row in rng.choice(timing, size=min(4, len(timing)),
+                              replace=False).tolist():
+            u, v = int(warm.system.u[row]), int(warm.system.v[row])
+            matrix.update_with_subgraph(
+                (u, v), 0.8 * matrix.matrix[matrix.index_of[u],
+                                            matrix.index_of[v]])
+        propagate_delays(matrix)
+        if not warm.update_timing(matrix.consume_dirty(), matrix.matrix,
+                                  matrix.index_of):
+            warm.rebuild(matrix.matrix, matrix.index_of)
+        cold = ScheduleProblem(context.graph, matrix.matrix, matrix.index_of,
+                               warm.timing_budget_ps, ii=warm.ii)
+        assert_lp_equals_cold(warm, cold)
+        timing = warm.system.rows_of("timing")
+
+
+def test_rebase_ii_is_a_right_hand_side_patch():
+    problem = cold_problem(*lp_cases()["loop_accum/ii=1"])
+    lp, rows = problem.lp(), problem.lp_rows
+    assert problem.rebase_ii(2)
+    assert problem.lp() is lp
+    np.testing.assert_array_equal(problem.lp_rows, rows)
+    assert_lp_equals_cold(problem, cold_problem(*lp_cases()["loop_accum/ii=2"]))
+
+
+class TestCertificate:
+    """The from-scratch certificate accepts the solve and rejects others."""
+
+    def _setup(self):
+        context = build_context("rrot")
+        budget = context.default_clock_ps - context.register_overhead_ps
+        problem = ScheduleProblem(context.graph, context.matrix,
+                                  context.index_of, budget)
+        return context, budget, problem
+
+    def test_accepts_the_solved_schedule(self):
+        context, budget, problem = self._setup()
+        verify_schedule_certificate(context.graph, context.matrix,
+                                    context.index_of, budget, 1,
+                                    solve_problem(problem))
+
+    def test_rejects_a_feasible_but_suboptimal_schedule(self):
+        context, budget, problem = self._setup()
+        latest = solve_alap(problem.system,
+                            max(solve_problem(problem).values()) + 2)
+        with pytest.raises(AssertionError, match="optimum"):
+            verify_schedule_certificate(context.graph, context.matrix,
+                                        context.index_of, budget, 1, latest)
+
+    def test_rejects_an_infeasible_schedule(self):
+        context, budget, problem = self._setup()
+        flat = dict.fromkeys(problem.system.variables, 0)
+        with pytest.raises(AssertionError, match="violates"):
+            verify_schedule_certificate(context.graph, context.matrix,
+                                        context.index_of, budget, 1, flat)

@@ -1,10 +1,13 @@
 """Golden digests of the assembled SDC linear programs.
 
 Every case builds a :class:`~repro.sdc.problem.ScheduleProblem` cold and
-hashes the LP arrays HiGHS receives (``A_ub`` in CSR form, ``b_ub``, the
-objective and the variable bounds).  The committed digests pin the LP
-byte for byte, so any change to constraint construction, row order,
-deduplication or assembly shows up here even when schedules happen to
+hashes two LPs (``A_ub`` in CSR form, ``b_ub``, the objective and the
+variable bounds): the full LP :func:`~repro.sdc.problem.assemble_lp`
+makes from every row of the system (key ``<case>``), and the LP HiGHS
+receives, over the rows no other rows imply (:meth:`ScheduleProblem.lp`,
+key ``reduced/<case>``).  The committed digests pin both byte for byte,
+so any change to constraint construction, row order, deduplication, the
+implied-row rule or assembly shows up here even when schedules happen to
 survive it.
 
 Regenerate the digests (only for a deliberate LP change) with::
@@ -24,7 +27,7 @@ import pytest
 
 from repro.designs.suite import table1_suite
 from repro.dse.warm import build_context
-from repro.sdc.problem import ScheduleProblem
+from repro.sdc.problem import AssembledLp, ScheduleProblem, assemble_lp
 
 GOLDEN_PATH = Path(__file__).with_name("lp_golden.json")
 LOOP_DESIGN = str(Path(__file__).parents[2] / "examples" / "loop_accum.ir")
@@ -33,7 +36,7 @@ LOOP_DESIGN = str(Path(__file__).parents[2] / "examples" / "loop_accum.ir")
 TIGHT_DESIGNS = ("binary divide", "crc32")
 
 
-def _cases() -> dict[str, tuple[str, float | None, int]]:
+def lp_cases() -> dict[str, tuple[str, float | None, int]]:
     """Case label -> (design name, budget in ps or None for default, II)."""
     cases = {f"table1/{case.name}": (case.name, None, 1)
              for case in table1_suite()}
@@ -44,7 +47,7 @@ def _cases() -> dict[str, tuple[str, float | None, int]]:
     return cases
 
 
-def _problem(name: str, budget, ii: int) -> ScheduleProblem:
+def cold_problem(name: str, budget, ii: int) -> ScheduleProblem:
     context = build_context(name)
     if budget is None:
         budget = context.default_clock_ps - context.register_overhead_ps
@@ -54,9 +57,8 @@ def _problem(name: str, budget, ii: int) -> ScheduleProblem:
                            budget, ii=ii)
 
 
-def lp_digest(problem: ScheduleProblem) -> str:
+def _digest(lp: AssembledLp) -> str:
     """sha256 over the LP's CSR ``A_ub``, ``b_ub``, objective and bounds."""
-    lp = problem.lp()
     digest = hashlib.sha256()
     arrays = [lp.b_ub, lp.objective]
     if lp.a_ub is not None:
@@ -68,24 +70,40 @@ def lp_digest(problem: ScheduleProblem) -> str:
     return digest.hexdigest()
 
 
+def lp_digests(problem: ScheduleProblem) -> dict[str, str]:
+    """Digests of the full and the reduced LP, by golden-label prefix."""
+    full = assemble_lp(problem.system, problem.register_weights,
+                       problem.users_map, problem.latency_weight)
+    return {"": _digest(full), "reduced/": _digest(problem.lp())}
+
+
 def _golden() -> dict[str, str]:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-@pytest.mark.parametrize("label", sorted(_cases()))
+@pytest.mark.parametrize("label", sorted(lp_cases()))
 def test_lp_matches_golden_digest(label):
-    name, budget, ii = _cases()[label]
-    assert lp_digest(_problem(name, budget, ii)) == _golden()[label]
+    digests = lp_digests(cold_problem(*lp_cases()[label]))
+    assert digests[""] == _golden()[label]
+
+
+@pytest.mark.parametrize("label", sorted(lp_cases()))
+def test_reduced_lp_matches_golden_digest(label):
+    digests = lp_digests(cold_problem(*lp_cases()[label]))
+    assert digests["reduced/"] == _golden()[f"reduced/{label}"]
 
 
 def test_golden_covers_every_case():
-    assert sorted(_golden()) == sorted(_cases())
+    assert sorted(_golden()) == sorted(
+        f"{prefix}{label}" for label in lp_cases() for prefix in ("", "reduced/"))
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_lp_golden.py --write")
-    digests = {label: lp_digest(_problem(*spec))
-               for label, spec in sorted(_cases().items())}
-    GOLDEN_PATH.write_text(json.dumps(digests, indent=2) + "\n")
+    digests = {f"{prefix}{label}": digest
+               for label, spec in sorted(lp_cases().items())
+               for prefix, digest in lp_digests(cold_problem(*spec)).items()}
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True)
+                           + "\n")
     print(f"wrote {len(digests)} digests to {GOLDEN_PATH}")

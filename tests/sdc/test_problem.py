@@ -73,7 +73,12 @@ class TestConstraintRowIdentity:
         assert problem.system.kind is kind
         bounds[row] = -1
         np.testing.assert_array_equal(problem.system.bound, bounds)
-        np.testing.assert_array_equal(lp.b_ub[:len(bounds)], bounds)
+        # The LP holds the non-implied rows: its right-hand side is the
+        # system's bounds over its row map, whichever rows the write left.
+        lp = problem.lp()
+        rows = problem.lp_rows
+        assert lp.num_constraint_rows == len(rows)
+        np.testing.assert_array_equal(lp.b_ub[:len(rows)], bounds[rows])
 
     def test_unchanged_bound_is_not_a_patch(self, rrot_setup):
         graph, matrix, index_of, problem, _ = rrot_setup
@@ -109,8 +114,40 @@ class TestScheduleProblem:
         assert problem.update_timing({pair}, matrix, index_of)
         assert problem.system.bound[row] == -1 != old_bound
         assert _timing_row(problem.system, *pair) == row
-        assert lp.b_ub[row] == -1.0
+        lp = problem.lp()
+        rows = problem.lp_rows
+        np.testing.assert_array_equal(lp.b_ub[:len(rows)],
+                                      problem.system.bound[rows])
         assert problem.bound_patches == 1
+
+    def test_timing_write_patches_or_reassembles_lp(self, rrot_setup):
+        """A write keeping the LP's rows patches it in place; one moving
+        them drops it.  Either way the LP equals a cold build's."""
+        graph, matrix, index_of, problem, scheduler = rrot_setup
+        budget = scheduler.timing_budget_ps
+        lp_rows = problem.lp_rows
+        patched = reassembled = 0
+        for row in lp_rows[problem.system.kind[lp_rows] == TIMING].tolist():
+            pair = int(problem.system.u[row]), int(problem.system.v[row])
+            for stages in (1.5, 2.5, 3.5):
+                clone, edited = problem.clone(), matrix.copy()
+                lp = clone.lp()
+                edited[index_of[pair[0]], index_of[pair[1]]] = budget * stages
+                assert clone.update_timing({pair}, edited, index_of)
+                cold = ScheduleProblem(graph, edited, index_of, budget)
+                np.testing.assert_array_equal(clone.lp_rows, cold.lp_rows)
+                if np.array_equal(clone.lp_rows, lp_rows):
+                    assert clone.lp() is lp
+                    patched += 1
+                else:
+                    assert clone.lp() is not lp
+                    reassembled += 1
+                if row in clone.lp_rows:
+                    position = np.searchsorted(clone.lp_rows, row)
+                    assert clone.lp().b_ub[position] == clone.system.bound[row]
+                np.testing.assert_array_equal(clone.lp().b_ub, cold.lp().b_ub)
+                assert (clone.lp().a_ub != cold.lp().a_ub).nnz == 0
+        assert patched and reassembled
 
     def test_update_timing_detects_vanishing_constraint(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
