@@ -1,11 +1,11 @@
-"""Speedup gates: timing ratios of the kernel, DSE and service layers.
+"""Speedup gates: timing ratios of the kernel, optimiser, DSE and service layers.
 
 These are the checks too slow or too timing-dependent for the tier-1 suite:
 the dense all-pairs matrices of the ~13k-node huge shapes alone take ~30 s.
 Their deterministic halves (byte parity against the reference kernel,
 warm-vs-cold probe parity, LP-rebuild counts, served-result parity and
-coalescing) run in tier-1 under ``tests/kernel/``, ``tests/dse/`` and
-``tests/service/``; end-to-end wall time is measured by ``perfbench/``
+coalescing, optimiser parity) run in tier-1 under ``tests/kernel/``,
+``tests/dse/``, ``tests/service/`` and ``tests/netlist/``; end-to-end wall time is measured by ``perfbench/``
 (see ``perfbench/README.md``).  Run::
 
     python -m pytest benchmarks/test_speedup_gates.py -q -k "not xwide"
@@ -54,9 +54,14 @@ from repro.kernel.reference import (
 )
 from repro.kernel.sparse import DENSITY_BUDGET, MIN_SPARSE_NODES
 from repro.netlist.lowering import lower_graph
+from repro.netlist.optimizer import LogicOptimizer
 from repro.netlist.sta import StaticTimingAnalysis
 from repro.sdc.delays import node_delays
 from repro.tech.delay_model import OperatorModel
+from repro.tech.sky130 import sky130_library
+from tests.netlist.reference_optimizer import ReferenceOptimizer
+from tests.netlist.test_optimizer_golden import (golden_fields,
+                                                 table1_stage_netlists)
 
 REPEATS = 3
 TIME_BOX_S = 5.0
@@ -65,6 +70,15 @@ TIME_BOX_S = 5.0
 #: ladder design: 0.8 x 4.544, the recorded combined speedup less a 20%
 #: regression allowance.
 LADDER_SPEEDUP_FLOOR = 0.8 * 4.544
+
+#: List-based logic optimiser over the historical Netlist-based passes
+#: (``tests/netlist/reference_optimizer.py``) on the
+#: :data:`OPTIMIZER_GATED_DESIGNS` stage netlists.
+OPTIMIZER_SPEEDUP_FLOOR = 2.0
+
+#: Table-I rows whose baseline-schedule stages the optimiser gate times:
+#: the four rows ``perfbench``'s ``isdc-cold`` workload synthesizes.
+OPTIMIZER_GATED_DESIGNS = ("ML-core datapath1", "rrot", "crc32", "hsv2rgb")
 
 #: Sparse over dense all-pairs sweep, on every huge shape the
 #: auto-selector sends down the sparse path.
@@ -141,6 +155,33 @@ def test_kernel_ladder_speedup():
     speedup = (matrix_ref_s + sta_ref_s) / (matrix_s + sta_s)
     print(f"ladder {len(graph)} nodes: combined {speedup:.2f}x")
     assert speedup >= LADDER_SPEEDUP_FLOOR
+
+
+# ------------------------------------------------------------ optimiser
+
+
+def test_optimizer_speedup_over_reference():
+    library = sky130_library()
+    netlists = list(table1_stage_netlists(OPTIMIZER_GATED_DESIGNS).values())
+    assert len(netlists) >= 8
+
+    def optimize_all(optimizer):
+        # Fresh copies, so no run reuses a view cached on its input.
+        return [optimizer.optimize(netlist.copy()) for netlist in netlists]
+
+    reference_s, expected = best_of(
+        lambda: optimize_all(ReferenceOptimizer(library)))
+    optimizer_s, actual = best_of(
+        lambda: optimize_all(LogicOptimizer(library)))
+    for (want, want_report), (got, got_report) in zip(expected, actual):
+        assert golden_fields(got) == golden_fields(want)
+        assert [gate.name for gate in got.gates()] == \
+            [gate.name for gate in want.gates()]
+        assert got_report == want_report
+    speedup = reference_s / optimizer_s
+    print(f"optimizer on {len(netlists)} stages: {speedup:.2f}x "
+          f"({reference_s:.3f} s -> {optimizer_s:.3f} s)")
+    assert speedup >= OPTIMIZER_SPEEDUP_FLOOR
 
 
 @dataclass

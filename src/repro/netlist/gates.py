@@ -6,12 +6,30 @@ import enum
 from dataclasses import dataclass
 
 
+#: Input-pin count per gate kind value.
+_NUM_INPUTS = {
+    "input": 0, "const0": 0, "const1": 0,
+    "buf": 1, "inv": 1,
+    "and2": 2, "or2": 2, "nand2": 2, "nor2": 2, "xor2": 2, "xnor2": 2,
+    "andn2": 2,
+    "mux2": 3, "maj3": 3,
+}
+
+#: Library cell per gate kind value (primary inputs have none).
+_CELL_NAME = {
+    "buf": "buf", "inv": "inv", "and2": "and2", "or2": "or2",
+    "nand2": "nand2", "nor2": "nor2", "xor2": "xor2", "xnor2": "xnor2",
+    "andn2": "andn2", "mux2": "mux2", "maj3": "maj3",
+    "const0": "tie0", "const1": "tie1",
+}
+
+
 class GateKind(enum.Enum):
     """Primitive gate kinds.
 
     ``INPUT`` gates are the primary inputs of the netlist (one per bit);
     ``CONST0``/``CONST1`` are tie cells.  All other kinds map one-to-one onto
-    cells of the technology library (see ``CELL_NAME``).
+    cells of the technology library (see :attr:`cell_name`).
     """
 
     INPUT = "input"
@@ -30,59 +48,28 @@ class GateKind(enum.Enum):
     MAJ3 = "maj3"
 
     def __init__(self, value: str) -> None:
+        # Plain per-member attributes rather than properties over a dict:
+        # they sit on every gate-count, ``Netlist.add_gate``, area and STA
+        # path.
         #: True for primary inputs and tie cells (gates with no driving
-        #: logic); a plain per-member attribute because it sits on every
-        #: gate-count and STA path.
+        #: logic).
         self.is_source = value in ("input", "const0", "const1")
+        #: Number of input pins.
+        self.num_inputs = _NUM_INPUTS[value]
+        #: Technology-library cell implementing this gate (None for inputs).
+        self.cell_name = _CELL_NAME.get(value)
 
-    @property
-    def num_inputs(self) -> int:
-        return _NUM_INPUTS[self]
-
-    @property
-    def cell_name(self) -> str | None:
-        """Technology-library cell implementing this gate (None for inputs)."""
-        return _CELL_NAME.get(self)
-
-
-_NUM_INPUTS = {
-    GateKind.INPUT: 0,
-    GateKind.CONST0: 0,
-    GateKind.CONST1: 0,
-    GateKind.BUF: 1,
-    GateKind.INV: 1,
-    GateKind.AND2: 2,
-    GateKind.OR2: 2,
-    GateKind.NAND2: 2,
-    GateKind.NOR2: 2,
-    GateKind.XOR2: 2,
-    GateKind.XNOR2: 2,
-    GateKind.ANDN2: 2,
-    GateKind.MUX2: 3,
-    GateKind.MAJ3: 3,
-}
-
-_CELL_NAME = {
-    GateKind.BUF: "buf",
-    GateKind.INV: "inv",
-    GateKind.AND2: "and2",
-    GateKind.OR2: "or2",
-    GateKind.NAND2: "nand2",
-    GateKind.NOR2: "nor2",
-    GateKind.XOR2: "xor2",
-    GateKind.XNOR2: "xnor2",
-    GateKind.ANDN2: "andn2",
-    GateKind.MUX2: "mux2",
-    GateKind.MAJ3: "maj3",
-    GateKind.CONST0: "tie0",
-    GateKind.CONST1: "tie1",
-}
 
 #: Dense integer code per gate kind (enum definition order).  Backs the
 #: vectorized per-kind lookup tables (e.g. the STA delay table): a netlist's
 #: gates become one int array of codes, and any per-kind quantity is a single
-#: numpy ``table[codes]`` gather.
+#: numpy ``table[codes]`` gather.  The logic optimiser's gate lists carry
+#: these codes in place of the members.  Each member also holds its code as
+#: ``kind.code``, so per-gate loops read it without hashing the enum.
 KIND_CODES = {kind: code for code, kind in enumerate(GateKind)}
+for _kind, _code in KIND_CODES.items():
+    _kind.code = _code
+del _kind, _code
 
 #: Truth-table evaluators used by constant propagation and simulation.
 #: Each maps a tuple of input bits to the output bit.

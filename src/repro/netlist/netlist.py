@@ -7,7 +7,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.kernel import GraphView
-from repro.netlist.gates import Gate, GateKind, GATE_FUNCTIONS, KIND_CODES
+from repro.netlist.gates import Gate, GateKind, GATE_FUNCTIONS
 from repro.tech.library import TechLibrary
 
 
@@ -171,7 +171,7 @@ class Netlist:
             return cached[1], cached[2]
         ids = np.fromiter(sorted(self._gates), dtype=np.int64,
                           count=len(self._gates))
-        codes = np.fromiter((KIND_CODES[self._gates[gid].kind] for gid in ids),
+        codes = np.fromiter((self._gates[gid].kind.code for gid in ids),
                             dtype=np.int64, count=ids.size)
         self._kind_code_cache = (self._version, ids, codes)
         return ids, codes

@@ -11,37 +11,73 @@ the paper's feedback loop is designed to capture:
   earliest-arriving leaves first);
 * dead-gate elimination (only the cone of the primary outputs is kept).
 
-Each pass rewrites into a fresh gate list rather than mutating in place,
-which keeps every pass simple.  The rewriter (``_Rebuilder``) numbers gates
-itself and builds no netlist; its dead-gate elimination (``prune``) then
-emits the pass's one :class:`~repro.netlist.netlist.Netlist`, numbered in
-the kernel's deterministic Kahn order, with every surviving gate checked
-by :meth:`~repro.netlist.netlist.Netlist.add_gate`.
+The pipeline is strash -> balance -> strash.  Each pass reads and writes a
+plain gate list -- ``(kinds, inputs, names, outputs)``, gate ``i`` of kind
+code ``kinds[i]`` (:data:`~repro.netlist.gates.KIND_CODES`) with operands
+``inputs[i]`` -- and builds no :class:`~repro.netlist.netlist.Netlist` and
+no :class:`~repro.kernel.GraphView`.  The rewriter (``_Rewriter``) numbers
+gates in emission order, so every operand precedes its user; its dead-gate
+elimination (``prune``) then renumbers the kept gates in the deterministic
+Kahn order of :func:`~repro.kernel.view._kahn_order` (ascending ready set,
+FIFO queue, distinct users ascending).  A list numbered that way is its own
+Kahn order, so the next pass walks ids ``0..n-1`` and times them with one
+in-order :func:`~repro.netlist.sta.arrival_sweep`; only the input netlist
+needs a Kahn order computed.  The one ``Netlist`` of a call is built at the
+end, every gate checked by :meth:`~repro.netlist.netlist.Netlist.add_gate`,
+and its :class:`~repro.netlist.sta.TimingResult` (which the report carries
+so callers need not time it again) comes from
+:meth:`~repro.netlist.sta.StaticTimingAnalysis.run_gate_list` over the
+final list.  A netlist without outputs is never pruned: every gate keeps
+its emission id, so its passes compute each Kahn order explicitly.
 
-STA runs twice per :meth:`LogicOptimizer.optimize` call: once for the
-balancing pass's arrival times, and once on the final netlist, whose
-:class:`~repro.netlist.sta.TimingResult` the report carries so callers
-(the synthesis flow) need not time it again.
+``tests/netlist/reference_optimizer.py`` keeps the historical
+``Netlist``-based passes as the executable specification this must match
+gate for gate.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.kernel.view import _kahn_order
 from repro.netlist.gates import GateKind, GATE_FUNCTIONS
 from repro.netlist.netlist import Netlist
-from repro.netlist.sta import StaticTimingAnalysis, TimingResult
+from repro.netlist.sta import StaticTimingAnalysis, TimingResult, arrival_sweep
 from repro.tech.library import TechLibrary
 from repro.tech.sky130 import sky130_library
 
-_COMMUTATIVE_GATES = {
-    GateKind.AND2, GateKind.OR2, GateKind.NAND2, GateKind.NOR2,
-    GateKind.XOR2, GateKind.XNOR2, GateKind.MAJ3,
-}
+#: A pass's gate list: ``(kinds, inputs, names, outputs)``.  Gate ``i`` has
+#: kind code ``kinds[i]``, operands ``inputs[i]`` (all numbered below ``i``)
+#: and debug name ``names[i]``; ``outputs`` are the output ports in order.
+_GateList = tuple[list[int], list[tuple[int, ...]], list[str], list[int]]
 
-_ASSOCIATIVE_GATES = {GateKind.AND2, GateKind.OR2, GateKind.XOR2}
+_INPUT = GateKind.INPUT.code
+_CONST0 = GateKind.CONST0.code
+_CONST1 = GateKind.CONST1.code
+_BUF = GateKind.BUF.code
+_INV = GateKind.INV.code
+_AND2 = GateKind.AND2.code
+_OR2 = GateKind.OR2.code
+_NAND2 = GateKind.NAND2.code
+_NOR2 = GateKind.NOR2.code
+_XOR2 = GateKind.XOR2.code
+_XNOR2 = GateKind.XNOR2.code
+_ANDN2 = GateKind.ANDN2.code
+_MUX2 = GateKind.MUX2.code
+_MAJ3 = GateKind.MAJ3.code
+
+#: Per kind code (enum definition order): the member, its truth table and
+#: its tie-cell value.
+_KINDS = list(GateKind)
+_FUNCTIONS = [GATE_FUNCTIONS.get(kind) for kind in _KINDS]
+_CONSTANT_OF = [0 if code == _CONST0 else 1 if code == _CONST1 else None
+                for code in range(len(_KINDS))]
+
+_COMMUTATIVE_GATES = frozenset(
+    (_AND2, _OR2, _NAND2, _NOR2, _XOR2, _XNOR2, _MAJ3))
+_ASSOCIATIVE_GATES = frozenset((_AND2, _OR2, _XOR2))
+_TWO_INPUT_GATES = frozenset((_AND2, _OR2, _XOR2, _XNOR2, _NAND2, _NOR2))
 
 
 @dataclass(frozen=True)
@@ -69,101 +105,88 @@ class OptimizationReport:
         return 1.0 - self.gates_after / self.gates_before
 
 
-class _Rebuilder:
+class _Rewriter:
     """Collects a rewritten gate list, applying local rewrites and hashing.
 
-    Gates are numbered here, in emission order, and kept as plain
-    kind/inputs/name maps: the only :class:`Netlist` a pass produces is the
-    pruned one :meth:`prune` builds from them.
+    Gates are numbered here, in emission order, so every operand precedes
+    its user; :meth:`prune` turns the list into the pass's output.
     """
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.outputs: list[int] = []
+    __slots__ = ("kinds", "inputs", "names", "_memo", "_const")
+
+    def __init__(self) -> None:
+        self.kinds: list[int] = []
+        self.inputs: list[tuple[int, ...]] = []
+        self.names: list[str] = []
         self._memo: dict[tuple, int] = {}
-        self._const: dict[int, int] = {}
-        self._kind_of: dict[int, GateKind] = {}
-        self._inputs_of: dict[int, tuple[int, ...]] = {}
-        self._name_of: dict[int, str] = {}
+        self._const = [-1, -1]
 
     # ----------------------------------------------------------------- plumbing
 
-    def _record(self, kind: GateKind, inputs: tuple[int, ...],
-                name: str = "") -> int:
-        gate_id = len(self._kind_of)
-        self._kind_of[gate_id] = kind
-        self._inputs_of[gate_id] = inputs
-        self._name_of[gate_id] = name
+    def _record(self, kind: int, inputs: tuple[int, ...], name: str = "") -> int:
+        gate_id = len(self.kinds)
+        self.kinds.append(kind)
+        self.inputs.append(inputs)
+        self.names.append(name)
         return gate_id
 
     def constant(self, value: int) -> int:
         value &= 1
-        if value not in self._const:
-            kind = GateKind.CONST1 if value else GateKind.CONST0
-            self._const[value] = self._record(kind, ())
-        return self._const[value]
+        gate_id = self._const[value]
+        if gate_id < 0:
+            gate_id = self._record(_CONST1 if value else _CONST0, ())
+            self._const[value] = gate_id
+        return gate_id
 
     def add_input(self, name: str = "") -> int:
-        return self._record(GateKind.INPUT, (), name)
+        return self._record(_INPUT, (), name)
 
-    def prune(self) -> Netlist:
-        """The pass's netlist: the gates in the fan-in of some output.
+    def prune(self, outputs: list[int]) -> _GateList:
+        """The pass's gate list: the gates in the fan-in of some output.
 
-        Surviving gates are renumbered in the deterministic Kahn order
-        :class:`~repro.kernel.GraphView` uses.  The kept set is closed under
-        fan-in, so its Kahn order is the full gate list's order restricted
-        to it, and ids match a prune of a fully built netlist exactly.
-        Without outputs nothing is pruned and every gate keeps its id.
+        Surviving gates are renumbered in their deterministic Kahn order,
+        which makes the identity the Kahn order of the result: the next
+        pass walks ids ``0..n-1`` and needs no order of its own.  The kept
+        set is closed under fan-in, so its Kahn order is the full list's
+        order restricted to it.  Without outputs nothing is pruned and
+        every gate keeps its id.
         """
-        operands = self._inputs_of
-        pruned = Netlist(self.name)
-        if not self.outputs:
-            for gate_id, kind in self._kind_of.items():
-                pruned.add_gate(kind, operands[gate_id], self._name_of[gate_id])
-            return pruned
-        keep: set[int] = set()
-        stack = list(self.outputs)
-        while stack:
-            current = stack.pop()
-            if current in keep:
-                continue
-            keep.add(current)
-            stack.extend(operands[current])
-        # Keep primary inputs even if dead so interfaces stay stable.
-        keep.update(gate_id for gate_id, kind in self._kind_of.items()
-                    if kind is GateKind.INPUT)
-
-        mapping: dict[int, int] = {}
-        order = _kahn_order(
-            sorted(keep), operands,
-            f"netlist {self.name!r} contains a combinational cycle")
-        for gate_id in order:
-            mapping[gate_id] = pruned.add_gate(
-                self._kind_of[gate_id],
-                tuple(mapping[i] for i in operands[gate_id]),
-                self._name_of[gate_id])
-        for output in self.outputs:
-            pruned.mark_output(mapping[output])
-        return pruned
-
-    def constant_value(self, gate_id: int) -> int | None:
-        kind = self._kind_of[gate_id]
-        if kind is GateKind.CONST0:
-            return 0
-        if kind is GateKind.CONST1:
-            return 1
-        return None
+        kinds, inputs, names = self.kinds, self.inputs, self.names
+        if not outputs:
+            return kinds, inputs, names, outputs
+        keep = [False] * len(kinds)
+        for output in outputs:
+            keep[output] = True
+        # Operands precede users, so one descending sweep marks the fan-in.
+        for gate_id in range(len(kinds) - 1, -1, -1):
+            if keep[gate_id]:
+                for operand in inputs[gate_id]:
+                    keep[operand] = True
+            elif kinds[gate_id] == _INPUT:
+                # Keep primary inputs even if dead so interfaces stay stable.
+                keep[gate_id] = True
+        order = _kahn_order_numbered(
+            [gate_id for gate_id, kept in enumerate(keep) if kept], inputs)
+        new_id = [0] * len(kinds)
+        for position, gate_id in enumerate(order):
+            new_id[gate_id] = position
+        remap = new_id.__getitem__
+        return ([kinds[gate_id] for gate_id in order],
+                [tuple(map(remap, inputs[gate_id])) for gate_id in order],
+                [names[gate_id] for gate_id in order],
+                [new_id[output] for output in outputs])
 
     # ------------------------------------------------------------------- emit
 
-    def emit(self, kind: GateKind, inputs: tuple[int, ...], name: str = "") -> int:
+    def emit(self, kind: int, inputs: tuple[int, ...], name: str = "") -> int:
         """Emit a gate, applying folding, identities and structural hashing."""
-        if kind is GateKind.BUF:
+        if kind == _BUF:
             return inputs[0]
 
-        constants = [self.constant_value(i) for i in inputs]
-        if inputs and all(c is not None for c in constants):
-            return self.constant(GATE_FUNCTIONS[kind](tuple(constants)))
+        kinds = self.kinds
+        constants = [_CONSTANT_OF[kinds[i]] for i in inputs]
+        if None not in constants:
+            return self.constant(_FUNCTIONS[kind](tuple(constants)))
 
         simplified = self._simplify(kind, inputs, constants)
         if simplified is not None:
@@ -172,53 +195,49 @@ class _Rebuilder:
         if kind in _COMMUTATIVE_GATES:
             inputs = tuple(sorted(inputs))
         key = (kind, inputs)
-        if key in self._memo:
-            return self._memo[key]
-        gate_id = self._record(kind, inputs, name)
-        self._memo[key] = gate_id
+        gate_id = self._memo.get(key)
+        if gate_id is None:
+            gate_id = self._memo[key] = self._record(kind, inputs, name)
         return gate_id
 
-    def _simplify(self, kind: GateKind, inputs: tuple[int, ...],
+    def _simplify(self, kind: int, inputs: tuple[int, ...],
                   constants: list[int | None]) -> int | None:
         """Boolean identity rewrites; returns an existing gate id or None."""
-        if kind is GateKind.INV:
+        if kind == _INV:
             inner = inputs[0]
-            if self._kind_of[inner] is GateKind.INV:
-                return self._inputs_of[inner][0]
+            if self.kinds[inner] == _INV:
+                return self.inputs[inner][0]
             return None
 
-        if kind in (GateKind.AND2, GateKind.OR2, GateKind.XOR2, GateKind.XNOR2,
-                    GateKind.NAND2, GateKind.NOR2):
+        if kind in _TWO_INPUT_GATES:
             a, b = inputs
             ca, cb = constants
             if a == b:
-                if kind is GateKind.AND2 or kind is GateKind.OR2:
+                if kind == _AND2 or kind == _OR2:
                     return a
-                if kind is GateKind.XOR2:
+                if kind == _XOR2:
                     return self.constant(0)
-                if kind is GateKind.XNOR2:
+                if kind == _XNOR2:
                     return self.constant(1)
-                if kind is GateKind.NAND2 or kind is GateKind.NOR2:
-                    return self.emit(GateKind.INV, (a,))
+                return self.emit(_INV, (a,))  # NAND2 / NOR2
             # Put the constant (if any) in position b.
             if ca is not None and cb is None:
                 a, b, ca, cb = b, a, cb, ca
             if cb is not None:
-                if kind is GateKind.AND2:
+                if kind == _AND2:
                     return a if cb == 1 else self.constant(0)
-                if kind is GateKind.OR2:
+                if kind == _OR2:
                     return a if cb == 0 else self.constant(1)
-                if kind is GateKind.XOR2:
-                    return a if cb == 0 else self.emit(GateKind.INV, (a,))
-                if kind is GateKind.XNOR2:
-                    return a if cb == 1 else self.emit(GateKind.INV, (a,))
-                if kind is GateKind.NAND2:
-                    return self.emit(GateKind.INV, (a,)) if cb == 1 else self.constant(1)
-                if kind is GateKind.NOR2:
-                    return self.emit(GateKind.INV, (a,)) if cb == 0 else self.constant(0)
+                if kind == _XOR2:
+                    return a if cb == 0 else self.emit(_INV, (a,))
+                if kind == _XNOR2:
+                    return a if cb == 1 else self.emit(_INV, (a,))
+                if kind == _NAND2:
+                    return self.emit(_INV, (a,)) if cb == 1 else self.constant(1)
+                return self.emit(_INV, (a,)) if cb == 0 else self.constant(0)  # NOR2
             return None
 
-        if kind is GateKind.ANDN2:
+        if kind == _ANDN2:
             a, b = inputs
             ca, cb = constants
             if a == b:
@@ -228,25 +247,25 @@ class _Rebuilder:
             if cb == 1 or ca == 0:
                 return self.constant(0)
             if ca == 1:
-                return self.emit(GateKind.INV, (b,))
+                return self.emit(_INV, (b,))
             return None
 
-        if kind is GateKind.MUX2:
+        if kind == _MUX2:
             select, on_true, on_false = inputs
             c_select = constants[0]
             if c_select is not None:
                 return on_true if c_select == 1 else on_false
             if on_true == on_false:
                 return on_true
-            true_const = self.constant_value(on_true)
-            false_const = self.constant_value(on_false)
+            true_const = constants[1]
+            false_const = constants[2]
             if true_const == 1 and false_const == 0:
                 return select
             if true_const == 0 and false_const == 1:
-                return self.emit(GateKind.INV, (select,))
+                return self.emit(_INV, (select,))
             return None
 
-        if kind is GateKind.MAJ3:
+        if kind == _MAJ3:
             a, b, c = inputs
             if a == b:
                 return a
@@ -254,31 +273,82 @@ class _Rebuilder:
                 return a
             if b == c:
                 return b
-            const_positions = [i for i, value in enumerate(constants) if value is not None]
+            const_positions = [i for i, value in enumerate(constants)
+                               if value is not None]
             if const_positions:
                 index = const_positions[0]
                 others = tuple(inputs[i] for i in range(3) if i != index)
                 if constants[index] == 1:
-                    return self.emit(GateKind.OR2, others)
-                return self.emit(GateKind.AND2, others)
+                    return self.emit(_OR2, others)
+                return self.emit(_AND2, others)
             return None
 
         return None
 
 
-def _copy_into(source: Netlist, builder: _Rebuilder) -> dict[int, int]:
-    """Copy ``source`` into ``builder`` gate by gate, returning the id map."""
-    mapping: dict[int, int] = {}
-    for gate_id in source.topological_order():
-        gate = source.gate(gate_id)
-        if gate.kind is GateKind.INPUT:
-            mapping[gate_id] = builder.add_input(gate.name)
-        elif gate.kind in (GateKind.CONST0, GateKind.CONST1):
-            mapping[gate_id] = builder.constant(1 if gate.kind is GateKind.CONST1 else 0)
-        else:
-            new_inputs = tuple(mapping[i] for i in gate.inputs)
-            mapping[gate_id] = builder.emit(gate.kind, new_inputs, gate.name)
-    return mapping
+def _kahn_order_numbered(ids: Sequence[int], inputs: Sequence[tuple[int, ...]]
+                         ) -> list[int]:
+    """:func:`~repro.kernel.view._kahn_order` of a gate list, without dicts.
+
+    ``ids`` are ascending and closed under fan-in, and every operand in
+    ``inputs`` is numbered below its user.  The rule is ``_kahn_order``'s:
+    ascending ready set, FIFO queue, distinct users ascending.  Users are
+    collected by scanning ``ids`` in ascending order, one entry per distinct
+    operand, so each user list is already distinct and ascending.
+    """
+    indegree = [0] * len(inputs)
+    users: list[list[int]] = [[] for _ in inputs]
+    order: list[int] = []
+    for gate_id in ids:
+        operands = inputs[gate_id]
+        if not operands:
+            order.append(gate_id)
+            continue
+        if len(operands) > 1:
+            operands = set(operands)
+        indegree[gate_id] = len(operands)
+        for operand in operands:
+            users[operand].append(gate_id)
+    # ``order`` doubles as the FIFO queue: the loop visits what it appends.
+    for gate_id in order:
+        for user in users[gate_id]:
+            indegree[user] -= 1
+            if not indegree[user]:
+                order.append(user)
+    return order
+
+
+def _read(netlist: Netlist) -> _GateList:
+    """``netlist`` as a gate list, gates numbered by ascending id.
+
+    A :class:`Netlist` numbers every gate above its operands, so the
+    ascending-id numbering keeps operands below users (and is the identity
+    unless gates were removed).
+    """
+    gates = netlist.gates()
+    kinds = [gate.kind.code for gate in gates]
+    names = [gate.name for gate in gates]
+    if gates and gates[-1].gate_id != len(gates) - 1:
+        position = {gate.gate_id: index for index, gate in enumerate(gates)}
+        remap = position.__getitem__
+        inputs = [tuple(map(remap, gate.inputs)) for gate in gates]
+        outputs = [position[output] for output in netlist.outputs()]
+    else:
+        inputs = [gate.inputs for gate in gates]
+        outputs = netlist.outputs()
+    return kinds, inputs, names, outputs
+
+
+def _kahn_order_of(gates: _GateList) -> Sequence[int]:
+    """The Kahn order of a gate list a pass emitted.
+
+    Pruned lists are Kahn-numbered, so their order is the identity; only an
+    output-less list (never pruned) needs its order computed.
+    """
+    kinds, inputs, _, outputs = gates
+    if outputs:
+        return range(len(kinds))
+    return _kahn_order_numbered(range(len(kinds)), inputs)
 
 
 class LogicOptimizer:
@@ -297,68 +367,81 @@ class LogicOptimizer:
 
     # ------------------------------------------------------------------ passes
 
-    def _strash_pass(self, netlist: Netlist) -> Netlist:
+    @staticmethod
+    def _strash_pass(gates: _GateList, order: Sequence[int]) -> _GateList:
         """Constant folding + identity rewrites + structural hashing + DCE."""
-        builder = _Rebuilder(netlist.name)
-        mapping = _copy_into(netlist, builder)
-        builder.outputs = [mapping[output] for output in netlist.outputs()]
-        return builder.prune()
+        kinds, inputs, names, outputs = gates
+        rewriter = _Rewriter()
+        mapping = [0] * len(kinds)
+        remap = mapping.__getitem__
+        for gate_id in order:
+            kind = kinds[gate_id]
+            if kind == _INPUT:
+                mapping[gate_id] = rewriter.add_input(names[gate_id])
+            elif kind == _CONST0 or kind == _CONST1:
+                mapping[gate_id] = rewriter.constant(1 if kind == _CONST1 else 0)
+            else:
+                mapping[gate_id] = rewriter.emit(
+                    kind, tuple(map(remap, inputs[gate_id])), names[gate_id])
+        return rewriter.prune([mapping[output] for output in outputs])
 
-    def _balance_pass(self, netlist: Netlist) -> Netlist:
+    def _balance_pass(self, gates: _GateList, order: Sequence[int]
+                      ) -> _GateList:
         """Rebalance AND/OR/XOR trees using arrival times."""
-        timing = self._sta.run(netlist, endpoints=netlist.gate_ids())
-        fanout_count = {gid: len(netlist.fanout(gid)) for gid in netlist.gate_ids()}
+        kinds, inputs, names, outputs = gates
+        arrival = arrival_sweep(kinds, inputs, self._sta.code_delays)
+        fanout_count = [0] * len(kinds)
+        for operands in inputs:
+            for operand in operands:
+                fanout_count[operand] += 1
 
-        builder = _Rebuilder(netlist.name)
-        mapping: dict[int, int] = {}
+        rewriter = _Rewriter()
+        mapping = [0] * len(kinds)
+        remap = mapping.__getitem__
 
-        def collect_leaves(root_id: int, kind: GateKind) -> list[int]:
+        def collect_leaves(root_id: int, kind: int) -> list[int]:
             """Leaves of the maximal single-fanout same-kind tree under root."""
             leaves: list[int] = []
-            stack = list(netlist.gate(root_id).inputs)
+            stack = list(inputs[root_id])
             while stack:
                 current = stack.pop()
-                gate = netlist.gate(current)
-                if gate.kind is kind and fanout_count[current] == 1:
-                    stack.extend(gate.inputs)
+                if kinds[current] == kind and fanout_count[current] == 1:
+                    stack.extend(inputs[current])
                 else:
                     leaves.append(current)
             return leaves
 
-        for gate_id in netlist.topological_order():
-            gate = netlist.gate(gate_id)
-            if gate.kind is GateKind.INPUT:
-                mapping[gate_id] = builder.add_input(gate.name)
+        for gate_id in order:
+            kind = kinds[gate_id]
+            if kind == _INPUT:
+                mapping[gate_id] = rewriter.add_input(names[gate_id])
                 continue
-            if gate.kind in (GateKind.CONST0, GateKind.CONST1):
-                mapping[gate_id] = builder.constant(
-                    1 if gate.kind is GateKind.CONST1 else 0)
+            if kind == _CONST0 or kind == _CONST1:
+                mapping[gate_id] = rewriter.constant(1 if kind == _CONST1 else 0)
                 continue
-            if gate.kind in _ASSOCIATIVE_GATES:
-                leaves = collect_leaves(gate_id, gate.kind)
+            if kind in _ASSOCIATIVE_GATES:
+                leaves = collect_leaves(gate_id, kind)
                 if len(leaves) > 2:
                     mapping[gate_id] = self._build_balanced(
-                        builder, gate.kind, leaves, mapping, timing.arrival_times)
+                        rewriter, kind, leaves, mapping, arrival)
                     continue
-            new_inputs = tuple(mapping[i] for i in gate.inputs)
-            mapping[gate_id] = builder.emit(gate.kind, new_inputs, gate.name)
+            mapping[gate_id] = rewriter.emit(
+                kind, tuple(map(remap, inputs[gate_id])), names[gate_id])
+        return rewriter.prune([mapping[output] for output in outputs])
 
-        builder.outputs = [mapping[output] for output in netlist.outputs()]
-        return builder.prune()
-
-    def _build_balanced(self, builder: _Rebuilder, kind: GateKind,
-                        leaves: list[int], mapping: dict[int, int],
-                        arrival: dict[int, float]) -> int:
+    def _build_balanced(self, rewriter: _Rewriter, kind: int,
+                        leaves: list[int], mapping: list[int],
+                        arrival: list[float]) -> int:
         """Merge leaves pairwise, earliest arrival first (Huffman style)."""
-        delay = self._sta.gate_delay(kind)
-        heap: list[tuple[float, int, int]] = []
-        for index, leaf in enumerate(leaves):
-            heapq.heappush(heap, (arrival.get(leaf, 0.0), index, mapping[leaf]))
+        delay = self._sta.code_delays[kind]
+        heap = [(arrival[leaf], index, mapping[leaf])
+                for index, leaf in enumerate(leaves)]
+        heapq.heapify(heap)
         counter = len(leaves)
         while len(heap) > 1:
             time_a, _, gate_a = heapq.heappop(heap)
             time_b, _, gate_b = heapq.heappop(heap)
-            merged = builder.emit(kind, (gate_a, gate_b))
+            merged = rewriter.emit(kind, (gate_a, gate_b))
             heapq.heappush(heap, (max(time_a, time_b) + delay, counter, merged))
             counter += 1
         return heap[0][2]
@@ -367,20 +450,28 @@ class LogicOptimizer:
 
     def optimize(self, netlist: Netlist) -> tuple[Netlist, OptimizationReport]:
         """Run the full pipeline and return (optimised netlist, report)."""
-        passes: list[str] = []
-
-        current = self._strash_pass(netlist)
-        passes.append("strash")
+        gates = _read(netlist)
+        gates = self._strash_pass(
+            gates, _kahn_order_numbered(range(len(gates[0])), gates[1]))
+        passes = ["strash"]
         if self.balance:
-            current = self._balance_pass(current)
+            gates = self._balance_pass(gates, _kahn_order_of(gates))
             passes.append("balance")
-            current = self._strash_pass(current)
+            gates = self._strash_pass(gates, _kahn_order_of(gates))
             passes.append("strash")
 
+        kinds, inputs, names, outputs = gates
+        optimized = Netlist(netlist.name)
+        for kind, operands, name in zip(kinds, inputs, names):
+            optimized.add_gate(_KINDS[kind], operands, name)
+        for output in outputs:
+            optimized.mark_output(output)
+        timing = self._sta.run_gate_list(kinds, inputs, outputs,
+                                         _kahn_order_of(gates))
         report = OptimizationReport(
             gates_before=netlist.num_logic_gates(),
-            gates_after=current.num_logic_gates(),
-            timing=self._sta.run(current),
+            gates_after=optimized.num_logic_gates(),
+            timing=timing,
             passes=tuple(passes),
         )
-        return current, report
+        return optimized, report

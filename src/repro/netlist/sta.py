@@ -13,11 +13,19 @@ reconstructed from the kernel's predecessor choices (CSR tie-break order,
 matching the historical ``max(gate.inputs, key=...)`` behaviour exactly).
 Per-kind gate delays are resolved once per library into a lookup table
 instead of hitting the library on every gate of every run.
+
+The logic optimiser never builds a view to time its gate lists: its passes
+emit plain lists whose ids are already the Kahn order, so
+:func:`arrival_sweep` is one in-order pass over them and
+:meth:`StaticTimingAnalysis.run_gate_list` returns the same
+:class:`TimingResult` :meth:`~StaticTimingAnalysis.run` would give the
+netlist built from the list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -73,6 +81,8 @@ class StaticTimingAnalysis:
         # the per-gate delay vector as one gather instead of a Python loop.
         self._delay_table = np.asarray(
             [self._kind_delays[kind] for kind in GateKind], dtype=float)
+        #: The table as a plain list, for the per-gate gate-list sweeps.
+        self.code_delays: list[float] = self._delay_table.tolist()
 
     def gate_delay(self, kind: GateKind) -> float:
         """Propagation delay (ps) of a single gate of kind ``kind``."""
@@ -128,7 +138,76 @@ class StaticTimingAnalysis:
             num_gates=netlist.num_logic_gates(),
         )
 
+    def run_gate_list(self, kind_codes: Sequence[int],
+                      inputs: Sequence[tuple[int, ...]], outputs: list[int],
+                      order: Sequence[int]) -> TimingResult:
+        """:meth:`run` (default endpoints) over a plain gate list.
+
+        Gate ``i`` has kind code ``kind_codes[i]`` and operands
+        ``inputs[i]``, every operand numbered below its user.  ``order``
+        is the list's deterministic Kahn order (the identity for every
+        pruned list the optimiser's passes emit).  The result equals
+        :meth:`run` on the netlist built from the list: the arrival dict is
+        keyed in ``order``, the no-output endpoint fallback scans
+        ``order``, and the critical path leaves each gate through its first
+        operand at the maximum arrival, as the kernel's ``tie="csr"`` does.
+        """
+        arrival_list = arrival_sweep(kind_codes, inputs, self.code_delays)
+        arrival = {gate_id: arrival_list[gate_id] for gate_id in order}
+        num_gates = sum(1 for code in kind_codes if not _SOURCE_CODES[code])
+        endpoints = outputs or list(arrival)
+        if not endpoints:
+            return TimingResult(0.0, (), arrival, num_gates)
+        worst = max(endpoints, key=arrival_list.__getitem__)
+        path = [worst]
+        operands = inputs[worst]
+        while operands:
+            latest = max(arrival_list[i] for i in operands)
+            cursor = next(i for i in operands if arrival_list[i] == latest)
+            path.append(cursor)
+            operands = inputs[cursor]
+        path.reverse()
+        return TimingResult(
+            critical_path_delay_ps=arrival_list[worst],
+            critical_path=tuple(path),
+            arrival_times=arrival,
+            num_gates=num_gates,
+        )
+
     def path_delay(self, netlist: Netlist, path: list[int]) -> float:
         """Sum of gate delays along an explicit path (sanity-check helper)."""
         return _path_delay(lambda g: self._kind_delays[netlist.gate(g).kind],
                            path)
+
+
+#: ``GateKind.is_source`` per kind code (enum definition order).
+_SOURCE_CODES = [kind.is_source for kind in GateKind]
+
+
+def arrival_sweep(kind_codes: Sequence[int], inputs: Sequence[tuple[int, ...]],
+                  code_delays: Sequence[float]) -> list[float]:
+    """Arrival time (ps) per gate of a plain gate list, in one pass.
+
+    Gate ``i`` has kind code ``kind_codes[i]`` and operands ``inputs[i]``,
+    every operand numbered below its user, so ascending ids are a
+    topological order.  Input-less gates (primary inputs, tie cells)
+    arrive at 0; any other gate at its latest operand plus
+    ``code_delays[kind_code]``.  The values equal
+    :meth:`StaticTimingAnalysis.run`'s on the netlist built from the list.
+    """
+    arrival = [0.0] * len(kind_codes)
+    for gate_id, operands in enumerate(inputs):
+        count = len(operands)
+        if count == 2:
+            latest = arrival[operands[0]]
+            other = arrival[operands[1]]
+            if other > latest:
+                latest = other
+        elif count == 1:
+            latest = arrival[operands[0]]
+        elif count:
+            latest = max(arrival[i] for i in operands)
+        else:
+            continue
+        arrival[gate_id] = latest + code_delays[kind_codes[gate_id]]
+    return arrival

@@ -160,3 +160,43 @@ class TestKindCodeArrays:
         ids_after, _codes_after = netlist.kind_code_arrays()
         assert ids_after is not ids_before
         assert ids_after.tolist() == [a, b, gate]
+
+
+class TestGateKindAttributes:
+    """Per-member attributes keep the values the old property tables gave."""
+
+    EXPECTED = {
+        # kind: (num_inputs, cell_name, is_source)
+        GateKind.INPUT: (0, None, True),
+        GateKind.CONST0: (0, "tie0", True),
+        GateKind.CONST1: (0, "tie1", True),
+        GateKind.BUF: (1, "buf", False),
+        GateKind.INV: (1, "inv", False),
+        GateKind.AND2: (2, "and2", False),
+        GateKind.OR2: (2, "or2", False),
+        GateKind.NAND2: (2, "nand2", False),
+        GateKind.NOR2: (2, "nor2", False),
+        GateKind.XOR2: (2, "xor2", False),
+        GateKind.XNOR2: (2, "xnor2", False),
+        GateKind.ANDN2: (2, "andn2", False),
+        GateKind.MUX2: (3, "mux2", False),
+        GateKind.MAJ3: (3, "maj3", False),
+    }
+
+    def test_every_member_keeps_its_values(self):
+        assert list(self.EXPECTED) == list(GateKind)
+        for kind, (num_inputs, cell_name, is_source) in self.EXPECTED.items():
+            assert kind.num_inputs == num_inputs, kind
+            assert kind.cell_name == cell_name, kind
+            assert kind.is_source is is_source, kind
+
+    def test_codes_are_definition_order(self):
+        from repro.netlist.gates import KIND_CODES
+
+        assert [kind.code for kind in GateKind] == list(range(len(GateKind)))
+        assert KIND_CODES == {kind: kind.code for kind in GateKind}
+
+    def test_attributes_are_plain_member_attributes(self):
+        for kind in GateKind:
+            assert {"num_inputs", "cell_name", "is_source",
+                    "code"} <= set(vars(kind))

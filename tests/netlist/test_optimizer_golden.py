@@ -8,6 +8,9 @@ sha256 over its ``(kind, inputs)`` gate list (ascending id order) and
 output ports.  The committed values pin the optimiser gate for gate and id
 for id, so a rewrite of its passes or of the netlist container that moves
 any gate, id or port shows up here even when delays happen to survive it.
+The same cases also check two facts the optimiser is built on: its output
+ids are their own Kahn order, and the timing its report carries equals a
+full STA of the output netlist.
 
 Regenerate the file (only for a deliberate change of optimiser output)
 with::
@@ -26,6 +29,7 @@ import pytest
 
 from repro.designs.suite import table1_suite
 from repro.ir.builder import GraphBuilder
+from repro.kernel import GraphView
 from repro.netlist.lowering import lower_graph, lower_subgraph
 from repro.netlist.netlist import Netlist
 from repro.netlist.optimizer import LogicOptimizer
@@ -53,11 +57,18 @@ def _builder_graph(operator: str, width: int):
     return builder.graph
 
 
-def _table1_stage_netlists() -> dict[str, Netlist]:
-    """Lowered stages of every Table-I row's baseline schedule."""
+def table1_stage_netlists(designs: tuple[str, ...] | None = None
+                          ) -> dict[str, Netlist]:
+    """Lowered stages of the Table-I rows' baseline schedules.
+
+    Args:
+        designs: the rows to lower, by name; every row when omitted.
+    """
     library = sky130_library()
     netlists: dict[str, Netlist] = {}
     for case in table1_suite():
+        if designs is not None and case.name not in designs:
+            continue
         graph = case.build()
         scheduler = SdcScheduler(delay_model=OperatorModel(library),
                                  clock_period_ps=case.clock_period_ps)
@@ -74,7 +85,7 @@ def _table1_stage_netlists() -> dict[str, Netlist]:
 
 def _cases() -> dict[str, Netlist]:
     """Case label -> unoptimised netlist (built fresh on every call)."""
-    cases = _table1_stage_netlists()
+    cases = table1_stage_netlists()
     for label, operator, width in BUILDER_BLOCKS:
         cases[f"builder/{label}"] = lower_graph(
             _builder_graph(operator, width)).netlist
@@ -93,8 +104,13 @@ def structure_digest(netlist: Netlist) -> str:
 
 def fingerprint(netlist: Netlist) -> dict:
     """Golden fields of the optimised form of ``netlist``."""
+    optimized, _ = LogicOptimizer(sky130_library()).optimize(netlist)
+    return golden_fields(optimized)
+
+
+def golden_fields(optimized: Netlist) -> dict:
+    """Golden fields of an already optimised netlist."""
     library = sky130_library()
-    optimized, _ = LogicOptimizer(library).optimize(netlist)
     timing = StaticTimingAnalysis(library).run(optimized)
     return {
         "gates": optimized.num_logic_gates(),
@@ -113,15 +129,44 @@ def cases() -> dict[str, Netlist]:
     return _cases()
 
 
-def test_optimizer_matches_golden(cases):
+@pytest.fixture(scope="module")
+def optimized(cases) -> dict[str, tuple]:
+    """Case label -> ``(optimised netlist, report)``."""
+    optimizer = LogicOptimizer(sky130_library())
+    return {label: optimizer.optimize(netlist)
+            for label, netlist in cases.items()}
+
+
+def test_optimizer_matches_golden(optimized):
     golden = _golden()
-    mismatched = [label for label, netlist in cases.items()
-                  if fingerprint(netlist) != golden[label]]
+    mismatched = [label for label, (netlist, _) in optimized.items()
+                  if golden_fields(netlist) != golden[label]]
     assert not mismatched, f"optimiser output moved on {mismatched}"
 
 
 def test_golden_covers_every_case(cases):
     assert sorted(_golden()) == sorted(cases)
+
+
+def test_optimized_ids_are_their_kahn_order(optimized):
+    """The optimiser relies on it: a pruned list is its own Kahn order."""
+    mismatched = [label for label, (netlist, _) in optimized.items()
+                  if GraphView.from_netlist(netlist).order_ids()
+                  != list(range(len(netlist)))]
+    assert not mismatched, f"ids are not the Kahn order on {mismatched}"
+
+
+def test_report_timing_equals_sta_of_optimized(optimized):
+    """The report's gate-list timing is a full STA of the built netlist."""
+    sta = StaticTimingAnalysis(sky130_library())
+    mismatched = []
+    for label, (netlist, report) in optimized.items():
+        expected = sta.run(netlist)
+        if (report.timing != expected
+                or list(report.timing.arrival_times.items())
+                != list(expected.arrival_times.items())):
+            mismatched.append(label)
+    assert not mismatched, f"report timing differs from STA on {mismatched}"
 
 
 if __name__ == "__main__":

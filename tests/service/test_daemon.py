@@ -15,6 +15,8 @@ from repro.service.protocol import CRASH_DESIGN
 from repro.service.worker import reference_result
 from repro.store import ArtifactStore, canonical_json
 
+from tests.service.certify import certify_schedule_answer
+
 DESIGN = "rrot"
 CLOCK = 2000.0  # feasible for rrot (its min clock is ~1620 ps)
 
@@ -76,6 +78,9 @@ def test_coalescing_then_warm(design, clock):
             again = await service.handle(_schedule(design, clock))
             assert again["served"] == "warm"
             assert again["result"] == burst[0]["result"]
+            # Cold, coalesced and warm answers each pass the certificate.
+            for response in burst + [again]:
+                certify_schedule_answer(response["result"])
 
             stats = service.stats
             assert (stats.cold_submitted, stats.coalesced,
@@ -122,6 +127,13 @@ def test_mixed_workload_serves_all_three_layers():
         question = (request["design"], request["clock_period_ps"])
         assert canonical_json(by_id[request["id"]]["result"]) == \
             references[question]
+    certified = set()
+    for response in responses:
+        answer = (response["served"], canonical_json(response["result"]))
+        if answer not in certified:
+            certify_schedule_answer(response["result"])
+            certified.add(answer)
+    assert {served for served, _ in certified} == {"cold", "coalesced", "warm"}
 
 
 def test_queue_full_is_a_typed_rejection():
@@ -166,6 +178,7 @@ def test_deadline_miss_still_caches_the_result():
             assert service.stats.cold_done == 1
             warm = await service.handle(_schedule())
             assert warm["ok"] is True and warm["served"] == "warm"
+            certify_schedule_answer(warm["result"])
         finally:
             await service.stop()
     asyncio.run(scenario())
@@ -263,6 +276,8 @@ def test_warm_restart_from_the_artifact_store(tmp_path):
     warm = asyncio.run(second_run())
     assert warm["result"] == cold["result"]
     assert warm["key"] == cold["key"]
+    certify_schedule_answer(cold["result"])
+    certify_schedule_answer(warm["result"])
 
     records = list(ArtifactStore.load(store_path).kind("service-result"))
     assert len(records) == 1

@@ -19,6 +19,8 @@ from repro.service.protocol import normalize, parse_request
 from repro.service.worker import reference_result
 from repro.store import canonical_json
 
+from tests.service.certify import certify_schedule_answer
+
 LOOP = "loop:seed=1,depth=4,width=3,bits=16,inputs=2,phis=2,dist=1,clock=2500"
 
 #: One request per compute kind; the loop design exercises min-ii.
@@ -34,6 +36,8 @@ import asyncio, json, sys
 from repro.parallel import close_shared_pool
 from repro.service.daemon import SchedulingService, ServiceConfig
 from repro.store import canonical_json
+
+from tests.service.certify import certify_schedule_answer
 
 jobs, batch_window_ms = int(sys.argv[1]), float(sys.argv[2])
 requests = json.loads(sys.argv[3])
@@ -110,3 +114,5 @@ def test_service_results_match_the_offline_answers():
         offline = reference_result(_normalized(raw).identity())
         assert canonical_json(response["result"]) == canonical_json(offline), \
             f"service and offline answers diverge for {raw}"
+        if raw["kind"] == "schedule":
+            certify_schedule_answer(response["result"])
