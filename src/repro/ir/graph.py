@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
-import networkx as nx
-
 from repro.ir.node import Node
 from repro.ir.ops import OpKind, infer_result_width
 
@@ -256,22 +254,6 @@ class DataflowGraph:
     def set_name(self, node_id: int, name: str) -> None:
         """Rename a node (affects reports only)."""
         self._nodes[node_id].name = name
-
-    # -------------------------------------------------------------- interop
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export to a :class:`networkx.DiGraph` (node attrs: kind, width, name)."""
-        graph = nx.DiGraph(name=self.name)
-        for node in self.nodes():
-            graph.add_node(node.node_id, kind=node.kind, width=node.width,
-                           name=node.name)
-        for node in self.nodes():
-            for operand in node.operands:
-                graph.add_edge(operand, node.node_id)
-        for edge in self.back_edges():
-            graph.add_edge(edge.src, edge.phi, back=True,
-                           distance=edge.distance)
-        return graph
 
     def subgraph_nodes(self, node_ids: Iterable[int]) -> list[Node]:
         """Return the nodes with the given ids, in ascending id order."""

@@ -2,10 +2,11 @@
 
 One shared, array-based timing substrate queried by every layer that used to
 hand-roll its own dict/set traversal: the IR analyses (:mod:`repro.ir`), the
-netlist STA (:mod:`repro.netlist.sta`), the SDC delay matrix
-(:mod:`repro.sdc.delays`), the ISDC re-propagation and extraction scans
-(:mod:`repro.isdc`), the estimator backend (:mod:`repro.synth`) and the AIG
-depth metric (:mod:`repro.aig`).
+SDC delay matrix (:mod:`repro.sdc.delays`), the ISDC re-propagation and
+extraction scans (:mod:`repro.isdc`), the estimator backend
+(:mod:`repro.synth`) and the AIG depth metric (:mod:`repro.aig`).  The
+netlist STA (:mod:`repro.netlist.sta`) needs none of it: a netlist's ids are
+already topological, so it is one in-order sweep over the gate lists.
 
 * :class:`GraphView` -- an immutable levelized-CSR view of any DAG, cached on
   the container and keyed by its ``structural_version`` counter: any
@@ -17,8 +18,9 @@ depth metric (:mod:`repro.aig`).
   sweep plus :func:`auto_critical_path_matrix`, the dense/sparse dispatcher
   driven by two module constants (``MIN_SPARSE_NODES`` and
   ``DENSITY_BUDGET``); it always returns the dense matrix.
-* :mod:`repro.kernel.reference` -- the historical pure-Python algorithms,
-  kept as the executable specification the parity tests diff against.
+
+The historical pure-Python algorithms, kept as the executable specification
+the parity tests diff against, live in ``tests/kernel/reference.py``.
 
 Kernel timings live in ``benchmarks/test_speedup_gates.py`` (reference vs
 kernel, dense vs sparse) and in the end-to-end benchmark described in

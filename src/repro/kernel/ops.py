@@ -7,15 +7,11 @@ predecessor values a level needs are final before the level is touched, so
 the batched sweeps compute bit-identical results to the historical per-node
 loops (max is exact, and every addition pairs the same two floats as before).
 
-Tie-breaking is explicit and deterministic:
-
-* ``tie="csr"`` picks the first maximal predecessor in CSR (operand) order --
-  the contract of the netlist STA, whose critical path historically followed
-  ``max(gate.inputs, key=...)``.
-* ``tie="topo"`` picks the maximal predecessor with the smallest topological
-  position -- the contract of every IR longest-path search, equivalent to a
-  sequential relaxation in topological order with strict-``>`` improvement
-  (and therefore independent of hash-seed-dependent set iteration).
+Parent choices are deterministic: a node's parent is the maximal
+predecessor with the smallest topological position -- the contract of every
+IR longest-path search, equivalent to a sequential relaxation in
+topological order with strict-``>`` improvement (and therefore independent
+of hash-seed-dependent set iteration).
 """
 
 from __future__ import annotations
@@ -57,7 +53,7 @@ def forward_propagate(view: GraphView, delays: np.ndarray, *,
                       init: np.ndarray | None = None,
                       mask: np.ndarray | None = None,
                       floor: float = UNREACHED,
-                      tie: str | None = None,
+                      with_parents: bool = False,
                       ) -> tuple[np.ndarray, np.ndarray | None]:
     """Level-batched forward value propagation.
 
@@ -68,8 +64,7 @@ def forward_propagate(view: GraphView, delays: np.ndarray, *,
     candidate overwrites the node's entry; otherwise the node keeps its
     ``init`` value (:data:`UNREACHED` by default).  This one engine covers
 
-    * netlist arrival times (``init`` seeds indegree-0 gates, ``tie="csr"``),
-    * single-source longest paths (``init`` seeds the source, ``tie="topo"``),
+    * single-source longest paths (``init`` seeds the source, with parents),
     * masked subgraph longest paths (``floor=0.0``, no parents).
 
     Args:
@@ -81,18 +76,18 @@ def forward_propagate(view: GraphView, delays: np.ndarray, *,
             entirely (they neither receive values nor relay them).
         floor: lower bound entering every candidate (use ``0.0`` to treat
             predecessor-less in-mask nodes as path starts).
-        tie: ``"csr"`` / ``"topo"`` to also compute predecessor choices, or
-            ``None`` to skip parent tracking.
+        with_parents: also compute predecessor choices (see the module
+            docstring for the tie rule).
 
     Returns:
-        ``(values, parents)``; ``parents`` is ``None`` unless ``tie`` is
-        given, else the chosen predecessor dense index per node (-1 where the
-        value did not come from a predecessor).
+        ``(values, parents)``; ``parents`` is ``None`` unless
+        ``with_parents``, else the chosen predecessor dense index per node
+        (-1 where the value did not come from a predecessor).
     """
     n = view.num_nodes
     values = (np.full(n, UNREACHED, dtype=float) if init is None
               else np.array(init, dtype=float, copy=True))
-    parents = np.full(n, -1, dtype=np.int64) if tie is not None else None
+    parents = np.full(n, -1, dtype=np.int64) if with_parents else None
     if n == 0:
         return values, parents
     indptr, indices = view.pred_indptr, view.pred_indices
@@ -117,18 +112,12 @@ def forward_propagate(view: GraphView, delays: np.ndarray, *,
         if parents is not None and concat.size:
             reached = nonempty & (segmax > UNREACHED) & (segmax >= floor)
             if reached.any():
+                # The smallest topological position among the maxima.
                 is_max = pred_values == np.repeat(segmax, counts)
-                if tie == "csr":
-                    offsets = np.arange(concat.size, dtype=np.int64)
-                else:  # "topo": smallest topological position among maxima
-                    offsets = concat
-                ranked = np.where(is_max, offsets, np.iinfo(np.int64).max)
-                winner = np.minimum.reduceat(ranked, starts[nonempty])
+                ranked = np.where(is_max, concat, np.iinfo(np.int64).max)
                 seg_parent = np.full(rows.size, -1, dtype=np.int64)
-                if tie == "csr":
-                    seg_parent[nonempty] = concat[winner]
-                else:
-                    seg_parent[nonempty] = winner
+                seg_parent[nonempty] = np.minimum.reduceat(
+                    ranked, starts[nonempty])
                 parents[rows[reached]] = seg_parent[reached]
     return values, parents
 
@@ -157,7 +146,7 @@ def longest_path_from(view: GraphView, delays: np.ndarray, source: int, *,
     if mask is None or mask[source]:
         init[source] = delays[source]
     return forward_propagate(view, delays, init=init, mask=mask,
-                             tie="topo" if with_parents else None)
+                             with_parents=with_parents)
 
 
 def reconstruct_path(parents: np.ndarray, source: int, sink: int) -> list[int]:

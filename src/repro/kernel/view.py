@@ -5,13 +5,15 @@ graph: node ids in the exact deterministic Kahn topological order the rest of
 the repository has always used, predecessor/successor adjacency in CSR form,
 ASAP levels (longest path in edges from any source), and a grouping of nodes
 by level.  Every vectorized primitive in :mod:`repro.kernel.ops` operates on
-these arrays, so the IR analyses, the netlist STA, the SDC delay matrix, the
-ISDC re-propagation and the extraction scans all query one substrate instead
-of re-deriving private dict/set traversals.
+these arrays, so the IR analyses, the SDC delay matrix, the ISDC
+re-propagation, the extraction scans and the AIG depth metric all query one
+substrate instead of re-deriving private dict/set traversals.  Gate-level
+netlists need no view: their ids are already topological, so the netlist
+STA is one in-order sweep over their lists (:mod:`repro.netlist.sta`).
 
-The view is duck-typed: :meth:`GraphView.from_dataflow`,
-:meth:`GraphView.from_netlist` and :meth:`GraphView.from_aig` only touch the
-public container APIs, so this module imports nothing from the higher layers.
+The view is duck-typed: :meth:`GraphView.from_dataflow` and
+:meth:`GraphView.from_aig` only touch the public container APIs, so this
+module imports nothing from the higher layers.
 
 Pipelined-loop back-edges (``DataflowGraph.back_edges()``) are *not* part of
 the view: they live outside ``Node.operands``, so the forward graph stays a
@@ -24,8 +26,8 @@ Invalidation contract
 
 Views are cached on the container object, keyed by its
 ``structural_version`` counter.  The counter advances on *structural* edits
-only -- adding or removing a node/gate -- because those are the only edits
-that change the arrays; attribute edits (renames, output marking) leave the
+only -- adding or removing a node -- because those are the only edits
+that change the arrays; attribute edits (renames, AIG output marking) leave the
 cached view valid.  Containers without a ``structural_version`` attribute
 are never cached.  ``copy()`` produces a fresh object, so copies never
 share a cache entry with their source.  A stale cached view is discarded:
@@ -56,7 +58,7 @@ class GraphView:
         index_of: original node id -> dense index (insertion-ordered dict,
             iteration yields ids in topological order).
         pred_indptr / pred_indices: CSR of predecessors in *original operand
-            order*, duplicates preserved (STA tie-breaks depend on it).
+            order*, duplicates preserved.
         succ_indptr / succ_indices: CSR of successors (users), duplicates
             preserved.
         levels: ASAP level per dense index (longest path in edges from any
@@ -66,7 +68,7 @@ class GraphView:
         level_starts: boundaries into ``level_order``: level ``l`` occupies
             ``level_order[level_starts[l]:level_starts[l + 1]]``.
         source_mask: boolean per dense index, True for source nodes
-            (PARAM/CONSTANT nodes, INPUT/tie gates, AIG non-AND nodes).
+            (PARAM/CONSTANT nodes, AIG non-AND nodes).
     """
 
     __slots__ = (
@@ -142,23 +144,6 @@ class GraphView:
             cycle_message=f"graph {graph.name!r} contains a cycle",
         )
         _store_view(graph, view)
-        return view
-
-    @classmethod
-    def from_netlist(cls, netlist) -> "GraphView":
-        """Cached view of a :class:`~repro.netlist.netlist.Netlist`."""
-        cached = _cached_view(netlist)
-        if cached is not None:
-            return cached
-        gates = netlist.gates()
-        view = cls(
-            ids=[gate.gate_id for gate in gates],
-            operands={gate.gate_id: gate.inputs for gate in gates},
-            sources=[gate.gate_id for gate in gates if gate.kind.is_source],
-            cycle_message=(
-                f"netlist {netlist.name!r} contains a combinational cycle"),
-        )
-        _store_view(netlist, view)
         return view
 
     @classmethod

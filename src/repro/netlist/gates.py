@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 
 #: Input-pin count per gate kind value.
@@ -60,11 +59,10 @@ class GateKind(enum.Enum):
         self.cell_name = _CELL_NAME.get(value)
 
 
-#: Dense integer code per gate kind (enum definition order).  Backs the
-#: vectorized per-kind lookup tables (e.g. the STA delay table): a netlist's
-#: gates become one int array of codes, and any per-kind quantity is a single
-#: numpy ``table[codes]`` gather.  The logic optimiser's gate lists carry
-#: these codes in place of the members.  Each member also holds its code as
+#: Dense integer code per gate kind (enum definition order).  A
+#: :class:`~repro.netlist.netlist.Netlist` stores these codes in place of
+#: the members, and any per-kind quantity (the STA delay table, cell areas)
+#: is a plain list indexed by code.  Each member also holds its code as
 #: ``kind.code``, so per-gate loops read it without hashing the enum.
 KIND_CODES = {kind: code for code, kind in enumerate(GateKind)}
 for _kind, _code in KIND_CODES.items():
@@ -90,23 +88,3 @@ GATE_FUNCTIONS = {
     GateKind.MAJ3: lambda inputs: 1 if (inputs[0] + inputs[1] + inputs[2]) >= 2 else 0,
 }
 
-
-@dataclass
-class Gate:
-    """A gate instance.
-
-    Attributes:
-        gate_id: unique id within the netlist.
-        kind: the primitive gate kind.
-        inputs: ids of the gates driving this gate's input pins, in pin order.
-        name: optional debug name (primary inputs keep the IR value name).
-    """
-
-    gate_id: int
-    kind: GateKind
-    inputs: tuple[int, ...]
-    name: str = ""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        ins = ", ".join(f"g{i}" for i in self.inputs)
-        return f"Gate(g{self.gate_id} = {self.kind.value}({ins}))"

@@ -14,21 +14,21 @@ the paper's feedback loop is designed to capture:
 The pipeline is strash -> balance -> strash.  Each pass reads and writes a
 plain gate list -- ``(kinds, inputs, names, outputs)``, gate ``i`` of kind
 code ``kinds[i]`` (:data:`~repro.netlist.gates.KIND_CODES`) with operands
-``inputs[i]`` -- and builds no :class:`~repro.netlist.netlist.Netlist` and
-no :class:`~repro.kernel.GraphView`.  The rewriter (``_Rewriter``) numbers
-gates in emission order, so every operand precedes its user; its dead-gate
-elimination (``prune``) then renumbers the kept gates in the deterministic
-Kahn order of :func:`~repro.kernel.view._kahn_order` (ascending ready set,
-FIFO queue, distinct users ascending).  A list numbered that way is its own
-Kahn order, so the next pass walks ids ``0..n-1`` and times them with one
-in-order :func:`~repro.netlist.sta.arrival_sweep`; only the input netlist
-needs a Kahn order computed.  The one ``Netlist`` of a call is built at the
-end, every gate checked by :meth:`~repro.netlist.netlist.Netlist.add_gate`,
-and its :class:`~repro.netlist.sta.TimingResult` (which the report carries
-so callers need not time it again) comes from
-:meth:`~repro.netlist.sta.StaticTimingAnalysis.run_gate_list` over the
-final list.  A netlist without outputs is never pruned: every gate keeps
-its emission id, so its passes compute each Kahn order explicitly.
+``inputs[i]`` -- the same aligned lists a
+:class:`~repro.netlist.netlist.Netlist` holds, so the input netlist's lists
+are the first pass's input and the last pass's output is wrapped, not
+rebuilt.  The rewriter (``_Rewriter``) numbers gates in emission order, so
+every operand precedes its user; its dead-gate elimination (``prune``) then
+renumbers the kept gates in their deterministic Kahn order (ascending ready
+set, FIFO queue, distinct users ascending; :func:`_kahn_order_numbered`).
+A list numbered that way is its own Kahn order, so the next pass walks ids
+``0..n-1`` and times them with one in-order
+:func:`~repro.netlist.sta.arrival_sweep`; only the input netlist needs a
+Kahn order computed.  The report's :class:`~repro.netlist.sta.TimingResult`
+(which it carries so callers need not time the output again) is one
+:meth:`~repro.netlist.sta.StaticTimingAnalysis.run` of the output netlist.
+A netlist without outputs is never pruned: every gate keeps its emission
+id, so its passes compute each Kahn order explicitly.
 
 ``tests/netlist/reference_optimizer.py`` keeps the historical
 ``Netlist``-based passes as the executable specification this must match
@@ -318,27 +318,6 @@ def _kahn_order_numbered(ids: Sequence[int], inputs: Sequence[tuple[int, ...]]
     return order
 
 
-def _read(netlist: Netlist) -> _GateList:
-    """``netlist`` as a gate list, gates numbered by ascending id.
-
-    A :class:`Netlist` numbers every gate above its operands, so the
-    ascending-id numbering keeps operands below users (and is the identity
-    unless gates were removed).
-    """
-    gates = netlist.gates()
-    kinds = [gate.kind.code for gate in gates]
-    names = [gate.name for gate in gates]
-    if gates and gates[-1].gate_id != len(gates) - 1:
-        position = {gate.gate_id: index for index, gate in enumerate(gates)}
-        remap = position.__getitem__
-        inputs = [tuple(map(remap, gate.inputs)) for gate in gates]
-        outputs = [position[output] for output in netlist.outputs()]
-    else:
-        inputs = [gate.inputs for gate in gates]
-        outputs = netlist.outputs()
-    return kinds, inputs, names, outputs
-
-
 def _kahn_order_of(gates: _GateList) -> Sequence[int]:
     """The Kahn order of a gate list a pass emitted.
 
@@ -450,9 +429,9 @@ class LogicOptimizer:
 
     def optimize(self, netlist: Netlist) -> tuple[Netlist, OptimizationReport]:
         """Run the full pipeline and return (optimised netlist, report)."""
-        gates = _read(netlist)
         gates = self._strash_pass(
-            gates, _kahn_order_numbered(range(len(gates[0])), gates[1]))
+            (netlist.kinds, netlist.operands, netlist.names, netlist.outputs()),
+            _kahn_order_numbered(range(len(netlist)), netlist.operands))
         passes = ["strash"]
         if self.balance:
             gates = self._balance_pass(gates, _kahn_order_of(gates))
@@ -460,18 +439,11 @@ class LogicOptimizer:
             gates = self._strash_pass(gates, _kahn_order_of(gates))
             passes.append("strash")
 
-        kinds, inputs, names, outputs = gates
-        optimized = Netlist(netlist.name)
-        for kind, operands, name in zip(kinds, inputs, names):
-            optimized.add_gate(_KINDS[kind], operands, name)
-        for output in outputs:
-            optimized.mark_output(output)
-        timing = self._sta.run_gate_list(kinds, inputs, outputs,
-                                         _kahn_order_of(gates))
+        optimized = Netlist.from_lists(netlist.name, *gates)
         report = OptimizationReport(
             gates_before=netlist.num_logic_gates(),
             gates_after=optimized.num_logic_gates(),
-            timing=timing,
+            timing=self._sta.run(optimized),
             passes=tuple(passes),
         )
         return optimized, report

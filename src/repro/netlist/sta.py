@@ -6,20 +6,13 @@ propagation delays from the technology library (no slew, no wire load); this
 is the same level of abstraction the paper's per-operation characterisation
 uses, so relative comparisons remain meaningful.
 
-The propagation itself runs on the shared vectorized kernel
-(:mod:`repro.kernel`): arrival times are one level-batched forward sweep over
-the netlist's cached :class:`~repro.kernel.GraphView`, with the critical path
-reconstructed from the kernel's predecessor choices (CSR tie-break order,
-matching the historical ``max(gate.inputs, key=...)`` behaviour exactly).
-Per-kind gate delays are resolved once per library into a lookup table
-instead of hitting the library on every gate of every run.
-
-The logic optimiser never builds a view to time its gate lists: its passes
-emit plain lists whose ids are already the Kahn order, so
-:func:`arrival_sweep` is one in-order pass over them and
-:meth:`StaticTimingAnalysis.run_gate_list` returns the same
-:class:`TimingResult` :meth:`~StaticTimingAnalysis.run` would give the
-netlist built from the list.
+A :class:`~repro.netlist.netlist.Netlist` numbers every operand below its
+user, so arrival times are one in-order pass over its gate lists
+(:func:`arrival_sweep`, which the logic optimiser's balancing pass also
+uses), and the critical path leaves each gate through its first operand at
+the maximum arrival.  Per-kind gate delays are resolved once per library
+into a list indexed by kind code instead of hitting the library on every
+gate of every run.
 """
 
 from __future__ import annotations
@@ -27,10 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from repro.kernel import GraphView, forward_propagate, path_delay as _path_delay
-from repro.kernel.ops import UNREACHED
+from repro.kernel import path_delay as _path_delay
 from repro.netlist.gates import GateKind
 from repro.netlist.netlist import Netlist
 from repro.tech.library import TechLibrary
@@ -77,12 +67,8 @@ class StaticTimingAnalysis:
                    else float(self.library.delay(kind.cell_name)))
             for kind in GateKind
         }
-        # The same table as a dense array over KIND_CODES, so run() builds
-        # the per-gate delay vector as one gather instead of a Python loop.
-        self._delay_table = np.asarray(
-            [self._kind_delays[kind] for kind in GateKind], dtype=float)
-        #: The table as a plain list, for the per-gate gate-list sweeps.
-        self.code_delays: list[float] = self._delay_table.tolist()
+        #: The same table indexed by kind code, for the per-gate sweeps.
+        self.code_delays: list[float] = list(self._kind_delays.values())
 
     def gate_delay(self, kind: GateKind) -> float:
         """Propagation delay (ps) of a single gate of kind ``kind``."""
@@ -101,35 +87,23 @@ class StaticTimingAnalysis:
             A :class:`TimingResult` with the worst endpoint arrival time and
             one critical path realising it.
         """
-        view = GraphView.from_netlist(netlist)
-        # Per-gate delays as one table gather: the netlist's cached kind-code
-        # arrays are in ascending id order, searchsorted maps them onto the
-        # view's topological order.
-        gate_ids, kind_codes = netlist.kind_code_arrays()
-        order = np.asarray(view.order_ids(), dtype=np.int64)
-        delays = self._delay_table[kind_codes[np.searchsorted(gate_ids, order)]]
-        # Indegree-0 gates are seeded exogenously: primary inputs and tie
-        # cells arrive at 0, any other input-less gate contributes its own
-        # delay.  Everything else is one level-batched forward sweep.
-        init = np.full(view.num_nodes, UNREACHED, dtype=float)
-        no_inputs = view.pred_counts() == 0
-        init[no_inputs] = np.where(view.source_mask[no_inputs], 0.0,
-                                   delays[no_inputs])
-        values, parents = forward_propagate(view, delays, init=init, tie="csr")
-        arrival = dict(zip(view.order_ids(), values.tolist()))
-
+        operands = netlist.operands
+        arrival_list = arrival_sweep(netlist.kinds, operands,
+                                     self.code_delays)
+        arrival = dict(enumerate(arrival_list))
         if endpoints is None:
             endpoints = netlist.outputs() or list(arrival)
         if not endpoints:
             return TimingResult(0.0, (), arrival, netlist.num_logic_gates())
 
-        worst = max(endpoints, key=lambda e: arrival[e])
-        path: list[int] = []
-        cursor = view.index_of[worst]
-        order = view.order_ids()
-        while cursor >= 0:
-            path.append(order[cursor])
-            cursor = int(parents[cursor])
+        worst = max(endpoints, key=arrival.__getitem__)
+        path = [worst]
+        pins = operands[worst]
+        while pins:
+            latest = max(arrival_list[i] for i in pins)
+            cursor = next(i for i in pins if arrival_list[i] == latest)
+            path.append(cursor)
+            pins = operands[cursor]
         path.reverse()
         return TimingResult(
             critical_path_delay_ps=arrival[worst],
@@ -138,50 +112,9 @@ class StaticTimingAnalysis:
             num_gates=netlist.num_logic_gates(),
         )
 
-    def run_gate_list(self, kind_codes: Sequence[int],
-                      inputs: Sequence[tuple[int, ...]], outputs: list[int],
-                      order: Sequence[int]) -> TimingResult:
-        """:meth:`run` (default endpoints) over a plain gate list.
-
-        Gate ``i`` has kind code ``kind_codes[i]`` and operands
-        ``inputs[i]``, every operand numbered below its user.  ``order``
-        is the list's deterministic Kahn order (the identity for every
-        pruned list the optimiser's passes emit).  The result equals
-        :meth:`run` on the netlist built from the list: the arrival dict is
-        keyed in ``order``, the no-output endpoint fallback scans
-        ``order``, and the critical path leaves each gate through its first
-        operand at the maximum arrival, as the kernel's ``tie="csr"`` does.
-        """
-        arrival_list = arrival_sweep(kind_codes, inputs, self.code_delays)
-        arrival = {gate_id: arrival_list[gate_id] for gate_id in order}
-        num_gates = sum(1 for code in kind_codes if not _SOURCE_CODES[code])
-        endpoints = outputs or list(arrival)
-        if not endpoints:
-            return TimingResult(0.0, (), arrival, num_gates)
-        worst = max(endpoints, key=arrival_list.__getitem__)
-        path = [worst]
-        operands = inputs[worst]
-        while operands:
-            latest = max(arrival_list[i] for i in operands)
-            cursor = next(i for i in operands if arrival_list[i] == latest)
-            path.append(cursor)
-            operands = inputs[cursor]
-        path.reverse()
-        return TimingResult(
-            critical_path_delay_ps=arrival_list[worst],
-            critical_path=tuple(path),
-            arrival_times=arrival,
-            num_gates=num_gates,
-        )
-
     def path_delay(self, netlist: Netlist, path: list[int]) -> float:
         """Sum of gate delays along an explicit path (sanity-check helper)."""
-        return _path_delay(lambda g: self._kind_delays[netlist.gate(g).kind],
-                           path)
-
-
-#: ``GateKind.is_source`` per kind code (enum definition order).
-_SOURCE_CODES = [kind.is_source for kind in GateKind]
+        return _path_delay(lambda g: self.code_delays[netlist.kinds[g]], path)
 
 
 def arrival_sweep(kind_codes: Sequence[int], inputs: Sequence[tuple[int, ...]],
@@ -192,8 +125,7 @@ def arrival_sweep(kind_codes: Sequence[int], inputs: Sequence[tuple[int, ...]],
     every operand numbered below its user, so ascending ids are a
     topological order.  Input-less gates (primary inputs, tie cells)
     arrive at 0; any other gate at its latest operand plus
-    ``code_delays[kind_code]``.  The values equal
-    :meth:`StaticTimingAnalysis.run`'s on the netlist built from the list.
+    ``code_delays[kind_code]``.
     """
     arrival = [0.0] * len(kind_codes)
     for gate_id, operands in enumerate(inputs):

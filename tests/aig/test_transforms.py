@@ -7,10 +7,13 @@ import pytest
 from repro.aig.aig import literal_node
 from repro.aig.from_netlist import netlist_to_aig
 from repro.aig.transforms import balance_aig
+from repro.designs.suite import table1_suite
 from repro.ir.builder import GraphBuilder
 from repro.netlist.gates import GateKind
 from repro.netlist.lowering import lower_graph
 from repro.netlist.netlist import Netlist
+
+from tests.netlist.helpers import primary_inputs
 
 _RNG = random.Random(99)
 
@@ -18,7 +21,7 @@ _RNG = random.Random(99)
 def _netlist_vs_aig(netlist: Netlist, trials: int = 16) -> None:
     """Check that the AIG computes the same function as the netlist."""
     aig = netlist_to_aig(netlist)
-    netlist_inputs = netlist.inputs()
+    netlist_inputs = primary_inputs(netlist)
     aig_inputs = aig.inputs()
     assert len(netlist_inputs) == len(aig_inputs)
     for _ in range(trials):
@@ -60,6 +63,26 @@ class TestConversion:
         aig = netlist_to_aig(lower_graph(builder.graph).netlist)
         assert aig.depth() > 8
         assert aig.num_ands() > 50
+
+
+class TestTable1Pins:
+    """Depth and AND count of whole lowered Table-I designs, pinned so a
+    change of the netlist container or of the conversion order that moves
+    the AIG shows up (the rows the isdc-cold benchmark synthesizes)."""
+
+    PINNED = {
+        # design: (depth, AND count)
+        "rrot": (345, 4203),
+        "crc32": (96, 2304),
+        "binary divide": (725, 3369),
+        "hsv2rgb": (282, 11783),
+    }
+
+    @pytest.mark.parametrize("design", sorted(PINNED))
+    def test_depth_and_and_count(self, design):
+        case = next(case for case in table1_suite() if case.name == design)
+        aig = netlist_to_aig(lower_graph(case.build()).netlist)
+        assert (aig.depth(), aig.num_ands()) == self.PINNED[design]
 
 
 class TestBalancing:

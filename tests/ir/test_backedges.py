@@ -10,6 +10,8 @@ from repro.ir.interpreter import (evaluate_loop, evaluate_loop_outputs,
 from repro.ir.ops import OpKind
 from repro.ir.verify import IRVerificationError, verify_graph
 
+from tests.ir.helpers import to_networkx
+
 
 def _accumulator():
     """sum += x each iteration; returns (graph, phi, add)."""
@@ -80,7 +82,7 @@ class TestGraphStorage:
 
     def test_networkx_export_marks_back_edges(self):
         graph, acc, total = _accumulator()
-        exported = graph.to_networkx()
+        exported = to_networkx(graph)
         data = exported.get_edge_data(total.node_id, acc.node_id)
         assert data["back"] is True and data["distance"] == 1
 

@@ -5,6 +5,8 @@ import pytest
 from repro.ir.graph import DataflowGraph
 from repro.ir.ops import OpKind
 
+from tests.ir.helpers import to_networkx
+
 
 @pytest.fixture
 def small_graph():
@@ -70,7 +72,7 @@ class TestAccessors:
 
 class TestInterop:
     def test_to_networkx_preserves_structure(self, small_graph):
-        nx_graph = small_graph.to_networkx()
+        nx_graph = to_networkx(small_graph)
         assert nx_graph.number_of_nodes() == 4
         assert nx_graph.has_edge(0, 2)
         assert nx_graph.has_edge(2, 3)

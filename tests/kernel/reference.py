@@ -1,12 +1,14 @@
 """Pure-Python reference implementations of the kernel primitives.
 
 These are the historical per-layer algorithms, kept verbatim (modulo
-deterministic iteration) as an executable specification: the parity tests in
-``tests/kernel/`` run every kernel primitive against them across the
-Table-I suite and seeded ``gen:`` designs, and
+deterministic iteration and container accessors) as an executable
+specification: the parity tests in ``tests/kernel/`` run every kernel
+primitive and the netlist STA against them across the Table-I suite and
+seeded ``gen:`` designs, ``tests/netlist/`` checks the optimiser's Kahn
+numbering against :func:`reference_topological_order`, and
 ``benchmarks/test_speedup_gates.py`` times the kernel against them.  They
 are deliberately duck-typed (plain mappings instead of Schedule/DelayMatrix
-objects) so this module never imports upward.
+objects).
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.kernel.ops import NOT_CONNECTED
+from repro.netlist.gates import GateKind
 
 
 def reference_topological_order(ids, operands: Mapping, users: Mapping) -> list[int]:
@@ -51,11 +54,17 @@ def graph_adjacency(graph) -> tuple[list[int], dict, dict]:
 
 
 def netlist_adjacency(netlist) -> tuple[list[int], dict, dict]:
-    """(ids, inputs, fanout) of a Netlist, in container order."""
-    gates = netlist.gates()
-    ids = [gate.gate_id for gate in gates]
-    operands = {gate.gate_id: gate.inputs for gate in gates}
-    users = {gid: netlist.fanout(gid) for gid in ids}
+    """(ids, inputs, fanout) of a Netlist, in container order.
+
+    Users are derived from the operand lists: each gate is listed once per
+    operand pin it reads, in ascending gate order.
+    """
+    ids = list(range(len(netlist)))
+    operands = dict(enumerate(netlist.operands))
+    users: dict[int, list[int]] = {gid: [] for gid in ids}
+    for gid, pins in operands.items():
+        for operand in pins:
+            users[operand].append(gid)
     return ids, operands, users
 
 
@@ -150,16 +159,18 @@ def reference_sta(netlist, gate_delay: Callable, endpoints=None
         ``(critical_path_delay_ps, critical_path, arrival_times)``.
     """
     ids, operands, users = netlist_adjacency(netlist)
+    kinds = list(GateKind)
     arrival: dict[int, float] = {}
     predecessor: dict[int, int | None] = {}
     for gate_id in reference_topological_order(ids, operands, users):
-        gate = netlist.gate(gate_id)
-        delay = gate_delay(gate.kind)
-        if not gate.inputs:
-            arrival[gate_id] = delay if not gate.kind.is_source else 0.0
+        kind = kinds[netlist.kinds[gate_id]]
+        inputs = operands[gate_id]
+        delay = gate_delay(kind)
+        if not inputs:
+            arrival[gate_id] = delay if not kind.is_source else 0.0
             predecessor[gate_id] = None
             continue
-        worst_input = max(gate.inputs, key=lambda i: arrival[i])
+        worst_input = max(inputs, key=lambda i: arrival[i])
         arrival[gate_id] = arrival[worst_input] + delay
         predecessor[gate_id] = worst_input
     if endpoints is None:

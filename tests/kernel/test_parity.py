@@ -3,7 +3,7 @@
 These are the refactor's safety net (and the executable form of the
 "byte-identical before/after" acceptance criterion): every kernel primitive
 is checked against the historical pure-Python implementation preserved in
-:mod:`repro.kernel.reference` -- exact array equality, not approximate.
+``tests/kernel/reference.py`` -- exact array equality, not approximate.
 The delay matrix and STA are also checked on an 89- to 2117-node ladder
 of generated designs; ``benchmarks/test_speedup_gates.py`` times the
 largest.
@@ -29,7 +29,10 @@ from repro.kernel import (
     reconstruct_path,
 )
 from repro.kernel import critical_path_matrix as kernel_matrix
-from repro.kernel.reference import (
+from repro.sdc.delays import NOT_CONNECTED, critical_path_between, node_delays
+from repro.tech.delay_model import OperatorModel
+
+from tests.kernel.reference import (
     graph_adjacency,
     reference_critical_path_between,
     reference_critical_path_matrix,
@@ -41,8 +44,6 @@ from repro.kernel.reference import (
     reference_subgraph_longest_path,
     reference_topological_order,
 )
-from repro.sdc.delays import NOT_CONNECTED, critical_path_between, node_delays
-from repro.tech.delay_model import OperatorModel
 
 _TABLE1_NAMES = [case.name for case in table1_suite()]
 _GEN_PARAMS = [GeneratorParams(seed=seed, depth=6, width=4)

@@ -7,14 +7,12 @@ from repro.ir.builder import GraphBuilder
 from repro.ir.node import Node
 from repro.ir.ops import OpKind
 from repro.kernel import GraphView
-from repro.kernel.reference import (
+
+from tests.kernel.reference import (
     graph_adjacency,
-    netlist_adjacency,
     reference_longest_path_lengths,
     reference_topological_order,
 )
-from repro.netlist.gates import GateKind
-from repro.netlist.netlist import Netlist
 
 
 class TestConstruction:
@@ -79,19 +77,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="'loopy' contains a cycle"):
             GraphView.from_dataflow(graph)
 
-    def test_netlist_cycle_message(self):
-        netlist = Netlist("tangled")
-        a = netlist.add_input("a")
-        g1 = netlist.add_gate(GateKind.INV, (a,))
-        g2 = netlist.add_gate(GateKind.INV, (g1,))
-        from repro.netlist.gates import Gate
-        netlist._gates[g1] = Gate(g1, GateKind.INV, (g2,))
-        netlist._fanout[g2].append(g1)
-        with pytest.raises(ValueError,
-                           match="'tangled' contains a combinational cycle"):
-            netlist.topological_order()
-
-
 class TestCaching:
     def test_dataflow_view_is_cached(self, diamond_graph):
         assert GraphView.from_dataflow(diamond_graph) is \
@@ -117,34 +102,6 @@ class TestCaching:
         clone_view = GraphView.from_dataflow(clone)
         assert clone_view is not original
         assert clone_view.order_ids() == original.order_ids()
-
-    def test_netlist_caching_and_gate_invalidation(self):
-        netlist = Netlist("cached")
-        a = netlist.add_input("a")
-        netlist.add_gate(GateKind.INV, (a,))
-        before = GraphView.from_netlist(netlist)
-        assert GraphView.from_netlist(netlist) is before
-        netlist.add_gate(GateKind.INV, (a,))
-        assert GraphView.from_netlist(netlist) is not before
-
-    def test_netlist_output_marking_keeps_view(self):
-        netlist = Netlist("marked")
-        a = netlist.add_input("a")
-        inv = netlist.add_gate(GateKind.INV, (a,))
-        before = GraphView.from_netlist(netlist)
-        netlist.mark_output(inv)
-        assert GraphView.from_netlist(netlist) is before
-
-    def test_netlist_topological_order_matches_reference(self):
-        netlist = Netlist("order")
-        a = netlist.add_input("a")
-        b = netlist.add_input("b")
-        g1 = netlist.add_gate(GateKind.AND2, (a, b))
-        g2 = netlist.add_gate(GateKind.XOR2, (g1, a))
-        netlist.mark_output(g2)
-        assert netlist.topological_order() == reference_topological_order(
-            *netlist_adjacency(netlist))
-
 
 class TestAigView:
     def test_levels_match_direct_recurrence(self):

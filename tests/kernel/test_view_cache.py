@@ -2,7 +2,7 @@
 
 Views are cached on the container keyed by ``structural_version``.  A
 non-structural edit (rename, output marking) keeps the cached object; any
-structural edit (adding or removing a node/gate) makes the next ``from_*``
+structural edit (adding or removing a node) makes the next ``from_*``
 call rebuild from scratch, and that rebuild must equal, field by field, a
 view built on a fresh ``copy()`` of the edited container -- same Kahn order,
 same CSR arrays (operand order and duplicates included), same levels and
@@ -20,8 +20,6 @@ from repro.aig.aig import Aig
 from repro.designs.generator import GeneratorParams, build_generated_design
 from repro.ir.ops import OpKind
 from repro.kernel import GraphView
-from repro.netlist.gates import GateKind
-from repro.netlist.netlist import Netlist
 
 _FIELDS = ("order", "pred_indptr", "pred_indices", "succ_indptr",
            "succ_indices", "levels", "level_order", "level_starts",
@@ -40,19 +38,6 @@ def assert_views_equal(actual: GraphView, expected: GraphView) -> None:
 def _base_graph(seed: int = 2):
     return build_generated_design(GeneratorParams(seed=seed, depth=5,
                                                   width=4))
-
-
-def _netlist():
-    netlist = Netlist("cached")
-    rng = random.Random(3)
-    pool = [netlist.add_input(f"in{i}") for i in range(4)]
-    for _ in range(20):
-        kind = rng.choice([GateKind.AND2, GateKind.OR2, GateKind.XOR2,
-                           GateKind.NAND2])
-        pool.append(netlist.add_gate(kind, (rng.choice(pool),
-                                            rng.choice(pool))))
-    netlist.mark_output(pool[-1])
-    return netlist
 
 
 class TestReuse:
@@ -147,22 +132,6 @@ class TestRebuildAfterEdits:
         assert_views_equal(GraphView.from_dataflow(graph),
                            GraphView.from_dataflow(graph.copy()))
 
-    def test_netlist_adds_and_removal(self):
-        netlist = _netlist()
-        GraphView.from_netlist(netlist)
-        rng = random.Random(4)
-        ids = netlist.gate_ids()
-        for _ in range(8):
-            netlist.add_gate(GateKind.XOR2, (rng.choice(ids),
-                                             rng.choice(ids)))
-        removable = next(g.gate_id for g in netlist.gates()
-                         if not netlist.fanout(g.gate_id)
-                         and g.gate_id not in netlist.outputs())
-        netlist.remove_gate(removable)
-        rebuilt = GraphView.from_netlist(netlist)
-        assert removable not in rebuilt.index_of
-        assert_views_equal(rebuilt, GraphView.from_netlist(netlist.copy()))
-
     def test_aig_adds_rebuild(self):
         def build(view_midway: bool):
             aig = Aig("cached")
@@ -191,21 +160,6 @@ class TestContainerRemovalErrors:
         used = next(nid for nid in graph.node_ids() if graph.users_of(nid))
         with pytest.raises(ValueError, match="still has users"):
             graph.remove_node(used)
-
-    def test_netlist_remove_gate(self):
-        netlist = Netlist("removals")
-        a = netlist.add_input("a")
-        b = netlist.add_input("b")
-        g = netlist.add_gate(GateKind.AND2, (a, b))
-        out = netlist.add_gate(GateKind.INV, (g,))
-        netlist.mark_output(out)
-        with pytest.raises(KeyError):
-            netlist.remove_gate(10**9)
-        with pytest.raises(ValueError, match="still drives"):
-            netlist.remove_gate(g)
-        with pytest.raises(ValueError, match="primary output"):
-            netlist.remove_gate(out)
-
 
 _EDIT_OPS = (OpKind.ADD, OpKind.SUB, OpKind.XOR, OpKind.AND, OpKind.OR)
 

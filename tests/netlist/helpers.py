@@ -4,8 +4,15 @@ from __future__ import annotations
 
 from repro.ir.graph import DataflowGraph
 from repro.ir.interpreter import evaluate_graph
+from repro.netlist.gates import GateKind
 from repro.netlist.lowering import LoweringResult, lower_graph
 from repro.netlist.netlist import Netlist
+
+
+def primary_inputs(netlist: Netlist) -> list[int]:
+    """Primary-input gate ids of ``netlist``, ascending."""
+    return [gate_id for gate_id, code in enumerate(netlist.kinds)
+            if code == GateKind.INPUT.code]
 
 
 def bits_to_int(values: dict[int, int], bits: list[int]) -> int:

@@ -2,10 +2,13 @@
 
 :class:`ReferenceOptimizer` keeps the historical strash -> balance ->
 strash pipeline verbatim as an executable specification, the way
-:mod:`repro.kernel.reference` keeps the kernel's: every pass rewrites
-through ``_Rebuilder`` (``GateKind`` keys, dict-backed gate maps), prunes
-into a fresh :class:`~repro.netlist.netlist.Netlist`, the balancing pass
-takes its arrival times from a full
+``tests/kernel/reference.py`` keeps the kernel's: every pass walks its
+input in the historical Kahn order and reads fanout counts from
+:func:`~tests.kernel.reference.reference_topological_order` and
+:func:`~tests.kernel.reference.netlist_adjacency`, rewrites through
+``_Rebuilder`` (``GateKind`` keys, dict-backed gate maps), prunes into a
+fresh :class:`~repro.netlist.netlist.Netlist`, the balancing pass takes its
+arrival times from a full
 :meth:`~repro.netlist.sta.StaticTimingAnalysis.run` and the report times
 the final netlist with another.  ``tests/netlist/test_optimizer_parity.py``
 checks :class:`~repro.netlist.optimizer.LogicOptimizer` against it and
@@ -24,12 +27,24 @@ from repro.netlist.sta import StaticTimingAnalysis
 from repro.tech.library import TechLibrary
 from repro.tech.sky130 import sky130_library
 
+from tests.kernel.reference import (netlist_adjacency,
+                                    reference_topological_order)
+
 _COMMUTATIVE_GATES = {
     GateKind.AND2, GateKind.OR2, GateKind.NAND2, GateKind.NOR2,
     GateKind.XOR2, GateKind.XNOR2, GateKind.MAJ3,
 }
 
 _ASSOCIATIVE_GATES = {GateKind.AND2, GateKind.OR2, GateKind.XOR2}
+
+_KINDS = list(GateKind)
+
+
+def _kahn_order_and_fanout(netlist: Netlist) -> tuple[list[int], list[int]]:
+    """The historical Kahn order of ``netlist`` and its fanout per gate."""
+    ids, operands, users = netlist_adjacency(netlist)
+    order = reference_topological_order(ids, operands, users)
+    return order, [len(users[gid]) for gid in ids]
 
 
 class _Rebuilder:
@@ -232,15 +247,17 @@ class _Rebuilder:
 def _copy_into(source: Netlist, builder: _Rebuilder) -> dict[int, int]:
     """Copy ``source`` into ``builder`` gate by gate, returning the id map."""
     mapping: dict[int, int] = {}
-    for gate_id in source.topological_order():
-        gate = source.gate(gate_id)
-        if gate.kind is GateKind.INPUT:
-            mapping[gate_id] = builder.add_input(gate.name)
-        elif gate.kind in (GateKind.CONST0, GateKind.CONST1):
-            mapping[gate_id] = builder.constant(1 if gate.kind is GateKind.CONST1 else 0)
+    order, _ = _kahn_order_and_fanout(source)
+    for gate_id in order:
+        kind = _KINDS[source.kinds[gate_id]]
+        name = source.names[gate_id]
+        if kind is GateKind.INPUT:
+            mapping[gate_id] = builder.add_input(name)
+        elif kind in (GateKind.CONST0, GateKind.CONST1):
+            mapping[gate_id] = builder.constant(1 if kind is GateKind.CONST1 else 0)
         else:
-            new_inputs = tuple(mapping[i] for i in gate.inputs)
-            mapping[gate_id] = builder.emit(gate.kind, new_inputs, gate.name)
+            new_inputs = tuple(mapping[i] for i in source.operands[gate_id])
+            mapping[gate_id] = builder.emit(kind, new_inputs, name)
     return mapping
 
 
@@ -269,8 +286,9 @@ class ReferenceOptimizer:
 
     def _balance_pass(self, netlist: Netlist) -> Netlist:
         """Rebalance AND/OR/XOR trees using arrival times."""
-        timing = self._sta.run(netlist, endpoints=netlist.gate_ids())
-        fanout_count = {gid: len(netlist.fanout(gid)) for gid in netlist.gate_ids()}
+        timing = self._sta.run(netlist, endpoints=list(range(len(netlist))))
+        order, fanout_count = _kahn_order_and_fanout(netlist)
+        kinds = [_KINDS[code] for code in netlist.kinds]
 
         builder = _Rebuilder(netlist.name)
         mapping: dict[int, int] = {}
@@ -278,33 +296,33 @@ class ReferenceOptimizer:
         def collect_leaves(root_id: int, kind: GateKind) -> list[int]:
             """Leaves of the maximal single-fanout same-kind tree under root."""
             leaves: list[int] = []
-            stack = list(netlist.gate(root_id).inputs)
+            stack = list(netlist.operands[root_id])
             while stack:
                 current = stack.pop()
-                gate = netlist.gate(current)
-                if gate.kind is kind and fanout_count[current] == 1:
-                    stack.extend(gate.inputs)
+                if kinds[current] is kind and fanout_count[current] == 1:
+                    stack.extend(netlist.operands[current])
                 else:
                     leaves.append(current)
             return leaves
 
-        for gate_id in netlist.topological_order():
-            gate = netlist.gate(gate_id)
-            if gate.kind is GateKind.INPUT:
-                mapping[gate_id] = builder.add_input(gate.name)
+        for gate_id in order:
+            kind = kinds[gate_id]
+            name = netlist.names[gate_id]
+            if kind is GateKind.INPUT:
+                mapping[gate_id] = builder.add_input(name)
                 continue
-            if gate.kind in (GateKind.CONST0, GateKind.CONST1):
+            if kind in (GateKind.CONST0, GateKind.CONST1):
                 mapping[gate_id] = builder.constant(
-                    1 if gate.kind is GateKind.CONST1 else 0)
+                    1 if kind is GateKind.CONST1 else 0)
                 continue
-            if gate.kind in _ASSOCIATIVE_GATES:
-                leaves = collect_leaves(gate_id, gate.kind)
+            if kind in _ASSOCIATIVE_GATES:
+                leaves = collect_leaves(gate_id, kind)
                 if len(leaves) > 2:
                     mapping[gate_id] = self._build_balanced(
-                        builder, gate.kind, leaves, mapping, timing.arrival_times)
+                        builder, kind, leaves, mapping, timing.arrival_times)
                     continue
-            new_inputs = tuple(mapping[i] for i in gate.inputs)
-            mapping[gate_id] = builder.emit(gate.kind, new_inputs, gate.name)
+            new_inputs = tuple(mapping[i] for i in netlist.operands[gate_id])
+            mapping[gate_id] = builder.emit(kind, new_inputs, name)
 
         builder.outputs = [mapping[output] for output in netlist.outputs()]
         return builder.prune()

@@ -10,7 +10,8 @@ for id, so a rewrite of its passes or of the netlist container that moves
 any gate, id or port shows up here even when delays happen to survive it.
 The same cases also check two facts the optimiser is built on: its output
 ids are their own Kahn order, and the timing its report carries equals a
-full STA of the output netlist.
+full STA of the output netlist.  A third, that its Kahn order of a lowered
+netlist is the historical one, is checked on every whole Table-I design.
 
 Regenerate the file (only for a deliberate change of optimiser output)
 with::
@@ -29,14 +30,17 @@ import pytest
 
 from repro.designs.suite import table1_suite
 from repro.ir.builder import GraphBuilder
-from repro.kernel import GraphView
+from repro.netlist.gates import GateKind
 from repro.netlist.lowering import lower_graph, lower_subgraph
 from repro.netlist.netlist import Netlist
-from repro.netlist.optimizer import LogicOptimizer
+from repro.netlist.optimizer import LogicOptimizer, _kahn_order_numbered
 from repro.netlist.sta import StaticTimingAnalysis
 from repro.sdc.scheduler import SdcScheduler
 from repro.tech.delay_model import OperatorModel
 from repro.tech.sky130 import sky130_library
+
+from tests.kernel.reference import (netlist_adjacency,
+                                    reference_topological_order)
 
 GOLDEN_PATH = Path(__file__).with_name("optimizer_golden.json")
 
@@ -94,9 +98,11 @@ def _cases() -> dict[str, Netlist]:
 
 def structure_digest(netlist: Netlist) -> str:
     """sha256 over the ``(kind, inputs)`` gate list and the output ports."""
+    kinds = list(GateKind)
     payload = {
-        "gates": [[gate.gate_id, gate.kind.value, list(gate.inputs)]
-                  for gate in netlist.gates()],
+        "gates": [[gate_id, kinds[code].value, list(operands)]
+                  for gate_id, (code, operands)
+                  in enumerate(zip(netlist.kinds, netlist.operands))],
         "outputs": netlist.outputs(),
     }
     return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
@@ -151,13 +157,23 @@ def test_golden_covers_every_case(cases):
 def test_optimized_ids_are_their_kahn_order(optimized):
     """The optimiser relies on it: a pruned list is its own Kahn order."""
     mismatched = [label for label, (netlist, _) in optimized.items()
-                  if GraphView.from_netlist(netlist).order_ids()
+                  if _kahn_order_numbered(range(len(netlist)),
+                                          netlist.operands)
                   != list(range(len(netlist)))]
     assert not mismatched, f"ids are not the Kahn order on {mismatched}"
 
 
+@pytest.mark.parametrize("case", table1_suite(), ids=lambda case: case.name)
+def test_lowered_kahn_order_matches_reference(case):
+    """The optimiser's Kahn order of its input (the first pass's walk) is
+    the historical Kahn order, on every lowered Table-I design."""
+    netlist = lower_graph(case.build()).netlist
+    assert (_kahn_order_numbered(range(len(netlist)), netlist.operands)
+            == reference_topological_order(*netlist_adjacency(netlist)))
+
+
 def test_report_timing_equals_sta_of_optimized(optimized):
-    """The report's gate-list timing is a full STA of the built netlist."""
+    """The report's timing is a full STA of the returned netlist."""
     sta = StaticTimingAnalysis(sky130_library())
     mismatched = []
     for label, (netlist, report) in optimized.items():

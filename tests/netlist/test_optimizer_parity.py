@@ -44,7 +44,7 @@ def outcome(optimizer, netlist: Netlist) -> dict:
     return {
         "name": optimized.name,
         "digest": structure_digest(optimized),
-        "names": [gate.name for gate in optimized.gates()],
+        "names": optimized.names,
         "area": optimized.area(_LIBRARY),
         "gates_before": report.gates_before,
         "gates_after": report.gates_after,
@@ -70,14 +70,14 @@ def random_netlists(draw) -> Netlist:
     """Netlists over every gate kind, in any mix.
 
     Operands are drawn with replacement (duplicate operands), inputs and
-    tie cells appear anywhere in the gate order, some fanout-free gates are
-    removed again (id holes), and output ports may repeat a gate or be
-    absent altogether (the never-pruned no-output netlist).
+    tie cells appear anywhere in the gate order, and output ports may
+    repeat a gate or be absent altogether (the never-pruned no-output
+    netlist).
     """
     netlist = Netlist("random")
     for index in range(draw(st.integers(0, 40))):
         kind = draw(st.sampled_from(_STEP_KINDS))
-        ids = netlist.gate_ids()
+        ids = range(len(netlist))
         if kind is GateKind.INPUT or (not kind.is_source and not ids):
             netlist.add_input(f"in{index}")
         elif kind.is_source:
@@ -88,11 +88,7 @@ def random_netlists(draw) -> Netlist:
                                      max_size=kind.num_inputs))
             name = draw(st.sampled_from(["", f"g{index}"]))
             netlist.add_gate(kind, operands, name)
-    for pick in draw(st.lists(st.integers(0, 1000), max_size=3)):
-        loose = [gid for gid in netlist.gate_ids() if not netlist.fanout(gid)]
-        if loose:
-            netlist.remove_gate(loose[pick % len(loose)])
-    ids = netlist.gate_ids()
+    ids = range(len(netlist))
     if ids:
         for output in draw(st.lists(st.sampled_from(ids), max_size=6)):
             netlist.mark_output(output)
@@ -129,9 +125,9 @@ def test_no_output_netlist_keeps_every_gate_and_id():
     optimized, report = LogicOptimizer(_LIBRARY).optimize(netlist)
     # Hashing and folding still apply, but nothing is pruned: the two
     # inputs, the tie cell, the shared AND and the otherwise dead XOR.
-    assert [(gate.gate_id, gate.kind) for gate in optimized.gates()] == [
-        (0, GateKind.INPUT), (1, GateKind.INPUT), (2, GateKind.CONST1),
-        (3, GateKind.AND2), (4, GateKind.XOR2)]
+    assert optimized.kinds == [kind.code for kind in (
+        GateKind.INPUT, GateKind.INPUT, GateKind.CONST1, GateKind.AND2,
+        GateKind.XOR2)]
     assert optimized.outputs() == []
     assert report.timing.critical_path == (0, 3, 4)
 
