@@ -1,7 +1,8 @@
 """Benchmark: incremental re-solves vs. full rebuilds in the ISDC loop.
 
-Runs the same multi-iteration designs through the default loop (in-place
-bound patching) and through a reference run with the loop's
+Runs the same multi-iteration designs through the default loop (timing
+bounds re-derived from the whole delay matrix and patched in place, or
+rebuilt when the constrained-pair set moved) and through a reference run with the loop's
 ``IncrementalSolver`` swapped for ``FullSolver`` (rebuild every iteration),
 and compares the cumulative scheduling re-solve time (the per-iteration
 ``solver_runtime_s``, excluding the shared baseline solve).  The estimator

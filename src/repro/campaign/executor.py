@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from repro.campaign.spec import CampaignJob, CampaignSpec
+from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import RunStore
 from repro.designs.generator import case_from_name
 from repro.isdc.config import IsdcConfig

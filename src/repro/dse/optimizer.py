@@ -18,6 +18,7 @@ over a worker pool), specialised to deterministic feasibility probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -104,14 +105,16 @@ class MinClockOptimizer:
     def __init__(self, design: str, start_clock_ps: float,
                  resolution_ps: float = 25.0, bracket_factor: float = 2.0,
                  max_probes: int = 96, max_stages: int | None = None) -> None:
-        if start_clock_ps <= 0:
-            raise ValueError("start_clock_ps must be positive")
-        if resolution_ps <= 0:
-            raise ValueError("resolution_ps must be positive")
+        if not 0 < start_clock_ps < math.inf:
+            raise ValueError("start_clock_ps must be positive and finite")
+        if not 0 < resolution_ps < math.inf:
+            raise ValueError("resolution_ps must be positive and finite")
         if bracket_factor <= 1:
             raise ValueError("bracket_factor must exceed 1")
         if max_probes < 1:
             raise ValueError("max_probes must be at least 1")
+        if max_stages is not None and max_stages < 1:
+            raise ValueError("max_stages must be at least 1")
         self.design = design
         self.start_clock_ps = float(start_clock_ps)
         self.resolution_ps = float(resolution_ps)
@@ -223,8 +226,8 @@ class ParetoOptimizer:
     def __init__(self, design: str, start_clock_ps: float,
                  points: int = 8, span: tuple[float, float] = (0.5, 2.0),
                  refine_rounds: int = 1) -> None:
-        if start_clock_ps <= 0:
-            raise ValueError("start_clock_ps must be positive")
+        if not 0 < start_clock_ps < math.inf:
+            raise ValueError("start_clock_ps must be positive and finite")
         if points < 2:
             raise ValueError("points must be at least 2")
         if not 0 < span[0] < span[1]:

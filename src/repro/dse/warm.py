@@ -11,15 +11,16 @@ structured way.  The :class:`ProblemCache` exploits both levels:
   probe (graph, delays, matrix, structural fingerprint);
 * the solved :class:`~repro.sdc.problem.ScheduleProblem` of each feasible
   probe is retained, and a new probe warm-starts by cloning the problem of
-  the *nearest* previously-solved period and rebasing it to the new budget
-  (:meth:`~repro.sdc.problem.ScheduleProblem.rebase_timing` -- only bounds
-  whose ``ceil(delay / budget)`` bucket changed are patched, falling back
-  to a full constraint rebuild when the constrained-pair set moved);
+  the *nearest* previously-solved period and retargeting it to the new
+  budget (:meth:`~repro.sdc.problem.ScheduleProblem.retarget` -- only
+  bounds whose ``ceil(delay / budget)`` bucket changed are patched,
+  falling back to a full constraint rebuild when the constrained-pair set
+  moved);
 * repeated probes of a structurally identical design at the same period
   are memoized on the design's subgraph fingerprint and cost nothing.
 
-Warm-started probes are byte-identical to cold ones: the rebased LP arrays
-equal a from-scratch build's (see :meth:`ScheduleProblem.rebase_timing`)
+Warm-started probes are byte-identical to cold ones: the retargeted LP
+arrays equal a from-scratch build's (see :meth:`ScheduleProblem.retarget`)
 and both paths run the one shared :func:`~repro.sdc.solver.solve_problem`.
 The parity suite under ``tests/dse/`` enforces this on every probe.
 """

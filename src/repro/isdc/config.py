@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import asdict, dataclass
 
 
@@ -84,8 +85,11 @@ class IsdcConfig:
     cache_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.clock_period_ps <= 0:
-            raise ValueError("clock_period_ps must be positive")
+        if not 0 < self.clock_period_ps < math.inf:
+            raise ValueError("clock_period_ps must be positive and finite")
+        if self.register_overhead_ps is not None \
+                and not math.isfinite(self.register_overhead_ps):
+            raise ValueError("register_overhead_ps must be finite")
         if self.subgraphs_per_iteration < 1:
             raise ValueError("subgraphs_per_iteration must be at least 1")
         if self.max_iterations < 1:

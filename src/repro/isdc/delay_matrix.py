@@ -11,6 +11,10 @@ Storage is a dense numpy array: the SDC solver slices whole rows/columns
 and the Algorithm 2 re-propagation (:mod:`repro.isdc.reformulate`) sweeps
 whole rows and columns of it.  The initialisation routes through the
 kernel's dense/sparse dispatcher, which always hands back the dense matrix.
+The matrix is the whole mutable state: the re-solve after each feedback
+round re-derives every timing bound from it
+(:meth:`~repro.sdc.problem.ScheduleProblem.retarget`), so writers need not
+record which entries they lowered.
 """
 
 from __future__ import annotations
@@ -44,8 +48,6 @@ class DelayMatrix:
         self.graph = graph
         self.matrix = matrix
         self.index_of = index_of
-        self._order: list[int] | None = None  # derived lazily, shared by copies
-        self._dirty: set[tuple[int, int]] = set()
 
     @property
     def view(self) -> GraphView:
@@ -60,33 +62,17 @@ class DelayMatrix:
         """Initialise from naive estimates (Alg. 1 lines 1--9)."""
         view = GraphView.from_dataflow(graph)
         matrix = auto_critical_path_matrix(view, view.delay_vector(delays))
-        instance = cls(graph, matrix, dict(view.index_of))
-        instance._order = view.order_ids()
-        return instance
+        return cls(graph, matrix, dict(view.index_of))
 
     def copy(self) -> "DelayMatrix":
-        """Deep copy (the ISDC loop keeps the running matrix across iterations).
-
-        Only the matrix itself is duplicated; the derived node order is
-        shared with the source.
-        """
-        duplicate = DelayMatrix(self.graph, self.matrix.copy(),
-                                dict(self.index_of))
-        duplicate._order = self._order
-        duplicate._dirty = set(self._dirty)
-        return duplicate
+        """Deep copy (the ISDC loop keeps the running matrix across iterations)."""
+        return DelayMatrix(self.graph, self.matrix.copy(), dict(self.index_of))
 
     # ----------------------------------------------------------------- access
 
-    def _node_order(self) -> list[int]:
-        """Node ids in matrix order (cached; do not mutate the result)."""
-        if self._order is None:
-            self._order = sorted(self.index_of, key=self.index_of.get)
-        return self._order
-
     def node_order(self) -> list[int]:
         """Node ids in matrix row/column order."""
-        return list(self._node_order())
+        return sorted(self.index_of, key=self.index_of.get)
 
     def get(self, u: int, v: int) -> float:
         """Estimated critical-path delay from node ``u`` to node ``v``."""
@@ -100,33 +86,6 @@ class DelayMatrix:
         """Isolated delay of one node (the matrix diagonal)."""
         index = self.index_of[node_id]
         return float(self.matrix[index, index])
-
-    def set(self, u: int, v: int, delay: float) -> None:
-        """Overwrite one entry (used by the reformulation pass)."""
-        self.matrix[self.index_of[u], self.index_of[v]] = delay
-        self._dirty.add((u, v))
-
-    # ------------------------------------------------------------ dirty pairs
-
-    def mark_dirty_indices(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        """Record changed entries by matrix index (for vectorised writers)."""
-        order = self._node_order()
-        self._dirty.update((order[int(r)], order[int(c)])
-                           for r, c in zip(rows, cols))
-
-    def dirty_pairs(self) -> set[tuple[int, int]]:
-        """Node-id pairs whose entries changed since the last consume."""
-        return set(self._dirty)
-
-    def consume_dirty(self) -> set[tuple[int, int]]:
-        """Return the accumulated dirty pairs and reset the tracker.
-
-        The ISDC loop drains this once per iteration and hands the delta to
-        :meth:`repro.sdc.problem.ScheduleProblem.update_timing`.
-        """
-        dirty = self._dirty
-        self._dirty = set()
-        return dirty
 
     # --------------------------------------------------------------- feedback
 
@@ -154,8 +113,6 @@ class DelayMatrix:
         if count:
             block[improvable] = delay_ps
             self.matrix[np.ix_(indices, indices)] = block
-            block_rows, block_cols = np.nonzero(improvable)
-            self.mark_dirty_indices(indices[block_rows], indices[block_cols])
         return count
 
     def update_with_feedback(self, feedback: Iterable[tuple[Iterable[int], float]]

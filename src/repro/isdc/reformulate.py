@@ -29,9 +29,10 @@ from repro.sdc.delays import NOT_CONNECTED
 def propagate_delays(delay_matrix: DelayMatrix) -> int:
     """Re-propagate pairwise delays after feedback updates (Alg. 2 lines 1--16).
 
-    The matrix is modified in place; every lowered entry is also reported to
-    the matrix's dirty-pair tracker so the incremental solver can patch just
-    the affected timing constraints.
+    The matrix is modified in place; the re-solve that follows re-derives
+    every timing bound from the whole matrix
+    (:meth:`~repro.sdc.problem.ScheduleProblem.retarget`), so nothing needs
+    to record which entries were lowered.
 
     Both sweeps run level-batched over the graph's shared kernel
     :class:`~repro.kernel.GraphView`: since every edge crosses a level
@@ -81,9 +82,6 @@ def propagate_delays(delay_matrix: DelayMatrix) -> int:
         count = int(improve.sum())
         if count:
             matrix[:, columns] = np.where(improve, best, current)
-            changed_rows, changed_positions = np.nonzero(improve)
-            delay_matrix.mark_dirty_indices(changed_rows,
-                                            columns[changed_positions])
             changed += count
 
     # Reverse sweep: propagate through users to catch the complementary
@@ -116,9 +114,6 @@ def propagate_delays(delay_matrix: DelayMatrix) -> int:
         count = int(improve.sum())
         if count:
             matrix[rows, :] = np.where(improve, best, current)
-            changed_positions, changed_cols = np.nonzero(improve)
-            delay_matrix.mark_dirty_indices(rows[changed_positions],
-                                            changed_cols)
             changed += count
 
     return changed
@@ -152,7 +147,5 @@ def floyd_warshall_refine(delay_matrix: DelayMatrix) -> int:
         count = int(improve.sum())
         if count:
             matrix[improve] = candidates[improve]
-            improved_rows, improved_cols = np.nonzero(improve)
-            delay_matrix.mark_dirty_indices(improved_rows, improved_cols)
             changed += count
     return changed

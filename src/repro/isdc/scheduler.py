@@ -36,8 +36,9 @@ class IsdcScheduler:
     One persistent :class:`~repro.sdc.problem.ScheduleProblem` (built by the
     baseline SDC schedule) is held for the whole loop, so the register
     weights, users map, constraint system and assembled LP are built once
-    per graph.  Each iteration's re-solve patches only the timing bounds the
-    iteration's dirty delay-matrix entries touched
+    per graph.  Each iteration's re-solve re-derives the timing bounds from
+    the whole updated delay matrix and patches the ones that moved, or
+    rebuilds when the constrained-pair set changed
     (:class:`~repro.sdc.solver.IncrementalSolver`), with schedules and
     histories byte-identical to rebuilding everything from the delay matrix
     (see ``tests/isdc/test_solver_parity.py``).  After a run,
@@ -192,9 +193,8 @@ class IsdcScheduler:
     def _reschedule(self, problem: ScheduleProblem, solver: IncrementalSolver,
                     delay_matrix: DelayMatrix) -> Schedule:
         """Re-solve the persistent problem against the updated delay matrix."""
-        dirty = delay_matrix.consume_dirty()
         solution = solver.solve(problem, delay_matrix.matrix,
-                                delay_matrix.index_of, dirty)
+                                delay_matrix.index_of)
         return Schedule(graph=problem.graph,
                         clock_period_ps=self.config.clock_period_ps,
                         stages=solution, ii=problem.ii)

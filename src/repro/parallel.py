@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import multiprocessing
 from concurrent.futures import Executor, ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")

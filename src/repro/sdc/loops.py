@@ -9,7 +9,7 @@ single :class:`~repro.sdc.problem.ScheduleProblem` -- each probe is a
 the loop bounds in the cached LP's right-hand side, never a rebuild)
 followed by one warm :func:`~repro.sdc.solver.solve_problem` call.  This is
 the same rhs-patch warm-start discipline the clock-period DSE uses for
-``rebase_timing``, applied to the II axis.
+``retarget``, applied to the II axis.
 """
 
 from __future__ import annotations

@@ -4,11 +4,11 @@ A :class:`ScheduleProblem` owns everything the LP re-solve of one graph
 needs -- the difference-constraint system, the register weights and users
 map of the objective, and the assembled sparse LP structure -- and keeps it
 alive across ISDC iterations, DSE clock probes and II probes.  Each of
-those changes only row *bounds*: :meth:`ScheduleProblem.update_timing`
-(dirty delay-matrix pairs), :meth:`ScheduleProblem.rebase_timing` (a new
-clock budget) and :meth:`ScheduleProblem.rebase_ii` (a new initiation
-interval) compute the new bounds and hand them to one bound-write step.
-Row positions never move between rebuilds.
+those changes only row *bounds*: :meth:`ScheduleProblem.retarget`
+re-derives the timing bounds from the whole delay matrix at a budget (ISDC
+feedback and DSE clock probes alike) and :meth:`ScheduleProblem.rebase_ii`
+the loop bounds at a new initiation interval; both hand the new bounds to
+one bound-write step.  Row positions never move between rebuilds.
 
 The system keeps every row; the LP HiGHS receives holds only the rows no
 other rows imply (:func:`lp_rows`).  Most Eq. 2 timing rows are implied:
@@ -27,15 +27,14 @@ Bound patches preserve byte-level parity with a from-scratch rebuild:
   order, so as long as the *set* of constrained pairs is unchanged the row
   order is identical;
 * patched bounds are computed with the same :func:`timing_bounds` formula
-  a rebuild uses;
+  over the same whole matrix a rebuild reads, so no write to the matrix
+  can be missed;
 * the LP's rows are a pure function of the system's ``(u, v, bound,
   kind)`` arrays, so equal arrays give byte-identical LPs however the
   problem got there;
-* whenever the pair set would change (a constraint appears or vanishes),
-  :meth:`~ScheduleProblem.update_timing` and
-  :meth:`~ScheduleProblem.rebase_timing` refuse and the caller falls back
-  to :meth:`~ScheduleProblem.rebuild`, which reproduces the from-scratch
-  construction exactly.
+* whenever the pair set changes (a constraint appears or vanishes),
+  :meth:`~ScheduleProblem.retarget` falls back to
+  :meth:`~ScheduleProblem.rebuild`, which is the from-scratch construction.
 
 The functions :func:`register_weights` and :func:`users_map` live here
 (rather than in :mod:`repro.sdc.scheduler`, which re-exports them) so the
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
@@ -331,10 +330,10 @@ class ScheduleProblem:
     kept alive for the whole ISDC loop: the register weights and users map
     are computed exactly once, the constraint system persists with fixed
     row positions, and the LP over the non-implied rows is cached.
-    Feedback updates, clock rebases and II rebases only compute new bounds
-    and hand them to one bound-write step, which updates the system's
-    ``bound`` array and keeps the cached LP in step (see the module
-    docstring).
+    Timing retargets (ISDC feedback, DSE clock probes) and II rebases only
+    compute new bounds and hand them to one bound-write step, which updates
+    the system's ``bound`` array and keeps the cached LP in step (see the
+    module docstring).
 
     Attributes:
         graph: the scheduled dataflow graph.
@@ -442,101 +441,35 @@ class ScheduleProblem:
         self.bound_patches += len(rows)
         return len(rows)
 
-    def update_timing(self, dirty_pairs: Iterable[tuple[int, int]],
-                      matrix: np.ndarray, index_of: Mapping[int, int]) -> bool:
-        """Rewrite the timing bounds of the dirty pairs in place.
+    def retarget(self, matrix: np.ndarray, index_of: Mapping[int, int],
+                 budget_ps: float) -> bool:
+        """Re-derive every timing bound from the whole matrix at ``budget_ps``.
+
+        The one way timing bounds move: ISDC feedback calls it at the
+        problem's own budget after the delay matrix changed, a DSE clock
+        probe at a new budget over the same matrix.  :func:`timing_pairs`
+        enumerates the constrained pairs exactly as a rebuild would; when
+        their keys equal the recorded ones, every timing row is sent
+        through the bound-write step (which counts only the bounds that
+        changed), otherwise the system is rebuilt.  Either way the problem
+        then equals a cold build at ``budget_ps``: same pairs, same row
+        order, same :func:`timing_bounds` formula.
 
         Args:
-            dirty_pairs: ``(u, v)`` node-id pairs whose delay-matrix entries
-                changed since the last solve.
             matrix: the current delay matrix.
             index_of: node id -> matrix row/column.
-
-        Returns:
-            True when the update was applied incrementally.  False when the
-            structure changed -- a timing constraint would have to appear or
-            vanish, or a dirty node is unknown -- in which case *nothing* is
-            modified and the caller must :meth:`rebuild`.
-        """
-        pairs = np.array(list(dirty_pairs), dtype=np.int64).reshape(-1, 2)
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]  # diagonal: never a row
-        table = _index_table(index_of)
-        if not ((pairs >= 0) & (pairs < len(table))).all():
-            return False
-        positions = table[pairs]
-        if (positions < 0).any():
-            return False
-        keys = np.unique(positions[:, 0] * len(matrix) + positions[:, 1])
-        bounds, needed = timing_bounds(matrix[keys // len(matrix),
-                                              keys % len(matrix)],
-                                       self.timing_budget_ps)
-        at = np.searchsorted(self._timing_keys, keys)
-        exists = at < len(self._timing_keys)
-        exists[exists] = self._timing_keys[at[exists]] == keys[exists]
-        if (needed != exists).any():
-            return False
-        # Cheap global safety net: the number of constrained pairs a rebuild
-        # would produce must match what we are keeping.  Catches delay-matrix
-        # mutations that bypassed dirty-pair tracking.
-        if len(timing_pairs(matrix, self.timing_budget_ps)[0]) \
-                != len(self._timing_keys):
-            return False
-        self._write_bounds(self._timing_rows[at[needed]], bounds[needed])
-        return True
-
-    def rebase_timing(self, matrix: np.ndarray, index_of: Mapping[int, int],
-                      new_budget_ps: float) -> bool:
-        """Re-target the problem to a new combinational budget in place.
-
-        The clock-period DSE layer probes the *same* design (same graph,
-        same delay matrix) at many clock periods; between two periods only
-        the timing constraints move -- the set of constrained pairs and
-        each pair's ``ceil(delay / budget) - 1`` bound.  When the pair set
-        is unchanged the re-target is a bound write over the timing rows:
-        the cached LP's right-hand side is patched, or the LP re-assembled
-        when the new bounds change which rows are implied.
-
-        Byte parity with a cold build at ``new_budget_ps`` holds because a
-        rebuild enumerates the same :func:`timing_pairs` in the same
-        row-major order: an unchanged pair set means an unchanged row order,
-        the bounds come from the same :func:`timing_bounds` formula, and
-        the LP's rows are a function of those arrays alone.
-
-        Args:
-            matrix: the design's delay matrix (unchanged across periods).
-            index_of: node id -> matrix row/column.
-            new_budget_ps: the new combinational budget (clock period minus
+            budget_ps: the combinational budget (clock period minus
                 register overhead).
 
         Returns:
-            True when the re-target was applied in place (including the
-            no-op case of an identical budget).  False when the pair set
-            differs -- a timing constraint would appear or vanish -- and the
-            problem is then left *unmodified*; the caller must
-            :meth:`rebuild` after updating :attr:`timing_budget_ps`.
+            True when the bounds were patched in place, False when the pair
+            set changed and the system was rebuilt.
         """
-        new_budget = float(new_budget_ps)
-        if new_budget == self.timing_budget_ps:
+        self.timing_budget_ps = float(budget_ps)
+        rows, cols, bounds = timing_pairs(matrix, self.timing_budget_ps)
+        if np.array_equal(rows * len(matrix) + cols, self._timing_keys):
+            self._write_bounds(self._timing_rows, bounds)
             return True
-        rows, cols, bounds = timing_pairs(matrix, new_budget)
-        if not np.array_equal(rows * len(matrix) + cols, self._timing_keys):
-            return False
-        self._write_bounds(self._timing_rows, bounds)
-        self.timing_budget_ps = new_budget
-        return True
-
-    def retarget(self, matrix: np.ndarray, index_of: Mapping[int, int],
-                 new_budget_ps: float) -> bool:
-        """Move the problem to a new budget: bound patch, or full rebuild.
-
-        Returns:
-            True when :meth:`rebase_timing` patched in place, False when the
-            pair set changed and a full rebuild was performed instead (the
-            problem is valid for ``new_budget_ps`` either way).
-        """
-        if self.rebase_timing(matrix, index_of, new_budget_ps):
-            return True
-        self.timing_budget_ps = float(new_budget_ps)
         self.rebuild(matrix, index_of)
         return False
 
@@ -546,7 +479,7 @@ class ScheduleProblem:
         The minimum-II search probes the *same* problem at many candidate
         IIs; between two IIs only the loop-constraint bounds
         (``II * distance - 1``) move -- the rows are exactly the graph's
-        back-edges at every II, so unlike :meth:`rebase_timing` this rebase
+        back-edges at every II, so unlike :meth:`retarget` this rebase
         can never fail and never forces a rebuild.
 
         Returns:

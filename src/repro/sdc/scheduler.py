@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -132,6 +133,10 @@ class SdcScheduler:
             register_overhead_ps = _default_register_overhead()
         self.register_overhead_ps = float(register_overhead_ps)
         self.timing_budget_ps = self.clock_period_ps - self.register_overhead_ps
+        if not math.isfinite(self.timing_budget_ps):
+            raise ValueError(f"clock period {self.clock_period_ps} and "
+                             f"register overhead {self.register_overhead_ps} "
+                             "must be finite")
         if self.timing_budget_ps <= 0:
             raise ValueError("clock period does not cover the register overhead")
         self.pin_sources = pin_sources

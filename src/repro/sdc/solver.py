@@ -18,15 +18,16 @@ The solution paths:
   only the rows no other rows imply (:func:`~repro.sdc.problem.lp_rows`);
   the rounding is repaired and checked against the full system.  Shared by
   the baseline schedule, the ISDC loop, the DSE engine and min-II search.
-* :class:`IncrementalSolver` -- the ISDC loop's re-solve: it patches only
-  the dirty timing bounds of the cached LP and falls back to a full rebuild
-  when the constraint structure changes.  :class:`FullSolver` rebuilds the
-  constraint system from the delay matrix on every call and solves the
-  full LP; it is the reference the tests hold the incremental path
-  byte-identical to.  Dropping implied rows leaves the feasible region and
-  the optimum unchanged, a patched problem hands HiGHS the same LP bytes
-  as a rebuilt one (see :mod:`repro.sdc.problem`), and the repair fixpoint
-  is unique.
+* :class:`IncrementalSolver` -- the ISDC loop's re-solve: it re-derives
+  the timing bounds from the whole delay matrix
+  (:meth:`~repro.sdc.problem.ScheduleProblem.retarget`), patching the
+  cached LP in place or rebuilding when the constrained-pair set changed.
+  :class:`FullSolver` rebuilds the constraint system from the delay matrix
+  on every call and solves the full LP; it is the reference the tests hold
+  the incremental path byte-identical to.  Dropping implied rows leaves the
+  feasible region and the optimum unchanged, a patched problem hands HiGHS
+  the same LP bytes as a rebuilt one (see :mod:`repro.sdc.problem`), and
+  the repair fixpoint is unique.
 """
 
 from __future__ import annotations
@@ -200,8 +201,8 @@ def solve_problem(problem: ScheduleProblem) -> dict[int, int]:
 
     This is the one production solve path, shared by the baseline SDC
     schedule, the ISDC loop and the DSE warm-start engine: the problem's
-    cached LP over its non-implied rows (patched in place by delta updates
-    or a clock-period rebase, or re-assembled when they moved the kept
+    cached LP over its non-implied rows (patched in place by a timing
+    retarget or an II rebase, or re-assembled when they moved the kept
     rows) is solved with HiGHS, the integral rounding is repaired by the
     array fixpoint over the full system, and the result is checked
     feasible against every row.  Because the kept rows and
@@ -228,9 +229,7 @@ class FullSolver:
     """
 
     def solve(self, problem: ScheduleProblem, matrix: np.ndarray,
-              index_of: Mapping[int, int],
-              dirty_pairs: set[tuple[int, int]] | None = None
-              ) -> dict[int, int]:
+              index_of: Mapping[int, int]) -> dict[int, int]:
         problem.rebuild(matrix, index_of)
         return solve_lp(problem.system, problem.register_weights,
                         problem.users_map, problem.latency_weight)
@@ -239,10 +238,10 @@ class FullSolver:
 class IncrementalSolver:
     """Patch the cached LP in place, or rebuild when the structure changed.
 
-    Per call, the solver asks the problem to write the dirty timing bounds
-    into the system and the cached LP
-    (:meth:`~repro.sdc.problem.ScheduleProblem.update_timing`); if the
-    constraint structure changed instead, it falls back to a full rebuild.
+    Per call, the problem re-derives its timing bounds from the whole delay
+    matrix at its own budget
+    (:meth:`~repro.sdc.problem.ScheduleProblem.retarget`): a bound patch
+    when the constrained-pair set is unchanged, a full rebuild otherwise.
     The LP is then solved on the cached (or freshly rebuilt) arrays.
 
     Attributes:
@@ -255,13 +254,9 @@ class IncrementalSolver:
         self.fallback_solves = 0
 
     def solve(self, problem: ScheduleProblem, matrix: np.ndarray,
-              index_of: Mapping[int, int],
-              dirty_pairs: set[tuple[int, int]] | None = None
-              ) -> dict[int, int]:
-        if dirty_pairs is None or not problem.update_timing(dirty_pairs,
-                                                            matrix, index_of):
-            problem.rebuild(matrix, index_of)
-            self.fallback_solves += 1
-        else:
+              index_of: Mapping[int, int]) -> dict[int, int]:
+        if problem.retarget(matrix, index_of, problem.timing_budget_ps):
             self.incremental_solves += 1
+        else:
+            self.fallback_solves += 1
         return solve_problem(problem)

@@ -28,6 +28,7 @@ typed error ``{"ok": false, "error": "<code>", "message": ...}``.  The
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Any
 
@@ -143,7 +144,13 @@ def _number(raw: dict, field: str, *, required: bool = False,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(f"field {field!r} must be a number, "
                             f"got {value!r:.80}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ProtocolError(f"field {field!r} must be a finite number, "
+                            f"got {value}")
     if positive and value <= 0:
         raise ProtocolError(f"field {field!r} must be positive, got {value}")
     return value

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.aig.aig import literal_node
 from repro.aig.from_netlist import netlist_to_aig
 from repro.aig.transforms import balance_aig
 from repro.designs.suite import table1_suite

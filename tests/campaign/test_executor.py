@@ -1,7 +1,6 @@
 """Tests for the campaign executor: sharding, checkpointing, resume parity."""
 
 import json
-from pathlib import Path
 
 from repro.campaign import RunStore, quick_spec, run_campaign
 from repro.campaign.spec import CampaignSpec

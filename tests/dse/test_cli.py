@@ -114,6 +114,19 @@ class TestDseCommand:
             main(["dse", "--designs", SMALL, *flags])
 
 
+    @pytest.mark.parametrize("flags", [["--resolution-ps", "nan"],
+                                       ["--resolution-ps", "inf"],
+                                       ["--max-stages", "0"],
+                                       ["--max-stages", "-3"]])
+    def test_rejects_non_finite_resolution_and_stageless_cap(self, flags,
+                                                             capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["dse", "--designs", SMALL, *flags])
+        assert exit_info.value.code == 2
+        named = flags[0][2:].replace("-", "_")  # --max-stages: max_stages
+        assert named in capsys.readouterr().err
+
+
 class TestSerializeAndReportWiring:
     def test_experiment_payload_accepts_dse_results(self):
         from repro.dse.search import run_dse

@@ -135,6 +135,12 @@ class TestMinClockOptimizer:
         {"start_clock_ps": 100.0, "resolution_ps": 0.0},
         {"start_clock_ps": 100.0, "bracket_factor": 1.0},
         {"start_clock_ps": 100.0, "max_probes": 0},
+        {"start_clock_ps": float("nan")},
+        {"start_clock_ps": float("inf")},
+        {"start_clock_ps": 100.0, "resolution_ps": float("nan")},
+        {"start_clock_ps": 100.0, "resolution_ps": float("inf")},
+        {"start_clock_ps": 100.0, "max_stages": 0},
+        {"start_clock_ps": 100.0, "max_stages": -3},
     ])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):
@@ -194,6 +200,8 @@ class TestParetoOptimizer:
         {"start_clock_ps": 100.0, "points": 1},
         {"start_clock_ps": 100.0, "span": (2.0, 0.5)},
         {"start_clock_ps": 100.0, "span": (0.0, 2.0)},
+        {"start_clock_ps": float("nan")},
+        {"start_clock_ps": float("inf")},
     ])
     def test_rejects_bad_arguments(self, kwargs):
         with pytest.raises(ValueError):

@@ -194,8 +194,8 @@ class TestTimingPackRebase:
         rebased = 0
         for delta in (1.0, 5.0, 25.0, 100.0, -100.0):
             clone = donor.clone()
-            if not clone.rebase_timing(context.matrix, context.index_of,
-                                       budget + delta):
+            if not clone.retarget(context.matrix, context.index_of,
+                                  budget + delta):
                 continue
             rebased += 1
             cold = ScheduleProblem(context.graph, context.matrix,
@@ -222,21 +222,23 @@ class TestTimingPackRebase:
                 break
         if target is None:
             pytest.skip("no same-rank budget nearby")
-        assert problem.rebase_timing(context.matrix, context.index_of, target)
+        assert problem.retarget(context.matrix, context.index_of, target)
         fresh = ScheduleProblem(context.graph, context.matrix,
                                 context.index_of, target)
         np.testing.assert_array_equal(problem.lp().b_ub, fresh.lp().b_ub)
         assert solve_problem(problem) == solve_problem(fresh)
 
-    def test_rebase_refuses_when_pair_set_moves(self, context):
+    def test_rebase_rebuilds_when_pair_set_moves(self, context):
         budget = context.default_clock_ps - context.register_overhead_ps
         problem = ScheduleProblem(context.graph, context.matrix,
                                   context.index_of, budget)
         target = context.worst_delay_ps * 1.01
         if context.pair_rank(target) == context.pair_rank(budget):
             pytest.skip("pair set did not move over the tested range")
-        bounds_before = problem.system.bound.copy()
-        assert not problem.rebase_timing(context.matrix, context.index_of,
-                                         target)
-        np.testing.assert_array_equal(problem.system.bound, bounds_before)
-        assert problem.timing_budget_ps == budget
+        assert not problem.retarget(context.matrix, context.index_of, target)
+        assert problem.timing_budget_ps == target
+        assert problem.rebuilds == 1
+        fresh = ScheduleProblem(context.graph, context.matrix,
+                                context.index_of, target)
+        np.testing.assert_array_equal(problem.system.bound, fresh.system.bound)
+        np.testing.assert_array_equal(problem.lp().b_ub, fresh.lp().b_ub)

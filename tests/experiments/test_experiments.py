@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.designs.ml_core import build_ml_core_datapath1, build_ml_core_datapath2
+from repro.designs.ml_core import build_ml_core_datapath1
 from repro.designs.suite import suite_by_name
 from repro.experiments.fig1 import profile_summary, run_delay_profile
 from repro.experiments.fig5 import run_extraction_ablation

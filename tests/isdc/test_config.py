@@ -25,6 +25,9 @@ def test_string_strategies_coerced():
     {"subgraphs_per_iteration": 0},
     {"max_iterations": 0},
     {"patience": 0},
+    {"clock_period_ps": float("nan")},
+    {"clock_period_ps": float("inf")},
+    {"register_overhead_ps": float("nan")},
 ])
 def test_invalid_values_rejected(kwargs):
     with pytest.raises(ValueError):

@@ -85,51 +85,3 @@ class TestQueries:
         delay_matrix, _ = matrix
         assert delay_matrix.connected_pairs_over(0.0) > 0
         assert delay_matrix.connected_pairs_over(1e12) == 0
-
-
-class TestDirtyTracking:
-    def test_fresh_matrix_is_clean(self, matrix):
-        delay_matrix, _ = matrix
-        assert delay_matrix.dirty_pairs() == set()
-
-    def test_subgraph_update_records_lowered_pairs(self, matrix,
-                                                   adder_chain_graph):
-        delay_matrix, _ = matrix
-        names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-        delay_matrix.update_with_subgraph([names["s1"], names["s2"]], 100.0)
-        dirty = delay_matrix.dirty_pairs()
-        assert (names["s1"], names["s2"]) in dirty
-        # Only covered, actually-lowered pairs are recorded.
-        assert all(u in names.values() and v in names.values()
-                   for u, v in dirty)
-
-    def test_no_op_update_records_nothing(self, matrix, adder_chain_graph):
-        delay_matrix, _ = matrix
-        names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-        delay_matrix.update_with_subgraph([names["s1"], names["s2"]], 100.0)
-        delay_matrix.consume_dirty()
-        delay_matrix.update_with_subgraph([names["s1"], names["s2"]], 500.0)
-        assert delay_matrix.dirty_pairs() == set()
-
-    def test_consume_drains_the_tracker(self, matrix, adder_chain_graph):
-        delay_matrix, _ = matrix
-        names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-        delay_matrix.set(names["s1"], names["s2"], 42.0)
-        consumed = delay_matrix.consume_dirty()
-        assert (names["s1"], names["s2"]) in consumed
-        assert delay_matrix.dirty_pairs() == set()
-
-    def test_propagation_records_its_changes(self, matrix, adder_chain_graph):
-        from repro.isdc.reformulate import propagate_delays
-
-        delay_matrix, _ = matrix
-        names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-        delay_matrix.update_with_subgraph([names["s1"], names["s2"]], 1.0)
-        delay_matrix.consume_dirty()
-        changed = propagate_delays(delay_matrix)
-        assert changed > 0
-        dirty = delay_matrix.dirty_pairs()
-        # Every change is recorded; a pair lowered by both sweeps dedupes.
-        assert 0 < len(dirty) <= changed
-        assert all(u in delay_matrix.index_of and v in delay_matrix.index_of
-                   for u, v in dirty)

@@ -4,7 +4,6 @@ from repro.isdc.config import IsdcConfig
 from repro.isdc.delay_matrix import DelayMatrix
 from repro.isdc.extraction import SubgraphExtractor
 from repro.isdc.feedback import FeedbackEngine
-from repro.sdc.delays import node_delays
 from repro.sdc.scheduler import SdcScheduler
 from repro.tech.delay_model import OperatorModel
 

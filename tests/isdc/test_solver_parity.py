@@ -67,8 +67,8 @@ def _certified_run(monkeypatch, name: str, backend: str = "estimator"):
                        dict(result.schedule.stages)))
         return result
 
-    def solve(self, problem, matrix, index_of, dirty_pairs=None):
-        stages = real_solve(self, problem, matrix, index_of, dirty_pairs)
+    def solve(self, problem, matrix, index_of):
+        stages = real_solve(self, problem, matrix, index_of)
         solves.append((matrix.copy(), dict(index_of), dict(stages)))
         return stages
 

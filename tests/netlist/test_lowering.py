@@ -9,7 +9,6 @@ import random
 import pytest
 
 from repro.ir.builder import GraphBuilder
-from repro.ir.ops import OpKind
 from repro.netlist.lowering import lower_graph, lower_subgraph
 
 from tests.netlist.helpers import check_against_interpreter, simulate_lowering

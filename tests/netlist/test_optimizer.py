@@ -11,7 +11,7 @@ from repro.netlist.netlist import Netlist
 from repro.netlist.optimizer import LogicOptimizer
 from repro.netlist.sta import StaticTimingAnalysis
 
-from tests.netlist.helpers import primary_inputs, simulate_lowering
+from tests.netlist.helpers import primary_inputs
 
 _RNG = random.Random(7)
 

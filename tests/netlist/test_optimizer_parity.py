@@ -15,7 +15,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.ir.builder import GraphBuilder
 from repro.netlist.gates import GateKind
 from repro.netlist.lowering import lower_graph
 from repro.netlist.netlist import Netlist

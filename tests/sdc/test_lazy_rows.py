@@ -10,9 +10,9 @@ seeded generated designs, these tests check that
   full one;
 * every dropped row is implied by the kept rows, by a Floyd–Warshall
   longest-path oracle written here;
-* after a clock-rebase ladder and after ISDC feedback patches, the warm
-  problem's reduced LP is byte-identical to a cold build's at the same
-  bounds.
+* after a clock-rebase ladder, after ISDC feedback and after a write
+  straight into the delay matrix, the retargeted problem's reduced LP is
+  byte-identical to a cold build's at the same bounds.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from repro.isdc.delay_matrix import DelayMatrix
 from repro.isdc.reformulate import propagate_delays
 from repro.sdc.constraints import DEPENDENCY, TIMING, ConstraintSystem
 from repro.sdc.problem import ScheduleProblem, lp_rows
-from repro.sdc.solver import (SdcInfeasibleError, solve_alap, solve_asap,
-                              solve_problem)
+from repro.sdc.solver import (IncrementalSolver, SdcInfeasibleError,
+                              solve_alap, solve_asap, solve_problem)
 from tests.sdc.certificate import verify_schedule_certificate
 from tests.sdc.test_lp_golden import cold_problem, lp_cases
 
@@ -203,7 +203,7 @@ def test_rebase_ladder_takes_every_write_path():
 
 def test_feedback_patches_lp_equals_cold_build(case):
     """ISDC-style updates: measured subgraphs lower pairs, Alg. 2
-    re-propagates, and the dirty pairs are patched (or rebuilt)."""
+    re-propagates, and the retarget patches the bounds (or rebuilds)."""
     label, problem = case
     name, _, _ = _cases()[label]
     context = build_context(name)
@@ -223,13 +223,34 @@ def test_feedback_patches_lp_equals_cold_build(case):
                 (u, v), 0.8 * matrix.matrix[matrix.index_of[u],
                                             matrix.index_of[v]])
         propagate_delays(matrix)
-        if not warm.update_timing(matrix.consume_dirty(), matrix.matrix,
-                                  matrix.index_of):
-            warm.rebuild(matrix.matrix, matrix.index_of)
+        warm.retarget(matrix.matrix, matrix.index_of, warm.timing_budget_ps)
         cold = ScheduleProblem(context.graph, matrix.matrix, matrix.index_of,
                                warm.timing_budget_ps, ii=warm.ii)
         assert_lp_equals_cold(warm, cold)
         timing = warm.system.rows_of("timing")
+
+
+def test_direct_matrix_write_reaches_the_lp():
+    """A delay written straight into the matrix, by no tracked writer, still
+    moves its bound: crc32's pair at -2 drops to -1 with the pair set kept,
+    and the incremental re-solve's system and LP equal a cold build's."""
+    problem = cold_problem("crc32", None, 1)
+    context = build_context("crc32")
+    matrix = DelayMatrix(context.graph, context.matrix.copy(),
+                         dict(context.index_of))
+    budget = problem.timing_budget_ps
+    solve_problem(problem)  # cache the LP, as the baseline schedule does
+    row = next(row for row in problem.system.rows_of("timing").tolist()
+               if problem.system.bound[row] == -2)
+    u, v = int(problem.system.u[row]), int(problem.system.v[row])
+    matrix.matrix[matrix.index_of[u], matrix.index_of[v]] = budget * 1.5
+    solver = IncrementalSolver()
+    solver.solve(problem, matrix.matrix, matrix.index_of)
+    assert solver.incremental_solves == 1 and problem.rebuilds == 0
+    assert problem.system.bound[row] == -1
+    assert problem.bound_patches == 1
+    assert_lp_equals_cold(problem, ScheduleProblem(
+        context.graph, matrix.matrix, matrix.index_of, budget))
 
 
 def test_rebase_ii_is_a_right_hand_side_patch():

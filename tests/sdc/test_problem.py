@@ -1,11 +1,11 @@
-"""Tests for the persistent ScheduleProblem and its delta timing updates."""
+"""Tests for the persistent ScheduleProblem and its timing retargets."""
 
 import numpy as np
 import pytest
 
 from repro.designs.arith import build_rrot
 from repro.sdc.constraints import TIMING, ConstraintSystem
-from repro.sdc.delays import NOT_CONNECTED, critical_path_matrix, node_delays
+from repro.sdc.delays import critical_path_matrix, node_delays
 from repro.sdc.problem import ScheduleProblem, assemble_lp
 from repro.sdc.scheduler import SdcScheduler
 from repro.sdc.solver import FullSolver, IncrementalSolver, solve_lp
@@ -68,7 +68,7 @@ class TestConstraintRowIdentity:
         row = _timing_row(problem.system, *pair)
         matrix[index_of[pair[0]], index_of[pair[1]]] = \
             scheduler.timing_budget_ps * 1.5
-        assert problem.update_timing({pair}, matrix, index_of)
+        assert problem.retarget(matrix, index_of, problem.timing_budget_ps)
         assert problem.system.u is u and problem.system.v is v
         assert problem.system.kind is kind
         bounds[row] = -1
@@ -82,8 +82,7 @@ class TestConstraintRowIdentity:
 
     def test_unchanged_bound_is_not_a_patch(self, rrot_setup):
         graph, matrix, index_of, problem, _ = rrot_setup
-        pair = _timing_pair(problem)
-        assert problem.update_timing({pair}, matrix, index_of)
+        assert problem.retarget(matrix, index_of, problem.timing_budget_ps)
         assert problem.bound_patches == 0
 
 
@@ -100,7 +99,7 @@ class TestScheduleProblem:
         assert problem.users_map
         assert problem.register_weights is problem.register_weights
 
-    def test_update_timing_patches_bound_and_lp(self, rrot_setup):
+    def test_retarget_patches_bound_and_lp(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
         budget = scheduler.timing_budget_ps
         lp = problem.lp()
@@ -111,7 +110,7 @@ class TestScheduleProblem:
         old_bound = problem.system.bound[row]
         new_delay = budget * 1.5  # one stage boundary needed
         matrix[index_of[pair[0]], index_of[pair[1]]] = new_delay
-        assert problem.update_timing({pair}, matrix, index_of)
+        assert problem.retarget(matrix, index_of, budget)
         assert problem.system.bound[row] == -1 != old_bound
         assert _timing_row(problem.system, *pair) == row
         lp = problem.lp()
@@ -133,7 +132,7 @@ class TestScheduleProblem:
                 clone, edited = problem.clone(), matrix.copy()
                 lp = clone.lp()
                 edited[index_of[pair[0]], index_of[pair[1]]] = budget * stages
-                assert clone.update_timing({pair}, edited, index_of)
+                assert clone.retarget(edited, index_of, budget)
                 cold = ScheduleProblem(graph, edited, index_of, budget)
                 np.testing.assert_array_equal(clone.lp_rows, cold.lp_rows)
                 if np.array_equal(clone.lp_rows, lp_rows):
@@ -149,30 +148,25 @@ class TestScheduleProblem:
                 assert (clone.lp().a_ub != cold.lp().a_ub).nnz == 0
         assert patched and reassembled
 
-    def test_update_timing_detects_vanishing_constraint(self, rrot_setup):
+    def test_retarget_rebuilds_on_vanishing_constraint(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
+        budget = scheduler.timing_budget_ps
         pair = _timing_pair(problem)
-        matrix[index_of[pair[0]], index_of[pair[1]]] = \
-            scheduler.timing_budget_ps / 2
-        assert not problem.update_timing({pair}, matrix, index_of)
-        # Nothing was modified: the stale constraint is still there.
-        assert _timing_row(problem.system, *pair) is not None
+        matrix[index_of[pair[0]], index_of[pair[1]]] = budget / 2
+        assert not problem.retarget(matrix, index_of, budget)
+        assert _timing_row(problem.system, *pair) is None
+        assert problem.rebuilds == 1
         assert problem.bound_patches == 0
+        cold = ScheduleProblem(graph, matrix, index_of, budget)
+        assert problem.system.constraints() == cold.system.constraints()
 
-    def test_update_timing_refuses_unknown_nodes(self, rrot_setup):
-        graph, matrix, index_of, problem, _ = rrot_setup
+    def test_retarget_ignores_diagonal(self, rrot_setup):
+        graph, matrix, index_of, problem, scheduler = rrot_setup
         bounds = problem.system.bound.copy()
-        node = next(iter(index_of))
-        unknown = max(index_of) + 1
-        for pair in ((node, unknown), (unknown, node), (-1, node)):
-            assert not problem.update_timing({pair}, matrix, index_of)
+        index = index_of[next(iter(index_of))]
+        matrix[index, index] = scheduler.timing_budget_ps * 3
+        assert problem.retarget(matrix, index_of, scheduler.timing_budget_ps)
         np.testing.assert_array_equal(problem.system.bound, bounds)
-        assert problem.bound_patches == 0
-
-    def test_update_timing_ignores_diagonal(self, rrot_setup):
-        graph, matrix, index_of, problem, _ = rrot_setup
-        node = next(iter(index_of))
-        assert problem.update_timing({(node, node)}, matrix, index_of)
 
     def test_rebuild_counts_and_invalidates(self, rrot_setup):
         graph, matrix, index_of, problem, _ = rrot_setup
@@ -188,25 +182,21 @@ class TestSolverStrategies:
         reference = solve_lp(problem.system, problem.register_weights,
                              problem.users_map, problem.latency_weight)
         full = FullSolver().solve(problem, matrix, index_of)
-        incremental = IncrementalSolver().solve(problem, matrix, index_of,
-                                                dirty_pairs=set())
+        incremental = IncrementalSolver().solve(problem, matrix, index_of)
         assert full == reference
         assert incremental == reference
 
     def test_incremental_agrees_after_delta(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
         incremental = IncrementalSolver()
-        incremental.solve(problem, matrix, index_of, dirty_pairs=set())
+        incremental.solve(problem, matrix, index_of)
 
         # Relax every timing constraint's delay by 10% (all survive).
-        dirty = set()
         for constraint in problem.system.constraints("timing"):
             u, v = constraint.u, constraint.v
             entry = matrix[index_of[u], index_of[v]]
             matrix[index_of[u], index_of[v]] = entry * 0.9
-            dirty.add((u, v))
-        patched = incremental.solve(problem, matrix, index_of,
-                                    dirty_pairs=dirty)
+        patched = incremental.solve(problem, matrix, index_of)
         assert incremental.incremental_solves >= 1
 
         fresh = ScheduleProblem(graph, matrix, index_of,
@@ -218,13 +208,12 @@ class TestSolverStrategies:
     def test_incremental_falls_back_on_structure_change(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
         incremental = IncrementalSolver()
-        incremental.solve(problem, matrix, index_of, dirty_pairs=set())
+        incremental.solve(problem, matrix, index_of)
 
         constraint = problem.system.constraints("timing")[0]
         matrix[index_of[constraint.u], index_of[constraint.v]] = \
             scheduler.timing_budget_ps / 2
-        schedule = incremental.solve(problem, matrix, index_of,
-                                     dirty_pairs={(constraint.u, constraint.v)})
+        schedule = incremental.solve(problem, matrix, index_of)
         assert incremental.fallback_solves >= 1
         assert _timing_row(problem.system, constraint.u, constraint.v) is None
 

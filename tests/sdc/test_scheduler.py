@@ -56,6 +56,13 @@ class TestScheduleValidity:
         with pytest.raises(ValueError, match="clock period"):
             SdcScheduler(model, clock_period_ps=300.0).schedule(adder_chain_graph)
 
+    @pytest.mark.parametrize("clock, overhead", [
+        (float("nan"), None), (float("inf"), None), (2500.0, float("nan"))])
+    def test_non_finite_clock_rejected(self, model, clock, overhead):
+        with pytest.raises(ValueError, match="finite"):
+            SdcScheduler(model, clock_period_ps=clock,
+                         register_overhead_ps=overhead)
+
     def test_register_overhead_must_fit(self, model):
         with pytest.raises(ValueError):
             SdcScheduler(model, clock_period_ps=100.0, register_overhead_ps=150.0)

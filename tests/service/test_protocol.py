@@ -41,6 +41,12 @@ class TestParse:
          "speculate": 4},                                  # knob of min-clock
         {"kind": "min-clock", "design": "r", "clock_period_ps": 1000},
         {"kind": "min-clock", "design": "r", "speculate": 0},
+        # Non-finite numbers (JSON NaN, Infinity, 1e400, a 400-digit int).
+        {"kind": "schedule", "design": "r", "clock_period_ps": float("nan")},
+        {"kind": "schedule", "design": "r", "clock_period_ps": float("inf")},
+        {"kind": "schedule", "design": "r", "clock_period_ps": 10 ** 400},
+        {"kind": "min-clock", "design": "r", "resolution_ps": float("nan")},
+        {"kind": "min-clock", "design": "r", "deadline_s": float("-inf")},
     ])
     def test_rejects_malformed(self, raw):
         with pytest.raises(ProtocolError):

@@ -1,6 +1,5 @@
 """Advisory file-lock tests: reentrancy, contention, multi-process safety."""
 
-import json
 import os
 import subprocess
 import sys

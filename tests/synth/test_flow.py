@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.ir.builder import GraphBuilder
 from repro.synth.flow import SynthesisFlow
 
 
