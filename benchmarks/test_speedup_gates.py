@@ -1,15 +1,13 @@
 """Speedup gates: timing ratios of the kernel, optimiser, DSE and service layers.
 
-These are the checks too slow or too timing-dependent for the tier-1 suite:
-the dense all-pairs matrices of the ~13k-node huge shapes alone take ~30 s.
-Their deterministic halves (byte parity against the reference kernel,
-warm-vs-cold probe parity, LP-rebuild counts, served-result parity and
-coalescing, optimiser parity) run in tier-1 under ``tests/kernel/``,
-``tests/dse/``, ``tests/service/`` and ``tests/netlist/``; end-to-end wall time is measured by ``perfbench/``
-(see ``perfbench/README.md``).  Run::
+These are the checks too timing-dependent for the tier-1 suite.  Their
+deterministic halves (byte parity against the reference kernel, warm-vs-cold
+probe parity, LP-rebuild counts, served-result parity and coalescing,
+optimiser parity) run in tier-1 under ``tests/kernel/``, ``tests/dse/``,
+``tests/service/`` and ``tests/netlist/``; end-to-end wall time is measured
+by ``perfbench/`` (see ``perfbench/README.md``).  Run::
 
-    python -m pytest benchmarks/test_speedup_gates.py -q -k "not xwide"
-    python -m pytest benchmarks/test_speedup_gates.py -q -k xwide  # ~100k nodes
+    python -m pytest benchmarks/test_speedup_gates.py -q
 
 Every timing is the best of :data:`REPEATS` wall-clock runs, single-shot
 once a run exceeds :data:`TIME_BOX_S`.  Floors relative to a previously
@@ -26,10 +24,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import pytest
 
 from repro.designs.generator import (
-    HUGE_SHAPES,
     LEAN_OP_MIX,
     GeneratorParams,
     build_generated_design,
@@ -38,15 +34,8 @@ from repro.designs.generator import (
 from repro.dse.optimizer import MinClockOptimizer
 from repro.dse.search import drive_optimizer
 from repro.dse.warm import ProblemCache
-from repro.kernel import (
-    NOT_CONNECTED,
-    UNREACHED,
-    GraphView,
-    longest_path_from,
-    sparse_critical_path_matrix,
-)
+from repro.kernel import GraphView
 from repro.kernel import critical_path_matrix as kernel_matrix
-from repro.kernel.sparse import DENSITY_BUDGET, MIN_SPARSE_NODES
 from repro.netlist.lowering import lower_graph
 from repro.netlist.optimizer import LogicOptimizer
 from repro.netlist.sta import StaticTimingAnalysis
@@ -80,10 +69,6 @@ OPTIMIZER_SPEEDUP_FLOOR = 2.0
 #: the four rows ``perfbench``'s ``isdc-cold`` workload synthesizes.
 OPTIMIZER_GATED_DESIGNS = ("ML-core datapath1", "rrot", "crc32", "hsv2rgb")
 
-#: Sparse over dense all-pairs sweep, on every huge shape the
-#: auto-selector sends down the sparse path.
-SPARSE_SPEEDUP_FLOOR = 3.0
-
 #: Warm over cold min-clock searches, aggregated over the gated designs:
 #: 0.8 x 3.035, the recorded aggregate less a 20% regression allowance.
 DSE_SPEEDUP_FLOOR = 0.8 * 3.035
@@ -99,13 +84,6 @@ SERVICE_P95_CEILING_S = 1.5 * 0.02085
 #: The ladder design the kernel speedup gate times (its largest tier).
 LADDER_XLARGE = GeneratorParams(seed=7, depth=28, width=60,
                                 op_mix=LEAN_OP_MIX)
-
-#: Above this node count a dense n x n matrix is not built (a 30k matrix
-#: alone is ~7 GB); sparse parity then runs against sampled rows.
-DENSE_NODE_CAP = 20_000
-
-#: Sampled sources for the parity check of dense-infeasible shapes.
-PARITY_SAMPLES = 16
 
 #: Designs the DSE warm-vs-cold aggregate runs over (wide plateaus).
 DSE_GATED_DESIGNS = ("rrot", "ML-core datapath1", "hsv2rgb")
@@ -177,100 +155,6 @@ def test_optimizer_speedup_over_reference():
     print(f"optimizer on {len(netlists)} stages: {speedup:.2f}x "
           f"({reference_s:.3f} s -> {optimizer_s:.3f} s)")
     assert speedup >= OPTIMIZER_SPEEDUP_FLOOR
-
-
-@dataclass
-class HugeRecord:
-    """What one huge shape measured (results are kept for parity tests)."""
-
-    num_nodes: int
-    auto_picks_sparse: bool
-    sparse_s: float
-    dense_s: float | None
-    parity_ok: bool
-
-
-def _dense_equals_sparse(dense: np.ndarray, sparse) -> bool:
-    """``np.array_equal(dense, sparse.to_dense())`` without a second n x n
-    matrix: every stored entry matches, and nothing else is connected."""
-    targets = np.repeat(np.arange(sparse.num_nodes, dtype=np.int64),
-                        np.diff(sparse.indptr))
-    if not np.array_equal(dense[sparse.indices, targets], sparse.data):
-        return False
-    stored = np.count_nonzero(sparse.data != NOT_CONNECTED)
-    return bool(np.count_nonzero(dense != NOT_CONNECTED) == stored)
-
-
-def _sampled_parity(view: GraphView, delay_vector: np.ndarray,
-                    sparse) -> bool:
-    """Sparse rows against independent single-source sweeps."""
-    indptr, indices, data = sparse.transpose_arrays()
-    rng = random.Random(0)
-    for source in rng.sample(range(view.num_nodes), PARITY_SAMPLES):
-        values, _ = longest_path_from(view, delay_vector, source,
-                                      with_parents=False)
-        expected = np.where(values == UNREACHED, NOT_CONNECTED, values)
-        row = np.full(view.num_nodes, NOT_CONNECTED, dtype=float)
-        span = slice(indptr[source], indptr[source + 1])
-        row[indices[span]] = data[span]
-        if not np.array_equal(row, expected):
-            return False
-    return True
-
-
-@functools.cache
-def huge_record(shape: str) -> HugeRecord:
-    params = dict(HUGE_SHAPES)[shape]
-    graph = build_generated_design(params)
-    view = GraphView.from_dataflow(graph)
-    delay_vector = view.delay_vector(node_delays(graph, OperatorModel()))
-    n = view.num_nodes
-
-    sparse_s, sparse = best_of(lambda: sparse_critical_path_matrix(
-        view, delay_vector, nnz_budget=None))
-    auto_picks_sparse = (n >= MIN_SPARSE_NODES
-                         and sparse.nnz <= int(DENSITY_BUDGET * n * n))
-    dense_s = None
-    if n <= DENSE_NODE_CAP:
-        dense_s, dense = best_of(lambda: kernel_matrix(view, delay_vector))
-        parity_ok = _dense_equals_sparse(dense, sparse)
-        del dense
-    else:
-        parity_ok = _sampled_parity(view, delay_vector, sparse)
-    del sparse
-    record = HugeRecord(
-        num_nodes=n, auto_picks_sparse=auto_picks_sparse, sparse_s=sparse_s,
-        dense_s=dense_s, parity_ok=parity_ok)
-    print(f"huge {shape}: {record}")
-    return record
-
-
-HUGE_SHAPE_NAMES = [shape for shape, _ in HUGE_SHAPES]
-
-
-@pytest.mark.parametrize("shape", HUGE_SHAPE_NAMES)
-def test_huge_sparse_matches_dense(shape):
-    """Bit-identical to the dense kernel; sampled rows past the dense cap."""
-    assert huge_record(shape).parity_ok
-
-
-@pytest.mark.parametrize("shape", HUGE_SHAPE_NAMES)
-def test_huge_sparse_speedup(shape):
-    record = huge_record(shape)
-    if record.dense_s is None or not record.auto_picks_sparse:
-        pytest.skip("no dense timing, or the auto-selector keeps dense")
-    assert record.dense_s / record.sparse_s >= SPARSE_SPEEDUP_FLOOR
-
-
-def test_auto_selector_takes_both_paths():
-    """The per-push shapes exercise the sparse path and the dense fallback."""
-    picks = {huge_record(shape).auto_picks_sparse
-             for shape in HUGE_SHAPE_NAMES if shape != "xwide"}
-    assert picks == {True, False}
-
-
-def test_xwide_has_100k_nodes():
-    assert huge_record("xwide").num_nodes >= 100_000
 
 
 # ------------------------------------------------------------------ DSE

@@ -20,6 +20,7 @@ by name exactly like registry benchmarks.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -80,8 +81,8 @@ class GeneratorParams:
             raise ValueError("fanout must be at least 1")
         if self.bit_width < 2 or self.num_inputs < 1:
             raise ValueError("bit_width must be >= 2 and num_inputs >= 1")
-        if self.clock_period_ps <= 0:
-            raise ValueError("clock_period_ps must be positive")
+        if not 0 < self.clock_period_ps < math.inf:
+            raise ValueError("clock_period_ps must be positive and finite")
         unknown = {op for op, _ in self.op_mix} - _KNOWN_OPS
         if unknown:
             raise ValueError(f"unknown opcodes in op_mix: {sorted(unknown)}")
@@ -212,31 +213,6 @@ def generated_suite(count: int = 4, seed: int = 0, depth: int = 6,
             for offset in range(count)]
 
 
-#: The ``huge`` benchmark tier: 10k--100k-node shapes stressing the three
-#: regimes the sparse/incremental kernel paths target.  ``wide`` and
-#: ``fanout`` stay sparsely connected (the sparse all-pairs sweep wins by an
-#: order of magnitude); ``deep`` saturates reachability across its narrow
-#: band (density well above the cutover, exercising the automatic dense
-#: fallback); ``xwide`` is the ~100k-node shape reserved for nightly runs,
-#: far past what a dense ``n x n`` matrix can allocate.
-HUGE_SHAPES: tuple[tuple[str, GeneratorParams], ...] = (
-    ("wide", GeneratorParams(seed=7, depth=10, width=1000, fanout=1,
-                             num_inputs=64, op_mix=LEAN_OP_MIX)),
-    ("deep", GeneratorParams(seed=7, depth=200, width=50, fanout=2,
-                             num_inputs=16, op_mix=LEAN_OP_MIX)),
-    ("fanout", GeneratorParams(seed=7, depth=40, width=250, fanout=16,
-                               num_inputs=32, op_mix=LEAN_OP_MIX)),
-    ("xwide", GeneratorParams(seed=7, depth=10, width=10000, fanout=1,
-                              num_inputs=256, op_mix=LEAN_OP_MIX)),
-)
-
-
-def huge_suite(nightly: bool = False) -> list[BenchmarkCase]:
-    """The ``huge``-tier benchmark cases (``xwide`` only when ``nightly``)."""
-    return [generated_case(params) for name, params in HUGE_SHAPES
-            if nightly or name != "xwide"]
-
-
 def case_from_name(name: str) -> BenchmarkCase:
     """Resolve a design name: ``gen:``/``loop:`` spec, ``.ir`` file path,
     or Table-I registry row.
@@ -265,13 +241,11 @@ def case_from_name(name: str) -> BenchmarkCase:
 __all__ = [
     "DEFAULT_OP_MIX",
     "GENERATED_PREFIX",
-    "HUGE_SHAPES",
     "GeneratorParams",
     "LEAN_OP_MIX",
     "build_generated_design",
     "case_from_name",
     "generated_case",
     "generated_suite",
-    "huge_suite",
     "scale_of",
 ]

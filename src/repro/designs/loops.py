@@ -16,6 +16,7 @@ depths produce longer recurrences and therefore larger minimum IIs.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -62,8 +63,8 @@ class LoopParams:
             raise ValueError("num_phis must be in 1..width")
         if self.max_distance < 1:
             raise ValueError("max_distance must be at least 1")
-        if self.clock_period_ps <= 0:
-            raise ValueError("clock_period_ps must be positive")
+        if not 0 < self.clock_period_ps < math.inf:
+            raise ValueError("clock_period_ps must be positive and finite")
 
     @property
     def name(self) -> str:

@@ -255,11 +255,6 @@ class DataflowGraph:
         """Rename a node (affects reports only)."""
         self._nodes[node_id].name = name
 
-    def subgraph_nodes(self, node_ids: Iterable[int]) -> list[Node]:
-        """Return the nodes with the given ids, in ascending id order."""
-        wanted = sorted(set(node_ids))
-        return [self._nodes[i] for i in wanted]
-
     def copy(self, name: str | None = None) -> "DataflowGraph":
         """Deep-copy the graph (nodes keep their ids)."""
         clone = DataflowGraph(name or self.name)

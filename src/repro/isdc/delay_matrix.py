@@ -9,8 +9,8 @@ evaluation is exploited maximally without ever making estimates worse.
 
 Storage is a dense numpy array: the SDC solver slices whole rows/columns
 and the Algorithm 2 re-propagation (:mod:`repro.isdc.reformulate`) sweeps
-whole rows and columns of it.  The initialisation routes through the
-kernel's dense/sparse dispatcher, which always hands back the dense matrix.
+whole rows and columns of it.  The initialisation is one dense kernel
+sweep (:func:`repro.kernel.critical_path_matrix`).
 The matrix is the whole mutable state: the re-solve after each feedback
 round re-derives every timing bound from it
 (:meth:`~repro.sdc.problem.ScheduleProblem.retarget`), so writers need not
@@ -24,7 +24,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from repro.ir.graph import DataflowGraph
-from repro.kernel import GraphView, auto_critical_path_matrix
+from repro.kernel import GraphView, critical_path_matrix
 from repro.sdc.delays import NOT_CONNECTED
 
 
@@ -61,7 +61,7 @@ class DelayMatrix:
                    ) -> "DelayMatrix":
         """Initialise from naive estimates (Alg. 1 lines 1--9)."""
         view = GraphView.from_dataflow(graph)
-        matrix = auto_critical_path_matrix(view, view.delay_vector(delays))
+        matrix = critical_path_matrix(view, view.delay_vector(delays))
         return cls(graph, matrix, dict(view.index_of))
 
     def copy(self) -> "DelayMatrix":

@@ -193,21 +193,15 @@ def cone_leaves(graph: DataflowGraph, cone: set[int]) -> frozenset[int]:
     return frozenset(leaves)
 
 
-def critical_in_stage_path(schedule: Schedule, delay_matrix: DelayMatrix,
-                           source: int, sink: int) -> tuple[int, ...]:
+def _critical_in_stage_path(context: _ScheduleContext,
+                            delay_matrix: DelayMatrix,
+                            source: int, sink: int) -> tuple[int, ...]:
     """One maximum-delay path from ``source`` to ``sink`` within their stage.
 
     Uses the individual delays from the matrix diagonal for the longest-path
     computation (the per-segment feedback delays do not decompose onto single
     nodes, so individual delays are the consistent choice here).
     """
-    return _critical_in_stage_path(_ScheduleContext(schedule), delay_matrix,
-                                   source, sink)
-
-
-def _critical_in_stage_path(context: _ScheduleContext,
-                            delay_matrix: DelayMatrix,
-                            source: int, sink: int) -> tuple[int, ...]:
     view = context.view
     cone = context.cone_mask(sink)
     source_index = view.index_of[source]

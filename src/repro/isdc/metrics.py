@@ -90,14 +90,6 @@ class IsdcResult:
         return 1.0 - self.final_report.num_registers / initial
 
     @property
-    def stage_reduction(self) -> float:
-        """Fractional pipeline-stage reduction relative to the initial schedule."""
-        initial = self.initial_report.num_stages
-        if initial == 0:
-            return 0.0
-        return 1.0 - self.final_report.num_stages / initial
-
-    @property
     def runtime_ratio(self) -> float:
         """ISDC runtime divided by the baseline SDC runtime."""
         if self.baseline_runtime_s <= 0:

@@ -13,17 +13,13 @@ already topological, so it is one in-order sweep over the gate lists.
   structural edit means the next query rebuilds the view from scratch.
 * :mod:`repro.kernel.ops` -- level-batched numpy primitives: forward
   propagation, single-source longest paths, frontier reachability and the
-  all-pairs critical-path matrix.
-* :mod:`repro.kernel.sparse` -- the frontier-compressed sparse all-pairs
-  sweep plus :func:`auto_critical_path_matrix`, the dense/sparse dispatcher
-  driven by two module constants (``MIN_SPARSE_NODES`` and
-  ``DENSITY_BUDGET``); it always returns the dense matrix.
+  all-pairs critical-path matrix, one dense sweep whose memory is O(n^2).
 
 The historical pure-Python algorithms, kept as the executable specification
 the parity tests diff against, live in ``tests/kernel/reference.py``.
 
 Kernel timings live in ``benchmarks/test_speedup_gates.py`` (reference vs
-kernel, dense vs sparse) and in the end-to-end benchmark described in
+kernel) and in the end-to-end benchmark described in
 ``perfbench/README.md``.
 """
 
@@ -38,17 +34,14 @@ from repro.kernel.ops import (
     reachable_mask,
     reconstruct_path,
 )
-from repro.kernel.sparse import (
-    SparseMatrix,
-    auto_critical_path_matrix,
-    sparse_critical_path_matrix,
-)
 from repro.kernel.view import GraphView
+
+# perfbench/layers.py wraps the all-pairs sweep under this name.
+auto_critical_path_matrix = critical_path_matrix
 
 __all__ = [
     "GraphView",
     "NOT_CONNECTED",
-    "SparseMatrix",
     "UNREACHED",
     "auto_critical_path_matrix",
     "critical_path_matrix",
@@ -58,5 +51,4 @@ __all__ = [
     "reachable_indices",
     "reachable_mask",
     "reconstruct_path",
-    "sparse_critical_path_matrix",
 ]

@@ -210,10 +210,6 @@ class GraphView:
         return self.level_order[self.level_starts[level]:
                                 self.level_starts[level + 1]]
 
-    def pred_counts(self) -> np.ndarray:
-        """Predecessor (in-edge) count per dense index, duplicates included."""
-        return self.pred_indptr[1:] - self.pred_indptr[:-1]
-
     def __len__(self) -> int:
         return self.num_nodes
 

@@ -27,12 +27,10 @@ from repro.kernel import (
     NOT_CONNECTED,
     GraphView,
     UNREACHED,
+    critical_path_matrix as _kernel_critical_path_matrix,
     longest_path_from,
     path_delay as _kernel_path_delay,
     reconstruct_path,
-)
-from repro.kernel import (
-    auto_critical_path_matrix as _auto_critical_path_matrix,
 )
 
 __all__ = [
@@ -66,12 +64,8 @@ def critical_path_matrix(graph: DataflowGraph, delays: Mapping[int, float]
     the diagonal holds individual node delays; unconnected pairs hold
     :data:`NOT_CONNECTED`.
 
-    Routed through the kernel's dense/sparse dispatcher
-    (:func:`~repro.kernel.auto_critical_path_matrix`): graphs of at least
-    ``MIN_SPARSE_NODES`` nodes are first swept over connected pairs only,
-    under a ``DENSITY_BUDGET * n^2`` budget, and densified; smaller or
-    denser graphs take the dense sweep.  Both paths produce bit-identical
-    matrices.
+    One dense kernel sweep (:func:`repro.kernel.critical_path_matrix`);
+    its memory is O(n^2).
 
     Args:
         graph: the dataflow graph.
@@ -82,7 +76,7 @@ def critical_path_matrix(graph: DataflowGraph, delays: Mapping[int, float]
         (the kernel's topological position).
     """
     view = GraphView.from_dataflow(graph)
-    matrix = _auto_critical_path_matrix(view, view.delay_vector(delays))
+    matrix = _kernel_critical_path_matrix(view, view.delay_vector(delays))
     return matrix, dict(view.index_of)
 
 

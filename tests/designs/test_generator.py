@@ -62,3 +62,13 @@ def test_invalid_params_rejected():
         GeneratorParams(depth=0)
     with pytest.raises(ValueError):
         GeneratorParams(op_mix=(("frobnicate", 1),))
+
+
+@pytest.mark.parametrize("clock", ["nan", "inf"])
+def test_non_finite_clock_rejected(clock):
+    name = ("gen:seed=1,depth=2,width=2,fanout=1,bits=8,inputs=2,"
+            f"clock={clock},mix=add1")
+    with pytest.raises(ValueError):
+        case_from_name(name)
+    with pytest.raises(ValueError):
+        GeneratorParams(clock_period_ps=float(clock))

@@ -37,6 +37,15 @@ class TestLoopParams:
         with pytest.raises(ValueError):
             LoopParams(max_distance=0)
 
+    @pytest.mark.parametrize("clock", ["nan", "inf"])
+    def test_non_finite_clock_rejected(self, clock):
+        name = ("loop:seed=1,depth=4,width=2,bits=8,inputs=2,phis=1,"
+                f"clock={clock}")
+        with pytest.raises(ValueError):
+            case_from_name(name)
+        with pytest.raises(ValueError):
+            LoopParams(clock_period_ps=float(clock))
+
 
 class TestBuildLoopDesign:
     def test_same_params_build_identical_graphs(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.designs.generator import GeneratorParams, build_generated_design
 from repro.ir.builder import GraphBuilder
 from repro.kernel import (
     GraphView,
@@ -12,6 +13,7 @@ from repro.kernel import (
     forward_propagate,
     longest_path_from,
     path_delay,
+    reachable_indices,
     reachable_mask,
     reconstruct_path,
 )
@@ -140,3 +142,31 @@ class TestPathDelay:
 
     def test_empty_path(self):
         assert path_delay({}, []) == 0.0
+
+
+class TestReachableIndices:
+    def test_matches_reachable_mask(self):
+        graph = build_generated_design(GeneratorParams(seed=9, depth=7,
+                                                       width=5))
+        view = GraphView.from_dataflow(graph)
+        scratch = np.zeros(view.num_nodes, dtype=bool)
+        for backward in (False, True):
+            for seed in range(0, view.num_nodes, 5):
+                indices = reachable_indices(view, [seed], backward=backward,
+                                            scratch=scratch)
+                assert not scratch.any()  # scratch handed back clean
+                assert np.all(np.diff(indices) > 0)
+                mask = reachable_mask(view, [seed], backward=backward)
+                assert np.array_equal(np.nonzero(mask)[0], indices)
+
+    def test_duplicate_seeds_and_mask(self):
+        graph = build_generated_design(GeneratorParams(seed=9, depth=7,
+                                                       width=5))
+        view = GraphView.from_dataflow(graph)
+        seeds = [0, 0, 1, 1]
+        allowed = np.zeros(view.num_nodes, dtype=bool)
+        allowed[: view.num_nodes // 2] = True
+        indices = reachable_indices(view, seeds, mask=allowed)
+        mask = reachable_mask(view, seeds, mask=allowed)
+        assert np.array_equal(np.nonzero(mask)[0], indices)
+        assert np.all(np.diff(indices) > 0)

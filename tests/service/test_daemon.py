@@ -228,6 +228,27 @@ def test_bad_design_is_a_typed_error_and_never_cached():
     asyncio.run(scenario())
 
 
+@pytest.mark.parametrize("design", [
+    "gen:seed=1,depth=2,width=2,fanout=1,bits=8,inputs=2,clock=nan,mix=add1",
+    "gen:seed=1,depth=2,width=2,fanout=1,bits=8,inputs=2,clock=inf,mix=add1",
+    "loop:seed=1,depth=4,width=2,bits=8,inputs=2,phis=1,clock=nan",
+    "loop:seed=1,depth=4,width=2,bits=8,inputs=2,phis=1,clock=inf",
+])
+def test_non_finite_design_clock_is_a_bad_design(design):
+    async def scenario():
+        service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0))
+        try:
+            for request in (_schedule(design=design),
+                            {"kind": "min-ii", "design": design},
+                            {"kind": "min-clock", "design": design}):
+                response = await service.handle(request)
+                assert response["ok"] is False, request
+                assert response["error"] == "bad-design", request
+        finally:
+            await service.stop()
+    asyncio.run(scenario())
+
+
 def test_control_requests_and_shutdown():
     async def scenario():
         service = await _started(ServiceConfig(jobs=1))
