@@ -3,7 +3,7 @@
 A clock-period search probes the *same* design at many periods.  Everything
 expensive about one probe except the LP solve itself -- building the graph,
 characterising per-node delays, the all-pairs critical-path matrix, the
-register weights and users map, the constraint system, the assembled LP --
+register weights and users map, the constraint system, the flow objective --
 depends only on the design, or changes between periods in a tightly
 structured way.  The :class:`ProblemCache` exploits both levels:
 
@@ -19,9 +19,11 @@ structured way.  The :class:`ProblemCache` exploits both levels:
 * repeated probes of a structurally identical design at the same period
   are memoized on the design's subgraph fingerprint and cost nothing.
 
-Warm-started probes are byte-identical to cold ones: the retargeted LP
-arrays equal a from-scratch build's (see :meth:`ScheduleProblem.retarget`)
-and both paths run the one shared :func:`~repro.sdc.solver.solve_problem`.
+Warm-started probes are byte-identical to cold ones: the retargeted
+constraint arrays equal a from-scratch build's (see
+:meth:`ScheduleProblem.retarget`) and both paths run the one shared
+:func:`~repro.sdc.solver.solve_problem`, whose least optimal schedule is a
+function of the system alone.
 The parity suite under ``tests/dse/`` enforces this on every probe.
 """
 
@@ -36,6 +38,7 @@ import numpy as np
 from repro.designs.generator import case_from_name
 from repro.ir.graph import DataflowGraph
 from repro.sdc.delays import NOT_CONNECTED, critical_path_matrix, node_delays
+from repro.sdc.flow import check_latency_weight
 from repro.sdc.loops import min_feasible_ii
 from repro.sdc.pipeline import count_pipeline_registers
 from repro.sdc.problem import ScheduleProblem
@@ -152,10 +155,11 @@ class ProbeOutcome:
             the *probed* candidate).
         stages: the full node id -> stage schedule (feasible probes only).
         warm_patched: served by rebasing a cloned donor problem in place.
-        solution_reuse: the rebase patched *zero* bounds -- the LP is
-            byte-identical to the donor's solved state, so the donor's
-            schedule was reused without an LP call (HiGHS is deterministic,
-            so a cold solve would return exactly the same schedule).
+        solution_reuse: the rebase patched *zero* bounds -- the system is
+            the donor's, so the donor's schedule was reused without a
+            solve (the solve returns the least optimal schedule, a function
+            of the system alone, so a fresh solve would return exactly the
+            same schedule).
         lp_rebuild: a full constraint/LP build was performed (cold probe,
             or a rebase whose pair set moved).
         memo_hit: served from the fingerprint memo without any solve.
@@ -214,7 +218,7 @@ class ProblemCache:
     """
 
     def __init__(self, latency_weight: float = 1e-3) -> None:
-        self.latency_weight = float(latency_weight)
+        self.latency_weight = check_latency_weight(latency_weight)
         self.memo_hits = 0
         self.warm_solves = 0
         self.reused_solutions = 0
@@ -315,10 +319,11 @@ class ProblemCache:
             if warm_patched:
                 self.warm_solves += 1
                 if patches == 0:
-                    # The rebase touched nothing: the clone's LP is
-                    # byte-identical to the donor's solved state, and
-                    # HiGHS is deterministic, so a fresh solve would
-                    # return exactly the donor's schedule.
+                    # The rebase touched nothing: the clone's system is
+                    # the donor's, and the solve's output (the least
+                    # optimal schedule) is a function of the system
+                    # alone, so a fresh solve would return exactly the
+                    # donor's schedule.
                     reused = True
                     stages = dict(donor_stages)
                     self.reused_solutions += 1
@@ -364,8 +369,8 @@ class ProblemCache:
 
         The whole search runs over *one* :class:`ScheduleProblem` -- each II
         candidate is an in-place :meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii`
-        (loop bounds patched in the cached LP's right-hand side) plus one
-        warm re-solve, the same cross-point reuse discipline the
+        (loop bounds patched in place) plus one re-solve, the same
+        cross-point reuse discipline the
         clock-period search applies along the clock axis.
 
         Args:

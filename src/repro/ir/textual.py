@@ -39,6 +39,7 @@ surfacing ``KeyError``/``IndexError`` from the graph layer.
 from __future__ import annotations
 
 import json
+import math
 import re
 
 from repro.ir.graph import DataflowGraph
@@ -240,10 +241,10 @@ def parse_design_text(text: str) -> tuple[DataflowGraph, float | None]:
             except ValueError:
                 raise ValueError(
                     f"line {line_no}: malformed clock period {rest!r}") from None
-            if not clock_ps > 0:
+            if not 0 < clock_ps < math.inf:
                 raise ValueError(
-                    f"line {line_no}: clock period must be positive, "
-                    f"got {clock_ps}")
+                    f"line {line_no}: clock period must be positive and "
+                    f"finite, got {clock_ps}")
             continue
 
         if line.startswith("backedge"):

@@ -98,6 +98,9 @@ class IsdcConfig:
             raise ValueError("patience must be at least 1")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
+        if not (math.isfinite(self.latency_weight)
+                and self.latency_weight >= 0):
+            raise ValueError("latency_weight must be finite and >= 0")
         if isinstance(self.extraction, str):
             self.extraction = ExtractionStrategy(self.extraction)
         if isinstance(self.expansion, str):

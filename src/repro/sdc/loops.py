@@ -6,10 +6,10 @@ feasible region only *grows* with the initiation interval: II feasibility
 is monotone.  That makes the minimum II a bracket-and-bisect search over a
 single :class:`~repro.sdc.problem.ScheduleProblem` -- each probe is a
 :meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii` (an in-place patch of
-the loop bounds in the cached LP's right-hand side, never a rebuild)
-followed by one warm :func:`~repro.sdc.solver.solve_problem` call.  This is
-the same rhs-patch warm-start discipline the clock-period DSE uses for
-``retarget``, applied to the II axis.
+the loop bounds, never a rebuild) followed by one
+:func:`~repro.sdc.solver.solve_problem` call.  This is the same
+bound-patch discipline the clock-period DSE uses for ``retarget``, applied
+to the II axis.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def min_feasible_ii(problem: ScheduleProblem, max_ii: int | None = None,
     fit one cycle stop after a single solve), then doubles the candidate
     until feasible and bisects the bracket.  Every probe reuses the same
     problem via :meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii`, so
-    the cost per probe is one warm LP solve.
+    the cost per probe is one bound patch and one solve.
 
     The search cap defaults to ``len(graph) + 1``: with unit distances the
     recurrence constraint ``s_src - s_phi <= II * d - 1`` is implied by the

@@ -1,26 +1,25 @@
 """Persistent, incrementally-updatable SDC scheduling problems.
 
 A :class:`ScheduleProblem` owns everything the LP re-solve of one graph
-needs -- the difference-constraint system, the register weights and users
-map of the objective, and the assembled sparse LP structure -- and keeps it
-alive across ISDC iterations, DSE clock probes and II probes.  Each of
-those changes only row *bounds*: :meth:`ScheduleProblem.retarget`
-re-derives the timing bounds from the whole delay matrix at a budget (ISDC
-feedback and DSE clock probes alike) and :meth:`ScheduleProblem.rebase_ii`
-the loop bounds at a new initiation interval; both hand the new bounds to
-one bound-write step.  Row positions never move between rebuilds.
+needs -- the difference-constraint system and the register weights and
+users map of the objective -- and keeps it alive across ISDC iterations,
+DSE clock probes and II probes.  Each of those changes only row *bounds*:
+:meth:`ScheduleProblem.retarget` re-derives the timing bounds from the
+whole delay matrix at a budget (ISDC feedback and DSE clock probes alike)
+and :meth:`ScheduleProblem.rebase_ii` the loop bounds at a new initiation
+interval; both hand the new bounds to one bound-write step.  Row positions
+never move between rebuilds.
 
-The system keeps every row; the LP HiGHS receives holds only the rows no
-other rows imply (:func:`lp_rows`).  Most Eq. 2 timing rows are implied:
-a timing row ``(u, p)`` needing ``k`` cycles plus the dependency
-``p -> v`` already forces ``(u, v)`` apart by ``k`` cycles.  Which rows
-may imply which depends only on the row structure
+The system keeps every row; the solve (:func:`~repro.sdc.solver.solve_problem`)
+receives only the rows no other rows imply (:func:`lp_rows`).  Most Eq. 2
+timing rows are implied: a timing row ``(u, p)`` needing ``k`` cycles plus
+the dependency ``p -> v`` already forces ``(u, v)`` apart by ``k`` cycles.
+Which rows may imply which depends only on the row structure
 (:func:`implication_pairs`, derived once per rebuild); whether they do
-depends on the bounds, so the bound-write step re-derives the kept rows
-and either patches the cached LP's right-hand side (kept rows unchanged)
-or drops the LP for :meth:`ScheduleProblem.lp` to re-assemble.
+depends on the bounds, so :attr:`ScheduleProblem.lp_rows` re-compares them
+at every solve.
 
-Bound patches preserve byte-level parity with a from-scratch rebuild:
+Bound patches preserve parity with a from-scratch rebuild:
 
 * the set of timing pairs is canonical -- :func:`build_system` enumerates
   :func:`timing_pairs` (``np.nonzero(matrix > budget)``) in row-major
@@ -29,12 +28,15 @@ Bound patches preserve byte-level parity with a from-scratch rebuild:
 * patched bounds are computed with the same :func:`timing_bounds` formula
   over the same whole matrix a rebuild reads, so no write to the matrix
   can be missed;
-* the LP's rows are a pure function of the system's ``(u, v, bound,
-  kind)`` arrays, so equal arrays give byte-identical LPs however the
-  problem got there;
 * whenever the pair set changes (a constraint appears or vanishes),
   :meth:`~ScheduleProblem.retarget` falls back to
   :meth:`~ScheduleProblem.rebuild`, which is the from-scratch construction.
+
+The solve's output, the least optimal schedule, is a function of the
+constraint system alone, so equal systems give equal schedules however the
+problem got there.  ``assemble_lp`` and ``AssembledLp``, the LP as the
+HiGHS reference sees it, live in :mod:`repro.sdc.highs` and load scipy on
+first use.
 
 The functions :func:`register_weights` and :func:`users_map` live here
 (rather than in :mod:`repro.sdc.scheduler`, which re-exports them) so the
@@ -44,16 +46,26 @@ solver layer can depend on them without an import cycle.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse
 
 from repro.ir.graph import DataflowGraph
 from repro.ir.ops import OpKind
 from repro.sdc.constraints import DEPENDENCY, LOOP, TIMING, ConstraintSystem
 from repro.sdc.delays import NOT_CONNECTED
+from repro.sdc.flow import FlowObjective, check_latency_weight, flow_objective
+
+#: Names served by the HiGHS reference module, loaded on first use.
+_REFERENCE = ("AssembledLp", "assemble_lp")
+
+
+def __getattr__(name: str):
+    if name in _REFERENCE:
+        from repro.sdc import highs
+
+        return getattr(highs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def register_weights(graph: DataflowGraph) -> dict[int, float]:
@@ -222,8 +234,7 @@ def lp_rows(system: ConstraintSystem,
     that span every dropped row is implied by the rows kept: dropping all
     of them at once leaves the feasible region -- and so the LP optimum --
     unchanged.  The result is a pure function of the rows' ``(u, v, bound,
-    kind)``, which is what keeps a patched problem's LP byte-identical to a
-    cold build's.
+    kind)``, so a patched problem solves the same rows as a cold build.
 
     Args:
         system: the full constraint system.
@@ -239,100 +250,15 @@ def lp_rows(system: ConstraintSystem,
     return np.flatnonzero(keep)
 
 
-@dataclass
-class AssembledLp:
-    """The register-minimisation LP of one constraint system, fully assembled.
-
-    Columns ``0 .. len(variables) - 1`` are the schedule variables in
-    ascending node-id order; the lifetime variables follow.  Rows
-    ``0 .. num_constraint_rows - 1`` of ``a_ub``/``b_ub`` are the system's
-    rows in order, so a row index of the system is also its right-hand-side
-    index; the lifetime-linking rows follow.  (A :class:`ScheduleProblem`
-    assembles the subsystem of its :attr:`~ScheduleProblem.lp_rows`.)
-
-    Attributes:
-        num_vars: total LP columns.
-        a_ub: sparse ``A_ub`` matrix (``None`` when there are no rows).
-        b_ub: dense right-hand side; patched in place by bound writes.
-        objective: dense objective vector.
-        bounds: per-column ``(lower, upper)`` bounds.
-        num_constraint_rows: rows occupied by difference constraints.
-    """
-
-    num_vars: int
-    a_ub: sparse.csr_matrix | None
-    b_ub: np.ndarray
-    objective: np.ndarray
-    bounds: list[tuple[float, float | None]]
-    num_constraint_rows: int
-
-
-def assemble_lp(system: ConstraintSystem,
-                register_weights: Mapping[int, float] | None = None,
-                users: Mapping[int, list[int]] | None = None,
-                latency_weight: float = 1e-3) -> AssembledLp:
-    """Assemble the register-lifetime-minimising LP for a constraint system.
-
-    This is the single assembly routine shared by every solve path (the
-    cached :meth:`ScheduleProblem.lp` over the non-implied rows and the
-    one-shot full-LP reference :func:`~repro.sdc.solver.solve_lp`), which
-    is what makes cached-and-patched structures byte-identical to rebuilt
-    ones.  Row ``i`` of the system becomes ``x[tail] - x[head] <= bound``
-    over its dense columns; every user ``w`` of a weighted value ``n`` adds
-    the lifetime row ``x[w] - x[n] - L[n] <= 0``.
-    """
-    register_weights = register_weights or {}
-    users = users or {}
-
-    order, tail, head = system.columns()
-    var_index = dict(zip(order.tolist(), range(len(order))))
-    lifetime_nodes = sorted(
-        node_id for node_id, weight in register_weights.items()
-        if weight > 0 and users.get(node_id) and node_id in var_index)
-    num_vars = len(order) + len(lifetime_nodes)
-    lifetimes = np.array(
-        [(var_index[user], var_index[node_id], len(order) + i)
-         for i, node_id in enumerate(lifetime_nodes)
-         for user in set(users[node_id]) if user in var_index],
-        dtype=np.int64).reshape(-1, 3)
-
-    num_rows = len(system) + len(lifetimes)
-    row_of = np.concatenate([np.repeat(np.arange(len(system)), 2),
-                             np.repeat(np.arange(len(system), num_rows), 3)])
-    column_of = np.concatenate([np.stack([tail, head], axis=1).ravel(),
-                                lifetimes.ravel()])
-    data = np.concatenate([np.tile([1.0, -1.0], len(system)),
-                           np.tile([1.0, -1.0, -1.0], len(lifetimes))])
-    a_ub = None
-    if num_rows:
-        a_ub = sparse.coo_matrix((data, (row_of, column_of)),
-                                 shape=(num_rows, num_vars)).tocsr()
-
-    objective = np.zeros(num_vars)
-    objective[len(order):] = [float(register_weights[node_id])
-                              for node_id in lifetime_nodes]
-    objective[:len(order)] += latency_weight
-    variable_bounds: list[tuple[float, float | None]] = [
-        (float(system.pinned[node_id]),) * 2 if node_id in system.pinned
-        else (0.0, None) for node_id in order.tolist()]
-    variable_bounds.extend([(0.0, None)] * len(lifetime_nodes))
-    return AssembledLp(num_vars=num_vars, a_ub=a_ub,
-                       b_ub=np.concatenate([system.bound.astype(float),
-                                            np.zeros(len(lifetimes))]),
-                       objective=objective, bounds=variable_bounds,
-                       num_constraint_rows=len(system))
-
-
 class ScheduleProblem:
     """The persistent scheduling problem of one dataflow graph.
 
     Built once per graph (typically by the baseline SDC schedule) and then
     kept alive for the whole ISDC loop: the register weights and users map
-    are computed exactly once, the constraint system persists with fixed
-    row positions, and the LP over the non-implied rows is cached.
-    Timing retargets (ISDC feedback, DSE clock probes) and II rebases only
-    compute new bounds and hand them to one bound-write step, which updates
-    the system's ``bound`` array and keeps the cached LP in step (see the
+    are computed exactly once and the constraint system persists with
+    fixed row positions.  Timing retargets (ISDC feedback, DSE clock
+    probes) and II rebases only compute new bounds and hand them to one
+    bound-write step, which updates the system's ``bound`` array (see the
     module docstring).
 
     Attributes:
@@ -341,7 +267,7 @@ class ScheduleProblem:
             minus register overhead).
         ii: initiation interval the loop (back-edge) constraints are scaled
             by; 1 and irrelevant for feed-forward graphs.
-        latency_weight: tie-breaking objective weight.
+        latency_weight: tie-breaking objective weight (finite, ``>= 0``).
         pin_sources: whether parameters/constants are pinned to cycle 0.
         register_weights: cached objective weights (computed once).
         users_map: cached consumer map (computed once).
@@ -356,20 +282,21 @@ class ScheduleProblem:
                  ii: int = 1) -> None:
         self.graph = graph
         self.timing_budget_ps = float(timing_budget_ps)
-        self.latency_weight = float(latency_weight)
+        self.latency_weight = check_latency_weight(latency_weight)
         self.pin_sources = pin_sources
         self.ii = int(ii)
         self.register_weights = register_weights(graph)
         self.users_map = users_map(graph)
         self.rebuilds = 0
         self.bound_patches = 0
+        self._objective: FlowObjective | None = None
         self._build_system(matrix, index_of)
 
     # ------------------------------------------------------------ construction
 
     def _build_system(self, matrix: np.ndarray, index_of: Mapping[int, int]
                       ) -> None:
-        """(Re)build the constraint system from scratch, dropping the LP.
+        """(Re)build the constraint system from scratch.
 
         Also records where the timing rows sit: their system rows and their
         ``row * n + col`` delay-matrix keys, which are ascending because
@@ -380,8 +307,6 @@ class ScheduleProblem:
         self.system = build_system(self.graph, matrix, index_of,
                                    self.timing_budget_ps, self.pin_sources,
                                    ii=self.ii)
-        self._lp = None
-        self._lp_rows = None
         self._implications = None
         self._timing_rows = self.system.rows_of("timing")
         table = _index_table(index_of)
@@ -398,31 +323,21 @@ class ScheduleProblem:
         """An independent copy sharing only what bound writes never touch.
 
         The system's ``u``, ``v`` and ``kind``, the timing-row index, the
-        implication pairs, the weights, the users map and the cached LP's
-        row map, matrix, objective and variable bounds are shared; the
-        system's ``bound`` and the LP's ``b_ub`` -- the two arrays a bound
-        write changes in place -- are copied, so rebasing or patching the
-        clone can never alias back into the donor (a write that moves the
-        LP's row set drops the clone's LP instead of editing it).
-        Counters start at the donor's values (they describe cumulative work,
-        not identity).
+        implication pairs, the flow objective, the weights and the users map
+        are shared; the
+        system's ``bound`` -- the one array a bound write changes in place
+        -- is copied, so rebasing or patching the clone can never alias
+        back into the donor.  Counters start at the donor's values (they
+        describe cumulative work, not identity).
         """
         duplicate = copy.copy(self)
         duplicate.system = self.system.clone()
-        if self._lp is not None:
-            duplicate._lp = replace(self._lp, b_ub=self._lp.b_ub.copy())
         return duplicate
 
     # ----------------------------------------------------------- bound writes
 
     def _write_bounds(self, rows: np.ndarray, bounds: np.ndarray) -> int:
-        """Write new bounds into rows of the system (and the cached LP).
-
-        A write to timing rows re-derives the LP's rows (:func:`lp_rows`):
-        when they are unchanged the cached LP's right-hand side is patched,
-        otherwise the LP is dropped and :meth:`lp` re-assembles it.  Other
-        rows never change which timing rows are implied, so a loop-bound
-        write is always a right-hand-side patch.
+        """Write new bounds into rows of the system.
 
         Returns:
             The number of rows whose bound changed; added to
@@ -431,13 +346,6 @@ class ScheduleProblem:
         changed = bounds != self.system.bound[rows]
         rows, bounds = rows[changed], bounds[changed]
         self.system.bound[rows] = bounds
-        if self._lp is not None and len(rows):
-            if (self.system.kind[rows] == TIMING).any() \
-                    and not np.array_equal(self._derive_rows(), self._lp_rows):
-                self._lp = None
-            else:
-                self._lp.b_ub[:len(self._lp_rows)] = \
-                    self.system.bound[self._lp_rows]
         self.bound_patches += len(rows)
         return len(rows)
 
@@ -500,32 +408,33 @@ class ScheduleProblem:
         self.ii = new_ii
         return changed > 0
 
-    # ----------------------------------------------------------------- caches
+    # ----------------------------------------------------------------- solves
 
-    def _derive_rows(self) -> np.ndarray:
-        """:func:`lp_rows` of the system at its current bounds."""
+    @property
+    def lp_rows(self) -> np.ndarray:
+        """:func:`lp_rows` of the system at its current bounds.
+
+        The implication pairs are derived on first use after a rebuild
+        (clones share them); the bounds are compared afresh on every call.
+        """
         if self._implications is None:
             self._implications = implication_pairs(self.system)
         return lp_rows(self.system, self._implications)
 
-    def lp(self) -> AssembledLp:
-        """The assembled LP over the :attr:`lp_rows` of the system.
-
-        Cached; bound writes patch its right-hand side in place, or drop it
-        when they change which rows it needs.
-        """
-        if self._lp is None:
-            self._lp_rows = self._derive_rows()
-            self._lp = assemble_lp(self.system.subsystem(self._lp_rows),
-                                   self.register_weights, self.users_map,
-                                   self.latency_weight)
-        return self._lp
-
     @property
-    def lp_rows(self) -> np.ndarray:
-        """System row of each difference-constraint row of :meth:`lp`."""
-        self.lp()
-        return self._lp_rows
+    def objective(self) -> FlowObjective:
+        """The rows-independent part of the flow solve's network.
+
+        Built on first use.  It reads only the variables, the pins and the
+        objective's weights, which no bound write or rebuild changes (every
+        rebuild enumerates the same graph), so clones share it.
+        """
+        if self._objective is None:
+            self._objective = flow_objective(self.system,
+                                             self.register_weights,
+                                             self.users_map,
+                                             self.latency_weight)
+        return self._objective
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ScheduleProblem({self.graph.name!r}, "

@@ -12,6 +12,7 @@ import numpy as np
 from repro.ir.graph import DataflowGraph
 from repro.sdc.constraints import ConstraintSystem
 from repro.sdc.delays import critical_path_matrix, node_delays
+from repro.sdc.flow import check_latency_weight
 from repro.sdc.problem import (
     ScheduleProblem,
     build_system,
@@ -121,7 +122,8 @@ class SdcScheduler:
             non-negative by construction.
         pin_sources: pin parameters and constants to cycle 0 (models operands
             arriving with the pipeline's first stage).
-        latency_weight: tie-breaking weight pulling operations earlier.
+        latency_weight: tie-breaking weight pulling operations earlier
+            (finite and ``>= 0``; anything else raises ``ValueError``).
     """
 
     def __init__(self, delay_model=None, clock_period_ps: float = 2500.0,
@@ -140,7 +142,7 @@ class SdcScheduler:
         if self.timing_budget_ps <= 0:
             raise ValueError("clock period does not cover the register overhead")
         self.pin_sources = pin_sources
-        self.latency_weight = latency_weight
+        self.latency_weight = check_latency_weight(latency_weight)
 
     def build_constraints(self, graph: DataflowGraph, matrix: np.ndarray,
                           index_of: Mapping[int, int]) -> ConstraintSystem:

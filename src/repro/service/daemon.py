@@ -39,6 +39,7 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass, field
 
 from repro.parallel import PersistentPool, shared_pool
+from repro.sdc.flow import check_latency_weight
 from repro.service import protocol
 from repro.service.protocol import (ServiceRequest, error_response, normalize,
                                     ok_response, parse_request,
@@ -82,6 +83,9 @@ class ServiceConfig:
     max_probes: int = 96
     store_path: str | None = None
     allow_crash_probes: bool = False
+
+    def __post_init__(self) -> None:
+        self.latency_weight = check_latency_weight(self.latency_weight)
 
 
 @dataclass

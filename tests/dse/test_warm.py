@@ -15,6 +15,7 @@ import pytest
 from repro.dse.warm import ProblemCache, build_context
 from repro.sdc.problem import ScheduleProblem
 from repro.sdc.solver import solve_problem
+from tests.sdc.helpers import assert_flow_equal, flow_arrays
 
 DESIGN = "rrot"
 GEN_DESIGN = ("gen:seed=11,depth=6,width=4,fanout=2,bits=8,inputs=3,"
@@ -138,7 +139,7 @@ class TestCloneIsolation:
             self, context):
         donor = self._fresh_problem(context)
         donor_stages = solve_problem(donor)
-        donor_b_ub = donor.lp().b_ub.copy()
+        donor_flow = flow_arrays(donor)
         donor_bounds = [(c.u, c.v, c.bound)
                         for c in donor.system.constraints("timing")]
 
@@ -148,7 +149,8 @@ class TestCloneIsolation:
         solve_problem(clone)
 
         assert donor.timing_budget_ps != tighter
-        np.testing.assert_array_equal(donor.lp().b_ub, donor_b_ub)
+        for now, before in zip(flow_arrays(donor), donor_flow):
+            np.testing.assert_array_equal(now, before)
         assert [(c.u, c.v, c.bound)
                 for c in donor.system.constraints("timing")] == donor_bounds
         assert solve_problem(donor) == donor_stages
@@ -164,25 +166,14 @@ class TestCloneIsolation:
 
     def test_clone_shares_row_structure_and_immutables(self, context):
         donor = self._fresh_problem(context)
-        lp = donor.lp()
         clone = donor.clone()
         assert clone.system.u is donor.system.u
         assert clone.system.v is donor.system.v
         assert clone.system.kind is donor.system.kind
         assert clone.system.bound is not donor.system.bound
-        clone_lp = clone.lp()
-        assert clone_lp.a_ub is lp.a_ub
-        assert clone_lp.objective is lp.objective
-        assert clone_lp.b_ub is not lp.b_ub
-        np.testing.assert_array_equal(clone_lp.b_ub, lp.b_ub)
+        np.testing.assert_array_equal(clone.system.bound, donor.system.bound)
         assert clone.register_weights is donor.register_weights
         assert clone.users_map is donor.users_map
-
-
-def _lp_arrays(problem: ScheduleProblem) -> list[np.ndarray]:
-    lp = problem.lp()
-    return [lp.a_ub.indptr, lp.a_ub.indices, lp.a_ub.data, lp.b_ub,
-            lp.objective]
 
 
 class TestTimingPackRebase:
@@ -200,12 +191,9 @@ class TestTimingPackRebase:
             rebased += 1
             cold = ScheduleProblem(context.graph, context.matrix,
                                    context.index_of, budget + delta)
-            for patched, fresh in zip(_lp_arrays(clone), _lp_arrays(cold)):
-                assert patched.dtype == fresh.dtype
-                np.testing.assert_array_equal(patched, fresh)
+            assert_flow_equal(clone, cold)
             np.testing.assert_array_equal(clone.system.bound,
                                           cold.system.bound)
-            assert clone.lp().bounds == cold.lp().bounds
             assert clone.system.u is donor.system.u
         assert rebased
 
@@ -225,7 +213,7 @@ class TestTimingPackRebase:
         assert problem.retarget(context.matrix, context.index_of, target)
         fresh = ScheduleProblem(context.graph, context.matrix,
                                 context.index_of, target)
-        np.testing.assert_array_equal(problem.lp().b_ub, fresh.lp().b_ub)
+        assert_flow_equal(problem, fresh)
         assert solve_problem(problem) == solve_problem(fresh)
 
     def test_rebase_rebuilds_when_pair_set_moves(self, context):
@@ -241,4 +229,4 @@ class TestTimingPackRebase:
         fresh = ScheduleProblem(context.graph, context.matrix,
                                 context.index_of, target)
         np.testing.assert_array_equal(problem.system.bound, fresh.system.bound)
-        np.testing.assert_array_equal(problem.lp().b_ub, fresh.lp().b_ub)
+        assert_flow_equal(problem, fresh)

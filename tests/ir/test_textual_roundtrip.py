@@ -146,6 +146,11 @@ class TestDiagnostics:
     def test_negative_clock(self):
         self._rejects("design g\nclock -5\n", 2, "positive")
 
+    @pytest.mark.parametrize("clock", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_clock(self, clock):
+        self._rejects(f"design g\nn0 = param() : 8\nclock {clock}\n", 3,
+                      "finite")
+
     def test_backedge_to_undefined_node(self):
         self._rejects("design g\nn0 = param() : 8\n"
                       "backedge n0 -> n9 distance=1\n", 3, "undefined")

@@ -1,8 +1,8 @@
-"""Soundness of the implied-row rule the cached LP is assembled under.
+"""Soundness of the implied-row rule the flow solve runs under.
 
-:meth:`ScheduleProblem.lp` hands HiGHS only the rows of
-:func:`~repro.sdc.problem.lp_rows`: every row but the timing rows another
-timing row already implies through one dependency row.  Over every Table-I
+:func:`~repro.sdc.solver.solve_problem` hands the flow solve only the rows
+of :func:`~repro.sdc.problem.lp_rows`: every row but the timing rows
+another timing row already implies through one dependency row.  Over every Table-I
 row, the tight-budget designs, the loop example at II 1 and 2 and three
 seeded generated designs, these tests check that
 
@@ -11,8 +11,9 @@ seeded generated designs, these tests check that
 * every dropped row is implied by the kept rows, by a Floyd–Warshall
   longest-path oracle written here;
 * after a clock-rebase ladder, after ISDC feedback and after a write
-  straight into the delay matrix, the retargeted problem's reduced LP is
-  byte-identical to a cold build's at the same bounds.
+  straight into the delay matrix, the retargeted problem hands the flow
+  solve the same rows, arcs, costs and demands as a cold build at the same
+  bounds.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from repro.sdc.problem import ScheduleProblem, lp_rows
 from repro.sdc.solver import (IncrementalSolver, SdcInfeasibleError,
                               solve_alap, solve_asap, solve_problem)
 from tests.sdc.certificate import verify_schedule_certificate
+from tests.sdc.helpers import assert_flow_equal
 from tests.sdc.test_lp_golden import cold_problem, lp_cases
 
 GEN_DESIGNS = tuple(
@@ -54,23 +56,12 @@ def _system_arrays(system: ConstraintSystem) -> list[np.ndarray]:
     return [system.u, system.v, system.bound, system.kind]
 
 
-def _lp_arrays(problem: ScheduleProblem) -> list:
-    lp = problem.lp()
-    arrays = [problem.lp_rows, lp.b_ub, lp.objective]
-    if lp.a_ub is not None:
-        arrays += [lp.a_ub.indptr, lp.a_ub.indices, lp.a_ub.data]
-    return arrays
-
-
 def assert_lp_equals_cold(warm: ScheduleProblem, cold: ScheduleProblem):
-    """The warm problem's system and reduced LP equal the cold build's."""
+    """The warm problem's system and flow input equal the cold build's."""
     for patched, fresh in zip(_system_arrays(warm.system),
                               _system_arrays(cold.system)):
         np.testing.assert_array_equal(patched, fresh)
-    for patched, fresh in zip(_lp_arrays(warm), _lp_arrays(cold)):
-        assert patched.dtype == fresh.dtype
-        np.testing.assert_array_equal(patched, fresh)
-    assert warm.lp().bounds == cold.lp().bounds
+    assert_flow_equal(warm, cold)
 
 
 def _longest_paths(system: ConstraintSystem, rows: np.ndarray) -> np.ndarray:
@@ -126,12 +117,14 @@ def test_every_dropped_row_is_implied_by_the_kept_rows(case):
     assert (forced >= -system.bound[dropped]).all()
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_dropped_rows_are_implied_at_arbitrary_bounds(seed):
-    """Delay-matrix bounds grow along every path, which hides a rule that
-    ignored them; random DAGs with random timing bounds do not."""
+def random_system(seed: int, size: int = 14
+                  ) -> tuple[ConstraintSystem, list[tuple[int, int]]]:
+    """A random DAG's dependency rows plus random timing bounds.
+
+    Returns:
+        The system and the DAG's edges ``(producer, consumer)``.
+    """
     rng = np.random.default_rng(seed)
-    size = 14
     edges = [(a, b) for b in range(1, size) for a in range(b)
              if rng.random() < 0.25]
     reach = np.eye(size, dtype=bool)
@@ -144,6 +137,14 @@ def test_dropped_rows_are_implied_at_arbitrary_bounds(seed):
                   np.zeros(len(edges)), DEPENDENCY)
     system.extend(sources[chosen], sinks[chosen],
                   -rng.integers(1, 5, int(chosen.sum())), TIMING)
+    return system, edges
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_dropped_rows_are_implied_at_arbitrary_bounds(seed):
+    """Delay-matrix bounds grow along every path, which hides a rule that
+    ignored them; random DAGs with random timing bounds do not."""
+    system, _ = random_system(seed)
     kept = lp_rows(system)
     dropped = np.setdiff1d(np.arange(len(system)), kept)
     closure = _longest_paths(system, kept)
@@ -170,7 +171,6 @@ def test_rebase_ladder_lp_equals_cold_build(case):
     name, _, ii = _cases()[label]
     context = build_context(name)
     warm = problem.clone()
-    warm.lp()
     for factor in LADDER:
         budget = problem.timing_budget_ps * factor
         warm.retarget(context.matrix, context.index_of, budget)
@@ -180,24 +180,22 @@ def test_rebase_ladder_lp_equals_cold_build(case):
 
 
 def test_rebase_ladder_takes_every_write_path():
-    """Over the ladder, some rebases keep the LP's rows (patched in place),
-    some move them (re-assembled) and some move the pair set (rebuilt)."""
-    paths = {"patched": 0, "reassembled": 0, "rebuilt": 0}
+    """Over the ladder, some rebases keep the kept rows (bounds patched),
+    some move them (bounds patched, rows re-derived) and some move the pair
+    set (rebuilt)."""
+    paths = {"patched": 0, "rows moved": 0, "rebuilt": 0}
     for name in ("crc32", "ML-core datapath2", "hsv2rgb"):
         problem = cold_problem(name, None, 1)
         context = build_context(name)
         for factor in LADDER:
-            lp = problem.lp()
             rows = problem.lp_rows
             if not problem.retarget(context.matrix, context.index_of,
                                     problem.timing_budget_ps * factor):
                 paths["rebuilt"] += 1
-            elif problem.lp() is lp:
-                assert np.array_equal(problem.lp_rows, rows)
+            elif np.array_equal(problem.lp_rows, rows):
                 paths["patched"] += 1
             else:
-                assert not np.array_equal(problem.lp_rows, rows)
-                paths["reassembled"] += 1
+                paths["rows moved"] += 1
     assert all(paths.values()), paths
 
 
@@ -210,7 +208,6 @@ def test_feedback_patches_lp_equals_cold_build(case):
     matrix = DelayMatrix(context.graph, context.matrix.copy(),
                          dict(context.index_of))
     warm = problem.clone()
-    warm.lp()
     rng = np.random.default_rng(19)
     timing = warm.system.rows_of("timing")
     for _ in range(3):
@@ -233,13 +230,14 @@ def test_feedback_patches_lp_equals_cold_build(case):
 def test_direct_matrix_write_reaches_the_lp():
     """A delay written straight into the matrix, by no tracked writer, still
     moves its bound: crc32's pair at -2 drops to -1 with the pair set kept,
-    and the incremental re-solve's system and LP equal a cold build's."""
+    and the incremental re-solve's system and flow input equal a cold
+    build's."""
     problem = cold_problem("crc32", None, 1)
     context = build_context("crc32")
     matrix = DelayMatrix(context.graph, context.matrix.copy(),
                          dict(context.index_of))
     budget = problem.timing_budget_ps
-    solve_problem(problem)  # cache the LP, as the baseline schedule does
+    solve_problem(problem)
     row = next(row for row in problem.system.rows_of("timing").tolist()
                if problem.system.bound[row] == -2)
     u, v = int(problem.system.u[row]), int(problem.system.v[row])
@@ -255,9 +253,8 @@ def test_direct_matrix_write_reaches_the_lp():
 
 def test_rebase_ii_is_a_right_hand_side_patch():
     problem = cold_problem(*lp_cases()["loop_accum/ii=1"])
-    lp, rows = problem.lp(), problem.lp_rows
+    rows = problem.lp_rows
     assert problem.rebase_ii(2)
-    assert problem.lp() is lp
     np.testing.assert_array_equal(problem.lp_rows, rows)
     assert_lp_equals_cold(problem, cold_problem(*lp_cases()["loop_accum/ii=2"]))
 

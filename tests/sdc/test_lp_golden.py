@@ -3,9 +3,9 @@
 Every case builds a :class:`~repro.sdc.problem.ScheduleProblem` cold and
 hashes two LPs (``A_ub`` in CSR form, ``b_ub``, the objective and the
 variable bounds): the full LP :func:`~repro.sdc.problem.assemble_lp`
-makes from every row of the system (key ``<case>``), and the LP HiGHS
-receives, over the rows no other rows imply (:meth:`ScheduleProblem.lp`,
-key ``reduced/<case>``).  The committed digests pin both byte for byte,
+makes from every row of the system (key ``<case>``), and the LP over the
+rows no other rows imply (:attr:`ScheduleProblem.lp_rows`, the rows the
+flow solve receives; key ``reduced/<case>``).  The committed digests pin both byte for byte,
 so any change to constraint construction, row order, deduplication, the
 implied-row rule or assembly shows up here even when schedules happen to
 survive it.
@@ -74,7 +74,10 @@ def lp_digests(problem: ScheduleProblem) -> dict[str, str]:
     """Digests of the full and the reduced LP, by golden-label prefix."""
     full = assemble_lp(problem.system, problem.register_weights,
                        problem.users_map, problem.latency_weight)
-    return {"": _digest(full), "reduced/": _digest(problem.lp())}
+    reduced = assemble_lp(problem.system.subsystem(problem.lp_rows),
+                          problem.register_weights, problem.users_map,
+                          problem.latency_weight)
+    return {"": _digest(full), "reduced/": _digest(reduced)}
 
 
 def _golden() -> dict[str, str]:

@@ -6,10 +6,12 @@ import pytest
 from repro.designs.arith import build_rrot
 from repro.sdc.constraints import TIMING, ConstraintSystem
 from repro.sdc.delays import critical_path_matrix, node_delays
+from repro.sdc.flow import flow_network
 from repro.sdc.problem import ScheduleProblem, assemble_lp
 from repro.sdc.scheduler import SdcScheduler
 from repro.sdc.solver import FullSolver, IncrementalSolver, solve_lp
 from repro.tech.delay_model import OperatorModel
+from tests.sdc.helpers import assert_flow_equal
 
 CLOCK_PS = 2500.0
 
@@ -32,6 +34,13 @@ def _timing_row(system, u, v):
     rows = np.flatnonzero((system.u == u) & (system.v == v)
                           & (system.kind == TIMING))
     return int(rows[0]) if len(rows) else None
+
+
+def _row_costs(problem):
+    """The kept rows and the costs of their arcs in the flow network."""
+    rows = problem.lp_rows
+    network = flow_network(problem.system, rows, problem.objective)
+    return rows, network.cost[:network.num_rows]
 
 
 def _timing_pair(problem, min_distance=1):
@@ -61,7 +70,6 @@ class TestConstraintRowIdentity:
 
     def test_bound_write_keeps_row_positions(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
-        lp = problem.lp()
         u, v, kind = problem.system.u, problem.system.v, problem.system.kind
         bounds = problem.system.bound.copy()
         pair = _timing_pair(problem, min_distance=2)
@@ -73,12 +81,10 @@ class TestConstraintRowIdentity:
         assert problem.system.kind is kind
         bounds[row] = -1
         np.testing.assert_array_equal(problem.system.bound, bounds)
-        # The LP holds the non-implied rows: its right-hand side is the
-        # system's bounds over its row map, whichever rows the write left.
-        lp = problem.lp()
-        rows = problem.lp_rows
-        assert lp.num_constraint_rows == len(rows)
-        np.testing.assert_array_equal(lp.b_ub[:len(rows)], bounds[rows])
+        # The flow solve gets the non-implied rows: their arc costs are the
+        # system's bounds over the kept rows, whichever rows the write left.
+        rows, costs = _row_costs(problem)
+        np.testing.assert_array_equal(costs, bounds[rows])
 
     def test_unchanged_bound_is_not_a_patch(self, rrot_setup):
         graph, matrix, index_of, problem, _ = rrot_setup
@@ -102,7 +108,6 @@ class TestScheduleProblem:
     def test_retarget_patches_bound_and_lp(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
         budget = scheduler.timing_budget_ps
-        lp = problem.lp()
         # Pick a pair that carries a timing constraint spanning >= 2 cycles
         # and lower its delay so the constraint relaxes but survives.
         pair = _timing_pair(problem, min_distance=2)
@@ -113,40 +118,34 @@ class TestScheduleProblem:
         assert problem.retarget(matrix, index_of, budget)
         assert problem.system.bound[row] == -1 != old_bound
         assert _timing_row(problem.system, *pair) == row
-        lp = problem.lp()
-        rows = problem.lp_rows
-        np.testing.assert_array_equal(lp.b_ub[:len(rows)],
-                                      problem.system.bound[rows])
+        rows, costs = _row_costs(problem)
+        np.testing.assert_array_equal(costs, problem.system.bound[rows])
         assert problem.bound_patches == 1
 
     def test_timing_write_patches_or_reassembles_lp(self, rrot_setup):
-        """A write keeping the LP's rows patches it in place; one moving
-        them drops it.  Either way the LP equals a cold build's."""
+        """A timing write may keep the kept rows or move them; either way
+        the flow solve gets what a cold build hands it."""
         graph, matrix, index_of, problem, scheduler = rrot_setup
         budget = scheduler.timing_budget_ps
         lp_rows = problem.lp_rows
-        patched = reassembled = 0
+        kept = moved = 0
         for row in lp_rows[problem.system.kind[lp_rows] == TIMING].tolist():
             pair = int(problem.system.u[row]), int(problem.system.v[row])
             for stages in (1.5, 2.5, 3.5):
                 clone, edited = problem.clone(), matrix.copy()
-                lp = clone.lp()
                 edited[index_of[pair[0]], index_of[pair[1]]] = budget * stages
                 assert clone.retarget(edited, index_of, budget)
                 cold = ScheduleProblem(graph, edited, index_of, budget)
-                np.testing.assert_array_equal(clone.lp_rows, cold.lp_rows)
                 if np.array_equal(clone.lp_rows, lp_rows):
-                    assert clone.lp() is lp
-                    patched += 1
+                    kept += 1
                 else:
-                    assert clone.lp() is not lp
-                    reassembled += 1
-                if row in clone.lp_rows:
-                    position = np.searchsorted(clone.lp_rows, row)
-                    assert clone.lp().b_ub[position] == clone.system.bound[row]
-                np.testing.assert_array_equal(clone.lp().b_ub, cold.lp().b_ub)
-                assert (clone.lp().a_ub != cold.lp().a_ub).nnz == 0
-        assert patched and reassembled
+                    moved += 1
+                rows, costs = _row_costs(clone)
+                if row in rows:
+                    position = np.searchsorted(rows, row)
+                    assert costs[position] == clone.system.bound[row]
+                assert_flow_equal(clone, cold)
+        assert kept and moved
 
     def test_retarget_rebuilds_on_vanishing_constraint(self, rrot_setup):
         graph, matrix, index_of, problem, scheduler = rrot_setup
@@ -170,10 +169,10 @@ class TestScheduleProblem:
 
     def test_rebuild_counts_and_invalidates(self, rrot_setup):
         graph, matrix, index_of, problem, _ = rrot_setup
-        lp_before = problem.lp()
+        system_before = problem.system
         problem.rebuild(matrix, index_of)
         assert problem.rebuilds == 1
-        assert problem.lp() is not lp_before
+        assert problem.system is not system_before
 
 
 class TestSolverStrategies:

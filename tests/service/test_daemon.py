@@ -6,6 +6,8 @@ loop with :func:`asyncio.run`.
 
 import asyncio
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.store import ArtifactStore, canonical_json
 
 from tests.service.certify import certify_schedule_answer
 
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 DESIGN = "rrot"
 CLOCK = 2000.0  # feasible for rrot (its min clock is ~1620 ps)
 
@@ -241,6 +244,26 @@ def test_non_finite_design_clock_is_a_bad_design(design):
             for request in (_schedule(design=design),
                             {"kind": "min-ii", "design": design},
                             {"kind": "min-clock", "design": design}):
+                response = await service.handle(request)
+                assert response["ok"] is False, request
+                assert response["error"] == "bad-design", request
+        finally:
+            await service.stop()
+    asyncio.run(scenario())
+
+
+def test_infinite_ir_file_clock_is_a_bad_design(tmp_path):
+    text = (EXAMPLES / "loop_accum.ir").read_text()
+    assert "clock " in text
+    design = tmp_path / "loop_accum_inf.ir"
+    design.write_text(re.sub(r"(?m)^clock .*$", "clock inf", text))
+
+    async def scenario():
+        service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0))
+        try:
+            for request in (_schedule(design=str(design)),
+                            {"kind": "min-ii", "design": str(design)},
+                            {"kind": "min-clock", "design": str(design)}):
                 response = await service.handle(request)
                 assert response["ok"] is False, request
                 assert response["error"] == "bad-design", request
