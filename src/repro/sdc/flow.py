@@ -29,13 +29,18 @@ names the variable of a pin conflict or a positive cycle) and a spanning
 tree of arcs it makes tight: dual feasible for free.  Each pivot drops a
 tree arc whose flow is negative, shifts the potentials of the subtree it
 cuts off by the smallest reduced cost of an arc that can re-join it, and
-enters that arc (the lowest-index one among ties).  A pivot takes the most
-negative flow; once more degenerate pivots (ones that leave the potentials
-unchanged) have run in a row than the network has nodes, it takes the
-lowest-index negative arc instead -- with the entering tie rule, Bland's
-rule, which makes every run of degenerate pivots finite.  Every other
-pivot strictly raises the dual objective, so no tree repeats and the
-simplex terminates.
+enters that arc.  Only the subtree is touched: its members' out-arcs (or
+in-arcs) are the crossing candidates, found through per-node arc lists
+and a membership stamp, and the negative tree arcs are kept up to date on
+the pivot's cycle alone.  A pivot drops the negative arc above the
+deepest node (the lowest index among ties), so its subtree is the smallest
+on offer, and enters the highest-index arc among the least-slack ones.
+Once more degenerate pivots (ones that leave the potentials unchanged)
+have run in a row than the network has nodes, both choices take the
+lowest index instead: Bland's rule, which makes every run of degenerate
+pivots finite, and the rule stays until a pivot moves the potentials.
+Every pivot that does strictly raises the dual objective, so no tree
+repeats and the simplex terminates.
 
 :func:`check_certificate` checks the final flow and potentials in
 O(arcs): conservation, ``f >= 0``, reduced costs ``>= 0`` and
@@ -422,70 +427,68 @@ class _Tree:
         parent: tree parent of every node (-1 for the root).
         parent_arc: arc joining every node to its parent (-1 for the root).
         children: the children of every node.
+        depth: tree depth of every node (0 for the root).
     """
 
-    def __init__(self, parent: np.ndarray, parent_arc: np.ndarray) -> None:
+    def __init__(self, parent: np.ndarray, parent_arc: np.ndarray,
+                 levels: list[np.ndarray]) -> None:
         self.parent = parent.tolist()
         self.parent_arc = parent_arc.tolist()
         self.children: list[set[int]] = [set() for _ in self.parent]
         for node, above in enumerate(self.parent):
             if above >= 0:
                 self.children[above].add(node)
+        self.depth = [0] * len(self.parent)
+        for depth, level in enumerate(levels):
+            for node in level.tolist():
+                self.depth[node] = depth
 
-    def subtree(self, node: int) -> list[int]:
-        """``node`` and its descendants."""
+    def subtree(self, node: int, mark: list[int], stamp: int) -> list[int]:
+        """``node`` and its descendants, each marked with ``stamp``."""
         members, children = [node], self.children
+        mark[node] = stamp
         for member in members:
-            members.extend(children[member])
+            for child in children[member]:
+                mark[child] = stamp
+                members.append(child)
         return members
 
-    def meet(self, first: int, second: int) -> int:
-        """The deepest common ancestor of two nodes.
-
-        Both walk up in turn, so the cost is the length of the longer walk
-        to the ancestor, not the depth of either node.
-        """
-        parent = self.parent
-        seen_first, seen_second = {first}, {second}
-        while True:
-            if first in seen_second:
-                return first
-            if second in seen_first:
-                return second
-            if parent[first] >= 0:
-                first = parent[first]
-                seen_first.add(first)
-            if parent[second] >= 0:
-                second = parent[second]
-                seen_second.add(second)
-
-    def push(self, flow: np.ndarray, tail: list[int], head: list[int],
-             enter: int, amount: int) -> None:
+    def push(self, flow: list[int], tail: list[int], head: list[int],
+             enter: int, amount: int, negative: set[int]) -> None:
         """Send ``amount`` around the cycle the entering arc closes.
 
         The cycle runs along ``enter`` from its tail to its head, then
         through the tree from the head up to the common ancestor (each step
         child -> parent) and down to the tail (each step parent -> child).
+        Whichever end is deeper steps up, so the two walks meet at the
+        ancestor.  ``negative`` (the nodes whose parent arc carries
+        negative flow) is kept up to date along the way.
         """
-        parent, parent_arc = self.parent, self.parent_arc
+        parent, parent_arc, depth = self.parent, self.parent_arc, self.depth
         flow[enter] += amount
-        meet = self.meet(head[enter], tail[enter])
-        node = head[enter]
-        while node != meet:
-            arc = parent_arc[node]
-            flow[arc] += amount if tail[arc] == node else -amount
-            node = parent[node]
-        node = tail[enter]
-        while node != meet:
-            arc = parent_arc[node]
-            flow[arc] += amount if head[arc] == node else -amount
-            node = parent[node]
+        up, down = head[enter], tail[enter]
+        while up != down:
+            if depth[up] >= depth[down]:
+                node, arc = up, parent_arc[up]
+                flow[arc] += amount if tail[arc] == node else -amount
+                up = parent[node]
+            else:
+                node, arc = down, parent_arc[down]
+                flow[arc] += amount if head[arc] == node else -amount
+                down = parent[node]
+            if flow[arc] < 0:
+                negative.add(node)
+            else:
+                negative.discard(node)
 
-    def rehang(self, inner: int, outer: int, enter: int, lower: int) -> None:
+    def rehang(self, inner: int, outer: int, enter: int, lower: int,
+               flow: list[int], negative: set[int]) -> None:
         """Re-root the subtree of ``lower`` at ``inner``, under ``outer``.
 
         The tree path from ``inner`` up to ``lower`` is reversed and
-        ``inner`` hangs from ``outer`` by the entering arc.
+        ``inner`` hangs from ``outer`` by the entering arc.  Each node on
+        the path takes a new parent arc, so its entry in ``negative`` is
+        re-derived, and so are the depths of the whole moved subtree.
         """
         parent, parent_arc, children = (self.parent, self.parent_arc,
                                         self.children)
@@ -495,10 +498,45 @@ class _Tree:
             next_node, next_arc = parent[node], parent_arc[node]
             parent[node], parent_arc[node] = above, above_arc
             children[above].add(node)
+            if flow[above_arc] < 0:
+                negative.add(node)
+            else:
+                negative.discard(node)
             if node == lower:
-                return
+                break
             children[next_node].discard(node)
             above, above_arc, node = node, next_arc, next_node
+        depth = self.depth
+        depth[inner] = depth[outer] + 1
+        members = [inner]
+        for member in members:
+            below = depth[member] + 1
+            for child in children[member]:
+                depth[child] = below
+                members.append(child)
+
+
+def _adjacency(ends: list[int], size: int) -> list[list[int]]:
+    """The arcs at every node (``ends`` is each arc's tail or head), ascending."""
+    arcs: list[list[int]] = [[] for _ in range(size)]
+    for arc, end in enumerate(ends):
+        arcs[end].append(arc)
+    return arcs
+
+
+def _leaving_arc(negative: set[int], parent_arc: list[int],
+                 depth: list[int], bland: bool) -> int:
+    """The tree arc a pivot drops, given the nodes whose parent arc is negative.
+
+    The arc above the deepest such node (its subtree is the smallest to
+    shift and scan), the lowest index among ties; under Bland's rule the
+    lowest-index negative arc.
+    """
+    if bland:
+        return min(parent_arc[node] for node in negative)
+    deepest = max(map(depth.__getitem__, negative))
+    return min([parent_arc[node] for node in negative
+                if depth[node] == deepest])
 
 
 def network_simplex(network: FlowNetwork
@@ -514,49 +552,64 @@ def network_simplex(network: FlowNetwork
             positive cycle, or the objective is unbounded (no flow meets
             the demands).
     """
-    tails, heads, cost = network.tail, network.head, network.cost
-    tail, head = tails.tolist(), heads.tolist()
-    potential = _asap(network)
-    parent, parent_arc, levels = _tight_tree(network, potential)
-    flow = _tree_flow(network, parent, parent_arc, levels)
-    tree = _Tree(parent, parent_arc)
+    tail, head = network.tail.tolist(), network.head.tolist()
+    cost = network.cost.tolist()
+    start = _asap(network)
+    parent, parent_arc, levels = _tight_tree(network, start)
+    flow = _tree_flow(network, parent, parent_arc, levels).tolist()
+    tree = _Tree(parent, parent_arc, levels)
+    tree_arc, depth = tree.parent_arc, tree.depth
+    potential = start.tolist()
     size = len(potential)
+    out_arcs, in_arcs = _adjacency(tail, size), _adjacency(head, size)
+    # Nodes whose parent arc carries negative flow: the leaving candidates.
+    negative = {node for node, arc in enumerate(tree_arc)
+                if arc >= 0 and flow[arc] < 0}
+    # A pivot marks its subtree's members with the pivot's number.
+    mark = [0] * size
     pivots = degenerate = 0
-    while True:
-        negative = np.flatnonzero(flow < 0)
-        if not len(negative):
-            return flow, potential, pivots
-        # Bland's rule once degenerate pivots have run longer than the
-        # tree is large; the most negative flow otherwise.
-        leave = int(negative[0] if degenerate > size
-                    else negative[np.argmin(flow[negative])])
-        lower = tail[leave]
-        if tree.parent_arc[lower] != leave:
-            lower = head[leave]
-        members = np.array(tree.subtree(lower))
-        inside = np.zeros(size, dtype=bool)
-        inside[members] = True
+    while negative:
+        pivots += 1
+        # Bland's rule (lowest index out and in) once degenerate pivots have
+        # run longer than the tree is large.
+        bland = degenerate > size
+        leave = _leaving_arc(negative, tree_arc, depth, bland)
+        lower = tail[leave] if tree_arc[tail[leave]] == leave else head[leave]
+        members = tree.subtree(lower, mark, pivots)
         # A down arc into the subtree with negative flow leaves it with
         # excess: an arc out of it must enter, and its potentials rise.
-        # An up arc out of it leaves it short: an arc into it enters.
+        # An up arc out of it leaves it short: an arc into it enters.  The
+        # least-slack crossing arc enters, the highest index among ties
+        # (the lowest under Bland's rule).
         rise = head[leave] == lower
-        crossing = np.flatnonzero(
-            (inside[tails] & ~inside[heads]) if rise
-            else (~inside[tails] & inside[heads]))
-        if not len(crossing):
+        adjacent, far = (out_arcs, head) if rise else (in_arcs, tail)
+        sign = 1 if rise else -1
+        enter, delta = -1, math.inf
+        for node in members:
+            here = potential[node]
+            for arc in adjacent[node]:
+                other = far[arc]
+                if mark[other] != pivots:
+                    slack = cost[arc] - sign * (here - potential[other])
+                    if slack < delta or (slack == delta
+                                         and (arc < enter) == bland):
+                        enter, delta = arc, slack
+        if enter < 0:
             raise SdcInfeasibleError("the LP is unbounded: no flow meets the "
                                      "objective's demands")
-        slack = (cost[crossing] - potential[tails[crossing]]
-                 + potential[heads[crossing]])
-        best = int(np.argmin(slack))
-        enter, delta = int(crossing[best]), int(slack[best])
-        potential[members] += delta if rise else -delta
-        tree.push(flow, tail, head, enter, -int(flow[leave]))
+        if delta:
+            shift = sign * delta
+            for node in members:
+                potential[node] += shift
+            degenerate = 0
+        else:
+            degenerate += 1
+        tree.push(flow, tail, head, enter, -flow[leave], negative)
         inner, outer = ((tail[enter], head[enter]) if rise
                         else (head[enter], tail[enter]))
-        tree.rehang(inner, outer, enter, lower)
-        pivots += 1
-        degenerate = degenerate + 1 if delta == 0 else 0
+        tree.rehang(inner, outer, enter, lower, flow, negative)
+    return (np.array(flow, dtype=np.int64),
+            np.array(potential, dtype=np.int64), pivots)
 
 
 # --------------------------------------------------------------------------

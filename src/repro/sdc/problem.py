@@ -135,8 +135,14 @@ def build_system(graph: DataflowGraph, matrix: np.ndarray,
       produced in iteration ``i`` must sit in the phi's loop register
       before iteration ``i + d`` (``II * d`` cycles later) reads it.
 
-    A repeated ``(u, v, bound)`` triple is kept once, at its first row.
-    Sources are pinned to cycle 0 when ``pin_sources`` is set.
+    No row repeats a ``(u, v, bound)`` triple.  Dependency rows are one per
+    ``(operand, node)`` pair and timing rows one per matrix cell, with a
+    negative bound, so neither can repeat; only a loop row at bound 0
+    (``II * d == 1``) can equal a dependency row, and such a loop row, like
+    a loop row repeating an earlier one, is dropped.  The rows are
+    therefore assigned straight to the system's arrays, without the
+    de-duplicating sort of :meth:`ConstraintSystem.extend`.  Sources are
+    pinned to cycle 0 when ``pin_sources`` is set.
     """
     nodes = graph.nodes()
     dependencies = np.array(
@@ -144,20 +150,37 @@ def build_system(graph: DataflowGraph, matrix: np.ndarray,
          for operand in set(node.operands)], dtype=np.int64).reshape(-1, 2)
     order = np.array(sorted(index_of, key=index_of.get), dtype=np.int64)
     rows, cols, bounds = timing_pairs(matrix, timing_budget_ps)
-    loops = np.array([(edge.src, edge.phi, ii * edge.distance - 1)
-                      for edge in graph.back_edges()],
-                     dtype=np.int64).reshape(-1, 3)
-    system = ConstraintSystem(variables={node.node_id for node in nodes})
-    if pin_sources:
-        system.pinned = {node.node_id: 0 for node in nodes if node.is_source}
-    system.extend(
-        np.concatenate([dependencies[:, 0], order[rows], loops[:, 0]]),
-        np.concatenate([dependencies[:, 1], order[cols], loops[:, 1]]),
-        np.concatenate([np.zeros(len(dependencies), np.int64), bounds,
-                        loops[:, 2]]),
-        np.repeat([DEPENDENCY, TIMING, LOOP],
-                  [len(dependencies), len(rows), len(loops)]))
-    return system
+    loops = _unrepeated_loop_rows(dependencies, [
+        (edge.src, edge.phi, ii * edge.distance - 1)
+        for edge in graph.back_edges()])
+    return ConstraintSystem(
+        variables={node.node_id for node in nodes},
+        pinned=({node.node_id: 0 for node in nodes if node.is_source}
+                if pin_sources else {}),
+        u=np.concatenate([dependencies[:, 0], order[rows], loops[:, 0]]),
+        v=np.concatenate([dependencies[:, 1], order[cols], loops[:, 1]]),
+        bound=np.concatenate([np.zeros(len(dependencies), np.int64), bounds,
+                              loops[:, 2]]),
+        kind=np.repeat(np.array([DEPENDENCY, TIMING, LOOP], np.int8),
+                       [len(dependencies), len(rows), len(loops)]))
+
+
+def _unrepeated_loop_rows(dependencies: np.ndarray,
+                          loops: list[tuple[int, int, int]]) -> np.ndarray:
+    """The loop rows that repeat no dependency row and no earlier loop row.
+
+    Returns:
+        The kept ``(src, phi, bound)`` rows, in order, as an ``(n, 3)``
+        array.
+    """
+    kept: list[tuple[int, int, int]] = []
+    if loops:
+        seen = {(u, v, 0) for u, v in dependencies.tolist()}
+        for row in loops:
+            if row not in seen:
+                seen.add(row)
+                kept.append(row)
+    return np.array(kept, dtype=np.int64).reshape(-1, 3)
 
 
 def implication_pairs(system: ConstraintSystem

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+
 import pytest
 
 from repro.ir.builder import GraphBuilder
@@ -9,6 +12,34 @@ from repro.ir.graph import DataflowGraph
 from repro.synth.flow import SynthesisFlow
 from repro.tech.delay_model import OperatorModel
 from repro.tech.sky130 import sky130_library
+
+#: Seconds one test (setup, call and teardown) may take before the run is
+#: stopped with every thread's traceback.  The slowest test takes about 6 s,
+#: so only a test that does not terminate reaches it.
+TEST_TIME_LIMIT_S = 120
+
+#: A copy of the terminal's stderr, taken before output capture redirects
+#: file descriptor 2, so a hang's traceback is seen rather than captured.
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    config.stash[_STDERR] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Stop the whole run if one test outlives :data:`TEST_TIME_LIMIT_S`."""
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True,
+                                      file=item.config.stash[_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

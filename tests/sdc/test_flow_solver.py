@@ -15,24 +15,30 @@ seeded ``gen:`` designs and the random-bound systems of
 
 and that infeasible systems raise, degenerate ones terminate, corrupted
 certificates are refused and bad latency weights are refused everywhere.
+Tie-heavy random systems (one timing bound, one width) and a system whose
+degenerate pivots run into Bland's rule hold the pivot rules to the least
+optimal schedule of an optimal flow ``networkx`` finds on its own.
 """
 
 from __future__ import annotations
 
 import math
 
+import hypothesis.strategies as st
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy import sparse
 from scipy.optimize import linprog
 
 from repro.dse.warm import ProblemCache, build_context
 from repro.isdc.config import IsdcConfig
-from repro.sdc.constraints import DEPENDENCY, ConstraintSystem
-from repro.sdc.flow import (CertificateError, check_certificate,
-                            flow_network, flow_objective, least_optimal,
-                            network_simplex, solve_flow)
+from repro.sdc import flow as flow_module
+from repro.sdc.constraints import DEPENDENCY, TIMING, ConstraintSystem
+from repro.sdc.flow import (MAX_TOTAL_DEMAND, CertificateError,
+                            check_certificate, flow_network, flow_objective,
+                            least_optimal, network_simplex, solve_flow)
 from repro.sdc.problem import ScheduleProblem, assemble_lp, lp_rows
 from repro.sdc.scheduler import SdcScheduler
 from repro.sdc.solver import SdcInfeasibleError, solve_problem
@@ -81,15 +87,30 @@ def _random(seed: int):
     return system, weights, users
 
 
-def _networkx_cost(network) -> int:
+def _networkx_graph(network) -> nx.MultiDiGraph:
+    """``network`` as a networkx graph; the key of every edge is its arc."""
     graph = nx.MultiDiGraph()
     for node, demand in enumerate(network.demand.tolist()):
         graph.add_node(node, demand=demand)
-    for tail, head, cost in zip(network.tail.tolist(), network.head.tolist(),
-                                network.cost.tolist()):
-        graph.add_edge(tail, head, weight=cost)
-    cost, _ = nx.network_simplex(graph)
+    for arc, (tail, head, cost) in enumerate(zip(network.tail.tolist(),
+                                                 network.head.tolist(),
+                                                 network.cost.tolist())):
+        graph.add_edge(tail, head, key=arc, weight=cost)
+    return graph
+
+
+def _networkx_cost(network) -> int:
+    cost, _ = nx.network_simplex(_networkx_graph(network))
     return cost
+
+
+def _networkx_least_optimal(network) -> np.ndarray:
+    """The least optimal potentials of an optimal flow networkx finds."""
+    _, flows = nx.network_simplex(_networkx_graph(network))
+    flow = np.array([flows[tail][head][arc] for arc, (tail, head) in
+                     enumerate(zip(network.tail.tolist(),
+                                   network.head.tolist()))], dtype=np.int64)
+    return least_optimal(network, flow)
 
 
 def _solve(network):
@@ -203,6 +224,138 @@ def test_degenerate_system_terminates():
     assert pivots < 10 * len(network.cost)
     assert not least_optimal(network, flow).any()
     assert int(flow @ network.cost) == _networkx_cost(network)
+
+
+@st.composite
+def tie_heavy_systems(draw):
+    """A random DAG whose timing rows share one bound and values one width.
+
+    Sources are pinned to cycle 0 (or nothing is); every value with users
+    has the same weight, and every timing row the same bound, so most
+    reduced costs tie and most pivots are degenerate.
+    """
+    size = draw(st.integers(min_value=2, max_value=12), label="size")
+    pairs = [(a, b) for b in range(1, size) for a in range(b)]
+    edges = [pair for pair, keep in zip(pairs, draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)),
+        label="edges")) if keep]
+    reach = np.eye(size, dtype=bool)
+    for a, b in edges:  # edges come in topological order of ``b``
+        reach[:, b] |= reach[:, a]
+    reachable = list(zip(*np.nonzero(reach & ~np.eye(size, dtype=bool))))
+    timed = [pair for pair, keep in zip(reachable, draw(st.lists(
+        st.booleans(), min_size=len(reachable), max_size=len(reachable)),
+        label="timed")) if keep]
+    bound = draw(st.integers(min_value=-2, max_value=0), label="bound")
+    width = draw(st.sampled_from([1.0, 8.0, 32.0]), label="width")
+    system = ConstraintSystem(variables=set(range(size)))
+    system.extend([a for a, _ in edges], [b for _, b in edges],
+                  np.zeros(len(edges)), DEPENDENCY)
+    system.extend([a for a, _ in timed], [b for _, b in timed],
+                  np.full(len(timed), bound), TIMING)
+    if draw(st.booleans(), label="pin sources"):
+        for node in set(range(size)) - {b for _, b in edges}:
+            system.pin(node, 0)
+    users: dict[int, list[int]] = {}
+    for producer, consumer in edges:
+        users.setdefault(producer, []).append(consumer)
+    latency_weight = draw(st.sampled_from([0.0, 1e-3]), label="latency")
+    return system, dict.fromkeys(users, width), users, latency_weight
+
+
+def _spy_on_pivots(monkeypatch, network) -> list[bool]:
+    """Record whether each pivot runs under Bland's rule; check its tree.
+
+    After every pivot the parent arcs join each node to its parent, the
+    root has depth 0 and every other node is one deeper than its parent,
+    and the leaving candidates are exactly the nodes whose parent arc
+    carries negative flow.
+    """
+    rules: list[bool] = []
+    choose, rehang = flow_module._leaving_arc, flow_module._Tree.rehang
+    tail, head = network.tail.tolist(), network.head.tolist()
+
+    def leaving(negative, parent_arc, depth, bland):
+        rules.append(bland)
+        return choose(negative, parent_arc, depth, bland)
+
+    def checked_rehang(tree, inner, outer, enter, lower, flow, negative):
+        rehang(tree, inner, outer, enter, lower, flow, negative)
+        assert tree.depth[network.root] == 0
+        for node, arc in enumerate(tree.parent_arc):
+            if arc >= 0:
+                above = tree.parent[node]
+                assert {node, above} == {tail[arc], head[arc]}
+                assert node in tree.children[above]
+                assert tree.depth[node] == tree.depth[above] + 1, node
+        assert sum(map(len, tree.children)) == len(tree.parent) - 1
+        assert negative == {node for node, arc in enumerate(tree.parent_arc)
+                            if arc >= 0 and flow[arc] < 0}
+
+    monkeypatch.setattr(flow_module, "_leaving_arc", leaving)
+    monkeypatch.setattr(flow_module._Tree, "rehang", checked_rehang)
+    return rules
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_systems())
+def test_tie_heavy_systems_give_the_networkx_least_optimum(drawn):
+    system, weights, users, latency_weight = drawn
+    objective = flow_objective(system, weights, users, latency_weight)
+    network = flow_network(system, np.arange(len(system)), objective)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rules = _spy_on_pivots(monkeypatch, network)
+        flow, _, pivots = _solve(network)
+    assert pivots == len(rules)
+    least = least_optimal(network, flow)
+    np.testing.assert_array_equal(least, _networkx_least_optimal(network))
+    assert solve_flow(system, lp_rows(system), objective) \
+        == dict(zip(range(len(system.variables)),
+                    least[:len(system.variables)].tolist()))
+
+
+#: A ten-node DAG (dependency rows ``producer -> consumer``, sources pinned,
+#: width 8 everywhere) plus one timing row ``3 -> 7`` needing a cycle: its
+#: degenerate pivots run longer than its 19-node network is large.
+BLAND_EDGES = ((0, 1), (0, 2), (1, 2), (0, 3), (2, 3), (0, 4), (1, 4), (2, 4),
+               (3, 4), (0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (2, 6), (5, 6),
+               (2, 7), (3, 7), (4, 7), (5, 7), (6, 7), (1, 8), (2, 8), (4, 8),
+               (5, 8), (2, 9), (3, 9), (4, 9), (5, 9), (6, 9), (8, 9))
+
+
+def test_long_degenerate_runs_fall_back_to_blands_rule(monkeypatch):
+    system = ConstraintSystem(variables=set(range(10)))
+    system.extend([a for a, _ in BLAND_EDGES], [b for _, b in BLAND_EDGES],
+                  np.zeros(len(BLAND_EDGES)), DEPENDENCY)
+    system.add_timing(3, 7, 1)
+    system.pin(0, 0)
+    users: dict[int, list[int]] = {}
+    for producer, consumer in BLAND_EDGES:
+        users.setdefault(producer, []).append(consumer)
+    weights = dict.fromkeys(users, 8.0)
+    network = flow_network(system, np.arange(len(system)),
+                           flow_objective(system, weights, users))
+    rules = _spy_on_pivots(monkeypatch, network)
+    flow, _, pivots = _solve(network)
+    assert any(rules) and pivots == len(rules)
+    np.testing.assert_array_equal(least_optimal(network, flow),
+                                  _networkx_least_optimal(network))
+    assert solve_flow(system, np.arange(len(system)), flow_objective(
+        system, weights, users)) == least_optimal_reference(
+        system, weights, users, 1e-3)
+
+
+def test_total_demand_limit_is_exclusive():
+    """A scaled total of exactly ``MAX_TOTAL_DEMAND`` is refused and the
+    largest total below it (totals are even) is solved."""
+    system = ConstraintSystem(variables={0})
+    half = MAX_TOTAL_DEMAND // 2
+    # One variable and the root: the total is twice the latency weight.
+    with pytest.raises(ValueError, match="too large"):
+        flow_objective(system, latency_weight=float(half))
+    objective = flow_objective(system, latency_weight=float(half - 1))
+    assert int(np.abs(objective.demand).sum()) == MAX_TOTAL_DEMAND - 2
+    assert solve_flow(system, np.zeros(0, np.int64), objective) == {0: 0}
 
 
 class TestCorruptedCertificate:

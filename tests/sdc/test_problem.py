@@ -4,14 +4,21 @@ import numpy as np
 import pytest
 
 from repro.designs.arith import build_rrot
-from repro.sdc.constraints import TIMING, ConstraintSystem
+from repro.designs.suite import table1_suite
+from repro.dse.warm import build_context
+from repro.ir.builder import GraphBuilder
+from repro.sdc.constraints import (DEPENDENCY, LOOP, TIMING,
+                                   ConstraintSystem)
 from repro.sdc.delays import critical_path_matrix, node_delays
 from repro.sdc.flow import flow_network
-from repro.sdc.problem import ScheduleProblem, assemble_lp
+from repro.sdc.problem import (ScheduleProblem, assemble_lp, build_system,
+                               timing_pairs)
 from repro.sdc.scheduler import SdcScheduler
 from repro.sdc.solver import FullSolver, IncrementalSolver, solve_lp
 from repro.tech.delay_model import OperatorModel
 from tests.sdc.helpers import assert_flow_equal
+from tests.sdc.test_lazy_rows import GEN_DESIGNS
+from tests.sdc.test_lp_golden import LOOP_DESIGN
 
 CLOCK_PS = 2500.0
 
@@ -242,3 +249,86 @@ class TestAssembledLp:
         lp = assemble_lp(system)
         assert lp.a_ub is None
         assert lp.b_ub.size == 0
+
+
+def extend_reference(graph, matrix, index_of, budget_ps, pin_sources=True,
+                     ii=1) -> ConstraintSystem:
+    """The system :meth:`ConstraintSystem.extend` assembles from the rows.
+
+    Dependency, timing and loop rows in :func:`build_system`'s canonical
+    order, each repeated ``(u, v, bound)`` triple kept at its first row by
+    ``extend``'s sort.
+    """
+    nodes = graph.nodes()
+    system = ConstraintSystem(variables={node.node_id for node in nodes})
+    if pin_sources:
+        system.pinned = {node.node_id: 0 for node in nodes if node.is_source}
+    pairs = [(operand, node.node_id) for node in nodes
+             for operand in set(node.operands)]
+    system.extend([u for u, _ in pairs], [v for _, v in pairs],
+                  np.zeros(len(pairs)), DEPENDENCY)
+    order = np.array(sorted(index_of, key=index_of.get), dtype=np.int64)
+    rows, cols, bounds = timing_pairs(matrix, budget_ps)
+    system.extend(order[rows], order[cols], bounds, TIMING)
+    edges = graph.back_edges()
+    system.extend([edge.src for edge in edges], [edge.phi for edge in edges],
+                  [ii * edge.distance - 1 for edge in edges], LOOP)
+    return system
+
+
+def assert_system_equal(built: ConstraintSystem, reference: ConstraintSystem):
+    for name in ("u", "v", "bound", "kind"):
+        got, want = getattr(built, name), getattr(reference, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+    assert built.variables == reference.variables
+    assert built.pinned == reference.pinned
+
+
+LOOP_DESIGNS = (LOOP_DESIGN,
+                "loop:seed=0,depth=4,width=3,bits=16,inputs=2,phis=2",
+                "loop:seed=1,depth=5,width=2,bits=8,inputs=2,phis=1,dist=2")
+
+
+@pytest.mark.parametrize("name", [case.name for case in table1_suite()]
+                         + list(GEN_DESIGNS) + list(LOOP_DESIGNS))
+def test_build_system_equals_extend_reference(name):
+    """Straight assignment gives the rows the de-duplicating sort gives, at
+    budgets from tight to loose, at II 1 and 2."""
+    context = build_context(name)
+    default = context.default_clock_ps - context.register_overhead_ps
+    budgets = (context.worst_delay_ps + 1.0, 0.6 * default, default,
+               1.7 * default)
+    for budget in budgets:
+        for ii in ((1, 2) if context.graph.has_back_edges else (1,)):
+            for pin_sources in (True, False):
+                assert_system_equal(
+                    build_system(context.graph, context.matrix,
+                                 context.index_of, budget, pin_sources, ii),
+                    extend_reference(context.graph, context.matrix,
+                                     context.index_of, budget, pin_sources,
+                                     ii))
+
+
+def test_loop_row_equal_to_a_dependency_row_is_kept_once():
+    """At II 1 a distance-1 back-edge from a phi's own operand gives the
+    loop row ``s_x - s_phi <= 0``, which the dependency row already is."""
+    builder = GraphBuilder("self_carry")
+    x = builder.param("x", 8)
+    phi = builder.phi(x, name="phi")
+    total = builder.add(phi, x, name="total")
+    builder.back_edge(phi, x)
+    builder.output(total, name="out")
+    graph = builder.graph
+    matrix, index_of = critical_path_matrix(
+        graph, node_delays(graph, OperatorModel()))
+    dependency = (x.node_id, phi.node_id, 0)
+    for ii, loop_rows in ((1, []), (2, [(x.node_id, phi.node_id, 1)])):
+        system = build_system(graph, matrix, index_of, CLOCK_PS, ii=ii)
+        triples = list(zip(system.u.tolist(), system.v.tolist(),
+                           system.bound.tolist()))
+        assert triples.count(dependency) == 1
+        assert [triple for triple, kind in zip(triples, system.kind.tolist())
+                if kind == LOOP] == loop_rows
+        assert_system_equal(system, extend_reference(graph, matrix, index_of,
+                                                     CLOCK_PS, ii=ii))
