@@ -251,8 +251,7 @@ def service_run() -> ServiceRun:
     errors = 0
 
     async def replay() -> float:
-        service = SchedulingService(ServiceConfig(jobs=2,
-                                                  batch_window_ms=5.0))
+        service = SchedulingService(ServiceConfig(jobs=2))
         await service.start()
 
         async def client() -> None:

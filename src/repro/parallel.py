@@ -53,35 +53,6 @@ def parallel_map(function: Callable[[_T], _R], items: Sequence[_T],
         return list(executor.map(function, items))
 
 
-def parallel_imap_unordered(function: Callable[[_T], _R], items: Sequence[_T],
-                            jobs: int = 1) -> Iterator[tuple[int, _R]]:
-    """Yield ``(index, function(item))`` pairs as items finish.
-
-    Unlike :func:`parallel_map` this is a generator that surfaces each result
-    the moment its worker completes, which lets callers checkpoint
-    incrementally (the campaign executor's per-job run store).  The serial
-    fast path (``jobs <= 1`` or a single item) yields in item order; with
-    workers the yield order is completion order, so callers needing
-    determinism must re-order by the yielded index.
-
-    Args:
-        function: picklable callable applied to every item.
-        items: the work items (picklable when ``jobs > 1``).
-        jobs: maximum worker processes; ``1`` runs serially in-process.
-    """
-    workers = effective_jobs(jobs, len(items))
-    if workers <= 1:
-        for index, item in enumerate(items):
-            yield index, function(item)
-        return
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=pool_context()) as executor:
-        futures = {executor.submit(function, item): index
-                   for index, item in enumerate(items)}
-        for future in as_completed(futures):
-            yield futures[future], future.result()
-
-
 class PersistentPool:
     """A lazily-created, reusable process pool with ordered ``map``.
 
@@ -126,10 +97,11 @@ class PersistentPool:
                        items: Sequence[_T]) -> Iterator[tuple[int, _R]]:
         """Yield ``(index, function(item))`` pairs as items finish.
 
-        The streaming counterpart of :meth:`map` (same contract as
-        :func:`parallel_imap_unordered`, but over this pool's persistent
-        workers): serial in item order when ``jobs <= 1`` or for a single
-        item, completion order otherwise.
+        The streaming counterpart of :meth:`map`, which lets callers
+        checkpoint incrementally (the campaign executor's per-job run
+        store): serial in item order when ``jobs <= 1`` or for a single
+        item, completion order otherwise, so callers needing determinism
+        must re-order by the yielded index.
         """
         workers = effective_jobs(self.jobs, len(items))
         if workers <= 1:
@@ -156,17 +128,24 @@ class PersistentPool:
         self.close()
         self.jobs = jobs
 
-    def recover(self) -> None:
+    def recover(self, broken: Executor) -> bool:
         """Replace a broken executor with a fresh one (crash recovery).
 
         After a worker dies mid-task, :class:`ProcessPoolExecutor` marks
-        itself broken and fails every subsequent submission.  Dropping it
-        lets the next :meth:`executor` call fork a healthy pool; per-worker
-        caches are lost, which only costs warm-start state.
+        itself broken and fails every pending and later submission.
+        Dropping it lets the next :meth:`executor` call fork a healthy
+        pool; per-worker caches are lost, which only costs warm-start
+        state.  Every caller that saw the crash reports it, so only a
+        ``broken`` executor that is still the live one is dropped.
+
+        Returns:
+            Whether ``broken`` was the live executor (and was dropped).
         """
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
-            self._executor = None
+        if broken is not self._executor:
+            return False
+        broken.shutdown(wait=False, cancel_futures=True)
+        self._executor = None
+        return True
 
     def close(self) -> None:
         """Shut the worker processes down (idempotent)."""
@@ -194,11 +173,12 @@ _SHARED_POOL: PersistentPool | None = None
 def shared_pool(jobs: int) -> PersistentPool:
     """The process-wide persistent pool, grown to at least ``jobs`` workers.
 
-    Campaign shards, DSE probe batches and service cold-miss batches all
-    draw from this one pool, so worker processes (and their per-worker
-    warm-start caches) survive across call sites instead of being respawned
-    per batch.  The pool only ever grows; call :func:`close_shared_pool`
-    to tear it down (tests, daemon shutdown).
+    Campaign shards and service cold misses draw from this one pool, so
+    worker processes (and their per-worker warm-start caches) survive
+    across call sites instead of being respawned per batch.  (DSE probe
+    batches do not: :func:`repro.dse.search.run_dse` opens its own
+    :class:`PersistentPool`.)  The pool only ever grows; call
+    :func:`close_shared_pool` to tear it down (tests, daemon shutdown).
 
     Callers must not :meth:`PersistentPool.close` the returned pool --
     they do not own it.
@@ -228,5 +208,5 @@ def split_round_robin(items: Sequence[_T], chunks: int) -> list[list[_T]]:
 
 
 __all__ = ["PersistentPool", "close_shared_pool", "effective_jobs",
-           "parallel_imap_unordered", "parallel_map", "pool_context",
-           "shared_pool", "split_round_robin"]
+           "parallel_map", "pool_context", "shared_pool",
+           "split_round_robin"]

@@ -10,15 +10,15 @@ a minimal HTTP view of the same requests).  Three layers make it fast:
   solver -- across requests *and* across daemon restarts;
 * **request coalescing**: concurrent identical requests share one
   in-flight computation instead of racing duplicate solves;
-* **batched cold-miss execution**: misses drain through the process-wide
-  persistent worker pool (:func:`repro.parallel.shared_pool`) in adaptive
-  batches, and each worker keeps its own
+* **cold-miss execution**: each miss is submitted to the process-wide
+  persistent worker pool (:func:`repro.parallel.shared_pool`), at most
+  ``queue_limit`` at once, and each worker keeps its own
   :class:`~repro.dse.warm.ProblemCache`, so cold requests still
   warm-start against everything that worker has solved before.
 
 Results are deterministic: a served payload is byte-identical to the
 offline ``runner dse`` / scheduler answer for the same question,
-independent of worker count, batch window and ``PYTHONHASHSEED`` (the
+independent of worker count and ``PYTHONHASHSEED`` (the
 parity suite under ``tests/service/`` enforces this).
 
 * :mod:`repro.service.protocol` -- request parsing, content keys,
@@ -26,7 +26,7 @@ parity suite under ``tests/service/`` enforces this).
 * :mod:`repro.service.worker` -- the pool-side evaluators (schedule /
   min-clock / min-II result builders);
 * :mod:`repro.service.daemon` -- :class:`SchedulingService` (cache,
-  coalescing, bounded queue, batching, deadlines, crash recovery);
+  coalescing, backpressure, deadlines, crash recovery);
 * :mod:`repro.service.frontends` -- the stdin and TCP/HTTP front ends;
 * :mod:`repro.service.cli` -- the ``runner serve`` subcommand.
 

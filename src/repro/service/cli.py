@@ -3,16 +3,18 @@
 ::
 
     python -m repro.experiments.runner serve [--stdin] [--port N]
-        [--host H] [--jobs N] [--batch-window-ms W] [--max-batch N]
-        [--queue-limit N] [--deadline-s S] [--resolution-ps PS]
-        [--speculate K] [--max-probes N] [--store STORE.jsonl]
+        [--host H] [--jobs N] [--queue-limit N] [--deadline-s S]
+        [--resolution-ps PS] [--speculate K] [--max-probes N]
+        [--store STORE.jsonl]
 
 Without ``--port`` the daemon serves JSON-lines requests on stdin;
 ``--port`` starts the TCP/HTTP front end (``--port 0`` binds an
 ephemeral port, announced as a ``listening`` event line), and adding
 ``--stdin`` serves both at once.  ``--store`` persists every served
 result as a ``service-result`` record so a restarted daemon answers the
-same questions warm.  See ``docs/service.md``.
+same questions warm.  Out-of-range numeric flags (``--jobs 0``,
+``--resolution-ps nan``, ...) fail at startup with exit code 2.  See
+``docs/service.md``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.experiments.runner serve",
         description="Run the scheduling service daemon: warm-cache "
-                    "serving, request coalescing and batched cold-miss "
+                    "serving, request coalescing and cold-miss "
                     "execution over a persistent worker pool.")
     parser.add_argument("--stdin", action="store_true",
                         help="serve JSON-lines requests on stdin (the "
@@ -46,17 +48,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="worker processes of the cold-miss pool "
                              "(default: 2; results are identical for any "
                              "value)")
-    parser.add_argument("--batch-window-ms", type=float, default=5.0,
-                        metavar="W",
-                        help="batch window under dense traffic; 0 disables "
-                             "(default: 5)")
-    parser.add_argument("--max-batch", type=int, default=16, metavar="N",
-                        help="requests per pool dispatch, at most "
-                             "(default: 16)")
     parser.add_argument("--queue-limit", type=int, default=128, metavar="N",
-                        help="bounded cold-miss queue depth; beyond it "
-                             "requests get a typed 'overloaded' rejection "
-                             "(default: 128)")
+                        help="cold misses pending or running at once, at "
+                             "most; beyond it new cold misses get a typed "
+                             "'overloaded' rejection (default: 128)")
     parser.add_argument("--deadline-s", type=float, default=300.0,
                         metavar="S",
                         help="default per-request deadline; 0 disables "
@@ -84,8 +79,6 @@ def config_from_args(arguments: argparse.Namespace) -> ServiceConfig:
     """Build the daemon config from parsed ``serve`` arguments."""
     return ServiceConfig(
         jobs=arguments.jobs,
-        batch_window_ms=arguments.batch_window_ms,
-        max_batch=arguments.max_batch,
         queue_limit=arguments.queue_limit,
         deadline_s=arguments.deadline_s,
         resolution_ps=arguments.resolution_ps,
@@ -117,15 +110,12 @@ def serve_main(argv: list[str] | None = None) -> int:
     """Entry point of ``runner serve``; returns the process exit code."""
     parser = _build_parser()
     arguments = parser.parse_args(argv)
-    if arguments.jobs < 1:
-        parser.error("--jobs must be at least 1")
-    if arguments.max_batch < 1:
-        parser.error("--max-batch must be at least 1")
-    if arguments.queue_limit < 1:
-        parser.error("--queue-limit must be at least 1")
     if arguments.port is not None and not 0 <= arguments.port <= 65535:
         parser.error("--port must be in [0, 65535]")
-    config = config_from_args(arguments)
+    try:
+        config = config_from_args(arguments)
+    except ValueError as error:
+        parser.error(str(error))
     try:
         asyncio.run(_serve(config, use_stdin=arguments.stdin,
                            port=arguments.port, host=arguments.host))

@@ -1,4 +1,4 @@
-"""The scheduling-service daemon core: cache, coalescing, batching.
+"""The scheduling-service daemon core: cache, coalescing, cold misses.
 
 :class:`SchedulingService` is front-end-agnostic: front ends feed decoded
 JSON request objects to :meth:`SchedulingService.handle` and get response
@@ -6,9 +6,9 @@ dicts back.  A compute request flows through three layers::
 
     handle() -> warm cache hit?  ------------------> respond "warm"
              -> identical request in flight?  -----> await it, "coalesced"
-             -> bounded queue (backpressure)  -----> batcher
-    batcher  -> adaptive batch window -> worker pool -> resolve futures,
-                cache + persist results
+             -> queue_limit cold misses pending? --> typed "overloaded"
+             -> one task: worker pool -> resolve the future,
+                cache + persist the result
 
 The warm cache is a plain dict keyed by content-addressed request keys
 (:meth:`~repro.service.protocol.ServiceRequest.key`), preloaded from the
@@ -17,13 +17,13 @@ cold results land -- so a restarted daemon is warm from its first
 request.  Coalescing shares one :class:`asyncio.Future` per in-flight
 key; any number of concurrent duplicates cost exactly one computation.
 
-Cold misses drain through the process-wide persistent worker pool
-(:func:`repro.parallel.shared_pool`).  The batcher pulls whatever is
-immediately queued, then -- only under dense traffic -- holds the batch
-open for the configured window so one pool dispatch carries many
-requests; each batch runs as its own task, so batches overlap instead of
-serialising.  A worker crash fails only its batch (typed
-``worker-crash`` errors) and replaces the pool; the daemon keeps serving.
+Each cold miss is one task that submits its work to the process-wide
+persistent worker pool (:func:`repro.parallel.shared_pool`) and resolves
+its waiters.  At most ``queue_limit`` cold computations are pending or
+running at once; further cold misses are refused with a typed
+``overloaded`` error.  A worker crash fails the requests that were on the
+broken pool (typed ``worker-crash`` errors) and replaces the pool once;
+the daemon keeps serving.
 
 Deadlines wrap the caller's wait, not the computation:
 ``asyncio.wait_for(asyncio.shield(future), ...)`` -- a timed-out client
@@ -34,9 +34,10 @@ populates the cache for the next asker.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from concurrent.futures import BrokenExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.parallel import PersistentPool, shared_pool
 from repro.sdc.flow import check_latency_weight
@@ -54,13 +55,10 @@ class ServiceConfig:
 
     Attributes:
         jobs: worker processes of the cold-miss pool.
-        batch_window_ms: how long the batcher may hold a batch open to
-            collect more requests (applied only under dense traffic --
-            see :meth:`SchedulingService._adaptive_window_s`).
-        max_batch: requests per pool dispatch, at most.
-        queue_limit: bounded-queue depth; further cold misses are
-            rejected with a typed ``overloaded`` error (backpressure).
-        deadline_s: default per-request deadline (``<= 0`` disables).
+        queue_limit: cold computations pending or running at once, at
+            most; further cold misses are rejected with a typed
+            ``overloaded`` error (backpressure).
+        deadline_s: default per-request deadline (``0`` disables).
         latency_weight: LP tie-breaking weight filled into every request.
         resolution_ps: default min-clock convergence threshold.
         speculate: default min-clock batch width (fixed width keeps
@@ -70,11 +68,14 @@ class ServiceConfig:
             (warm restarts); in-memory only when ``None``.
         allow_crash_probes: honour the crash-injection design
             (:data:`~repro.service.protocol.CRASH_DESIGN`); tests only.
+
+    Raises:
+        ValueError: a count is below 1, ``resolution_ps`` is not a
+            positive finite number, or ``deadline_s`` is negative or not
+            finite.
     """
 
     jobs: int = 2
-    batch_window_ms: float = 5.0
-    max_batch: int = 16
     queue_limit: int = 128
     deadline_s: float = 300.0
     latency_weight: float = 1e-3
@@ -85,6 +86,16 @@ class ServiceConfig:
     allow_crash_probes: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("jobs", "queue_limit", "speculate", "max_probes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, "
+                                 f"got {getattr(self, name)}")
+        if not (math.isfinite(self.resolution_ps) and self.resolution_ps > 0):
+            raise ValueError("resolution_ps must be a positive finite "
+                             f"number, got {self.resolution_ps}")
+        if not (math.isfinite(self.deadline_s) and self.deadline_s >= 0):
+            raise ValueError("deadline_s must be a finite number >= 0, "
+                             f"got {self.deadline_s}")
         self.latency_weight = check_latency_weight(self.latency_weight)
 
 
@@ -106,10 +117,6 @@ class ServiceStats:
     store_errors: int = 0
     client_disconnects: int = 0
     preloaded: int = 0
-    batches: int = 0
-    batch_items: int = 0
-    max_batch: int = 0
-    windowed_batches: int = 0
 
     def snapshot(self) -> dict:
         """Plain-dict view (the ``stats`` request's result payload)."""
@@ -118,8 +125,8 @@ class ServiceStats:
         payload["warm_hit_rate"] = self.warm_hits / served if served else 0.0
         payload["coalesce_rate"] = (self.coalesced / self.requests
                                     if self.requests else 0.0)
-        payload["mean_batch"] = (self.batch_items / self.batches
-                                 if self.batches else 0.0)
+        # Requests per pool dispatch: every cold miss is its own dispatch.
+        payload["mean_batch"] = 1.0 if self.cold_submitted else 0.0
         return payload
 
 
@@ -135,12 +142,11 @@ class _ServiceError:
 
 @dataclass
 class _Pending:
-    """One cold miss travelling from the queue to the pool."""
+    """One cold miss travelling to the pool."""
 
     key: str
     request: ServiceRequest
     future: asyncio.Future
-    work: dict = field(default_factory=dict)
 
 
 class SchedulingService:
@@ -151,22 +157,17 @@ class SchedulingService:
         self.stats = ServiceStats()
         self._results: dict[str, dict] = {}
         self._inflight: dict[str, asyncio.Future] = {}
-        self._queue: asyncio.Queue[_Pending] | None = None
-        self._batcher: asyncio.Task | None = None
-        self._batch_tasks: set[asyncio.Task] = set()
+        self._cold_tasks: set[asyncio.Task] = set()
         self._closing: asyncio.Event | None = None
         self._store: ArtifactStore | None = None
         self._pool: PersistentPool | None = None
-        self._ema_interarrival_s: float | None = None
-        self._last_arrival: float | None = None
 
     # ------------------------------------------------------------ lifecycle
 
     async def start(self) -> None:
-        """Open the store, preload the warm cache and start the batcher."""
-        if self._queue is not None:
+        """Open the store and preload the warm cache."""
+        if self._pool is not None:
             raise RuntimeError("service already started")
-        self._queue = asyncio.Queue(maxsize=max(1, self.config.queue_limit))
         self._closing = asyncio.Event()
         self._pool = shared_pool(self.config.jobs)
         if self.config.store_path is not None:
@@ -177,8 +178,6 @@ class SchedulingService:
                 if isinstance(result, dict):
                     self._results[record.key] = result
             self.stats.preloaded = len(self._results)
-        self._batcher = asyncio.create_task(self._batch_loop(),
-                                            name="service-batcher")
 
     @property
     def closing(self) -> bool:
@@ -197,32 +196,24 @@ class SchedulingService:
         await self._closing.wait()
 
     async def stop(self) -> None:
-        """Drain and stop: fail queued requests, finish running batches.
+        """Drain and stop: refuse new work, finish running cold misses.
 
         The shared worker pool is *not* closed -- the service does not
         own it (:func:`repro.parallel.close_shared_pool` is the owner's
         call, made by the CLI on process exit).
         """
-        if self._queue is None:
+        if self._pool is None:
             return
         self.request_shutdown()
-        if self._batcher is not None:
-            self._batcher.cancel()
-            await asyncio.gather(self._batcher, return_exceptions=True)
-            self._batcher = None
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
-            self._fail(item, _ServiceError(protocol.ERROR_SHUTDOWN,
-                                           "daemon is shutting down"))
-        if self._batch_tasks:
-            await asyncio.gather(*self._batch_tasks, return_exceptions=True)
-        self._queue = None
+        if self._cold_tasks:
+            await asyncio.gather(*self._cold_tasks, return_exceptions=True)
+        self._pool = None
 
     # ------------------------------------------------------------- serving
 
     async def handle(self, raw: object) -> dict:
         """Serve one decoded request object; always returns a response."""
-        if self._queue is None or self._closing is None:
+        if self._pool is None or self._closing is None:
             raise RuntimeError("service not started")
         self.stats.requests += 1
         started = time.perf_counter()
@@ -263,29 +254,28 @@ class SchedulingService:
         if future is not None:
             self.stats.coalesced += 1
             served = "coalesced"
+        elif len(self._inflight) >= self.config.queue_limit:
+            self.stats.rejected += 1
+            return error_response(
+                protocol.ERROR_OVERLOADED,
+                f"{self.config.queue_limit} cold misses already pending; "
+                "retry later", request=request)
         else:
-            self._note_arrival()
-            loop = asyncio.get_running_loop()
-            future = loop.create_future()
-            item = _Pending(key=key, request=request, future=future,
-                            work=work_item(request))
+            future = asyncio.get_running_loop().create_future()
             self._inflight[key] = future
-            try:
-                self._queue.put_nowait(item)
-            except asyncio.QueueFull:
-                self._inflight.pop(key, None)
-                self.stats.rejected += 1
-                return error_response(
-                    protocol.ERROR_OVERLOADED,
-                    f"cold-miss queue is full ({self.config.queue_limit} "
-                    "pending); retry later", request=request)
+            task = asyncio.create_task(
+                self._compute(_Pending(key=key, request=request,
+                                       future=future)),
+                name="service-cold")
+            self._cold_tasks.add(task)
+            task.add_done_callback(self._cold_tasks.discard)
             self.stats.cold_submitted += 1
             served = "cold"
 
         deadline = (request.deadline_s if request.deadline_s is not None
                     else self.config.deadline_s)
         try:
-            if deadline and deadline > 0:
+            if deadline > 0:
                 outcome = await asyncio.wait_for(asyncio.shield(future),
                                                  timeout=deadline)
             else:
@@ -303,96 +293,35 @@ class SchedulingService:
         return ok_response(request, outcome, served=served,
                            latency_s=time.perf_counter() - started)
 
-    # ------------------------------------------------------------- batching
+    # ------------------------------------------------------------ cold path
 
-    def _note_arrival(self) -> None:
-        """Update the cold-miss inter-arrival EMA (adaptive window input)."""
-        now = time.perf_counter()
-        if self._last_arrival is not None:
-            gap = now - self._last_arrival
-            if self._ema_interarrival_s is None:
-                self._ema_interarrival_s = gap
-            else:
-                self._ema_interarrival_s = (0.75 * self._ema_interarrival_s
-                                            + 0.25 * gap)
-        self._last_arrival = now
-
-    def _adaptive_window_s(self) -> float:
-        """How long the batcher may hold the current batch open.
-
-        Zero under sparse traffic (waiting would only add latency and
-        collect nothing); the configured window when cold misses arrive
-        faster than one window apart, so one pool dispatch carries many.
-        """
-        base = self.config.batch_window_ms / 1000.0
-        if base <= 0 or self._ema_interarrival_s is None:
-            return 0.0
-        return base if self._ema_interarrival_s < base else 0.0
-
-    async def _batch_loop(self) -> None:
-        assert self._queue is not None
-        loop = asyncio.get_running_loop()
-        while True:
-            batch = [await self._queue.get()]
-            while len(batch) < self.config.max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            window = self._adaptive_window_s()
-            if window > 0 and len(batch) < self.config.max_batch:
-                self.stats.windowed_batches += 1
-                deadline = loop.time() + window
-                while len(batch) < self.config.max_batch:
-                    remaining = deadline - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        batch.append(await asyncio.wait_for(
-                            self._queue.get(), timeout=remaining))
-                    except asyncio.TimeoutError:
-                        break
-            self.stats.batches += 1
-            self.stats.batch_items += len(batch)
-            self.stats.max_batch = max(self.stats.max_batch, len(batch))
-            task = asyncio.create_task(self._run_batch(batch),
-                                       name="service-batch")
-            self._batch_tasks.add(task)
-            task.add_done_callback(self._batch_tasks.discard)
-
-    async def _run_batch(self, batch: list[_Pending]) -> None:
-        assert self._pool is not None
-        loop = asyncio.get_running_loop()
-
-        async def evaluate(work: dict) -> dict:
-            # executor() inside the coroutine: a synchronous submit-time
-            # BrokenExecutor is then captured by gather like any other.
-            return await loop.run_in_executor(self._pool.executor(),
-                                              evaluate_request, work)
-
-        outcomes = await asyncio.gather(
-            *(evaluate(item.work) for item in batch), return_exceptions=True)
-        crashed = False
-        for item, outcome in zip(batch, outcomes):
-            if isinstance(outcome, BrokenExecutor):
-                crashed = True
-                self._fail(item, _ServiceError(
-                    protocol.ERROR_WORKER_CRASH,
-                    "a worker process died mid-batch; the pool was "
-                    "replaced, retry the request"))
-            elif isinstance(outcome, BaseException):
-                self.stats.internal_errors += 1
-                self._fail(item, _ServiceError(
-                    protocol.ERROR_INTERNAL,
-                    f"{type(outcome).__name__}: {outcome}"))
-            elif "error" in outcome:
+    async def _compute(self, item: _Pending) -> None:
+        """Run one cold miss on the pool and resolve its waiters."""
+        pool = self._pool
+        assert pool is not None
+        executor = pool.executor()
+        try:
+            outcome = await asyncio.get_running_loop().run_in_executor(
+                executor, evaluate_request, work_item(item.request))
+        except BrokenExecutor:
+            # Every request on the dead pool lands here; only the first
+            # one to report replaces the pool and counts the crash.
+            if pool.recover(executor):
+                self.stats.worker_crashes += 1
+            self._fail(item, _ServiceError(
+                protocol.ERROR_WORKER_CRASH,
+                "a worker process died; the pool was replaced, retry the "
+                "request"))
+        except Exception as error:
+            self.stats.internal_errors += 1
+            self._fail(item, _ServiceError(
+                protocol.ERROR_INTERNAL, f"{type(error).__name__}: {error}"))
+        else:
+            if "error" in outcome:
                 self._fail(item, _ServiceError(outcome["error"],
                                                outcome.get("message", "")))
             else:
                 self._finish(item, outcome["result"])
-        if crashed:
-            self.stats.worker_crashes += 1
-            self._pool.recover()
 
     def _finish(self, item: _Pending, result: dict) -> None:
         """Cache, persist and deliver one cold result (success path).

@@ -45,13 +45,13 @@ COMPUTE_KINDS = ("schedule", "min-clock", "min-ii")
 #: Typed error codes of ``{"ok": false}`` responses.
 ERROR_BAD_REQUEST = "bad-request"    # malformed/invalid request object
 ERROR_BAD_DESIGN = "bad-design"      # design name did not resolve
-ERROR_OVERLOADED = "overloaded"      # bounded queue full (backpressure)
+ERROR_OVERLOADED = "overloaded"      # queue_limit cold misses pending
 ERROR_DEADLINE = "deadline"          # no result within the deadline
-ERROR_WORKER_CRASH = "worker-crash"  # worker died mid-batch
+ERROR_WORKER_CRASH = "worker-crash"  # a pool worker died mid-request
 ERROR_SHUTDOWN = "shutting-down"     # daemon is draining
 ERROR_INTERNAL = "internal"          # unexpected evaluator exception
 
-#: Design name that makes a worker die mid-batch (``os._exit``).  Only
+#: Design name that makes a worker die mid-request (``os._exit``).  Only
 #: honoured when the daemon runs with ``allow_crash_probes`` (the fault
 #: injection tests); otherwise it is rejected as a bad request.
 CRASH_DESIGN = "crash!"

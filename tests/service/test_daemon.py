@@ -63,7 +63,7 @@ def _reference(design, clock):
 @pytest.mark.parametrize("design, clock", QUESTIONS)
 def test_coalescing_then_warm(design, clock):
     async def scenario():
-        service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0))
+        service = await _started(ServiceConfig(jobs=1))
         try:
             burst = await asyncio.gather(*(
                 service.handle(_schedule(design, clock, id=i))
@@ -141,13 +141,11 @@ def test_mixed_workload_serves_all_three_layers():
 
 def test_queue_full_is_a_typed_rejection():
     async def scenario():
-        service = await _started(ServiceConfig(jobs=1, queue_limit=1,
-                                               max_batch=1,
-                                               batch_window_ms=0.0))
+        service = await _started(ServiceConfig(jobs=1, queue_limit=1))
         try:
-            # Distinct clock periods -> distinct keys, no coalescing.  All
-            # three handle() calls enqueue synchronously before the
-            # batcher gets a turn, so only the first fits the queue.
+            # Distinct clock periods -> distinct keys, no coalescing.  The
+            # first cold miss is still pending when the other two arrive,
+            # so only it fits under the limit.
             results = await asyncio.gather(
                 *(service.handle(_schedule(clock=CLOCK + i, id=i))
                   for i in range(3)))
@@ -166,9 +164,44 @@ def test_queue_full_is_a_typed_rejection():
     asyncio.run(scenario())
 
 
+def test_queue_limit_holds_across_event_loop_turns():
+    """Cold misses arriving one loop turn apart still count against
+    ``queue_limit`` while earlier ones are pending or running."""
+    # A fresh single worker with cold caches keeps the first (min-clock)
+    # question running for far longer than the requests below take to
+    # arrive.
+    close_shared_pool()
+    questions = [{"kind": "min-clock", "design": "crc32", "id": "busy"}] + [
+        _schedule(clock=CLOCK + 10 * i, id=i) for i in range(4)]
+
+    async def scenario():
+        service = await _started(ServiceConfig(jobs=1, queue_limit=2))
+        try:
+            pending = []
+            for question in questions:
+                pending.append(asyncio.create_task(service.handle(question)))
+                await asyncio.sleep(0.001)
+            results = await asyncio.gather(*pending)
+            assert [r["ok"] for r in results] == [True, True, False, False,
+                                                  False]
+            for response in results[2:]:
+                assert response["error"] == "overloaded"
+            assert service.stats.rejected == 3
+            assert service.stats.cold_submitted == 2
+
+            # Once there is room, a rejected question is served cold.
+            retry = await service.handle(questions[2])
+            assert retry["ok"] is True and retry["served"] == "cold"
+            assert canonical_json(retry["result"]) == \
+                _reference(DESIGN, CLOCK + 10)
+        finally:
+            await service.stop()
+    asyncio.run(scenario())
+
+
 def test_deadline_miss_still_caches_the_result():
     async def scenario():
-        service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0))
+        service = await _started(ServiceConfig(jobs=1))
         try:
             missed = await service.handle(_schedule(deadline_s=1e-4))
             assert missed["ok"] is False
@@ -193,14 +226,14 @@ def test_worker_crash_fails_the_batch_and_recovers():
     close_shared_pool()
 
     async def scenario():
-        service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0,
+        service = await _started(ServiceConfig(jobs=1,
                                                allow_crash_probes=True))
         try:
             crash = {"kind": "schedule", "design": CRASH_DESIGN,
                      "clock_period_ps": 1000, "id": "boom"}
-            # Both requests enqueue before the batcher runs, so they share
-            # the single-worker batch; the crash takes the bystander down
-            # with a typed error rather than a hang.
+            # Both requests reach the single worker's executor before it
+            # dies; the crash takes the bystander down with a typed error
+            # rather than a hang, and replaces the pool once.
             results = await asyncio.gather(service.handle(crash),
                                            service.handle(_schedule(id="ok")))
             for response in results:
@@ -219,7 +252,7 @@ def test_worker_crash_fails_the_batch_and_recovers():
 
 def test_bad_design_is_a_typed_error_and_never_cached():
     async def scenario():
-        service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0))
+        service = await _started(ServiceConfig(jobs=1))
         try:
             first = await service.handle(_schedule(design="no-such-design"))
             assert first["ok"] is False and first["error"] == "bad-design"
@@ -239,7 +272,7 @@ def test_bad_design_is_a_typed_error_and_never_cached():
 ])
 def test_non_finite_design_clock_is_a_bad_design(design):
     async def scenario():
-        service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0))
+        service = await _started(ServiceConfig(jobs=1))
         try:
             for request in (_schedule(design=design),
                             {"kind": "min-ii", "design": design},
@@ -259,7 +292,7 @@ def test_infinite_ir_file_clock_is_a_bad_design(tmp_path):
     design.write_text(re.sub(r"(?m)^clock .*$", "clock inf", text))
 
     async def scenario():
-        service = await _started(ServiceConfig(jobs=1, batch_window_ms=0.0))
+        service = await _started(ServiceConfig(jobs=1))
         try:
             for request in (_schedule(design=str(design)),
                             {"kind": "min-ii", "design": str(design)},

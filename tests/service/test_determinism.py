@@ -1,5 +1,5 @@
 """Service responses must be deterministic: independent of the worker
-count, the batch window, interpreter hash randomisation -- and
+count and interpreter hash randomisation -- and
 byte-identical to the offline answers for the same questions.
 
 The cross-process checks run the daemon in subprocesses (different
@@ -39,15 +39,14 @@ from repro.store import canonical_json
 
 from tests.service.certify import certify_schedule_answer
 
-jobs, batch_window_ms = int(sys.argv[1]), float(sys.argv[2])
-requests = json.loads(sys.argv[3])
+jobs = int(sys.argv[1])
+requests = json.loads(sys.argv[2])
 
 async def main():
-    service = SchedulingService(ServiceConfig(jobs=jobs,
-                                              batch_window_ms=batch_window_ms))
+    service = SchedulingService(ServiceConfig(jobs=jobs))
     await service.start()
     try:
-        # Concurrently, so batching/coalescing paths are actually on.
+        # Concurrently, so the cold misses overlap on the pool.
         responses = await asyncio.gather(*(service.handle(dict(raw))
                                            for raw in requests))
         for response in responses:
@@ -63,7 +62,7 @@ finally:
 """
 
 
-def _run_service(jobs, batch_window_ms, hash_seed):
+def _run_service(jobs, hash_seed):
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -71,22 +70,22 @@ def _run_service(jobs, batch_window_ms, hash_seed):
         env.get("PYTHONPATH", "")
     completed = subprocess.run(
         [sys.executable, "-c", _SERVICE_SCRIPT, str(jobs),
-         str(batch_window_ms), json.dumps(REQUESTS)],
+         json.dumps(REQUESTS)],
         env=env, capture_output=True, text=True, timeout=300)
     assert completed.returncode == 0, completed.stderr
     return completed.stdout
 
 
-def test_results_are_independent_of_jobs_window_and_hashseed():
-    baseline = _run_service(1, 5.0, "0")
+def test_results_are_independent_of_jobs_and_hashseed():
+    baseline = _run_service(1, "0")
     results = json.loads(baseline)
     assert len(results) == len(REQUESTS)
     assert results[0]["feasible"] is True
     assert results[1]["feasible"] is False
-    # More workers, no batch window, different hash seeds: same bytes.
-    assert _run_service(3, 5.0, "0") == baseline
-    assert _run_service(1, 0.0, "31337") == baseline
-    assert _run_service(2, 5.0, "random") == baseline
+    # More workers, different hash seeds: same bytes.
+    assert _run_service(3, "0") == baseline
+    assert _run_service(1, "31337") == baseline
+    assert _run_service(2, "random") == baseline
 
 
 def _normalized(raw):
