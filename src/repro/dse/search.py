@@ -1,9 +1,12 @@
-"""The DSE driver: batched parallel probe evaluation over per-worker caches.
+"""The DSE driver: per-design searches over per-worker probe caches.
 
-One :func:`run_dse` call searches a list of designs with one strategy.
-Per design the driver loops ``next_batch`` -> evaluate -> ``process_outcome``
-until the optimizer converges; batches are fanned out over a persistent
-process pool (:class:`~repro.parallel.PersistentPool`), and every worker
+One design's search is one function: :func:`search_clock` (``minclock``
+and ``pareto``: loop ``next_batch`` -> evaluate -> ``process_outcome``
+until the optimizer converges) or :func:`search_min_ii` (``min-ii``).
+:func:`run_dse` runs them over a list of designs with batches fanned out
+over a persistent process pool (:class:`~repro.parallel.PersistentPool`);
+the scheduling service runs the same functions over one in-process
+cache, so its answers are the offline per-design entries.  Every worker
 process keeps its own module-global :class:`~repro.dse.warm.ProblemCache`
 so warm-start state accumulates worker-locally across batches and designs.
 Because warm-started probes are byte-identical to cold ones, the schedule
@@ -54,14 +57,13 @@ def reset_worker_caches() -> None:
     _CACHES.clear()
 
 
-def evaluate_probe(item: tuple[str, float, float]) -> ProbeOutcome:
-    """Pool entry point: evaluate one ``(design, period, latency_weight)``."""
-    design, clock_period_ps, latency_weight = item
-    return worker_cache(latency_weight).probe(design, clock_period_ps)
+def evaluate_probe(item: tuple[str, float]) -> ProbeOutcome:
+    """Pool entry point: evaluate one ``(design, period)`` probe."""
+    design, clock_period_ps = item
+    return worker_cache().probe(design, clock_period_ps)
 
 
-def evaluate_min_ii(item: tuple[str, float]
-                    ) -> tuple[ProbeOutcome, list[ProbeOutcome]]:
+def evaluate_min_ii(design: str) -> DesignSearchResult:
     """Pool entry point: run one design's whole minimum-II search in-worker.
 
     Unlike clock probes (one LP solve each, batched by the optimizer), a
@@ -69,8 +71,7 @@ def evaluate_min_ii(item: tuple[str, float]
     problem -- so the unit of parallelism is the design, and the II-axis
     warm-start reuse (``rebase_ii`` rhs patches) happens inside the worker.
     """
-    design, latency_weight = item
-    return worker_cache(latency_weight).min_ii_search(design)
+    return search_min_ii(worker_cache(), design)
 
 
 @dataclass
@@ -236,9 +237,7 @@ def _design_stats(probes: list[ProbeOutcome]) -> dict[str, float]:
 
 def make_optimizer(mode: str, design: str, start_clock_ps: float,
                    resolution_ps: float = 25.0, max_stages: int | None = None,
-                   bracket_factor: float = 2.0, max_probes: int = 96,
-                   points: int = 8, span: tuple[float, float] = (0.5, 2.0),
-                   refine_rounds: int = 1) -> Optimizer:
+                   max_probes: int = 96, points: int = 8) -> Optimizer:
     """Construct the optimizer for one design by mode name.
 
     Raises:
@@ -247,12 +246,10 @@ def make_optimizer(mode: str, design: str, start_clock_ps: float,
     if mode == "minclock":
         return MinClockOptimizer(design, start_clock_ps,
                                  resolution_ps=resolution_ps,
-                                 bracket_factor=bracket_factor,
                                  max_probes=max_probes,
                                  max_stages=max_stages)
     if mode == "pareto":
-        return ParetoOptimizer(design, start_clock_ps, points=points,
-                               span=span, refine_rounds=refine_rounds)
+        return ParetoOptimizer(design, start_clock_ps, points=points)
     raise ValueError(f"unknown DSE mode {mode!r}; expected one of "
                      + ", ".join(MODES))
 
@@ -276,29 +273,70 @@ def drive_optimizer(optimizer: Optimizer, evaluate, width: int
     return probes
 
 
+def search_clock(design: str, mode: str, start_clock_ps: float, evaluate,
+                 speculate: int, resolution_ps: float = 25.0,
+                 max_stages: int | None = None, max_probes: int = 96,
+                 points: int = 8) -> DesignSearchResult:
+    """One design's ``minclock`` or ``pareto`` search.
+
+    ``evaluate(batch)`` answers a list of clock periods with the matching
+    :class:`ProbeOutcome` list: :func:`run_dse` fans batches out over its
+    pool, the service probes one in-process cache.  The probed period
+    sequence depends only on ``speculate`` (the batch width), never on
+    who evaluates it.
+    """
+    started = time.perf_counter()
+    optimizer = make_optimizer(mode, design, start_clock_ps,
+                               resolution_ps=resolution_ps,
+                               max_stages=max_stages, max_probes=max_probes,
+                               points=points)
+    probes = drive_optimizer(optimizer, evaluate, speculate)
+    best = optimizer.best
+    front = optimizer.front() if mode == "pareto" else []
+    return DesignSearchResult(
+        design=design, mode=mode, start_clock_ps=start_clock_ps,
+        min_clock_ps=best.clock_period_ps if best else None,
+        converged=optimizer.converged, probes=probes, front=front,
+        stats=_design_stats(probes),
+        elapsed_s=time.perf_counter() - started)
+
+
+def search_min_ii(cache: ProblemCache, design: str,
+                  clock_period_ps: float | None = None) -> DesignSearchResult:
+    """One design's minimum-II search (:meth:`ProblemCache.min_ii_search`).
+
+    The search runs at ``clock_period_ps``, or at the design's registry
+    clock when omitted; ``probes`` holds one outcome per II candidate.
+    """
+    started = time.perf_counter()
+    final, probes = cache.min_ii_search(design, clock_period_ps)
+    return DesignSearchResult(
+        design=design, mode="min-ii", start_clock_ps=final.clock_period_ps,
+        min_clock_ps=None, min_ii=final.ii if final.feasible else None,
+        converged=final.feasible, probes=probes,
+        stats=_design_stats(probes),
+        elapsed_s=time.perf_counter() - started)
+
+
 def run_dse(designs: list[str], mode: str = "minclock", jobs: int = 1,
             speculate: int | None = None, resolution_ps: float = 25.0,
-            max_stages: int | None = None, bracket_factor: float = 2.0,
-            max_probes: int = 96, points: int = 8,
-            span: tuple[float, float] = (0.5, 2.0), refine_rounds: int = 1,
-            latency_weight: float = 1e-3, verbose: bool = False) -> DseResult:
+            max_stages: int | None = None, max_probes: int = 96,
+            points: int = 8, verbose: bool = False) -> DseResult:
     """Search every design and return the combined :class:`DseResult`.
 
     Args:
-        designs: registry or ``gen:`` design names.
-        mode: ``"minclock"`` or ``"pareto"``.
-        jobs: worker processes evaluating one batch in parallel.
+        designs: Table-I registry names, ``gen:``/``loop:`` specs or
+            ``.ir`` file paths.
+        mode: ``"minclock"``, ``"pareto"`` or ``"min-ii"``.
+        jobs: worker processes; clock modes evaluate one probe batch in
+            parallel, ``min-ii`` runs one whole design search per task.
         speculate: batch width (periods proposed per round); defaults to
             ``jobs``.  Fixing it decouples the probed period sequence from
             the worker count.
         resolution_ps: min-clock convergence threshold (bracket width).
         max_stages: optional pipeline-depth cap sharpening feasibility.
-        bracket_factor: geometric ladder factor of the bracketing phase.
         max_probes: per-design probe budget (min-clock mode).
         points: grid size of the Pareto sweep.
-        span: Pareto grid as multiples of the start period.
-        refine_rounds: Pareto front-refinement rounds.
-        latency_weight: LP tie-breaking weight (threaded to every probe).
         verbose: print one summary line per design as it finishes.
     """
     if mode not in MODES:
@@ -314,68 +352,45 @@ def run_dse(designs: list[str], mode: str = "minclock", jobs: int = 1,
     started = time.perf_counter()
     results: list[DesignSearchResult] = []
 
-    if mode == "min-ii":
-        # The min-II search is sequential per design (a bisection over one
-        # shared problem), so the pool parallelises across designs and each
-        # worker runs a whole search.
-        with PersistentPool(jobs) as pool:
-            outcomes = pool.map(evaluate_min_ii,
-                                [(name, latency_weight) for name, _ in cases])
-        for (name, case), (final, trace) in zip(cases, outcomes):
-            probes = list(trace)
-            result = DesignSearchResult(
-                design=name, mode=mode,
-                start_clock_ps=case.clock_period_ps,
-                min_clock_ps=None,
-                min_ii=final.ii if final.feasible else None,
-                converged=final.feasible, probes=probes,
-                stats=_design_stats(probes),
-                elapsed_s=final.solve_time_s)
-            results.append(result)
-            if verbose:
-                minimum = (f"II {result.min_ii}" if result.min_ii is not None
-                           else f"infeasible ({final.reason})")
-                print(f"[dse] {name}: {minimum} after {len(probes)} II "
-                      f"probes ({result.elapsed_s:.2f}s)")
-        return DseResult(mode=mode, resolution_ps=float(resolution_ps),
-                         max_stages=max_stages, jobs=jobs, speculate=width,
-                         designs=results,
-                         elapsed_s=time.perf_counter() - started)
-
-    with PersistentPool(jobs) as pool:
+    def searches(pool: PersistentPool):
+        if mode == "min-ii":
+            # The min-II search is sequential per design (a bisection over
+            # one shared problem), so the pool parallelises across designs
+            # and each worker runs a whole search.
+            yield from pool.map(evaluate_min_ii, [name for name, _ in cases])
+            return
         for name, case in cases:
-            optimizer = make_optimizer(
-                mode, name, case.clock_period_ps,
-                resolution_ps=resolution_ps, max_stages=max_stages,
-                bracket_factor=bracket_factor, max_probes=max_probes,
-                points=points, span=span, refine_rounds=refine_rounds)
-
             def evaluate(batch: list[float]) -> list[ProbeOutcome]:
                 return pool.map(evaluate_probe,
-                                [(name, period, latency_weight)
-                                 for period in batch])
+                                [(name, period) for period in batch])
 
-            design_started = time.perf_counter()
-            probes = drive_optimizer(optimizer, evaluate, width)
-            best = optimizer.best
-            front = optimizer.front() if hasattr(optimizer, "front") else []
-            result = DesignSearchResult(
-                design=name, mode=mode,
-                start_clock_ps=case.clock_period_ps,
-                min_clock_ps=best.clock_period_ps if best else None,
-                converged=optimizer.converged,
-                probes=probes, front=list(front),
-                stats=_design_stats(probes),
-                elapsed_s=time.perf_counter() - design_started)
+            yield search_clock(name, mode, case.clock_period_ps, evaluate,
+                               width, resolution_ps=resolution_ps,
+                               max_stages=max_stages, max_probes=max_probes,
+                               points=points)
+
+    with PersistentPool(jobs) as pool:
+        for result in searches(pool):
             results.append(result)
             if verbose:
-                minimum = (f"{result.min_clock_ps:.1f} ps"
-                           if result.min_clock_ps is not None else "n/a")
-                print(f"[dse] {name}: min clock {minimum} after "
-                      f"{len(probes)} probes "
-                      f"(warm hit rate {result.stats['warm_hit_rate']:.0%}, "
-                      f"{result.elapsed_s:.2f}s)")
+                print(_summary_line(result))
     return DseResult(mode=mode, resolution_ps=float(resolution_ps),
                      max_stages=max_stages, jobs=jobs, speculate=width,
                      designs=results,
                      elapsed_s=time.perf_counter() - started)
+
+
+def _summary_line(result: DesignSearchResult) -> str:
+    """The ``--verbose`` line of one finished design search."""
+    if result.mode == "min-ii":
+        # An empty trace means the budget check refused the clock outright.
+        minimum = (f"II {result.min_ii}" if result.min_ii is not None
+                   else f"infeasible ({'lp' if result.probes else 'budget'})")
+        return (f"[dse] {result.design}: {minimum} after "
+                f"{len(result.probes)} II probes ({result.elapsed_s:.2f}s)")
+    minimum = (f"{result.min_clock_ps:.1f} ps"
+               if result.min_clock_ps is not None else "n/a")
+    return (f"[dse] {result.design}: min clock {minimum} after "
+            f"{len(result.probes)} probes "
+            f"(warm hit rate {result.stats['warm_hit_rate']:.0%}, "
+            f"{result.elapsed_s:.2f}s)")

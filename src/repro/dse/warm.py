@@ -8,7 +8,7 @@ depends only on the design, or changes between periods in a tightly
 structured way.  The :class:`ProblemCache` exploits both levels:
 
 * a :class:`DesignContext` is built once per design and shared by every
-  probe (graph, delays, matrix, structural fingerprint);
+  probe (graph, delay matrix, structural fingerprint);
 * the solved :class:`~repro.sdc.problem.ScheduleProblem` of each feasible
   probe is retained, and a new probe warm-starts by cloning the problem of
   the *nearest* previously-solved period and retargeting it to the new
@@ -22,8 +22,8 @@ structured way.  The :class:`ProblemCache` exploits both levels:
 Warm-started probes are byte-identical to cold ones: the retargeted
 constraint arrays equal a from-scratch build's (see
 :meth:`ScheduleProblem.retarget`) and both paths run the one shared
-:func:`~repro.sdc.solver.solve_problem`, whose least optimal schedule is a
-function of the system alone.
+:func:`~repro.sdc.loops.min_feasible_ii`, whose least optimal schedule is
+a function of the system alone.
 The parity suite under ``tests/dse/`` enforces this on every probe.
 """
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping
 
 import numpy as np
 
@@ -43,7 +42,7 @@ from repro.sdc.loops import min_feasible_ii
 from repro.sdc.pipeline import count_pipeline_registers
 from repro.sdc.problem import ScheduleProblem
 from repro.sdc.scheduler import Schedule
-from repro.sdc.solver import SdcInfeasibleError, solve_problem
+from repro.sdc.solver import SdcInfeasibleError
 from repro.synth.fingerprint import subgraph_fingerprint
 from repro.tech.delay_model import OperatorModel
 from repro.tech.sky130 import sky130_library
@@ -56,7 +55,6 @@ class DesignContext:
     Attributes:
         name: registry (or ``gen:``) design name.
         graph: the built dataflow graph.
-        delays: isolated per-node delays (closed-form operator model).
         matrix: all-pairs critical-path delay matrix; *identical across
             clock periods*, which is what makes rebasing sound.
         index_of: node id -> matrix row/column.
@@ -74,7 +72,6 @@ class DesignContext:
 
     name: str
     graph: DataflowGraph
-    delays: dict[int, float] = field(repr=False)
     matrix: np.ndarray = field(repr=False)
     index_of: dict[int, int] = field(repr=False)
     worst_delay_ps: float
@@ -87,6 +84,18 @@ class DesignContext:
     def lower_bound_ps(self) -> float:
         """Analytic minimum feasible clock period (worst delay + overhead)."""
         return self.worst_delay_ps + self.register_overhead_ps
+
+    def budget_ps(self, clock_period_ps: float) -> float | None:
+        """The combinational stage budget at a clock period.
+
+        ``None`` when the budget is non-positive or below the worst
+        single-operation delay: no schedule exists, and no LP is needed
+        to say so.
+        """
+        budget = clock_period_ps - self.register_overhead_ps
+        if budget <= 0.0 or self.worst_delay_ps > budget:
+            return None
+        return budget
 
     def pair_rank(self, budget_ps: float) -> int:
         """How many off-diagonal pairs carry a timing constraint at a budget.
@@ -103,7 +112,7 @@ class DesignContext:
 
 
 def build_context(name: str) -> DesignContext:
-    """Build the per-design probe context (graph, delays, matrix, fingerprint)."""
+    """Build the per-design probe context (graph, matrix, fingerprint)."""
     case = case_from_name(name)
     graph = case.build()
     delays = node_delays(graph, OperatorModel())
@@ -120,8 +129,7 @@ def build_context(name: str) -> DesignContext:
     offdiag = np.asarray(matrix, dtype=float).copy()
     np.fill_diagonal(offdiag, NOT_CONNECTED)
     return DesignContext(
-        name=name, graph=graph, delays=delays, matrix=matrix,
-        index_of=index_of,
+        name=name, graph=graph, matrix=matrix, index_of=index_of,
         worst_delay_ps=max(delays.values(), default=0.0),
         register_overhead_ps=sky130_library().register_delay_ps,
         default_clock_ps=case.clock_period_ps,
@@ -195,6 +203,42 @@ class ProbeOutcome:
         }
 
 
+def _infeasible(context: DesignContext, period: float, reason: str,
+                **provenance) -> ProbeOutcome:
+    """The outcome of a probe with no schedule (see ``ProbeOutcome.reason``)."""
+    return ProbeOutcome(design=context.name, clock_period_ps=period,
+                        feasible=False, reason=reason, **provenance)
+
+
+def _feasible(context: DesignContext, period: float, ii: int,
+              stages: dict[int, int], **provenance) -> ProbeOutcome:
+    """The outcome of a probe whose schedule is ``stages`` at ``ii``."""
+    schedule = Schedule(graph=context.graph, clock_period_ps=period,
+                        stages=stages, ii=ii)
+    registers, _ = count_pipeline_registers(schedule)
+    return ProbeOutcome(design=context.name, clock_period_ps=period,
+                        feasible=True, num_stages=schedule.num_stages,
+                        num_registers=registers, ii=ii, stages=dict(stages),
+                        **provenance)
+
+
+def _solve(context: DesignContext, problem: ScheduleProblem, period: float,
+           start: float, on_probe=None, **provenance) -> ProbeOutcome:
+    """Solve ``problem`` at its minimum feasible II (1 for a DAG).
+
+    ``solve_time_s`` is measured from ``start``; ``on_probe`` sees every
+    II candidate (:func:`~repro.sdc.loops.min_feasible_ii`).
+    """
+    try:
+        ii, stages = min_feasible_ii(problem, on_probe=on_probe)
+    except SdcInfeasibleError:
+        return _infeasible(context, period, "lp",
+                           solve_time_s=time.perf_counter() - start,
+                           **provenance)
+    return _feasible(context, period, ii, stages,
+                     solve_time_s=time.perf_counter() - start, **provenance)
+
+
 class ProblemCache:
     """Per-process warm-start state of a clock-period search.
 
@@ -238,7 +282,7 @@ class ProblemCache:
         return context
 
     def _nearest_solved(self, design: str, clock_period_ps: float,
-                        pair_rank: int | None = None
+                        pair_rank: int
                         ) -> tuple[ScheduleProblem, dict[int, int], int] | None:
         """Solved (problem, schedule, rank) of the best donor period.
 
@@ -249,12 +293,9 @@ class ProblemCache:
         solved = self._solved.get(design)
         if not solved:
             return None
-        candidates = solved
-        if pair_rank is not None:
-            same_rank = {period: entry for period, entry in solved.items()
-                         if entry[2] == pair_rank}
-            if same_rank:
-                candidates = same_rank
+        same_rank = {period: entry for period, entry in solved.items()
+                     if entry[2] == pair_rank}
+        candidates = same_rank or solved
         donor_period = min(candidates,
                            key=lambda p: (abs(p - clock_period_ps), p))
         return candidates[donor_period]
@@ -265,7 +306,7 @@ class ProblemCache:
         The fast paths, in order: fingerprint memo (free), analytic budget
         rejection (free), clone-and-rebase from the nearest solved period
         (bound patches only), full cold build.  All solving paths go
-        through the shared :func:`~repro.sdc.solver.solve_problem`, so the
+        through the shared :func:`~repro.sdc.loops.min_feasible_ii`, so the
         returned schedule never depends on which path served the probe.
         """
         context = self.context(design)
@@ -279,26 +320,21 @@ class ProblemCache:
                            solution_reuse=False, lp_rebuild=False,
                            bound_patches=0, solve_time_s=0.0)
 
-        budget = period - context.register_overhead_ps
-        if budget <= 0.0 or context.worst_delay_ps > budget:
+        budget = context.budget_ps(period)
+        if budget is None:
             self.budget_skips += 1
-            outcome = ProbeOutcome(design=design, clock_period_ps=period,
-                                   feasible=False, reason="budget")
-            self._memo[key] = outcome
+            outcome = self._memo[key] = _infeasible(context, period, "budget")
             return outcome
 
         start = time.perf_counter()
         rank = context.pair_rank(budget)
-        donor = self._nearest_solved(design, period, pair_rank=rank)
-        reused = False
-        stages: dict[int, int] | None = None
+        donor = self._nearest_solved(design, period, rank)
+        warm_patched = False
+        patches = 0
         if donor is None:
             problem = ScheduleProblem(context.graph, context.matrix,
                                       context.index_of, budget,
                                       latency_weight=self.latency_weight)
-            warm_patched = False
-            patches = 0
-            self.cold_solves += 1
         else:
             donor_problem, donor_stages, donor_rank = donor
             problem = donor_problem.clone()
@@ -314,52 +350,28 @@ class ProblemCache:
                 # register weights and users map.
                 problem.timing_budget_ps = budget
                 problem.rebuild(context.matrix, context.index_of)
-                warm_patched = False
-                patches = 0
-            if warm_patched:
-                self.warm_solves += 1
-                if patches == 0:
-                    # The rebase touched nothing: the clone's system is
-                    # the donor's, and the solve's output (the least
-                    # optimal schedule) is a function of the system
-                    # alone, so a fresh solve would return exactly the
-                    # donor's schedule.
-                    reused = True
-                    stages = dict(donor_stages)
-                    self.reused_solutions += 1
-            else:
-                self.cold_solves += 1
 
-        if stages is None:
-            try:
-                if context.graph.has_back_edges:
-                    # Loop design: a clock probe resolves the minimum
-                    # feasible II at this period (in-place rebase_ii
-                    # probes over the same problem).
-                    _, stages = min_feasible_ii(problem)
-                else:
-                    stages = solve_problem(problem)
-            except SdcInfeasibleError:
-                outcome = ProbeOutcome(
-                    design=design, clock_period_ps=period, feasible=False,
-                    reason="lp", warm_patched=warm_patched,
-                    lp_rebuild=not warm_patched, bound_patches=patches,
-                    solve_time_s=time.perf_counter() - start)
-                self._memo[key] = outcome
-                return outcome
-
-        schedule = Schedule(graph=context.graph, clock_period_ps=period,
-                            stages=stages, ii=problem.ii)
-        registers, _ = count_pipeline_registers(schedule)
-        outcome = ProbeOutcome(
-            design=design, clock_period_ps=period, feasible=True,
-            num_stages=schedule.num_stages, num_registers=registers,
-            ii=problem.ii, stages=dict(stages), warm_patched=warm_patched,
-            solution_reuse=reused, lp_rebuild=not warm_patched,
-            bound_patches=patches,
-            solve_time_s=time.perf_counter() - start)
-        self._solved.setdefault(design, {})[period] = (problem, dict(stages),
-                                                       rank)
+        if warm_patched:
+            self.warm_solves += 1
+        else:
+            self.cold_solves += 1
+        provenance = dict(warm_patched=warm_patched,
+                          lp_rebuild=not warm_patched, bound_patches=patches)
+        if warm_patched and patches == 0:
+            # The rebase touched nothing: the clone's system is the
+            # donor's, and the solve's output (the least optimal schedule)
+            # is a function of the system alone, so a fresh solve would
+            # return exactly the donor's schedule.
+            self.reused_solutions += 1
+            outcome = _feasible(context, period, problem.ii, donor_stages,
+                                solution_reuse=True,
+                                solve_time_s=time.perf_counter() - start,
+                                **provenance)
+        else:
+            outcome = _solve(context, problem, period, start, **provenance)
+        if outcome.feasible:
+            self._solved.setdefault(design, {})[period] = (
+                problem, dict(outcome.stages), rank)
         self._memo[key] = outcome
         return outcome
 
@@ -387,11 +399,10 @@ class ProblemCache:
         context = self.context(design)
         period = float(clock_period_ps if clock_period_ps is not None
                        else context.default_clock_ps)
-        budget = period - context.register_overhead_ps
-        if budget <= 0.0 or context.worst_delay_ps > budget:
+        budget = context.budget_ps(period)
+        if budget is None:
             self.budget_skips += 1
-            return ProbeOutcome(design=design, clock_period_ps=period,
-                                feasible=False, reason="budget"), []
+            return _infeasible(context, period, "budget"), []
 
         start = time.perf_counter()
         problem = ScheduleProblem(context.graph, context.matrix,
@@ -402,75 +413,32 @@ class ProblemCache:
 
         def record(ii: int, feasible: bool,
                    stages: dict[int, int] | None) -> None:
-            num_stages = num_registers = None
-            if feasible and stages is not None:
-                probe_schedule = Schedule(graph=context.graph,
-                                          clock_period_ps=period,
-                                          stages=stages, ii=ii)
-                num_stages = probe_schedule.num_stages
-                num_registers, _ = count_pipeline_registers(probe_schedule)
-            trace.append(ProbeOutcome(
-                design=design, clock_period_ps=period, feasible=feasible,
-                reason="" if feasible else "lp", num_stages=num_stages,
-                num_registers=num_registers, ii=ii,
-                stages=dict(stages) if stages is not None else None,
-                warm_patched=ii > 1, bound_patches=problem.bound_patches))
+            provenance = dict(warm_patched=ii > 1,
+                              bound_patches=problem.bound_patches)
+            trace.append(
+                _feasible(context, period, ii, stages, **provenance)
+                if feasible else
+                _infeasible(context, period, "lp", ii=ii, **provenance))
 
-        try:
-            min_ii, stages = min_feasible_ii(problem, on_probe=record)
-        except SdcInfeasibleError:
-            return ProbeOutcome(
-                design=design, clock_period_ps=period, feasible=False,
-                reason="lp", lp_rebuild=True,
-                solve_time_s=time.perf_counter() - start), trace
+        final = _solve(context, problem, period, start, on_probe=record,
+                       lp_rebuild=True)
+        return replace(final, bound_patches=problem.bound_patches), trace
 
-        schedule = Schedule(graph=context.graph, clock_period_ps=period,
-                            stages=stages, ii=min_ii)
-        registers, _ = count_pipeline_registers(schedule)
-        final = ProbeOutcome(
-            design=design, clock_period_ps=period, feasible=True,
-            num_stages=schedule.num_stages, num_registers=registers,
-            ii=min_ii, stages=dict(stages), lp_rebuild=True,
-            bound_patches=problem.bound_patches,
-            solve_time_s=time.perf_counter() - start)
-        return final, trace
-
-    def cold_probe(self, design: str, clock_period_ps: float,
-                   matrix: np.ndarray | None = None,
-                   index_of: Mapping[int, int] | None = None) -> ProbeOutcome:
+    def cold_probe(self, design: str, clock_period_ps: float) -> ProbeOutcome:
         """A from-scratch reference probe bypassing every warm path.
 
         Used by the parity tests and the warm-vs-cold benchmark: builds a
         fresh :class:`~repro.sdc.problem.ScheduleProblem` (full constraint
         system, fresh LP) and solves it through the same
-        :func:`~repro.sdc.solver.solve_problem`.  Nothing is cached.
+        :func:`~repro.sdc.loops.min_feasible_ii`.  Nothing is cached.
         """
         context = self.context(design)
         period = float(clock_period_ps)
-        budget = period - context.register_overhead_ps
-        if budget <= 0.0 or context.worst_delay_ps > budget:
-            return ProbeOutcome(design=design, clock_period_ps=period,
-                                feasible=False, reason="budget")
+        budget = context.budget_ps(period)
+        if budget is None:
+            return _infeasible(context, period, "budget")
         start = time.perf_counter()
-        problem = ScheduleProblem(
-            context.graph,
-            context.matrix if matrix is None else matrix,
-            context.index_of if index_of is None else index_of,
-            budget, latency_weight=self.latency_weight)
-        try:
-            if context.graph.has_back_edges:
-                _, stages = min_feasible_ii(problem)
-            else:
-                stages = solve_problem(problem)
-        except SdcInfeasibleError:
-            return ProbeOutcome(design=design, clock_period_ps=period,
-                                feasible=False, reason="lp", lp_rebuild=True,
-                                solve_time_s=time.perf_counter() - start)
-        schedule = Schedule(graph=context.graph, clock_period_ps=period,
-                            stages=stages, ii=problem.ii)
-        registers, _ = count_pipeline_registers(schedule)
-        return ProbeOutcome(
-            design=design, clock_period_ps=period, feasible=True,
-            num_stages=schedule.num_stages, num_registers=registers,
-            ii=problem.ii, stages=dict(stages), lp_rebuild=True,
-            solve_time_s=time.perf_counter() - start)
+        problem = ScheduleProblem(context.graph, context.matrix,
+                                  context.index_of, budget,
+                                  latency_weight=self.latency_weight)
+        return _solve(context, problem, period, start, lp_rebuild=True)

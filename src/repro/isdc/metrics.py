@@ -27,8 +27,8 @@ class IterationRecord:
             paper's Fig. 7.
         runtime_s: wall-clock time spent in this iteration.
         solver_runtime_s: wall-clock time of the iteration's scheduling
-            re-solve (constraint/LP update or rebuild, LP solve, rounding
-            repair); for iteration 0 the baseline's constraint build + solve.
+            re-solve (constraint bound patches or rebuild, then the flow
+            solve); for iteration 0 the baseline's constraint build + solve.
         synthesis_runtime_s: wall-clock time spent extracting subgraphs and
             evaluating them through the downstream flow (0 for iteration 0).
     """

@@ -13,13 +13,13 @@ from repro.ir.graph import DataflowGraph
 from repro.sdc.constraints import ConstraintSystem
 from repro.sdc.delays import critical_path_matrix, node_delays
 from repro.sdc.flow import check_latency_weight
+from repro.sdc.loops import min_feasible_ii
 from repro.sdc.problem import (
     ScheduleProblem,
     build_system,
     register_weights,
     users_map,
 )
-from repro.sdc.solver import solve_problem
 from repro.tech.delay_model import OperatorModel
 
 __all__ = [
@@ -85,27 +85,27 @@ class SchedulingResult:
 
     Attributes:
         schedule: the resulting schedule.
-        delays: isolated per-node delays used for timing constraints.
         delay_matrix: all-pairs critical-path delay matrix (naive estimates).
         index_of: node id -> matrix row/column.
-        num_constraints: total difference constraints in the LP.
         runtime_s: wall-clock scheduling time in seconds.
-        constraints: the constraint system that was solved.
         problem: the persistent :class:`~repro.sdc.problem.ScheduleProblem`
-            built for the graph; the ISDC loop adopts it for all re-solves.
+            built for the graph (its ``system`` is the one that was
+            solved); the ISDC loop adopts it for all re-solves.
         solve_runtime_s: wall-clock time of constraint build + LP solve alone
             (excludes delay characterisation).
     """
 
     schedule: Schedule
-    delays: dict[int, float]
     delay_matrix: np.ndarray
     index_of: dict[int, int]
-    num_constraints: int
     runtime_s: float
-    constraints: ConstraintSystem = field(repr=False, default_factory=ConstraintSystem)
-    problem: ScheduleProblem | None = field(repr=False, default=None)
+    problem: ScheduleProblem = field(repr=False)
     solve_runtime_s: float = 0.0
+
+    @property
+    def num_constraints(self) -> int:
+        """Total difference constraints in the solved system."""
+        return len(self.problem.system)
 
 
 class SdcScheduler:
@@ -161,23 +161,16 @@ class SdcScheduler:
                                   self.timing_budget_ps,
                                   latency_weight=self.latency_weight,
                                   pin_sources=self.pin_sources)
-        if graph.has_back_edges:
-            # Pipelined loop: resolve the minimum feasible II by probing the
-            # persistent problem (in-place rebase_ii + warm re-solves).
-            from repro.sdc.loops import min_feasible_ii
-
-            ii, solution = min_feasible_ii(problem)
-        else:
-            ii = 1
-            solution = solve_problem(problem)
+        # The minimum feasible II: one solve at II 1 for a DAG, in-place
+        # rebase_ii probes of the persistent problem for a pipelined loop.
+        ii, solution = min_feasible_ii(problem)
         end_time = time.perf_counter()
         schedule = Schedule(graph=graph, clock_period_ps=self.clock_period_ps,
                             stages=solution, ii=ii)
-        return SchedulingResult(schedule=schedule, delays=delays,
-                                delay_matrix=matrix, index_of=index_of,
-                                num_constraints=len(problem.system),
+        return SchedulingResult(schedule=schedule, delay_matrix=matrix,
+                                index_of=index_of,
                                 runtime_s=end_time - start_time,
-                                constraints=problem.system, problem=problem,
+                                problem=problem,
                                 solve_runtime_s=end_time - solve_start)
 
     def _check_clock(self, graph: DataflowGraph, delays: dict[int, float]) -> None:

@@ -14,10 +14,13 @@ provenance and wall-clock never enter a result payload, so the served
 answer is byte-identical to the offline reference regardless of which
 worker (or which donor problem) computed it:
 
-* ``schedule`` results equal :meth:`ProblemCache.cold_probe` payloads;
-* ``min-clock`` / ``min-ii`` results equal the per-design entries of the
-  offline ``runner dse`` payload after
-  :func:`~repro.dse.search.deterministic_payload` stripping.
+* ``schedule`` results are one :meth:`ProblemCache.probe`, equal to a
+  :meth:`ProblemCache.cold_probe` payload;
+* ``min-clock`` / ``min-ii`` results run the DSE driver's own per-design
+  search (:func:`~repro.dse.search.search_clock` /
+  :func:`~repro.dse.search.search_min_ii`) over the worker's cache, so
+  they equal the per-design entries of the offline ``runner dse`` payload
+  after :func:`~repro.dse.search.deterministic_payload` stripping.
 """
 
 from __future__ import annotations
@@ -25,8 +28,7 @@ from __future__ import annotations
 import os
 
 from repro.dse.search import (NONDETERMINISTIC_KEYS, DesignSearchResult,
-                              _design_stats, drive_optimizer, make_optimizer,
-                              worker_cache)
+                              search_clock, search_min_ii, worker_cache)
 from repro.dse.warm import ProbeOutcome, ProblemCache
 from repro.service.protocol import (ERROR_BAD_DESIGN, ERROR_BAD_REQUEST)
 
@@ -53,44 +55,19 @@ def _strip(result: DesignSearchResult) -> dict:
 
 
 def min_clock_result(cache: ProblemCache, work: dict) -> dict:
-    """One design's full min-clock search, run inside a single worker.
-
-    Mirrors one design iteration of :func:`repro.dse.search.run_dse`
-    (same optimizer construction, same fixed ``speculate`` batch width),
-    so the stripped payload equals the offline per-design entry.
-    """
-    context = cache.context(work["design"])
-    optimizer = make_optimizer(
-        "minclock", work["design"], context.default_clock_ps,
-        resolution_ps=work["resolution_ps"], max_stages=work["max_stages"],
-        max_probes=work["max_probes"])
-
-    def evaluate(batch: list[float]) -> list[ProbeOutcome]:
-        return [cache.probe(work["design"], period) for period in batch]
-
-    probes = drive_optimizer(optimizer, evaluate, width=work["speculate"])
-    best = optimizer.best
-    return _strip(DesignSearchResult(
-        design=work["design"], mode="minclock",
-        start_clock_ps=context.default_clock_ps,
-        min_clock_ps=best.clock_period_ps if best else None,
-        converged=optimizer.converged, probes=probes,
-        stats=_design_stats(probes)))
+    """One design's min-clock search, every probe on ``cache`` in-process."""
+    design = work["design"]
+    return _strip(search_clock(
+        design, "minclock", cache.context(design).default_clock_ps,
+        lambda batch: [cache.probe(design, period) for period in batch],
+        work["speculate"], resolution_ps=work["resolution_ps"],
+        max_stages=work["max_stages"], max_probes=work["max_probes"]))
 
 
 def min_ii_result(cache: ProblemCache, work: dict) -> dict:
     """One design's minimum-II search (sequential by nature, one worker)."""
-    context = cache.context(work["design"])
-    final, trace = cache.min_ii_search(work["design"],
-                                       work["clock_period_ps"])
-    period = (work["clock_period_ps"] if work["clock_period_ps"] is not None
-              else context.default_clock_ps)
-    probes = list(trace)
-    return _strip(DesignSearchResult(
-        design=work["design"], mode="min-ii", start_clock_ps=float(period),
-        min_clock_ps=None, min_ii=final.ii if final.feasible else None,
-        converged=final.feasible, probes=probes,
-        stats=_design_stats(probes)))
+    return _strip(search_min_ii(cache, work["design"],
+                                work["clock_period_ps"]))
 
 
 def evaluate_request(work: dict) -> dict:
@@ -131,8 +108,7 @@ def reference_result(request_identity: dict) -> dict:
     additionally bypass every warm path via
     :meth:`~repro.dse.warm.ProblemCache.cold_probe`.
     """
-    work = dict(request_identity)
-    work["crash"] = False
+    work = request_identity
     cache = ProblemCache(latency_weight=work["latency_weight"])
     if work["kind"] == "schedule":
         outcome = cache.cold_probe(work["design"], work["clock_period_ps"])

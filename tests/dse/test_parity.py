@@ -134,10 +134,13 @@ def test_warm_searches_rebuild_fewer_lps():
     assert 1.0 - rebuilds / lp_probes >= 0.3, (rebuilds, lp_probes)
 
 
-def test_jobs_do_not_change_the_deterministic_payload():
+@pytest.mark.parametrize("mode, designs", [
+    ("minclock", [gen_design(7)]),
+    ("pareto", ["rrot", gen_design(7)]),
+])
+def test_jobs_do_not_change_the_deterministic_payload(mode, designs):
     """--jobs 1 and --jobs 2 probe identical periods at fixed --speculate."""
-    designs = [gen_design(7)]
-    kwargs = dict(mode="minclock", speculate=3, resolution_ps=10.0,
+    kwargs = dict(mode=mode, speculate=3, resolution_ps=10.0,
                   max_probes=48)
     serial = run_dse(designs, jobs=1, **kwargs)
     parallel = run_dse(designs, jobs=2, **kwargs)
