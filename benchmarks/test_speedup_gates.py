@@ -62,8 +62,9 @@ LADDER_SPEEDUP_FLOOR = 0.8 * 4.544
 
 #: List-based logic optimiser over the historical Netlist-based passes
 #: (``tests/netlist/reference_optimizer.py``) on the
-#: :data:`OPTIMIZER_GATED_DESIGNS` stage netlists.
-OPTIMIZER_SPEEDUP_FLOOR = 2.0
+#: :data:`OPTIMIZER_GATED_DESIGNS` stage netlists: 0.8 x 6.09, the
+#: recorded speedup (0.528 s -> 0.087 s) less a 20% regression allowance.
+OPTIMIZER_SPEEDUP_FLOOR = 0.8 * 6.09
 
 #: Table-I rows whose baseline-schedule stages the optimiser gate times:
 #: the four rows ``perfbench``'s ``isdc-cold`` workload synthesizes.

@@ -86,6 +86,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import sys
 import time
 from pathlib import Path
 from typing import Any, NoReturn
@@ -188,8 +190,6 @@ def run_experiment(name: str, quick: bool = False, jobs: int = 1) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
-        import sys
-
         argv = sys.argv[1:]
     if argv and argv[0] == "report":
         # The report subcommand has its own positional grammar (inputs,
@@ -326,5 +326,25 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def cli() -> int:
+    """The command line: :func:`main` on ``sys.argv``.
+
+    A reader that closes standard output early (``runner ... | head -1``)
+    ends every subcommand quietly with exit status 1, not a traceback.
+    """
+    try:
+        try:
+            return main()
+        finally:
+            # Buffered output must meet a closed pipe here, not at exit.
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; point it at devnull so that
+        # flush cannot fail too (the ``signal`` module documentation's advice).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
 if __name__ == "__main__":  # pragma: no cover - exercised via CLI
-    raise SystemExit(main())
+    raise SystemExit(cli())

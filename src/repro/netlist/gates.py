@@ -47,9 +47,9 @@ class GateKind(enum.Enum):
     MAJ3 = "maj3"
 
     def __init__(self, value: str) -> None:
-        # Plain per-member attributes rather than properties over a dict:
-        # they sit on every gate-count, ``Netlist.add_gate``, area and STA
-        # path.
+        # Plain per-member attributes rather than properties over a dict;
+        # per-gate loops read per-code tables built from them (indexed by
+        # ``kind.code``) instead.
         #: True for primary inputs and tie cells (gates with no driving
         #: logic).
         self.is_source = value in ("input", "const0", "const1")

@@ -7,9 +7,12 @@ from typing import Iterable
 from repro.netlist.gates import GateKind, GATE_FUNCTIONS
 from repro.tech.library import TechLibrary
 
-#: Per kind code (enum definition order): the member and its truth table.
+#: Per kind code (enum definition order): the member, its truth table, its
+#: input-pin count and whether it is a source (primary input or tie cell).
 _KINDS = list(GateKind)
 _FUNCTIONS = [GATE_FUNCTIONS.get(kind) for kind in _KINDS]
+_NUM_INPUTS = [kind.num_inputs for kind in _KINDS]
+_IS_SOURCE = [kind.is_source for kind in _KINDS]
 _INPUT = GateKind.INPUT.code
 
 
@@ -53,8 +56,8 @@ class Netlist:
         netlist.operands = operands
         netlist.names = names
         netlist._outputs = outputs
-        netlist._num_logic = sum(
-            1 for code in kinds if not _KINDS[code].is_source)
+        netlist._num_logic = len(kinds) - sum(map(_IS_SOURCE.__getitem__,
+                                                  kinds))
         return netlist
 
     # ------------------------------------------------------------------ build
@@ -67,18 +70,20 @@ class Netlist:
             KeyError: if an input gate id does not exist.
             ValueError: if the input count does not match the gate kind.
         """
+        code = kind.code
         operands = tuple(inputs)
-        if len(operands) != kind.num_inputs:
+        if len(operands) != _NUM_INPUTS[code]:
             raise ValueError(
                 f"{kind.value} expects {kind.num_inputs} inputs, got {len(operands)}")
-        gate_id = len(self.kinds)
+        kinds = self.kinds
+        gate_id = len(kinds)
         for operand in operands:
-            if not 0 <= operand < gate_id:
+            if operand >= gate_id or operand < 0:
                 raise KeyError(f"input gate {operand} not in netlist {self.name!r}")
-        self.kinds.append(kind.code)
+        kinds.append(code)
         self.operands.append(operands)
         self.names.append(name)
-        if not kind.is_source:
+        if not _IS_SOURCE[code]:
             self._num_logic += 1
         return gate_id
 

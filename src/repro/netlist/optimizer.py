@@ -17,18 +17,47 @@ code ``kinds[i]`` (:data:`~repro.netlist.gates.KIND_CODES`) with operands
 ``inputs[i]`` -- the same aligned lists a
 :class:`~repro.netlist.netlist.Netlist` holds, so the input netlist's lists
 are the first pass's input and the last pass's output is wrapped, not
-rebuilt.  The rewriter (``_Rewriter``) numbers gates in emission order, so
-every operand precedes its user; its dead-gate elimination (``prune``) then
-renumbers the kept gates in their deterministic Kahn order (ascending ready
-set, FIFO queue, distinct users ascending; :func:`_kahn_order_numbered`).
-A list numbered that way is its own Kahn order, so the next pass walks ids
-``0..n-1`` and times them with one in-order
-:func:`~repro.netlist.sta.arrival_sweep`; only the input netlist needs a
-Kahn order computed.  The report's :class:`~repro.netlist.sta.TimingResult`
-(which it carries so callers need not time the output again) is one
+rebuilt.
+
+* **strash** walks its input in Kahn order and re-emits every gate through
+  the rewriter (``_Rewriter``): constant folding, identity rewrites and
+  structural hashing.  **balance** is the same walk over the strash output,
+  except that an AND/OR/XOR gate heading a single-fanout same-kind tree of
+  more than two leaves is rebuilt from the leaves, earliest arrival first.
+  Both are :meth:`LogicOptimizer._rewrite_pass`.
+* The rewriter numbers gates in emission order, so every operand precedes
+  its user; its dead-gate elimination (``prune``) then renumbers the kept
+  gates in their deterministic Kahn order (ascending ready set, FIFO queue,
+  distinct users ascending; :func:`_kahn_order_numbered`).  A list numbered
+  that way is its own Kahn order, so the next pass walks ids ``0..n-1`` and
+  times them with one in-order :func:`~repro.netlist.sta.arrival_sweep`;
+  only the input netlist needs a Kahn order computed.  A netlist without
+  outputs is never pruned: every gate keeps its emission id, so its passes
+  compute each Kahn order explicitly.
+* The last **strash** is computed in closed form (:func:`_strash_emitted`):
+  renumber the balance output in its Kahn order (the identity for a pruned
+  list) and sort each commutative gate's operands.  This is exact because
+  balance emits every gate through the rewriter, so its list is already
+  folded and hashed: whether a rule or a hash hit fires depends only on
+  kinds, on which operands are equal or constant and on ``INV`` under
+  ``INV``, all of which a one-to-one renumbering keeps.  A full pass would
+  therefore emit each gate once, in its Kahn order, prune nothing (every
+  gate already reaches an output or is a primary input), and change only
+  the order of commutative operands, which its hash keys sort.
+
+The passes' hot loops handle the common cases themselves, each gate costing
+a few list reads and one dict probe: a two-input gate with distinct,
+non-constant operands; ``INV`` of a non-constant (collapsing
+``INV(INV x)``); ``MAJ3`` of three distinct non-constants; ``MUX2`` of
+three non-constants with distinct data inputs; and, in balance, each merge
+of a rebuilt tree.  No rule of ``_Rewriter._simplify`` applies to
+those, so they go straight to the structural hash; everything else falls
+back to :meth:`_Rewriter.emit`.  Hash keys are ints packing the operand ids
+and the kind code (:func:`_hash_key`), so a probe allocates no tuple.
+
+The report's :class:`~repro.netlist.sta.TimingResult` (which it carries so
+callers need not time the output again) is one
 :meth:`~repro.netlist.sta.StaticTimingAnalysis.run` of the output netlist.
-A netlist without outputs is never pruned: every gate keeps its emission
-id, so its passes compute each Kahn order explicitly.
 
 ``tests/netlist/reference_optimizer.py`` keeps the historical
 ``Netlist``-based passes as the executable specification this must match
@@ -67,17 +96,38 @@ _ANDN2 = GateKind.ANDN2.code
 _MUX2 = GateKind.MUX2.code
 _MAJ3 = GateKind.MAJ3.code
 
-#: Per kind code (enum definition order): the member, its truth table and
-#: its tie-cell value.
-_KINDS = list(GateKind)
-_FUNCTIONS = [GATE_FUNCTIONS.get(kind) for kind in _KINDS]
-_CONSTANT_OF = [0 if code == _CONST0 else 1 if code == _CONST1 else None
-                for code in range(len(_KINDS))]
-
 _COMMUTATIVE_GATES = frozenset(
     (_AND2, _OR2, _NAND2, _NOR2, _XOR2, _XNOR2, _MAJ3))
 _ASSOCIATIVE_GATES = frozenset((_AND2, _OR2, _XOR2))
 _TWO_INPUT_GATES = frozenset((_AND2, _OR2, _XOR2, _XNOR2, _NAND2, _NOR2))
+
+#: Per kind code (enum definition order): the member, its truth table, its
+#: tie-cell value, whether it is a tie cell and whether it is commutative.
+_KINDS = list(GateKind)
+_FUNCTIONS = [GATE_FUNCTIONS.get(kind) for kind in _KINDS]
+_CONSTANT_OF = [0 if code == _CONST0 else 1 if code == _CONST1 else None
+                for code in range(len(_KINDS))]
+_IS_CONSTANT = tuple(value is not None for value in _CONSTANT_OF)
+_IS_COMMUTATIVE = tuple(code in _COMMUTATIVE_GATES
+                        for code in range(len(_KINDS)))
+
+#: Packed keys hold each operand id in 32 bits and the kind code in the low
+#: 4.  Every kind has a fixed arity, so keys are one-to-one while ids stay
+#: below 2**32.
+_ID_MASK = (1 << 32) - 1
+
+
+def _hash_key(kind: int, inputs: tuple[int, ...]) -> int:
+    """The structural-hash key of a gate: operands packed, then the kind.
+
+    The passes' inline fast paths spell the same key out per arity
+    (``a << 4 | kind``, ``a << 36 | b << 4 | kind``,
+    ``a << 68 | b << 36 | c << 4 | kind``).
+    """
+    key = 0
+    for operand in inputs:
+        key = key << 32 | operand
+    return key << 4 | kind
 
 
 @dataclass(frozen=True)
@@ -109,16 +159,19 @@ class _Rewriter:
     """Collects a rewritten gate list, applying local rewrites and hashing.
 
     Gates are numbered here, in emission order, so every operand precedes
-    its user; :meth:`prune` turns the list into the pass's output.
+    its user; :meth:`prune` turns the list into the pass's output.  The
+    passes' fast paths append to ``kinds``/``inputs``/``names`` and probe
+    ``memo`` directly, with the keys :meth:`emit` uses.
     """
 
-    __slots__ = ("kinds", "inputs", "names", "_memo", "_const")
+    __slots__ = ("kinds", "inputs", "names", "memo", "_const")
 
     def __init__(self) -> None:
         self.kinds: list[int] = []
         self.inputs: list[tuple[int, ...]] = []
         self.names: list[str] = []
-        self._memo: dict[tuple, int] = {}
+        #: Structural hash: :func:`_hash_key` -> gate id.
+        self.memo: dict[int, int] = {}
         self._const = [-1, -1]
 
     # ----------------------------------------------------------------- plumbing
@@ -167,14 +220,8 @@ class _Rewriter:
                 keep[gate_id] = True
         order = _kahn_order_numbered(
             [gate_id for gate_id, kept in enumerate(keep) if kept], inputs)
-        new_id = [0] * len(kinds)
-        for position, gate_id in enumerate(order):
-            new_id[gate_id] = position
-        remap = new_id.__getitem__
-        return ([kinds[gate_id] for gate_id in order],
-                [tuple(map(remap, inputs[gate_id])) for gate_id in order],
-                [names[gate_id] for gate_id in order],
-                [new_id[output] for output in outputs])
+        kinds, inputs, names, new_id = _renumber(kinds, inputs, names, order)
+        return kinds, inputs, names, [new_id[output] for output in outputs]
 
     # ------------------------------------------------------------------- emit
 
@@ -194,10 +241,10 @@ class _Rewriter:
 
         if kind in _COMMUTATIVE_GATES:
             inputs = tuple(sorted(inputs))
-        key = (kind, inputs)
-        gate_id = self._memo.get(key)
+        key = _hash_key(kind, inputs)
+        gate_id = self.memo.get(key)
         if gate_id is None:
-            gate_id = self._memo[key] = self._record(kind, inputs, name)
+            gate_id = self.memo[key] = self._record(kind, inputs, name)
         return gate_id
 
     def _simplify(self, kind: int, inputs: tuple[int, ...],
@@ -292,29 +339,53 @@ def _kahn_order_numbered(ids: Sequence[int], inputs: Sequence[tuple[int, ...]]
 
     ``ids`` are ascending and closed under fan-in, and every operand in
     ``inputs`` is numbered below its user.  The rule is ``_kahn_order``'s:
-    ascending ready set, FIFO queue, distinct users ascending.  Users are
-    collected by scanning ``ids`` in ascending order, one entry per distinct
-    operand, so each user list is already distinct and ascending.
+    ascending ready set, FIFO queue, distinct users ascending.  So the
+    queue starts with the input-less gates in ascending order, and every
+    other gate joins it when its last operand leaves it, behind that
+    operand's lower-numbered users: gates follow in ascending (position of
+    the latest operand, id).  A gate's latest operand is one level below it
+    (level: the longest path from an input-less gate), so the queue holds
+    whole levels in turn, and the order is each level in turn, sorted by
+    that pair packed into one int.  Nothing is allocated per gate but the
+    key.
     """
-    indegree = [0] * len(inputs)
-    users: list[list[int]] = [[] for _ in inputs]
-    order: list[int] = []
+    # ``place`` holds each gate's level until its level is placed, then its
+    # position: a level's keys read only positions of lower levels.
+    place = [0] * len(inputs)
+    levels: list[list[int]] = [[]]
     for gate_id in ids:
         operands = inputs[gate_id]
         if not operands:
-            order.append(gate_id)
+            levels[0].append(gate_id)
             continue
-        if len(operands) > 1:
-            operands = set(operands)
-        indegree[gate_id] = len(operands)
+        level = 0
         for operand in operands:
-            users[operand].append(gate_id)
-    # ``order`` doubles as the FIFO queue: the loop visits what it appends.
-    for gate_id in order:
-        for user in users[gate_id]:
-            indegree[user] -= 1
-            if not indegree[user]:
-                order.append(user)
+            if place[operand] > level:
+                level = place[operand]
+        level += 1
+        place[gate_id] = level
+        if level == len(levels):
+            levels.append([gate_id])
+        else:
+            levels[level].append(gate_id)
+    order = levels[0]
+    for position, gate_id in enumerate(order):
+        place[gate_id] = position
+    for level_ids in levels[1:]:
+        keys = []
+        for gate_id in level_ids:
+            latest = 0
+            for operand in inputs[gate_id]:
+                if place[operand] > latest:
+                    latest = place[operand]
+            keys.append(latest << 32 | gate_id)
+        keys.sort()
+        position = len(order)
+        for key in keys:
+            gate_id = key & _ID_MASK
+            place[gate_id] = position
+            position += 1
+            order.append(gate_id)
     return order
 
 
@@ -328,6 +399,64 @@ def _kahn_order_of(gates: _GateList) -> Sequence[int]:
     if outputs:
         return range(len(kinds))
     return _kahn_order_numbered(range(len(kinds)), inputs)
+
+
+def _renumber(kinds: list[int], inputs: list[tuple[int, ...]],
+              names: list[str], order: Sequence[int]
+              ) -> tuple[list[int], list[tuple[int, ...]], list[str], list[int]]:
+    """The gates of ``order`` numbered by their position in it.
+
+    Returns the renumbered kinds, inputs and names and the new id per old
+    id (meaningful for the gates in ``order`` only).
+    """
+    new_id = [0] * len(kinds)
+    for position, gate_id in enumerate(order):
+        new_id[gate_id] = position
+    remap = new_id.__getitem__
+    return ([kinds[gate_id] for gate_id in order],
+            [tuple(map(remap, inputs[gate_id])) for gate_id in order],
+            [names[gate_id] for gate_id in order],
+            new_id)
+
+
+def _strash_emitted(gates: _GateList) -> _GateList:
+    """A strash pass over a list the rewriter emitted, in closed form.
+
+    The list is renumbered in its Kahn order (the identity for a pruned
+    list) and each commutative gate's operands are sorted; the module
+    docstring says why nothing else can change.
+    """
+    kinds, inputs, names, outputs = gates
+    if not outputs:
+        kinds, inputs, names, _ = _renumber(
+            kinds, inputs, names,
+            _kahn_order_numbered(range(len(kinds)), inputs))
+    is_commutative = _IS_COMMUTATIVE
+    sorted_inputs = []
+    for kind, operands in zip(kinds, inputs):
+        if is_commutative[kind]:
+            if len(operands) == 2:
+                if operands[0] > operands[1]:
+                    operands = (operands[1], operands[0])
+            else:
+                operands = tuple(sorted(operands))
+        sorted_inputs.append(operands)
+    return kinds, sorted_inputs, names, outputs
+
+
+def _tree_leaves(root_id: int, kind: int, kinds: list[int],
+                 inputs: list[tuple[int, ...]], fanout: list[int]
+                 ) -> list[int]:
+    """Leaves of the maximal single-fanout same-kind tree under ``root_id``."""
+    leaves: list[int] = []
+    stack = list(inputs[root_id])
+    while stack:
+        current = stack.pop()
+        if kinds[current] == kind and fanout[current] == 1:
+            stack.extend(inputs[current])
+        else:
+            leaves.append(current)
+    return leaves
 
 
 class LogicOptimizer:
@@ -346,66 +475,99 @@ class LogicOptimizer:
 
     # ------------------------------------------------------------------ passes
 
-    @staticmethod
-    def _strash_pass(gates: _GateList, order: Sequence[int]) -> _GateList:
-        """Constant folding + identity rewrites + structural hashing + DCE."""
+    def _rewrite_pass(self, gates: _GateList, order: Sequence[int],
+                      balance: bool) -> _GateList:
+        """One strash pass (constant folding, identity rewrites, structural
+        hashing, dead-gate elimination) or, with ``balance``, one balance
+        pass (the same, plus AND/OR/XOR trees rebuilt by arrival time)."""
         kinds, inputs, names, outputs = gates
         rewriter = _Rewriter()
+        new_kinds, new_inputs, new_names = (rewriter.kinds, rewriter.inputs,
+                                            rewriter.names)
+        memo = rewriter.memo
+        emit = rewriter.emit
+        is_constant = _IS_CONSTANT
+        if balance:
+            arrival = arrival_sweep(kinds, inputs, self._sta.code_delays)
+            fanout = [0] * len(kinds)
+            for operands in inputs:
+                for operand in operands:
+                    fanout[operand] += 1
         mapping = [0] * len(kinds)
-        remap = mapping.__getitem__
         for gate_id in order:
             kind = kinds[gate_id]
-            if kind == _INPUT:
-                mapping[gate_id] = rewriter.add_input(names[gate_id])
-            elif kind == _CONST0 or kind == _CONST1:
-                mapping[gate_id] = rewriter.constant(1 if kind == _CONST1 else 0)
-            else:
-                mapping[gate_id] = rewriter.emit(
-                    kind, tuple(map(remap, inputs[gate_id])), names[gate_id])
-        return rewriter.prune([mapping[output] for output in outputs])
-
-    def _balance_pass(self, gates: _GateList, order: Sequence[int]
-                      ) -> _GateList:
-        """Rebalance AND/OR/XOR trees using arrival times."""
-        kinds, inputs, names, outputs = gates
-        arrival = arrival_sweep(kinds, inputs, self._sta.code_delays)
-        fanout_count = [0] * len(kinds)
-        for operands in inputs:
-            for operand in operands:
-                fanout_count[operand] += 1
-
-        rewriter = _Rewriter()
-        mapping = [0] * len(kinds)
-        remap = mapping.__getitem__
-
-        def collect_leaves(root_id: int, kind: int) -> list[int]:
-            """Leaves of the maximal single-fanout same-kind tree under root."""
-            leaves: list[int] = []
-            stack = list(inputs[root_id])
-            while stack:
-                current = stack.pop()
-                if kinds[current] == kind and fanout_count[current] == 1:
-                    stack.extend(inputs[current])
-                else:
-                    leaves.append(current)
-            return leaves
-
-        for gate_id in order:
-            kind = kinds[gate_id]
-            if kind == _INPUT:
-                mapping[gate_id] = rewriter.add_input(names[gate_id])
-                continue
-            if kind == _CONST0 or kind == _CONST1:
-                mapping[gate_id] = rewriter.constant(1 if kind == _CONST1 else 0)
-                continue
-            if kind in _ASSOCIATIVE_GATES:
-                leaves = collect_leaves(gate_id, kind)
-                if len(leaves) > 2:
+            operands = inputs[gate_id]
+            count = len(operands)
+            # Each fast path leaves ``key`` and the rewritten ``operands``
+            # for the structural hash below, or ``continue``s.
+            if count == 2:
+                x, y = operands
+                if balance and kind in _ASSOCIATIVE_GATES and (
+                        (kinds[x] == kind and fanout[x] == 1)
+                        or (kinds[y] == kind and fanout[y] == 1)):
+                    # An operand extends the tree, so it has > 2 leaves.
                     mapping[gate_id] = self._build_balanced(
-                        rewriter, kind, leaves, mapping, arrival)
+                        rewriter, kind,
+                        _tree_leaves(gate_id, kind, kinds, inputs, fanout),
+                        mapping, arrival)
                     continue
-            mapping[gate_id] = rewriter.emit(
-                kind, tuple(map(remap, inputs[gate_id])), names[gate_id])
+                a = mapping[x]
+                b = mapping[y]
+                if (a == b or is_constant[new_kinds[a]]
+                        or is_constant[new_kinds[b]]):
+                    mapping[gate_id] = emit(kind, (a, b), names[gate_id])
+                    continue
+                if a > b and kind != _ANDN2:
+                    a, b = b, a
+                key = a << 36 | b << 4 | kind
+                operands = (a, b)
+            elif count == 1:
+                a = mapping[operands[0]]
+                if kind == _BUF:
+                    mapping[gate_id] = a
+                    continue
+                inner = new_kinds[a]
+                if inner == _INV:
+                    mapping[gate_id] = new_inputs[a][0]
+                    continue
+                if is_constant[inner]:
+                    mapping[gate_id] = emit(kind, (a,), names[gate_id])
+                    continue
+                key = a << 4 | kind
+                operands = (a,)
+            elif count == 3:
+                x, y, z = operands
+                a = mapping[x]
+                b = mapping[y]
+                c = mapping[z]
+                if (b == c or is_constant[new_kinds[a]]
+                        or is_constant[new_kinds[b]]
+                        or is_constant[new_kinds[c]]
+                        or (kind == _MAJ3 and (a == b or a == c))):
+                    mapping[gate_id] = emit(kind, (a, b, c), names[gate_id])
+                    continue
+                if kind == _MAJ3:
+                    if a > b:
+                        a, b = b, a
+                    if b > c:
+                        b, c = c, b
+                        if a > b:
+                            a, b = b, a
+                key = a << 68 | b << 36 | c << 4 | kind
+                operands = (a, b, c)
+            elif kind == _INPUT:
+                mapping[gate_id] = rewriter.add_input(names[gate_id])
+                continue
+            else:
+                mapping[gate_id] = rewriter.constant(_CONSTANT_OF[kind])
+                continue
+            new_id = memo.get(key)
+            if new_id is None:
+                new_id = memo[key] = len(new_kinds)
+                new_kinds.append(kind)
+                new_inputs.append(operands)
+                new_names.append(names[gate_id])
+            mapping[gate_id] = new_id
         return rewriter.prune([mapping[output] for output in outputs])
 
     def _build_balanced(self, rewriter: _Rewriter, kind: int,
@@ -413,15 +575,33 @@ class LogicOptimizer:
                         arrival: list[float]) -> int:
         """Merge leaves pairwise, earliest arrival first (Huffman style)."""
         delay = self._sta.code_delays[kind]
+        new_kinds, new_inputs, new_names = (rewriter.kinds, rewriter.inputs,
+                                            rewriter.names)
+        memo = rewriter.memo
+        is_constant = _IS_CONSTANT
+        heappop, heappush = heapq.heappop, heapq.heappush
         heap = [(arrival[leaf], index, mapping[leaf])
                 for index, leaf in enumerate(leaves)]
         heapq.heapify(heap)
         counter = len(leaves)
         while len(heap) > 1:
-            time_a, _, gate_a = heapq.heappop(heap)
-            time_b, _, gate_b = heapq.heappop(heap)
-            merged = rewriter.emit(kind, (gate_a, gate_b))
-            heapq.heappush(heap, (max(time_a, time_b) + delay, counter, merged))
+            _, _, a = heappop(heap)
+            # The heap pops in ascending order: b's time is the later one.
+            time_b, _, b = heappop(heap)
+            if (a == b or is_constant[new_kinds[a]]
+                    or is_constant[new_kinds[b]]):
+                merged = rewriter.emit(kind, (a, b))
+            else:
+                if a > b:
+                    a, b = b, a
+                key = a << 36 | b << 4 | kind
+                merged = memo.get(key)
+                if merged is None:
+                    merged = memo[key] = len(new_kinds)
+                    new_kinds.append(kind)
+                    new_inputs.append((a, b))
+                    new_names.append("")
+            heappush(heap, (time_b + delay, counter, merged))
             counter += 1
         return heap[0][2]
 
@@ -429,14 +609,16 @@ class LogicOptimizer:
 
     def optimize(self, netlist: Netlist) -> tuple[Netlist, OptimizationReport]:
         """Run the full pipeline and return (optimised netlist, report)."""
-        gates = self._strash_pass(
+        gates = self._rewrite_pass(
             (netlist.kinds, netlist.operands, netlist.names, netlist.outputs()),
-            _kahn_order_numbered(range(len(netlist)), netlist.operands))
+            _kahn_order_numbered(range(len(netlist)), netlist.operands),
+            balance=False)
         passes = ["strash"]
         if self.balance:
-            gates = self._balance_pass(gates, _kahn_order_of(gates))
+            gates = self._rewrite_pass(gates, _kahn_order_of(gates),
+                                       balance=True)
             passes.append("balance")
-            gates = self._strash_pass(gates, _kahn_order_of(gates))
+            gates = _strash_emitted(gates)
             passes.append("strash")
 
         optimized = Netlist.from_lists(netlist.name, *gates)

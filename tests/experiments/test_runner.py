@@ -10,6 +10,7 @@ import pytest
 
 from repro.experiments.runner import main, run_experiment, run_experiment_result
 from repro.experiments.serialize import SCHEMA_VERSION, experiment_payload
+from repro.store import ArtifactStore, StoreRecord
 
 
 def test_unknown_experiment_rejected():
@@ -254,3 +255,28 @@ def test_cli_help_prints_no_runtime_warning():
         capture_output=True, text=True, env=env, timeout=60)
     assert completed.returncode == 0, completed.stderr
     assert completed.stderr == ""
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    """``runner store ls STORE | head -1``: no traceback, exit status 1.
+
+    The listing (~200 kB) outgrows the pipe and both stdio buffers, so the
+    runner is still writing when the reader leaves after one line.
+    """
+    path = tmp_path / "big.jsonl"
+    ArtifactStore(path).open_for_append().put_many(
+        StoreRecord(kind="payload", key=f"p{index:05d}", schema=6, body={})
+        for index in range(3000))
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.experiments.runner", "store", "ls",
+         str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = process.stdout.readline()
+    process.stdout.close()
+    stderr = process.communicate(timeout=60)[1].decode()
+    assert first.startswith(b"payload"), first
+    assert "Traceback" not in stderr, stderr
+    assert "BrokenPipeError" not in stderr, stderr
+    assert process.returncode == 1
