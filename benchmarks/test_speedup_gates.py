@@ -1,6 +1,7 @@
-"""Speedup gates: timing ratios of the kernel, optimiser, DSE and service layers.
+"""Speedup and memory gates of the kernel, optimiser, DSE and service layers.
 
-These are the checks too timing-dependent for the tier-1 suite.  Their
+These are the checks too timing-dependent for the tier-1 suite, plus
+the memory a DSE search's warm-start cache keeps.  Their
 deterministic halves (byte parity against the reference kernel, warm-vs-cold
 probe parity, LP-rebuild counts, served-result parity and coalescing,
 optimiser parity) run in tier-1 under ``tests/kernel/``, ``tests/dse/``,
@@ -11,15 +12,18 @@ by ``perfbench/`` (see ``perfbench/README.md``).  Run::
 
 Every timing is the best of :data:`REPEATS` wall-clock runs, single-shot
 once a run exceeds :data:`TIME_BOX_S`.  Floors relative to a previously
-recorded figure are written as ``(1 - allowed regression) x recorded``.
+recorded figure are written as ``(1 - allowed regression) x recorded``,
+ceilings as ``(1 + allowed regression) x recorded``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import functools
+import gc
 import random
 import time
+import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,8 +36,8 @@ from repro.designs.generator import (
     case_from_name,
 )
 from repro.dse.optimizer import MinClockOptimizer
-from repro.dse.search import drive_optimizer
-from repro.dse.warm import ProblemCache
+from repro.dse.search import drive_optimizer, reset_worker_caches, run_dse
+from repro.dse.warm import ProblemCache, build_context
 from repro.kernel import GraphView
 from repro.kernel import critical_path_matrix as kernel_matrix
 from repro.netlist.lowering import lower_graph
@@ -73,6 +77,13 @@ OPTIMIZER_GATED_DESIGNS = ("ML-core datapath1", "rrot", "crc32", "hsv2rgb")
 #: Warm over cold min-clock searches, aggregated over the gated designs:
 #: 0.8 x 3.035, the recorded aggregate less a 20% regression allowance.
 DSE_SPEEDUP_FLOOR = 0.8 * 3.035
+
+#: Bytes a min-clock search of :data:`DSE_MEMORY_DESIGN` leaves allocated
+#: while its worker cache (every solved probe's problem) lives, as
+#: tracemalloc counts them: 1.2 x 7.23 MiB, the recorded figure plus a 20%
+#: allowance.
+DSE_RETAINED_CEILING_BYTES = 1.2 * 7.23 * 2 ** 20
+DSE_MEMORY_DESIGN = "sha256"
 
 #: Service replay (300 draws, bursts of 2, 2 workers, 12 clients, seed 0).
 SERVICE_HIT_RATE_FLOOR = 0.8
@@ -190,6 +201,25 @@ def test_dse_warm_over_cold_speedup():
     speedup = cold_total / warm_total
     print(f"dse gated aggregate: {speedup:.2f}x warm over cold")
     assert speedup >= DSE_SPEEDUP_FLOOR
+
+
+def test_dse_worker_cache_retained_memory():
+    # Build the context once first, so imports and library caches are
+    # loaded before tracing starts and only the search's own state counts.
+    build_context(DSE_MEMORY_DESIGN)
+    reset_worker_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run_dse([DSE_MEMORY_DESIGN], mode="minclock", jobs=1)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        reset_worker_caches()
+    print(f"dse {DSE_MEMORY_DESIGN}: {retained / 2 ** 20:.2f} MiB retained, "
+          f"{peak / 2 ** 20:.2f} MiB peak")
+    assert retained <= DSE_RETAINED_CEILING_BYTES
 
 
 # -------------------------------------------------------------- service

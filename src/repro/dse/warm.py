@@ -66,8 +66,9 @@ class DesignContext:
         fingerprint: structural fingerprint of the whole graph -- the
             memoization key component that makes probe results reusable
             across structurally identical builds.
-        sorted_offdiag: every off-diagonal delay-matrix entry, sorted --
-            the lookup table behind :meth:`pair_rank`.
+        sorted_offdiag: every connected off-diagonal delay-matrix entry,
+            sorted -- the lookup table behind :meth:`pair_rank` (a
+            positive budget never counts :data:`NOT_CONNECTED` entries).
     """
 
     name: str
@@ -126,15 +127,15 @@ def build_context(name: str) -> DesignContext:
         loops = ",".join(f"{e.src}>{e.phi}x{e.distance}"
                          for e in graph.back_edges())
         fingerprint = f"{fingerprint}|loops:{loops}"
-    offdiag = np.asarray(matrix, dtype=float).copy()
-    np.fill_diagonal(offdiag, NOT_CONNECTED)
+    offdiag = np.asarray(matrix, dtype=float)
+    connected = (offdiag != NOT_CONNECTED) & ~np.eye(len(offdiag), dtype=bool)
     return DesignContext(
         name=name, graph=graph, matrix=matrix, index_of=index_of,
         worst_delay_ps=max(delays.values(), default=0.0),
         register_overhead_ps=sky130_library().register_delay_ps,
         default_clock_ps=case.clock_period_ps,
         fingerprint=fingerprint,
-        sorted_offdiag=np.sort(offdiag.ravel()))
+        sorted_offdiag=np.sort(offdiag[connected]))
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ optimum (Cong & Zhang, DAC'06).
 A :class:`ConstraintSystem` stores its rows as four aligned integer arrays
 ``u``, ``v``, ``bound`` and ``kind``; row ``i`` is
 ``s_u[i] - s_v[i] <= bound[i]``.  Construction, bound patches, the
-flow solve's row selection (:func:`~repro.sdc.problem.lp_rows`) and
-network (:func:`~repro.sdc.flow.flow_network`), and the HiGHS reference
+flow solve's row selection (``ScheduleProblem.lp_rows``, marked by
+comparing timing bounds) and network
+(:func:`~repro.sdc.flow.flow_network`), and the HiGHS reference
 (:mod:`repro.sdc.highs`) all read these arrays directly.  A three-node
 chain where node 2 must start at least two cycles after node 0:
 

@@ -47,9 +47,10 @@ O(arcs): conservation, ``f >= 0``, reduced costs ``>= 0`` and
 complementary slackness -- together, proof that both are optimal.
 :func:`least_optimal` turns the flow into the output schedule: every arc
 carrying flow is tight in *every* optimal schedule, so adding each one's
-reverse row and taking the least fixpoint from the pins yields the least
-optimal schedule -- each variable as small as any optimal schedule allows.
-That is a function of the constraint system alone, not of the pivots.
+reverse row and taking the least fixpoint from the ASAP start (which lies
+below it) yields the least optimal schedule -- each variable as small as
+any optimal schedule allows.  That is a function of the constraint system
+alone, not of the pivots.
 """
 
 from __future__ import annotations
@@ -342,7 +343,7 @@ def reduced_costs(network: FlowNetwork, potential: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _asap(network: FlowNetwork) -> np.ndarray:
+def asap(network: FlowNetwork) -> np.ndarray:
     """Least feasible potentials: the start of the dual simplex.
 
     The schedule variables come from the difference rows and pins (so a
@@ -539,9 +540,12 @@ def _leaving_arc(negative: set[int], parent_arc: list[int],
                 if depth[node] == deepest])
 
 
-def network_simplex(network: FlowNetwork
+def network_simplex(network: FlowNetwork, start: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, int]:
     """Optimal flow and potentials of ``network`` by a dual simplex.
+
+    The pivots begin from ``start``, the least feasible potentials
+    (:func:`asap`), which is not modified.
 
     Returns:
         ``(flow, potential, pivots)``: the flow on every arc, the potential
@@ -554,7 +558,6 @@ def network_simplex(network: FlowNetwork
     """
     tail, head = network.tail.tolist(), network.head.tolist()
     cost = network.cost.tolist()
-    start = _asap(network)
     parent, parent_arc, levels = _tight_tree(network, start)
     flow = _tree_flow(network, parent, parent_arc, levels).tolist()
     tree = _Tree(parent, parent_arc, levels)
@@ -650,21 +653,24 @@ def check_certificate(network: FlowNetwork, flow: np.ndarray,
                                "flow but is not tight")
 
 
-def least_optimal(network: FlowNetwork, flow: np.ndarray) -> np.ndarray:
+def least_optimal(network: FlowNetwork, flow: np.ndarray,
+                  start: np.ndarray) -> np.ndarray:
     """The least optimal potentials, given an optimal flow.
 
     By complementary slackness an arc that carries flow in one optimal
     flow is tight in every optimal schedule, and the optimal schedules are
     exactly the feasible ones with those arcs tight.  Adding each such
     arc's reverse row keeps a difference system, whose least fixpoint from
-    the pins is the least optimal schedule.
+    ``network.start`` is the least optimal schedule; so is the one from any
+    ``start`` between the two, such as the ASAP potentials (:func:`asap`,
+    the least fixpoint of a subset of these rows), which saves rounds.
     """
     carrying = np.flatnonzero(flow > 0)
     tail = np.concatenate([network.tail, network.head[carrying]])
     head = np.concatenate([network.head, network.tail[carrying]])
     cost = np.concatenate([network.cost, -network.cost[carrying]])
     return _least_fixpoint(network.names, tail, head, cost, network.pinned,
-                           network.start)
+                           start)
 
 
 def solve_flow(system: ConstraintSystem, rows: np.ndarray,
@@ -677,8 +683,9 @@ def solve_flow(system: ConstraintSystem, rows: np.ndarray,
         CertificateError: if the simplex's answer fails its certificate.
     """
     network = flow_network(system, rows, objective)
-    flow, potential, _ = network_simplex(network)
+    start = asap(network)
+    flow, potential, _ = network_simplex(network, start)
     check_certificate(network, flow, potential)
-    values = least_optimal(network, flow)
+    values = least_optimal(network, flow, start)
     return dict(zip(network.order.tolist(),
                     values[:len(network.order)].tolist()))

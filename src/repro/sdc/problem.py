@@ -11,13 +11,13 @@ interval; both hand the new bounds to one bound-write step.  Row positions
 never move between rebuilds.
 
 The system keeps every row; the solve (:func:`~repro.sdc.solver.solve_problem`)
-receives only the rows no other rows imply (:func:`lp_rows`).  Most Eq. 2
-timing rows are implied: a timing row ``(u, p)`` needing ``k`` cycles plus
-the dependency ``p -> v`` already forces ``(u, v)`` apart by ``k`` cycles.
-Which rows may imply which depends only on the row structure
-(:func:`implication_pairs`, derived once per rebuild); whether they do
-depends on the bounds, so :attr:`ScheduleProblem.lp_rows` re-compares them
-at every solve.
+receives only the rows no other rows imply (:attr:`ScheduleProblem.lp_rows`).
+Most Eq. 2 timing rows are implied: a timing row ``(u, p)`` needing ``k``
+cycles plus the dependency ``p -> v`` already forces ``(u, v)`` apart by
+``k`` cycles.  Every build and retarget reads, for each constrained pair,
+the largest delay one such hop inside it straight from the delay matrix
+(:func:`implying_delays`); :attr:`ScheduleProblem.lp_rows` drops a row
+when that delay needs at least as many cycles as the row's own.
 
 Bound patches preserve parity with a from-scratch rebuild:
 
@@ -183,94 +183,44 @@ def _unrepeated_loop_rows(dependencies: np.ndarray,
     return np.array(kept, dtype=np.int64).reshape(-1, 3)
 
 
-def implication_pairs(system: ConstraintSystem
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Timing rows that imply another timing row through one dependency row.
+def implying_delays(matrix: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                    operands: tuple[np.ndarray, np.ndarray],
+                    users: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The largest delay one dependency hop inside each pair.
 
-    With a dependency row ``s_p - s_v <= 0`` (``p`` an operand of ``v``), a
-    timing row ``(u, p)`` implies the timing row ``(u, v)`` whenever it
-    needs at least as many cycles; likewise a timing row ``(c, v)`` implies
-    ``(u, v)`` through a dependency ``u -> c``.  Which rows pair up depends
-    only on the rows' variables and kinds, never on their bounds, so the
-    pairs are derived once per system structure and each bound write only
-    re-compares bounds (:func:`lp_rows`).
-
-    The pairs are found over the row arrays: every timing row is stepped
-    over the dependency rows at one of its ends, and the stepped pair is
-    looked up among the sorted ``u * size + v`` keys of the timing rows.
-
-    Returns:
-        ``(source, target)``: system rows; ``source[i]`` implies
-        ``target[i]`` when ``bound[source[i]] <= bound[target[i]]``.
+    For the pair ``(u, v) = (rows[i], cols[i])`` (matrix indices): the
+    largest ``matrix[u, p]`` over operands ``p != u`` of ``v`` and
+    ``matrix[c, v]`` over users ``c != v`` of ``u``, else
+    :data:`NOT_CONNECTED`.  ``operands`` and ``users`` are ``(first,
+    members)`` lists, ``members[first[j]:first[j + 1]]`` for index ``j``.
+    Each pair's candidates are gathered through them and reduced with
+    ``np.maximum.reduceat``; nothing of size ``n ** 2`` is built.
     """
-    timing = np.flatnonzero(system.kind == TIMING)
-    dependency = np.flatnonzero(system.kind == DEPENDENCY)
-    if not len(timing) or not len(dependency):
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
-    size = int(max(system.u.max(), system.v.max())) + 1
-    tu, tv = system.u[timing], system.v[timing]
-    du, dv = system.u[dependency], system.v[dependency]
-    keys = tu * size + tv
-    by_key = np.argsort(keys, kind="stable")
-    sorted_keys = keys[by_key]
-    sources, targets = [], []
+    implying = np.full(len(rows), NOT_CONNECTED, dtype=float)
     # (u, p) then p -> v reaches (u, v); u -> c then (c, v) reaches (u, v).
-    for forward, ends, tails, heads in ((True, tv, du, dv),
-                                        (False, tu, dv, du)):
-        rows, reached = _step(ends, tails, heads, size)
-        candidate = (tu[rows] * size + reached if forward
-                     else reached * size + tv[rows])
-        at = np.minimum(np.searchsorted(sorted_keys, candidate),
-                        len(keys) - 1)
-        found = sorted_keys[at] == candidate
-        sources.append(timing[rows[found]])
-        targets.append(timing[by_key[at[found]]])
-    return np.concatenate(sources), np.concatenate(targets)
+    for (first, members), ends, fixed, forward in ((operands, cols, rows, True),
+                                                   (users, rows, cols, False)):
+        counts = first[ends + 1] - first[ends]
+        offsets = np.cumsum(counts) - counts
+        hops = members[np.arange(int(counts.sum()))
+                       + np.repeat(first[ends] - offsets, counts)]
+        at = np.repeat(fixed, counts)
+        delays = matrix[at, hops] if forward else matrix[hops, at]
+        delays[hops == at] = NOT_CONNECTED
+        reached = np.flatnonzero(counts)
+        if len(reached):
+            implying[reached] = np.maximum(
+                implying[reached], np.maximum.reduceat(delays,
+                                                       offsets[reached]))
+    return implying
 
 
-def _step(ends: np.ndarray, tails: np.ndarray, heads: np.ndarray, size: int
-          ) -> tuple[np.ndarray, np.ndarray]:
-    """Every edge ``tails[j] -> heads[j]`` leaving each of ``ends``.
-
-    Returns:
-        ``(rows, reached)``: for each such edge, the position in ``ends``
-        it leaves from and the node it reaches.
-    """
-    order = np.argsort(tails, kind="stable")
-    first = np.concatenate([[0], np.cumsum(np.bincount(tails,
+def _adjacency(keys: np.ndarray, members: np.ndarray, size: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``members`` grouped by ``keys``, as ``(first, members)`` lists."""
+    first = np.concatenate([[0], np.cumsum(np.bincount(keys,
                                                        minlength=size))])
-    starts, counts = first[ends], first[ends + 1] - first[ends]
-    rows = np.repeat(np.arange(len(ends)), counts)
-    slots = np.arange(len(rows)) + np.repeat(
-        starts - (np.cumsum(counts) - counts), counts)
-    return rows, heads[order[slots]]
-
-
-def lp_rows(system: ConstraintSystem,
-            implications: tuple[np.ndarray, np.ndarray] | None = None
-            ) -> np.ndarray:
-    """Rows the LP needs: every row except the implied timing rows.
-
-    A timing row is dropped when a row of :func:`implication_pairs` already
-    forces at least as many cycles.  The implying row spans a strictly
-    shorter stretch of the (acyclic) dependency order, so by induction on
-    that span every dropped row is implied by the rows kept: dropping all
-    of them at once leaves the feasible region -- and so the LP optimum --
-    unchanged.  The result is a pure function of the rows' ``(u, v, bound,
-    kind)``, so a patched problem solves the same rows as a cold build.
-
-    Args:
-        system: the full constraint system.
-        implications: :func:`implication_pairs` of ``system``, when cached.
-
-    Returns:
-        The kept system rows, ascending.
-    """
-    source, target = (implication_pairs(system) if implications is None
-                      else implications)
-    keep = np.ones(len(system), dtype=bool)
-    keep[target[system.bound[source] <= system.bound[target]]] = False
-    return np.flatnonzero(keep)
+    return first, members[np.argsort(keys, kind="stable")]
 
 
 class ScheduleProblem:
@@ -324,18 +274,36 @@ class ScheduleProblem:
         Also records where the timing rows sit: their system rows and their
         ``row * n + col`` delay-matrix keys, which are ascending because
         :func:`timing_pairs` enumerates row-major.  Both stay fixed until
-        the next rebuild, so clones share them (as they share the
-        implication pairs, derived on first use).
+        the next rebuild, so clones share them, as they share the
+        dependency rows' adjacency lists.
         """
         self.system = build_system(self.graph, matrix, index_of,
                                    self.timing_budget_ps, self.pin_sources,
                                    ii=self.ii)
-        self._implications = None
-        self._timing_rows = self.system.rows_of("timing")
+        system, size = self.system, len(matrix)
         table = _index_table(index_of)
-        self._timing_keys = (table[self.system.u[self._timing_rows]]
-                             * len(matrix)
-                             + table[self.system.v[self._timing_rows]])
+        dependency = system.kind == DEPENDENCY
+        tails, heads = table[system.u[dependency]], table[system.v[dependency]]
+        self._operands = _adjacency(heads, tails, size)
+        self._users = _adjacency(tails, heads, size)
+        self._timing_rows = system.rows_of("timing")
+        rows = table[system.u[self._timing_rows]]
+        cols = table[system.v[self._timing_rows]]
+        self._timing_keys = rows * size + cols
+        self._mark_implied(matrix, rows, cols)
+
+    def _mark_implied(self, matrix: np.ndarray, rows: np.ndarray,
+                      cols: np.ndarray) -> None:
+        """Mark the timing rows :attr:`lp_rows` drops, at the current bounds.
+
+        Run at every build and after every retarget's bound write, from the
+        matrix as it is then (ISDC writes it in place), given the timing
+        pairs' matrix indices; one flag per timing row is all that is kept.
+        """
+        implying, _ = timing_bounds(
+            implying_delays(matrix, rows, cols, self._operands, self._users),
+            self.timing_budget_ps)
+        self._implied = implying <= self.system.bound[self._timing_rows]
 
     def rebuild(self, matrix: np.ndarray, index_of: Mapping[int, int]) -> None:
         """Rebuild everything from the current delay matrix (full fallback)."""
@@ -346,12 +314,12 @@ class ScheduleProblem:
         """An independent copy sharing only what bound writes never touch.
 
         The system's ``u``, ``v`` and ``kind``, the timing-row index, the
-        implication pairs, the flow objective, the weights and the users map
-        are shared; the
-        system's ``bound`` -- the one array a bound write changes in place
-        -- is copied, so rebasing or patching the clone can never alias
-        back into the donor.  Counters start at the donor's values (they
-        describe cumulative work, not identity).
+        implied-row flags (which a retarget replaces, never edits), the
+        dependency adjacency, the flow objective, the weights and the users
+        map are shared; the system's ``bound`` -- the one array a bound
+        write changes in place -- is copied, so rebasing or patching the
+        clone can never alias back into the donor.  Counters start at the
+        donor's values (they describe cumulative work, not identity).
         """
         duplicate = copy.copy(self)
         duplicate.system = self.system.clone()
@@ -400,6 +368,7 @@ class ScheduleProblem:
         rows, cols, bounds = timing_pairs(matrix, self.timing_budget_ps)
         if np.array_equal(rows * len(matrix) + cols, self._timing_keys):
             self._write_bounds(self._timing_rows, bounds)
+            self._mark_implied(matrix, rows, cols)
             return True
         self.rebuild(matrix, index_of)
         return False
@@ -435,14 +404,28 @@ class ScheduleProblem:
 
     @property
     def lp_rows(self) -> np.ndarray:
-        """:func:`lp_rows` of the system at its current bounds.
+        """Rows the LP needs: every row except the implied timing rows.
 
-        The implication pairs are derived on first use after a rebuild
-        (clones share them); the bounds are compared afresh on every call.
+        A timing row ``(u, v)`` is dropped when a timing row ``(u, p)``, with
+        ``p`` an operand of ``v``, or ``(c, v)``, with ``c`` a user of
+        ``u``, needs at least as many cycles: with the dependency row it
+        forces ``(u, v)`` apart by as many.  ``ceil`` is monotone, so the
+        build or retarget that sets the bounds compares each row's bound
+        with that of its :func:`implying_delays` once; a pair needing 2 or
+        more cycles always has a row, as neither :data:`NOT_CONNECTED` nor
+        the diagonal (both left out) reaches 2.  The implying row spans a
+        strictly shorter stretch of the (acyclic) dependency order, so by
+        induction every dropped row is implied by the rows kept, and the
+        feasible region and LP optimum are unchanged.  The flags depend on
+        the matrix and budget alone, so a patched problem solves the same
+        rows as a cold build.
+
+        Returns:
+            The kept system rows, ascending.
         """
-        if self._implications is None:
-            self._implications = implication_pairs(self.system)
-        return lp_rows(self.system, self._implications)
+        keep = np.ones(len(self.system), dtype=bool)
+        keep[self._timing_rows[self._implied]] = False
+        return np.flatnonzero(keep)
 
     @property
     def objective(self) -> FlowObjective:

@@ -19,7 +19,7 @@ The solution paths:
 * The output is the **least optimal schedule**: every variable as small as
   any optimal schedule allows.  Every arc that carries flow is tight in
   every optimal schedule, so its reverse row is added and the least
-  fixpoint is taken from the pins.  The result is a function of the
+  fixpoint is taken from the ASAP schedule.  The result is a function of the
   constraint system alone -- not of the pivots, the row order or the
   implied rows dropped -- and it is checked feasible against every row.
 * :class:`IncrementalSolver` -- the ISDC loop's re-solve: it re-derives

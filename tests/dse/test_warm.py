@@ -16,6 +16,7 @@ from repro.dse.warm import ProblemCache, build_context
 from repro.sdc.problem import ScheduleProblem
 from repro.sdc.solver import solve_problem
 from tests.sdc.helpers import assert_flow_equal, flow_arrays
+from tests.sdc.test_lp_golden import LOOP_DESIGN
 
 DESIGN = "rrot"
 GEN_DESIGN = ("gen:seed=11,depth=6,width=4,fanout=2,bits=8,inputs=3,"
@@ -43,6 +44,20 @@ class TestDesignContext:
         mask = context.matrix > budget
         np.fill_diagonal(mask, False)
         assert context.pair_rank(budget) == int(mask.sum())
+
+    @pytest.mark.parametrize("design", [DESIGN, GEN_DESIGN, LOOP_DESIGN])
+    def test_pair_rank_counts_every_off_diagonal_pair(self, design):
+        """At every distinct matrix value and 1 ps either side (positive
+        budgets only, as :meth:`budget_ps` hands out), the rank counts the
+        off-diagonal entries above the budget, unconnected ones included."""
+        context = build_context(design)
+        offdiag = context.matrix.copy()
+        np.fill_diagonal(offdiag, -1.0)
+        values = np.unique(context.matrix)
+        budgets = np.unique(np.concatenate([values - 1, values, values + 1]))
+        for budget in budgets[budgets > 0].tolist():
+            assert context.pair_rank(budget) \
+                == np.count_nonzero(offdiag > budget), budget
 
 
 class TestProblemCacheServingPaths:

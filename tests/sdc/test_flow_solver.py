@@ -5,7 +5,8 @@ dual, a min-cost flow, with the dual network simplex of
 :mod:`repro.sdc.flow` and returns the *least* optimal schedule.  Over every
 Table-I row, the tight-budget designs, the loop example at II 1 and 2,
 seeded ``gen:`` designs and the random-bound systems of
-``test_lazy_rows.py``, these tests check that
+``test_lazy_rows.py`` (solved over the rows :mod:`tests.sdc.pairing_rule`
+keeps), these tests check that
 
 * the schedule equals the least optimal schedule HiGHS finds: the LP
   solved over every row, then a second LP minimising ``sum(s)`` subject
@@ -17,7 +18,9 @@ and that infeasible systems raise, degenerate ones terminate, corrupted
 certificates are refused and bad latency weights are refused everywhere.
 Tie-heavy random systems (one timing bound, one width) and a system whose
 degenerate pivots run into Bland's rule hold the pivot rules to the least
-optimal schedule of an optimal flow ``networkx`` finds on its own.
+optimal schedule of an optimal flow ``networkx`` finds on its own; on the
+tie-heavy systems the least fixpoint started from the ASAP potentials
+also equals the one started from the pins.
 """
 
 from __future__ import annotations
@@ -36,13 +39,14 @@ from repro.dse.warm import ProblemCache, build_context
 from repro.isdc.config import IsdcConfig
 from repro.sdc import flow as flow_module
 from repro.sdc.constraints import DEPENDENCY, TIMING, ConstraintSystem
-from repro.sdc.flow import (MAX_TOTAL_DEMAND, CertificateError,
+from repro.sdc.flow import (MAX_TOTAL_DEMAND, CertificateError, asap,
                             check_certificate, flow_network, flow_objective,
                             least_optimal, network_simplex, solve_flow)
-from repro.sdc.problem import ScheduleProblem, assemble_lp, lp_rows
+from repro.sdc.problem import ScheduleProblem, assemble_lp
 from repro.sdc.scheduler import SdcScheduler
 from repro.sdc.solver import SdcInfeasibleError, solve_problem
 from repro.service.daemon import ServiceConfig
+from tests.sdc import pairing_rule
 from tests.sdc.test_lazy_rows import _cases, random_system
 from tests.sdc.test_lp_golden import cold_problem
 
@@ -104,17 +108,22 @@ def _networkx_cost(network) -> int:
     return cost
 
 
-def _networkx_least_optimal(network) -> np.ndarray:
-    """The least optimal potentials of an optimal flow networkx finds."""
+def _networkx_flow(network) -> np.ndarray:
+    """An optimal flow of ``network`` that networkx finds on its own."""
     _, flows = nx.network_simplex(_networkx_graph(network))
-    flow = np.array([flows[tail][head][arc] for arc, (tail, head) in
+    return np.array([flows[tail][head][arc] for arc, (tail, head) in
                      enumerate(zip(network.tail.tolist(),
                                    network.head.tolist()))], dtype=np.int64)
-    return least_optimal(network, flow)
+
+
+def _networkx_least_optimal(network) -> np.ndarray:
+    """The least optimal potentials of an optimal flow networkx finds,
+    from the pins."""
+    return least_optimal(network, _networkx_flow(network), network.start)
 
 
 def _solve(network):
-    flow, potential, pivots = network_simplex(network)
+    flow, potential, pivots = network_simplex(network, asap(network))
     check_certificate(network, flow, potential)
     return flow, potential, pivots
 
@@ -153,7 +162,7 @@ def test_flow_cost_equals_networkx(label):
 @pytest.mark.parametrize("seed", RANDOM_SEEDS)
 def test_random_bounds_match_both_references(seed):
     system, weights, users = _random(seed)
-    rows = lp_rows(system)
+    rows = pairing_rule.lp_rows(system)
     objective = flow_objective(system, weights, users, 1e-3)
     network = flow_network(system, rows, objective)
     flow, _, _ = _solve(network)
@@ -169,7 +178,7 @@ def test_zero_latency_weight_gives_least_register_optimum(seed):
     system, weights, users = _random(seed)
     objective = flow_objective(system, weights, users, 0.0)
     assert objective.scale == 1
-    assert solve_flow(system, lp_rows(system), objective) \
+    assert solve_flow(system, pairing_rule.lp_rows(system), objective) \
         == least_optimal_reference(system, weights, users, 0.0)
 
 
@@ -222,7 +231,7 @@ def test_degenerate_system_terminates():
                            flow_objective(system, weights, users))
     flow, potential, pivots = _solve(network)
     assert pivots < 10 * len(network.cost)
-    assert not least_optimal(network, flow).any()
+    assert not least_optimal(network, flow, asap(network)).any()
     assert int(flow @ network.cost) == _networkx_cost(network)
 
 
@@ -307,11 +316,28 @@ def test_tie_heavy_systems_give_the_networkx_least_optimum(drawn):
         rules = _spy_on_pivots(monkeypatch, network)
         flow, _, pivots = _solve(network)
     assert pivots == len(rules)
-    least = least_optimal(network, flow)
+    least = least_optimal(network, flow, asap(network))
     np.testing.assert_array_equal(least, _networkx_least_optimal(network))
-    assert solve_flow(system, lp_rows(system), objective) \
+    assert solve_flow(system, pairing_rule.lp_rows(system), objective) \
         == dict(zip(range(len(system.variables)),
                     least[:len(system.variables)].tolist()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tie_heavy_systems())
+def test_asap_start_gives_the_least_optimum_of_the_pins_start(drawn):
+    """The least fixpoint from the ASAP potentials equals the one from the
+    pins, for the simplex's optimal flow and for networkx's."""
+    system, weights, users, latency_weight = drawn
+    network = flow_network(system, np.arange(len(system)), flow_objective(
+        system, weights, users, latency_weight))
+    start = asap(network)
+    assert (start >= network.start).all()
+    flow, _, _ = network_simplex(network, start)
+    for optimal in (flow, _networkx_flow(network)):
+        np.testing.assert_array_equal(
+            least_optimal(network, optimal, start),
+            least_optimal(network, optimal, network.start))
 
 
 #: A ten-node DAG (dependency rows ``producer -> consumer``, sources pinned,
@@ -338,7 +364,7 @@ def test_long_degenerate_runs_fall_back_to_blands_rule(monkeypatch):
     rules = _spy_on_pivots(monkeypatch, network)
     flow, _, pivots = _solve(network)
     assert any(rules) and pivots == len(rules)
-    np.testing.assert_array_equal(least_optimal(network, flow),
+    np.testing.assert_array_equal(least_optimal(network, flow, asap(network)),
                                   _networkx_least_optimal(network))
     assert solve_flow(system, np.arange(len(system)), flow_objective(
         system, weights, users)) == least_optimal_reference(

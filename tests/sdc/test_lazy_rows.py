@@ -1,19 +1,24 @@
 """Soundness of the implied-row rule the flow solve runs under.
 
 :func:`~repro.sdc.solver.solve_problem` hands the flow solve only the rows
-of :func:`~repro.sdc.problem.lp_rows`: every row but the timing rows
-another timing row already implies through one dependency row.  Over every Table-I
-row, the tight-budget designs, the loop example at II 1 and 2 and three
-seeded generated designs, these tests check that
+of :attr:`~repro.sdc.problem.ScheduleProblem.lp_rows`: every row but the
+timing rows another timing row already implies through one dependency
+row, read off the delay matrix.  Over every Table-I row, the tight-budget
+designs, the loop example at II 1 and 2 and three seeded generated
+designs, these tests check that
 
+* the kept rows are exactly those the same rule stated over the rows
+  keeps (:mod:`tests.sdc.pairing_rule`), cold, over a clock-rebase
+  ladder, after ISDC feedback and after writes straight into the delay
+  matrix;
 * the reduced system has the same earliest and latest schedules as the
   full one;
 * every dropped row is implied by the kept rows, by a Floyd–Warshall
-  longest-path oracle written here;
-* after a clock-rebase ladder, after ISDC feedback and after a write
-  straight into the delay matrix, the retargeted problem hands the flow
-  solve the same rows, arcs, costs and demands as a cold build at the same
-  bounds.
+  longest-path oracle written here, also on random DAGs whose delay
+  matrices are not path-consistent;
+* after the ladder, the feedback and a direct matrix write, the
+  retargeted problem hands the flow solve the same rows, arcs, costs and
+  demands as a cold build at the same bounds.
 """
 
 from __future__ import annotations
@@ -22,12 +27,16 @@ import numpy as np
 import pytest
 
 from repro.dse.warm import build_context
+from repro.ir.graph import DataflowGraph
+from repro.ir.ops import OpKind
 from repro.isdc.delay_matrix import DelayMatrix
 from repro.isdc.reformulate import propagate_delays
 from repro.sdc.constraints import DEPENDENCY, TIMING, ConstraintSystem
-from repro.sdc.problem import ScheduleProblem, lp_rows
+from repro.sdc.delays import NOT_CONNECTED
+from repro.sdc.problem import ScheduleProblem
 from repro.sdc.solver import (IncrementalSolver, SdcInfeasibleError,
                               solve_alap, solve_asap, solve_problem)
+from tests.sdc import pairing_rule
 from tests.sdc.certificate import verify_schedule_certificate
 from tests.sdc.helpers import assert_flow_equal
 from tests.sdc.test_lp_golden import cold_problem, lp_cases
@@ -56,12 +65,21 @@ def _system_arrays(system: ConstraintSystem) -> list[np.ndarray]:
     return [system.u, system.v, system.bound, system.kind]
 
 
+def assert_pairing_rule(problem: ScheduleProblem) -> None:
+    """``problem`` keeps exactly the rows the pairing rule keeps."""
+    np.testing.assert_array_equal(problem.lp_rows,
+                                  pairing_rule.lp_rows(problem.system))
+
+
 def assert_lp_equals_cold(warm: ScheduleProblem, cold: ScheduleProblem):
-    """The warm problem's system and flow input equal the cold build's."""
+    """The warm problem's system and flow input equal the cold build's,
+    and both keep the pairing rule's rows."""
     for patched, fresh in zip(_system_arrays(warm.system),
                               _system_arrays(cold.system)):
         np.testing.assert_array_equal(patched, fresh)
     assert_flow_equal(warm, cold)
+    assert_pairing_rule(warm)
+    assert_pairing_rule(cold)
 
 
 def _longest_paths(system: ConstraintSystem, rows: np.ndarray) -> np.ndarray:
@@ -125,12 +143,8 @@ def random_system(seed: int, size: int = 14
         The system and the DAG's edges ``(producer, consumer)``.
     """
     rng = np.random.default_rng(seed)
-    edges = [(a, b) for b in range(1, size) for a in range(b)
-             if rng.random() < 0.25]
-    reach = np.eye(size, dtype=bool)
-    for a, b in edges:  # edges come in topological order of ``b``
-        reach[:, b] |= reach[:, a]
-    sources, sinks = np.nonzero(reach & ~np.eye(size, dtype=bool))
+    edges = _random_edges(rng, size)
+    sources, sinks = np.nonzero(_reach(edges, size))
     chosen = rng.random(len(sources)) < 0.7
     system = ConstraintSystem(variables=set(range(size)))
     system.extend([a for a, _ in edges], [b for _, b in edges],
@@ -140,13 +154,67 @@ def random_system(seed: int, size: int = 14
     return system, edges
 
 
+def _random_edges(rng: np.random.Generator, size: int
+                  ) -> list[tuple[int, int]]:
+    """A random DAG over ``range(size)``, edges in topological order of
+    their consumer."""
+    return [(a, b) for b in range(1, size) for a in range(b)
+            if rng.random() < 0.25]
+
+
+def _reach(edges: list[tuple[int, int]], size: int) -> np.ndarray:
+    """Which nodes reach which others over ``edges`` (the diagonal off)."""
+    reach = np.eye(size, dtype=bool)
+    for a, b in edges:  # edges come in topological order of ``b``
+        reach[:, b] |= reach[:, a]
+    return reach & ~np.eye(size, dtype=bool)
+
+
+#: Stage budget of the random designs; their delays reach 5 budgets.
+RANDOM_BUDGET_PS = 100.0
+
+
+def random_design(seed: int, size: int = 14
+                  ) -> tuple[DataflowGraph, np.ndarray, dict[int, int]]:
+    """A random DAG with a random delay matrix that is not path-consistent.
+
+    Every pair the DAG connects gets a delay of up to 5 budgets drawn on
+    its own, so a pair may need fewer cycles than a pair inside it; the
+    other pairs are :data:`NOT_CONNECTED` and the diagonal fits a budget.
+    Node ids reach the matrix through a shuffled index.
+
+    Returns:
+        ``(graph, matrix, index_of)``.
+    """
+    rng = np.random.default_rng(seed)
+    edges = _random_edges(rng, size)
+    graph = DataflowGraph(f"random-{seed}")
+    for node in range(size):
+        operands = [a for a, b in edges if b == node]
+        if not operands:
+            graph.add_node(OpKind.PARAM, width=1)
+        else:
+            graph.add_node(OpKind.NOT if len(operands) == 1
+                           else OpKind.CONCAT, operands)
+    index = rng.permutation(size)
+    matrix = np.full((size, size), float(NOT_CONNECTED))
+    sources, sinks = np.nonzero(_reach(edges, size))
+    matrix[index[sources], index[sinks]] = rng.uniform(
+        0.0, 5 * RANDOM_BUDGET_PS, len(sources))
+    matrix[index, index] = rng.uniform(0.0, RANDOM_BUDGET_PS, size)
+    return graph, matrix, {node: int(index[node]) for node in range(size)}
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_dropped_rows_are_implied_at_arbitrary_bounds(seed):
-    """Delay-matrix bounds grow along every path, which hides a rule that
-    ignored them; random DAGs with random timing bounds do not."""
-    system, _ = random_system(seed)
-    kept = lp_rows(system)
+    """Path-consistent delays grow along every path, which hides a rule
+    that ignored the bounds; random per-pair delays do not."""
+    graph, matrix, index_of = random_design(seed)
+    problem = ScheduleProblem(graph, matrix, index_of, RANDOM_BUDGET_PS)
+    system, kept = problem.system, problem.lp_rows
+    assert_pairing_rule(problem)
     dropped = np.setdiff1d(np.arange(len(system)), kept)
+    assert (system.kind[dropped] == TIMING).all()
     closure = _longest_paths(system, kept)
     _, tail, head = system.columns()
     assert (closure[tail[dropped], head[dropped]]
@@ -156,6 +224,19 @@ def test_dropped_rows_are_implied_at_arbitrary_bounds(seed):
     assert solve_asap(reduced) == asap
     latency = max(asap.values()) + 1
     assert solve_alap(reduced, latency) == solve_alap(system, latency)
+
+
+def test_random_designs_drop_rows_at_every_bound():
+    """The random designs exercise the rule: rows are dropped, and kept
+    rows and dropped rows both span several bounds."""
+    kept_bounds, dropped_bounds = set(), set()
+    for seed in range(40):
+        problem = ScheduleProblem(*random_design(seed), RANDOM_BUDGET_PS)
+        timing = problem.system.rows_of("timing")
+        kept = np.isin(timing, problem.lp_rows)
+        kept_bounds.update(problem.system.bound[timing[kept]].tolist())
+        dropped_bounds.update(problem.system.bound[timing[~kept]].tolist())
+    assert kept_bounds == dropped_bounds == {-1, -2, -3, -4}
 
 
 def test_rule_drops_most_timing_rows_at_tight_budgets():
@@ -249,6 +330,32 @@ def test_direct_matrix_write_reaches_the_lp():
     assert problem.bound_patches == 1
     assert_lp_equals_cold(problem, ScheduleProblem(
         context.graph, matrix.matrix, matrix.index_of, budget))
+
+
+def test_direct_matrix_writes_keep_the_pairing_rule(case):
+    """Delays written straight into the matrix, at pairs the rows are read
+    from and at pairs one hop inside them, reach the kept rows at the
+    next retarget, whether it patches or rebuilds."""
+    label, problem = case
+    name, _, ii = _cases()[label]
+    context = build_context(name)
+    matrix = context.matrix.copy()
+    budget = problem.timing_budget_ps
+    warm = problem.clone()
+    rng = np.random.default_rng(23)
+    connected = np.argwhere((matrix != NOT_CONNECTED)
+                            & ~np.eye(len(matrix), dtype=bool))
+    for _ in range(3):
+        if not len(connected):
+            break
+        picked = connected[rng.choice(len(connected),
+                                      size=min(6, len(connected)),
+                                      replace=False)]
+        matrix[picked[:, 0], picked[:, 1]] = budget * rng.choice(
+            [0.5, 1.5, 2.5, 3.5], size=len(picked))
+        warm.retarget(matrix, context.index_of, budget)
+        assert_lp_equals_cold(warm, ScheduleProblem(
+            context.graph, matrix, context.index_of, budget, ii=ii))
 
 
 def test_rebase_ii_is_a_right_hand_side_patch():
