@@ -47,7 +47,7 @@ def _prepare(case_name="ML-core datapath2", clock=2500.0):
     config = IsdcConfig(clock_period_ps=case.clock_period_ps,
                         subgraphs_per_iteration=16)
     subgraphs = SubgraphExtractor(config).extract(result.schedule, matrix)
-    feedback = FeedbackEngine().evaluate(graph, subgraphs)
+    feedback = FeedbackEngine(SynthesisFlow()).evaluate(graph, subgraphs)
     for record in feedback:
         matrix.update_with_subgraph(record.node_ids, record.delay_ps)
     return graph, result.schedule, matrix

@@ -11,9 +11,11 @@ by ``perfbench/`` (see ``perfbench/README.md``).  Run::
     python -m pytest benchmarks/test_speedup_gates.py -q
 
 Every timing is the best of :data:`REPEATS` wall-clock runs, single-shot
-once a run exceeds :data:`TIME_BOX_S`.  Floors relative to a previously
-recorded figure are written as ``(1 - allowed regression) x recorded``,
-ceilings as ``(1 + allowed regression) x recorded``.
+once a run exceeds :data:`TIME_BOX_S`; the optimiser gate instead takes the
+median ratio over :data:`OPTIMIZER_PAIRS` alternating pairs.  Floors
+relative to a previously recorded figure are written as ``(1 - allowed
+regression) x recorded``, ceilings as ``(1 + allowed regression) x
+recorded``.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import asyncio
 import functools
 import gc
 import random
+import statistics
 import time
 import tracemalloc
 from dataclasses import dataclass
@@ -69,6 +72,10 @@ LADDER_SPEEDUP_FLOOR = 0.8 * 4.544
 #: :data:`OPTIMIZER_GATED_DESIGNS` stage netlists: 0.8 x 6.09, the
 #: recorded speedup (0.528 s -> 0.087 s) less a 20% regression allowance.
 OPTIMIZER_SPEEDUP_FLOOR = 0.8 * 6.09
+#: Alternating (reference, optimiser) timing pairs the optimiser gate
+#: takes the median ratio of: one pair's ratio spread 3.9x-6.3x for
+#: identical code on a shared machine, across the floor.
+OPTIMIZER_PAIRS = 5
 
 #: Table-I rows whose baseline-schedule stages the optimiser gate times:
 #: the four rows ``perfbench``'s ``isdc-cold`` workload synthesizes.
@@ -152,20 +159,24 @@ def test_optimizer_speedup_over_reference():
     netlists = list(table1_stage_netlists(OPTIMIZER_GATED_DESIGNS).values())
     assert len(netlists) >= 8
 
-    def optimize_all(optimizer):
-        return [optimizer.optimize(netlist) for netlist in netlists]
+    def timed(optimizer):
+        start = time.perf_counter()
+        results = [optimizer.optimize(netlist) for netlist in netlists]
+        return time.perf_counter() - start, results
 
-    reference_s, expected = best_of(
-        lambda: optimize_all(ReferenceOptimizer(library)))
-    optimizer_s, actual = best_of(
-        lambda: optimize_all(LogicOptimizer(library)))
+    ratios = []
+    for _ in range(OPTIMIZER_PAIRS):
+        reference_s, expected = timed(ReferenceOptimizer(library))
+        optimizer_s, actual = timed(LogicOptimizer(library))
+        ratios.append(reference_s / optimizer_s)
     for (want, want_report), (got, got_report) in zip(expected, actual):
         assert golden_fields(got) == golden_fields(want)
         assert got.names == want.names
         assert got_report == want_report
-    speedup = reference_s / optimizer_s
-    print(f"optimizer on {len(netlists)} stages: {speedup:.2f}x "
-          f"({reference_s:.3f} s -> {optimizer_s:.3f} s)")
+    speedup = statistics.median(ratios)
+    print(f"optimizer on {len(netlists)} stages: median {speedup:.2f}x "
+          f"over {OPTIMIZER_PAIRS} pairs "
+          f"({min(ratios):.2f}x-{max(ratios):.2f}x)")
     assert speedup >= OPTIMIZER_SPEEDUP_FLOOR
 
 

@@ -27,7 +27,6 @@ from repro.sdc import PipelineAnalyzer, Schedule, SdcScheduler
 from repro.synth import (
     EstimatorBackend,
     FlowBackend,
-    LocalSynthesisBackend,
     SynthesisFlow,
     create_backend,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "EstimatorBackend",
     "FlowBackend",
     "GraphBuilder",
-    "LocalSynthesisBackend",
     "OpKind",
     "IsdcConfig",
     "IsdcScheduler",

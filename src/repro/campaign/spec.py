@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Sequence
 
+from repro import safejson
 from repro.designs.generator import case_from_name
 from repro.isdc.config import IsdcConfig
 
@@ -204,7 +205,7 @@ class CampaignSpec:
             TypeError: on a non-object document or unknown fields.
             ValueError: on invalid axis values.
         """
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        return cls.from_dict(safejson.loads(Path(path).read_text()))
 
     def fingerprint(self) -> str:
         """Content identity of the whole spec (guards resume compatibility)."""

@@ -5,9 +5,9 @@ On disk a campaign is a set of unified store records
 fingerprint) and one ``campaign-job`` record per completed job (key = the
 content-addressed job id)::
 
-    {"kind": "campaign-header", "key": "<fingerprint>", "schema": 2,
+    {"kind": "campaign-header", "key": "<fingerprint>", "schema": 3,
      "body": {"name": ..., "fingerprint": ..., "num_jobs": N, "spec": {...}}}
-    {"kind": "campaign-job", "key": "<job id>", "schema": 2,
+    {"kind": "campaign-job", "key": "<job id>", "schema": 3,
      "body": {"design": ..., "result": {...}, "runtime_s": ...}}
 
 The store is the campaign's durability layer: the executor appends (and
@@ -158,13 +158,22 @@ class RunStore:
         if wanted is not None:
             exact = store.get("campaign-header", wanted)
             if exact is not None:
-                return self._validated_header(exact, path)
+                return self.validated_header(exact, path)
         for record in store.kind("campaign-header"):
-            return self._validated_header(record, path)
+            return self.validated_header(record, path)
         raise StoreMismatchError(f"run store {path} has no campaign header")
 
     @staticmethod
-    def _validated_header(record, path: Path) -> dict:
+    def validated_header(record, path: Path) -> dict:
+        """The body of a ``campaign-header`` record of the current schema.
+
+        Job ids hash each job's config, so a store of another schema names
+        its jobs differently: resuming it would silently re-run every job,
+        and reading it would join no job to its spec.
+
+        Raises:
+            StoreMismatchError: the header has a foreign campaign schema.
+        """
         if record.schema != STORE_SCHEMA_VERSION:
             raise StoreMismatchError(
                 f"run store {path} has campaign schema {record.schema}, "

@@ -38,9 +38,9 @@ class TableOneRow:
     Columns mirror the paper: target clock period, then (slack, stage count,
     register count, schedule time) for the SDC baseline and for ISDC, plus
     the number of ISDC iterations actually run, the number of distinct
-    subgraphs the run truly synthesised (cache and disk-layer answers
-    excluded) and the per-phase split of the ISDC runtime (cumulative LP
-    re-solve time vs. cumulative subgraph synthesis time).
+    subgraphs the run truly synthesised (cache answers excluded) and the
+    per-phase split of the ISDC runtime (cumulative LP re-solve time vs.
+    cumulative subgraph synthesis time).
     """
 
     benchmark: str

@@ -62,10 +62,6 @@ class IsdcConfig:
         backend: flow-backend registry name for the downstream evaluations
             (``"local"`` for the full synthesis pipeline, ``"estimator"`` for
             the cheap closed-form quick mode).
-        jobs: worker processes used by the backend's batch dispatch (1 keeps
-            everything serial; results are identical either way).
-        cache_path: optional on-disk evaluation-cache file shared across
-            runs (JSON lines keyed by structural subgraph fingerprints).
     """
 
     clock_period_ps: float = 2500.0
@@ -81,8 +77,6 @@ class IsdcConfig:
     track_estimation_error: bool = True
     verbose: bool = False
     backend: str = "local"
-    jobs: int = 1
-    cache_path: str | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.clock_period_ps < math.inf:
@@ -96,8 +90,6 @@ class IsdcConfig:
             raise ValueError("max_iterations must be at least 1")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
         if not (math.isfinite(self.latency_weight)
                 and self.latency_weight >= 0):
             raise ValueError("latency_weight must be finite and >= 0")

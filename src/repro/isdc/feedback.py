@@ -4,13 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pathlib import Path
-
 from repro.ir.graph import DataflowGraph
 from repro.isdc.extraction import CandidatePath
-from repro.synth.backend import FlowBackend, LocalSynthesisBackend
+from repro.synth.backend import FlowBackend
 from repro.synth.cache import EvaluationCache
-from repro.tech.library import TechLibrary
 
 
 @dataclass(frozen=True)
@@ -36,29 +33,18 @@ class SubgraphFeedback:
 class FeedbackEngine:
     """Runs extracted subgraphs through the downstream flow, with memoisation.
 
-    In the paper this corresponds to dispatching subgraphs to Yosys/OpenSTA in
-    parallel; here every per-iteration batch goes through the evaluation
-    cache in one call, and the backend fans the distinct misses out over its
-    worker pool (``jobs > 1``) with deterministic result ordering.
+    In the paper this corresponds to dispatching subgraphs to Yosys/OpenSTA;
+    here every per-iteration batch goes through the evaluation cache in one
+    call, and the distinct misses go to the backend in input order.
 
     Args:
-        library: technology library for the default backend (ignored when an
-            explicit ``backend`` is supplied).
-        optimize: run the logic optimiser inside the default backend.
-        backend: any :class:`~repro.synth.backend.FlowBackend`; defaults to a
-            :class:`~repro.synth.backend.LocalSynthesisBackend`.
-        jobs: worker processes of the default backend's batch dispatch.
-        cache_path: optional on-disk evaluation-cache file (JSON lines),
-            pre-warming repeated runs.
+        backend: any :class:`~repro.synth.backend.FlowBackend` (see
+            :func:`~repro.synth.backend.create_backend`).
     """
 
-    def __init__(self, library: TechLibrary | None = None, optimize: bool = True,
-                 backend: FlowBackend | None = None, jobs: int = 1,
-                 cache_path: str | Path | None = None) -> None:
-        if backend is None:
-            backend = LocalSynthesisBackend(library, optimize=optimize, jobs=jobs)
+    def __init__(self, backend: FlowBackend) -> None:
         self.backend = backend
-        self.cache = EvaluationCache(backend, disk_path=cache_path)
+        self.cache = EvaluationCache(backend)
 
     def evaluate(self, graph: DataflowGraph,
                  subgraphs: list[tuple[CandidatePath, frozenset[int]]]
@@ -79,19 +65,5 @@ class FeedbackEngine:
 
     @property
     def evaluations(self) -> int:
-        """Number of distinct subgraphs actually synthesised so far.
-
-        Counts true backend runs only: a miss answered by a disk-warmed
-        cache record is a :attr:`disk_hits` entry, not a synthesis.
-        """
+        """Number of distinct subgraphs actually synthesised so far."""
         return self.cache.stats.synth_runs
-
-    @property
-    def cache_hits(self) -> int:
-        """Number of evaluations answered from the in-memory cache."""
-        return self.cache.stats.hits
-
-    @property
-    def disk_hits(self) -> int:
-        """Number of evaluations answered from the on-disk cache layer."""
-        return self.cache.stats.disk_hits

@@ -61,7 +61,7 @@ class IsdcResult:
             initial SDC schedule and all feedback evaluations).
         baseline_runtime_s: wall-clock time of the initial SDC schedule alone.
         subgraphs_evaluated: total distinct subgraphs synthesised (true
-            backend runs; disk-cache answers are excluded).
+            backend runs; evaluation-cache answers are excluded).
         solver_runtime_s: cumulative scheduling-solve time across the run
             (sum of the per-iteration ``solver_runtime_s``).
         synthesis_runtime_s: cumulative subgraph extraction + downstream

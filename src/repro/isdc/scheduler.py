@@ -73,12 +73,9 @@ class IsdcScheduler:
         if self.timing_budget_ps <= 0:
             raise ValueError("clock period does not cover the register overhead")
         self.extractor = SubgraphExtractor(self.config)
-        backend = create_backend(self.config.backend, self.library,
-                                 optimize=self.config.optimize_subgraphs,
-                                 jobs=self.config.jobs)
-        self.feedback = FeedbackEngine(self.library,
-                                       backend=backend,
-                                       cache_path=self.config.cache_path)
+        self.feedback = FeedbackEngine(create_backend(
+            self.config.backend, self.library,
+            optimize=self.config.optimize_subgraphs))
         # Reports go through the loop's cache: their stage sets have usually
         # been synthesised already (by the estimation-error tracking).
         self.analyzer = PipelineAnalyzer(flow=self.feedback.cache,

@@ -199,14 +199,5 @@ def close_shared_pool() -> None:
         _SHARED_POOL = None
 
 
-def split_round_robin(items: Sequence[_T], chunks: int) -> list[list[_T]]:
-    """Deal ``items`` into ``chunks`` round-robin lists (some may be empty)."""
-    dealt: list[list[_T]] = [[] for _ in range(max(1, chunks))]
-    for index, item in enumerate(items):
-        dealt[index % len(dealt)].append(item)
-    return dealt
-
-
 __all__ = ["PersistentPool", "close_shared_pool", "effective_jobs",
-           "parallel_map", "pool_context", "shared_pool",
-           "split_round_robin"]
+           "parallel_map", "pool_context", "shared_pool"]

@@ -10,7 +10,7 @@ schemas 1-9).  A row carries
 * a content-addressed ``job_id`` (the campaign job id, or a synthesised
   digest for table1 rows) that baseline diffs join on,
 * the campaign *axes* (``design``, ``clock_period_ps``, ``extraction``,
-  ``expansion``, ``solver``, ``subgraphs_per_iteration``, ``backend``,
+  ``expansion``, ``subgraphs_per_iteration``, ``backend``,
   plus the ``source`` file it was loaded from), and
 * the numeric *metrics* (register/stage/slack before and after, iteration
   and true-synthesis-evaluation counts, wall-clock runtimes where the
@@ -40,6 +40,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
+
+from repro import safejson
 
 #: Grouping axes a frame row may carry (besides metrics).
 AXES = ("source", "design", "clock_period_ps", "extraction", "expansion",
@@ -335,7 +337,7 @@ def load_experiment_payload(path: str | Path,
     """
     path = Path(path)
     label = source if source is not None else path.name
-    envelope = json.loads(path.read_text())
+    envelope = safejson.loads(path.read_text())
     if not isinstance(envelope, dict) or "experiment" not in envelope:
         raise ValueError(f"{path} is not a runner --json payload "
                          "(no 'experiment' field)")
@@ -354,14 +356,18 @@ def load_artifact_store(path: str | Path,
     several campaigns loads them all (job ids are content-addressed, so
     they cannot collide).  Archived ``payload`` records contribute rows
     for the row-shaped experiments (campaign/table1/dse); figure payloads
-    and ``synth-eval`` / ``dse-probe`` records carry no per-run rows and
-    are skipped.
+    and other record kinds (``dse-probe``, ``service-result``) carry no
+    per-run rows and are skipped.  Every campaign header goes through
+    :meth:`~repro.campaign.store.RunStore.validated_header`, so a store
+    of another campaign schema is refused, not read with no axes.
 
     Raises:
         FileNotFoundError: no file at ``path``.
+        StoreMismatchError: a campaign header of a foreign schema.
         ValueError: mid-file corruption (strict store load), or campaign
             job records with no campaign header to give them axes.
     """
+    from repro.campaign.store import RunStore
     from repro.store import ArtifactStore
 
     path = Path(path)
@@ -373,7 +379,8 @@ def load_artifact_store(path: str | Path,
         raise ValueError(f"{path} holds campaign jobs but no campaign header")
     configs: dict[str, dict] = {}
     for header in headers:
-        configs.update(_job_configs_from_spec(header.body.get("spec", {})))
+        body = RunStore.validated_header(header, path)
+        configs.update(_job_configs_from_spec(body.get("spec", {})))
     rows = []
     for record in jobs:
         body = record.body
@@ -410,7 +417,7 @@ def load_any(path: str | Path, source: str | None = None) -> ReportFrame:
     with path.open() as handle:
         first_line = handle.readline()
     try:
-        first = json.loads(first_line)
+        first = safejson.loads(first_line)
     except json.JSONDecodeError:
         first = None
     if isinstance(first, dict) and "experiment" not in first:

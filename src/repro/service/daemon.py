@@ -211,6 +211,12 @@ class SchedulingService:
 
     # ------------------------------------------------------------- serving
 
+    def refuse(self, message: str) -> dict:
+        """Answer input that never decoded to a request (a bad request)."""
+        self.stats.requests += 1
+        self.stats.bad_requests += 1
+        return error_response(protocol.ERROR_BAD_REQUEST, message)
+
     async def handle(self, raw: object) -> dict:
         """Serve one decoded request object; always returns a response."""
         if self._pool is None or self._closing is None:

@@ -33,6 +33,7 @@ import json
 import sys
 from typing import IO
 
+from repro import safejson
 from repro.service import protocol
 from repro.service.daemon import SchedulingService
 from repro.service.protocol import error_response
@@ -67,13 +68,14 @@ def _line_too_long() -> dict:
                           f"request line exceeds the {LINE_LIMIT}-byte limit")
 
 
-def _decode_line(line: str) -> tuple[object | None, dict | None]:
-    """Parse one request line; returns ``(request, error_response)``."""
+async def _serve_json(service: SchedulingService, document: str | bytes,
+                      what: str) -> dict:
+    """Decode one request document and serve it; always returns a response."""
     try:
-        return json.loads(line), None
-    except json.JSONDecodeError as error:
-        return None, error_response(protocol.ERROR_BAD_REQUEST,
-                                    f"request line is not JSON: {error}")
+        raw = safejson.loads(document)
+    except ValueError as error:  # malformed, nested too deeply, or not UTF-8
+        return service.refuse(f"{what} is not JSON: {error}")
+    return await service.handle(raw)
 
 
 async def serve_stdin(service: SchedulingService,
@@ -92,9 +94,7 @@ async def serve_stdin(service: SchedulingService,
             outstream.flush()
 
     async def respond(line: str) -> None:
-        raw, decode_error = _decode_line(line)
-        await emit(decode_error if decode_error is not None
-                   else await service.handle(raw))
+        await emit(await _serve_json(service, line, "request line"))
 
     await emit({"event": "ready"})
     closing = asyncio.ensure_future(service.wait_closing())
@@ -157,12 +157,9 @@ async def _http_response(service: SchedulingService, method: str,
                 protocol.ERROR_BAD_REQUEST,
                 f"body shorter than Content-Length ({content_length} bytes) "
                 f"after {BODY_TIMEOUT_S:g} s")
-        try:
-            raw = json.loads(body) if body else None
-        except ValueError as error:  # malformed JSON or not UTF-8
-            return error_response(protocol.ERROR_BAD_REQUEST,
-                                  f"request body is not JSON: {error}")
-        return await service.handle(raw)
+        if not body:
+            return await service.handle(None)
+        return await _serve_json(service, body, "request body")
     return error_response(protocol.ERROR_BAD_REQUEST,
                           f"method {method!r} is not served")
 
@@ -222,10 +219,8 @@ async def _handle_connection(service: SchedulingService,
     tasks: set[asyncio.Task] = set()
 
     async def respond(line: str) -> None:
-        raw, decode_error = _decode_line(line)
-        response = (decode_error if decode_error is not None
-                    else await service.handle(raw))
-        await _write_line(service, writer, lock, response)
+        await _write_line(service, writer, lock,
+                          await _serve_json(service, line, "request line"))
 
     try:
         first = await reader.readline()

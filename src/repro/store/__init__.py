@@ -1,19 +1,17 @@
 """The unified content-addressed artifact store.
 
-One store module owns every byte the reproduction persists.  The three
-formerly separate layers -- the campaign run store, the evaluation cache's
-disk JSONL and the runner ``--json`` payload archive -- are all views over
-one append-only JSONL file of ``(kind, key, schema, body)`` record
-envelopes keyed by content hash (campaign job id, subgraph structural
-fingerprint x backend signature, payload digest, DSE probe key).
+One store module owns every byte the reproduction persists.  The campaign
+run store, the runner ``--json`` payload archive, DSE probes and served
+results are all views over one append-only JSONL file of ``(kind, key,
+schema, body)`` record envelopes keyed by content hash (campaign job id,
+payload digest, DSE probe key, service request key).
 
 * :mod:`repro.store.record` -- the envelope and the content-key scheme;
 * :mod:`repro.store.jsonl` -- crash-safe O_APPEND writes and the
   torn-trailing-line-tolerant parser (shared durability semantics);
 * :mod:`repro.store.store` -- :class:`ArtifactStore`: last-wins key
-  lookup, offline compaction (atomic rewrite-and-rename), size/age GC,
-  and per-worker shard :meth:`~ArtifactStore.merge` for distributed
-  executors;
+  lookup, offline compaction (atomic rewrite-and-rename) and size/age
+  GC;
 * :mod:`repro.store.cli` -- the ``runner store`` subcommand
   (``ls`` / ``verify`` / ``compact`` / ``gc``).
 
@@ -28,10 +26,10 @@ from repro.store.jsonl import (append_line, append_lines, parse_jsonl_tail,
                                truncate_torn_tail)
 from repro.store.lock import FileLock, LockTimeoutError
 from repro.store.record import (CAMPAIGN_BODY_SCHEMA, KEY_BYTES, STORE_KINDS,
-                                SYNTH_EVAL_BODY_SCHEMA, StoreRecord,
-                                campaign_header_record, campaign_job_record,
-                                canonical_json, content_key, is_store_record,
-                                payload_key, payload_record, synth_eval_key)
+                                StoreRecord, campaign_header_record,
+                                campaign_job_record, canonical_json,
+                                content_key, is_store_record, payload_key,
+                                payload_record)
 from repro.store.store import (ArtifactStore, GcPolicy, StoreFormatError,
                                StoreReport)
 
@@ -43,7 +41,6 @@ __all__ = [
     "LockTimeoutError",
     "KEY_BYTES",
     "STORE_KINDS",
-    "SYNTH_EVAL_BODY_SCHEMA",
     "StoreFormatError",
     "StoreRecord",
     "StoreReport",
@@ -57,6 +54,5 @@ __all__ = [
     "parse_jsonl_tail",
     "payload_key",
     "payload_record",
-    "synth_eval_key",
     "truncate_torn_tail",
 ]

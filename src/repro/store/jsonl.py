@@ -25,6 +25,8 @@ import os
 from pathlib import Path
 from typing import Iterable
 
+from repro import safejson
+
 
 def parse_jsonl_tail(path: Path, tolerant: bool = False
                      ) -> tuple[list[dict], list[bytes], bytes, int]:
@@ -64,7 +66,7 @@ def parse_jsonl_tail(path: Path, tolerant: bool = False
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            records.append(safejson.loads(line))
             kept.append(line)
         except json.JSONDecodeError:
             if position == len(complete) - 1 and not tail:

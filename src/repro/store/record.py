@@ -1,15 +1,14 @@
 """The unified store record envelope and its content-addressed key space.
 
-Every artefact the reproduction persists -- campaign checkpoints, synthesis
-evaluations, experiment payloads, DSE probes -- is one JSON record with the
+Every artefact the reproduction persists -- campaign checkpoints,
+experiment payloads, DSE probes, served results -- is one JSON record with the
 same four-field envelope::
 
     {"kind": "<kind>", "key": "<content hash>", "schema": N, "body": {...}}
 
 ``kind`` names the record family (:data:`STORE_KINDS`), ``key`` is the
-content hash the record is addressed by (a campaign job id, a subgraph
-structural fingerprint paired with the backend signature, a payload digest,
-or a DSE probe key), ``schema`` versions the *body* of that kind, and
+content hash the record is addressed by (a campaign job id, a payload
+digest, a DSE probe key or a service request key), ``schema`` versions the *body* of that kind, and
 ``body`` carries the artefact itself.  An optional fifth field ``t`` (epoch
 seconds) may ride on the envelope for age-based garbage collection; it is
 never part of the record's identity and deterministic consumers ignore it.
@@ -42,7 +41,6 @@ from typing import Any
 STORE_KINDS = (
     "campaign-header",  # one per campaign: spec + fingerprint (key = fingerprint)
     "campaign-job",     # one per completed job (key = content-addressed job id)
-    "synth-eval",       # one per synthesised subgraph (key = fingerprint x backend)
     "payload",          # one per runner --json payload (key = payload digest)
     "dse-probe",        # one per DSE probe outcome (key = probe key)
     "service-result",   # one per served scheduling request (key = request key)
@@ -127,10 +125,10 @@ def is_store_record(obj: Any) -> bool:
             and isinstance(obj.get("body"), dict))
 
 
-#: Body schema of campaign records written by the unified store.
-CAMPAIGN_BODY_SCHEMA = 2
-#: Body schema of synthesis-evaluation records.
-SYNTH_EVAL_BODY_SCHEMA = 1
+#: Body schema of campaign records written by the unified store.  Schema 3
+#: job configs lost two fields of :class:`~repro.isdc.config.IsdcConfig`, so
+#: job ids changed; a schema-2 store is refused on resume and load.
+CAMPAIGN_BODY_SCHEMA = 3
 
 
 def campaign_header_record(header_body: dict) -> StoreRecord:
@@ -146,12 +144,6 @@ def campaign_job_record(job_id: str, body: dict) -> StoreRecord:
                        schema=CAMPAIGN_BODY_SCHEMA, body=body)
 
 
-def synth_eval_key(backend_signature: str, fingerprint: str) -> str:
-    """Content key of one (backend configuration, subgraph) evaluation."""
-    return content_key({"backend": backend_signature,
-                        "fingerprint": fingerprint})
-
-
 def payload_key(envelope: dict) -> str:
     """Content key of a runner payload (experiment name + data body)."""
     return content_key({"experiment": envelope.get("experiment"),
@@ -164,8 +156,6 @@ def payload_record(envelope: dict) -> StoreRecord:
                        schema=int(envelope.get("schema", 0)), body=envelope)
 
 
-__all__ = ["CAMPAIGN_BODY_SCHEMA", "KEY_BYTES", "STORE_KINDS",
-           "SYNTH_EVAL_BODY_SCHEMA", "StoreRecord", "campaign_header_record",
-           "campaign_job_record", "canonical_json", "content_key",
-           "is_store_record", "payload_key", "payload_record",
-           "synth_eval_key"]
+__all__ = ["CAMPAIGN_BODY_SCHEMA", "KEY_BYTES", "STORE_KINDS", "StoreRecord",
+           "campaign_header_record", "campaign_job_record", "canonical_json",
+           "content_key", "is_store_record", "payload_key", "payload_record"]

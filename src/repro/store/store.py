@@ -4,16 +4,14 @@ An :class:`ArtifactStore` is an append-only JSONL file of
 :class:`~repro.store.record.StoreRecord` envelopes, keyed by ``(kind,
 key)`` with last-record-wins semantics.  It is the single durability layer
 behind the campaign run store (``campaign-header`` / ``campaign-job``
-records), the synthesis evaluation cache (``synth-eval``), archived runner
-payloads (``payload``) and DSE probes (``dse-probe``) -- see
+records), archived runner payloads (``payload``), DSE probes
+(``dse-probe``) and served results (``service-result``) -- see
 ``docs/file-formats.md``.
 
 Durability model (inherited from the campaign store and now shared by
 everyone): records are appended via O_APPEND in a single write and
 flushed, so a kill tears at most the final line; loading tolerates exactly
-that torn tail (:mod:`repro.store.jsonl`).  Because appends never rewrite
-existing bytes, per-worker shard files are safe to produce concurrently
-and fold together afterwards with :meth:`ArtifactStore.merge`.
+that torn tail (:mod:`repro.store.jsonl`).
 
 Maintenance is offline: :meth:`compact` rewrites the file without
 superseded duplicate keys (write-to-temp then :func:`os.replace`, so a
@@ -35,7 +33,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from repro.store.jsonl import (append_line, parse_jsonl_tail,
                                truncate_torn_tail)
@@ -78,7 +76,7 @@ class GcPolicy:
 
 @dataclass
 class StoreReport:
-    """Outcome of a maintenance operation (compact/gc/verify/merge)."""
+    """Outcome of a maintenance operation (compact/gc/verify)."""
 
     num_records: int = 0
     dropped: int = 0
@@ -158,7 +156,7 @@ class ArtifactStore:
         Args:
             path: the store file.
             tolerant: skip unparseable / non-envelope lines instead of
-                raising (the evaluation-cache mode); strict mode raises on
+                raising (the service store's mode); strict mode raises on
                 mid-file corruption and on lines that are valid JSON but
                 not store envelopes.
 
@@ -352,27 +350,6 @@ class ArtifactStore:
         self._duplicates = 0
         self.skipped_lines = 0
         return report
-
-    def merge(self, shard_paths: Sequence[str | Path],
-              tolerant: bool = True) -> int:
-        """Fold per-worker shard files into this store.
-
-        Every shard record whose ``(kind, key)`` this store has not seen
-        is appended; known identities are kept as-is (the main store
-        wins, so merging is idempotent).  Shards with torn tails load
-        fine -- their torn line is simply ignored.
-
-        Returns:
-            Number of records appended.
-        """
-        fresh: list[StoreRecord] = []
-        for shard_path in shard_paths:
-            shard = ArtifactStore.load(shard_path, tolerant=tolerant)
-            for record in shard.records.values():
-                if record.identity not in self.records \
-                        and all(record.identity != r.identity for r in fresh):
-                    fresh.append(record)
-        return self.put_many(fresh)
 
     def verify(self) -> StoreReport:
         """Re-check the backing file and report its health.

@@ -7,9 +7,9 @@ ISDC feedback loop only ever consumes that one number per subgraph, exactly
 as the paper's flow consumes the Yosys + OpenSTA report.
 
 Concrete tools plug in behind the :class:`FlowBackend` protocol (see
-:mod:`repro.synth.backend`); :class:`LocalSynthesisBackend` is the default
-lower -> optimise -> STA pipeline with parallel batch dispatch, and
-:class:`EstimatorBackend` is a cheap closed-form stand-in for quick mode.
+:mod:`repro.synth.backend`); :class:`SynthesisFlow` is the default
+lower -> optimise -> STA pipeline, and :class:`EstimatorBackend` is a cheap
+closed-form stand-in for quick mode.
 """
 
 from repro.synth.report import SynthesisReport
@@ -18,7 +18,6 @@ from repro.synth.backend import (
     BACKENDS,
     EstimatorBackend,
     FlowBackend,
-    LocalSynthesisBackend,
     create_backend,
 )
 from repro.synth.cache import CacheStatistics, EvaluationCache
@@ -32,7 +31,6 @@ __all__ = [
     "EstimatorBackend",
     "EvaluationCache",
     "FlowBackend",
-    "LocalSynthesisBackend",
     "NaiveDelayEstimator",
     "SynthesisFlow",
     "SynthesisReport",

@@ -7,11 +7,11 @@ a cheap analytical estimator, or (in the future) a real Yosys/OpenSTA flow.
 
 Two backends ship today:
 
-* :class:`LocalSynthesisBackend` -- the default lower -> optimise -> STA
-  pipeline, with a process-pool :meth:`~LocalSynthesisBackend.evaluate_batch`
-  that mirrors the paper's parallel dispatch of subgraphs to the downstream
-  flow (Section III: the "40x runtime multiplier" is wall-clock amortised by
-  fanning evaluations out).
+* :class:`~repro.synth.flow.SynthesisFlow` (``local``) -- the default
+  lower -> optimise -> STA pipeline, evaluating a batch in order.  The
+  paper fans subgraphs out to parallel tool runs; here every ``--jobs``
+  parallelises one level up (designs, campaign jobs, DSE searches,
+  service requests), so one ISDC loop runs in one process.
 * :class:`EstimatorBackend` -- a closed-form longest-path estimator for quick
   mode: orders of magnitude cheaper, no netlists, same report shape.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.ir.graph import DataflowGraph
-from repro.parallel import PersistentPool, effective_jobs, split_round_robin
 from repro.synth.flow import SynthesisFlow
 from repro.synth.report import SynthesisReport
 from repro.tech.delay_model import OperatorModel
@@ -35,17 +34,13 @@ from repro.tech.sky130 import sky130_library
 class FlowBackend(Protocol):
     """What the evaluation stack requires of a downstream flow.
 
-    Any object exposing these three methods (plus a ``library`` attribute for
+    Any object exposing these two methods (plus a ``library`` attribute for
     register-overhead lookups) can serve :class:`~repro.isdc.feedback.FeedbackEngine`,
     :class:`~repro.sdc.pipeline.PipelineAnalyzer` and the experiment
     harnesses.  ``evaluate_batch`` must return results in input order.
     """
 
     library: TechLibrary
-
-    def signature(self) -> str:
-        """Configuration identity scoping persisted evaluation records."""
-        ...
 
     def evaluate_subgraph(self, graph: DataflowGraph, node_ids: Iterable[int],
                           name: str = "") -> SynthesisReport:
@@ -58,79 +53,6 @@ class FlowBackend(Protocol):
                        ) -> list[SynthesisReport]:
         """Evaluate a batch of subgraphs, preserving input order."""
         ...
-
-
-def _evaluate_chunk(payload: tuple) -> list[SynthesisReport]:
-    """Worker-side evaluation of one chunk of a batch (module-level: picklable)."""
-    flow, graph, chunk = payload
-    return [flow.evaluate_subgraph(graph, node_ids, name=name)
-            for node_ids, name in chunk]
-
-
-class LocalSynthesisBackend(SynthesisFlow):
-    """The default backend: local synthesis flow with parallel batch dispatch.
-
-    Single-subgraph evaluation is inherited from :class:`SynthesisFlow`;
-    :meth:`evaluate_batch` fans the batch out over a persistent process pool
-    when ``jobs > 1``.  Chunks are dealt round-robin and results re-assembled
-    by index, so the output order (and every floating-point value in it) is
-    identical to a serial run.
-
-    Args:
-        library: technology library; defaults to the synthetic SKY130 library.
-        optimize: run the logic optimiser before STA.
-        balance: enable the optimiser's tree-balancing pass.
-        compute_aig: also record AIG depth in every report.
-        jobs: maximum worker processes for batch evaluation (1 = serial).
-    """
-
-    def __init__(self, library: TechLibrary | None = None, optimize: bool = True,
-                 balance: bool = True, compute_aig: bool = False,
-                 jobs: int = 1) -> None:
-        super().__init__(library, optimize=optimize, balance=balance,
-                         compute_aig=compute_aig)
-        self.jobs = max(1, int(jobs))
-        self._pool = PersistentPool(self.jobs)
-
-    def evaluate_batch(self, graph: DataflowGraph,
-                       node_sets: Sequence[Iterable[int]],
-                       names: Sequence[str] | None = None
-                       ) -> list[SynthesisReport]:
-        """Evaluate several subgraphs, in parallel when ``jobs > 1``."""
-        if names is None:
-            names = [""] * len(node_sets)
-        tasks = list(zip([tuple(node_ids) for node_ids in node_sets], names))
-        workers = effective_jobs(self.jobs, len(tasks))
-        if workers <= 1:
-            return super().evaluate_batch(graph, [t[0] for t in tasks],
-                                          [t[1] for t in tasks])
-        indexed = list(enumerate(tasks))
-        chunks = [c for c in split_round_robin(indexed, workers) if c]
-        payloads = [(self._plain_flow(), graph, [task for _, task in chunk])
-                    for chunk in chunks]
-        results: list[SynthesisReport | None] = [None] * len(tasks)
-        for chunk, reports in zip(chunks, self._pool.map(_evaluate_chunk,
-                                                         payloads)):
-            for (index, _), report in zip(chunk, reports):
-                results[index] = report
-        return results  # type: ignore[return-value]
-
-    def _plain_flow(self) -> SynthesisFlow:
-        """A picklable :class:`SynthesisFlow` twin shipped to the workers."""
-        flow = SynthesisFlow(self.library, optimize=self.optimize,
-                             balance=self._optimizer.balance,
-                             compute_aig=self.compute_aig)
-        return flow
-
-    def close(self) -> None:
-        """Shut down the worker pool (safe to call more than once)."""
-        self._pool.close()
-
-    def __enter__(self) -> "LocalSynthesisBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class EstimatorBackend:
@@ -155,16 +77,6 @@ class EstimatorBackend:
                  pessimism: float = 1.0, **_ignored: Any) -> None:
         self.library = library or sky130_library()
         self.model = OperatorModel(self.library, pessimism=pessimism)
-
-    def signature(self) -> str:
-        """Configuration identity of this backend, for persisted-result keys.
-
-        Estimator figures must never be served as synthesis figures (or
-        vice versa), so the family tag differs from the synthesis flow's;
-        the delay-model signature carries the formula version, guard band
-        and the library's content identity.
-        """
-        return f"EstimatorBackend({self.model.signature()})"
 
     def evaluate_subgraph(self, graph: DataflowGraph, node_ids: Iterable[int],
                           name: str = "") -> SynthesisReport:
@@ -226,7 +138,7 @@ class EstimatorBackend:
 
 
 BACKENDS: dict[str, type] = {
-    "local": LocalSynthesisBackend,
+    "local": SynthesisFlow,
     "estimator": EstimatorBackend,
 }
 
@@ -238,9 +150,9 @@ def create_backend(kind: str = "local", library: TechLibrary | None = None,
     Args:
         kind: one of :data:`BACKENDS` (currently ``local`` or ``estimator``).
         library: technology library forwarded to the backend.
-        **options: backend-specific keyword options (e.g. ``jobs``,
-            ``optimize``); options a backend does not understand are rejected
-            by its constructor, except :class:`EstimatorBackend` which ignores
+        **options: backend-specific keyword options (e.g. ``optimize``);
+            options a backend does not understand are rejected by its
+            constructor, except :class:`EstimatorBackend` which ignores
             synthesis-only knobs.
 
     Raises:
@@ -257,5 +169,4 @@ def create_backend(kind: str = "local", library: TechLibrary | None = None,
     return factory(library, **options)
 
 
-__all__ = ["BACKENDS", "EstimatorBackend", "FlowBackend",
-           "LocalSynthesisBackend", "create_backend"]
+__all__ = ["BACKENDS", "EstimatorBackend", "FlowBackend", "create_backend"]

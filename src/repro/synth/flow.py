@@ -17,7 +17,8 @@ from repro.tech.sky130 import sky130_library
 class SynthesisFlow:
     """Lower → optimise → STA pipeline over IR subgraphs.
 
-    This class is the "downstream tool" of the ISDC loop.  It is intentionally
+    This class is the "downstream tool" of the ISDC loop and the ``local``
+    flow backend (:mod:`repro.synth.backend`).  It is intentionally
     stateless apart from its configuration so that evaluations can be memoised
     externally (see :class:`~repro.synth.cache.EvaluationCache`).
 
@@ -36,27 +37,6 @@ class SynthesisFlow:
         self.compute_aig = compute_aig
         self._optimizer = LogicOptimizer(self.library, balance=balance)
         self._sta = StaticTimingAnalysis(self.library)
-
-    def signature(self) -> str:
-        """Configuration identity of this flow, for persisted-result keys.
-
-        Every knob that changes reported numbers is included -- the flow
-        family, the optimiser settings and the *content* signature of the
-        technology library (:meth:`~repro.tech.library.TechLibrary.signature`),
-        so two differently-characterised libraries can never share disk
-        records even when they share a name.  Parallelism knobs (worker
-        counts) are deliberately excluded, and the family tag is the fixed
-        string ``SynthesisFlow`` rather than the concrete class:
-        :class:`~repro.synth.backend.LocalSynthesisBackend` is bit-identical
-        to the serial flow, so the two legitimately share persisted
-        results.  A subclass that changes reported numbers must override
-        this method.
-        """
-        return ("SynthesisFlow("
-                f"optimize={self.optimize},"
-                f"balance={self._optimizer.balance},"
-                f"compute_aig={self.compute_aig},"
-                f"library={self.library.signature()})")
 
     def evaluate_subgraph(self, graph: DataflowGraph, node_ids: Iterable[int],
                           name: str = "") -> SynthesisReport:
@@ -100,10 +80,7 @@ class SynthesisFlow:
                        node_sets: Sequence[Iterable[int]],
                        names: Sequence[str] | None = None
                        ) -> list[SynthesisReport]:
-        """Evaluate several subgraphs of one graph, in input order.
-
-        The base implementation is serial; :class:`LocalSynthesisBackend`
-        overrides it with a process-pool fan-out.
+        """Evaluate several subgraphs of one graph, serially, in input order.
 
         Args:
             graph: the containing dataflow graph.

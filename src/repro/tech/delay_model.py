@@ -59,18 +59,6 @@ class OperatorModel:
             raise ValueError(f"pessimism must be >= 1.0, got {pessimism}")
         self.pessimism = pessimism
 
-    #: Bumped whenever the closed-form delay formulas change, so persisted
-    #: estimates characterised under an older model are not served as if
-    #: they were current.
-    MODEL_VERSION = 1
-
-    def signature(self) -> str:
-        """Content identity of this delay model (formulas + guard band +
-        library characterisation)."""
-        return (f"OperatorModel(v{self.MODEL_VERSION},"
-                f"pessimism={self.pessimism},"
-                f"library={self.library.signature()})")
-
     # ------------------------------------------------------------------ delay
 
     def delay(self, kind: OpKind, width: int, num_operands: int = 2) -> float:

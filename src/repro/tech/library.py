@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 
@@ -65,24 +63,3 @@ class TechLibrary:
     def area(self, name: str) -> float:
         """Area of cell ``name`` in square micrometres."""
         return self.cell(name).area_um2
-
-    def signature(self) -> str:
-        """Content identity of the library's characterisation data.
-
-        Two libraries that merely share a *name* but differ in any delay,
-        area or register figure get distinct signatures, so persisted
-        synthesis results characterised under one can never be served
-        under the other.  The digest covers every cell's timing/area/pin
-        figures plus the sequential overheads -- the full delay-model
-        identity, not just the label.
-        """
-        characterisation = {
-            "cells": {name: [cell.delay_ps, cell.area_um2, cell.num_inputs]
-                      for name, cell in self.cells.items()},
-            "register_delay_ps": self.register_delay_ps,
-            "register_area_um2": self.register_area_um2,
-        }
-        canonical = json.dumps(characterisation, sort_keys=True,
-                               separators=(",", ":"))
-        digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-        return f"{self.name}@{digest}"

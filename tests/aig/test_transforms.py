@@ -1,11 +1,11 @@
-"""Tests for netlist-to-AIG conversion and AIG balancing."""
+"""Tests for netlist-to-AIG conversion and AIG depth."""
 
 import random
 
 import pytest
 
+from repro.aig.aig import Aig
 from repro.aig.from_netlist import netlist_to_aig
-from repro.aig.transforms import balance_aig
 from repro.designs.suite import table1_suite
 from repro.ir.builder import GraphBuilder
 from repro.netlist.gates import GateKind
@@ -84,39 +84,32 @@ class TestTable1Pins:
         assert (aig.depth(), aig.num_ands()) == self.PINNED[design]
 
 
-class TestBalancing:
-    def test_balancing_reduces_chain_depth(self):
-        aig_source = Netlist("chain")
-        inputs = [aig_source.add_input(f"i{i}") for i in range(16)]
-        current = inputs[0]
-        for gate_input in inputs[1:]:
-            current = aig_source.add_gate(GateKind.AND2, (current, gate_input))
-        aig_source.mark_output(current)
-        aig = netlist_to_aig(aig_source)
-        balanced = balance_aig(aig)
-        assert aig.depth() == 15
-        assert balanced.depth() <= 5
+class TestDepth:
+    @staticmethod
+    def _and_of(aig, literals, balanced):
+        """AND of ``literals`` as a left-leaning chain or a balanced tree."""
+        if not balanced:
+            current = literals[0]
+            for literal in literals[1:]:
+                current = aig.add_and(current, literal)
+            return current
+        while len(literals) > 1:
+            literals = [aig.add_and(a, b)
+                        for a, b in zip(literals[::2], literals[1::2])]
+        return literals[0]
 
-    def test_balancing_preserves_function(self):
-        netlist = Netlist("balance_fn")
-        inputs = [netlist.add_input(f"i{i}") for i in range(9)]
-        current = inputs[0]
-        for gate_input in inputs[1:]:
-            current = netlist.add_gate(GateKind.AND2, (current, gate_input))
-        netlist.mark_output(current)
-        aig = netlist_to_aig(netlist)
-        balanced = balance_aig(aig)
-        for _ in range(20):
-            bits = [_RNG.randint(0, 1) for _ in inputs]
-            original = aig.evaluate(dict(zip(aig.inputs(), bits)))
-            rebuilt = balanced.evaluate(dict(zip(balanced.inputs(), bits)))
-            for a_out, b_out in zip(aig.outputs(), balanced.outputs()):
-                assert original[a_out] == rebuilt[b_out]
+    @pytest.mark.parametrize("balanced, expected", [(False, 15), (True, 4)])
+    def test_depth_of_a_sixteen_input_and(self, balanced, expected):
+        aig = Aig("and16")
+        inputs = [aig.add_input(f"i{i}") for i in range(16)]
+        aig.mark_output(self._and_of(aig, inputs, balanced))
+        assert aig.depth() == expected
+        assert aig.num_ands() == 15
 
-    def test_balancing_never_increases_depth(self):
-        builder = GraphBuilder("no_worse")
-        x = builder.param("x", 8)
-        y = builder.param("y", 8)
-        builder.output(builder.add(builder.mul(x, y), x))
-        aig = netlist_to_aig(lower_graph(builder.graph).netlist)
-        assert balance_aig(aig).depth() <= aig.depth()
+    def test_depth_is_the_deepest_output(self):
+        aig = Aig("two_outputs")
+        inputs = [aig.add_input(f"i{i}") for i in range(4)]
+        aig.mark_output(inputs[0])
+        aig.mark_output(self._and_of(aig, inputs, balanced=False))
+        assert aig.depth() == 3
+        assert Aig("empty").depth() == 0

@@ -177,6 +177,9 @@ BAD_CAMPAIGN_INPUTS = {
                      ["absent.json", "file not found"]),
     "malformed-json": (lambda tmp: _spec_args(tmp, "{bad"),
                        ["spec.json", "invalid JSON"]),
+    "deeply-nested-json": (lambda tmp: _spec_args(
+        tmp, "[" * 100_000 + "]" * 100_000),
+        ["spec.json", "invalid JSON", "nested too deeply"]),
     "non-object": (lambda tmp: _spec_args(tmp, "[1, 2]"),
                    ["spec.json", "JSON object"]),
     "unknown-field": (lambda tmp: _spec_args(

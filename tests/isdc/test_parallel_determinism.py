@@ -1,8 +1,10 @@
-"""Parallel batch evaluation must not change any ISDC result.
+"""ISDC results do not depend on where the loop runs.
 
-The satellite requirement: ``jobs=1`` and ``jobs=4`` produce byte-identical
-``IsdcResult`` histories (wall-clock fields aside) on Table-I designs, and
-cache accounting stays correct under batch evaluation.
+``--jobs`` parallelises one level above the loop: whole designs (or campaign
+jobs, or DSE probes) are shipped to forked workers, each running its own
+serial ISDC loop.  A loop run in a worker must produce the byte-identical
+history (wall-clock fields aside) of the same loop run in-process, and every
+run starts from a cold in-memory cache.
 """
 
 import dataclasses
@@ -13,23 +15,13 @@ import pytest
 from repro.designs.suite import table1_suite
 from repro.isdc.config import IsdcConfig
 from repro.isdc.scheduler import IsdcScheduler
+from repro.parallel import parallel_map
 
 DESIGNS = ("rrot", "crc32")
 
 
 def _case(name):
     return next(case for case in table1_suite() if case.name == name)
-
-
-def _run(name: str, jobs: int):
-    case = _case(name)
-    config = IsdcConfig(clock_period_ps=case.clock_period_ps,
-                        subgraphs_per_iteration=4, max_iterations=3,
-                        patience=3, track_estimation_error=True, jobs=jobs)
-    scheduler = IsdcScheduler(config)
-    result = scheduler.schedule(case.build())
-    scheduler.feedback.backend.close()
-    return result, scheduler.feedback.cache.stats
 
 
 def _canonical_history(result):
@@ -39,23 +31,41 @@ def _canonical_history(result):
             for record in result.history]
 
 
+def _run(name: str):
+    """One serial ISDC loop (module-level so it pickles into the pool)."""
+    case = _case(name)
+    config = IsdcConfig(clock_period_ps=case.clock_period_ps,
+                        subgraphs_per_iteration=4, max_iterations=3,
+                        patience=3, track_estimation_error=True)
+    scheduler = IsdcScheduler(config)
+    result = scheduler.schedule(case.build())
+    stats = scheduler.feedback.cache.stats
+    return {
+        "history": pickle.dumps(_canonical_history(result)),
+        "registers": result.final_report.num_registers,
+        "stage_delays_ps": result.final_report.stage_delays_ps,
+        "initial_slack_ps": result.initial_report.slack_ps,
+        "evaluated": result.subgraphs_evaluated,
+        "stats": (stats.hits, stats.misses, stats.synth_runs),
+    }
+
+
 @pytest.mark.parametrize("design", DESIGNS)
 def test_jobs_do_not_change_isdc_histories(design):
-    serial, serial_stats = _run(design, jobs=1)
-    parallel, parallel_stats = _run(design, jobs=4)
+    serial = _run(design)
+    parallel = parallel_map(_run, [design, design], jobs=2)
+    assert parallel == [serial, serial]
 
-    assert pickle.dumps(_canonical_history(serial)) == \
-        pickle.dumps(_canonical_history(parallel))
-    assert serial.final_report.num_registers == \
-        parallel.final_report.num_registers
-    assert serial.final_report.stage_delays_ps == \
-        parallel.final_report.stage_delays_ps
-    assert serial.initial_report.slack_ps == parallel.initial_report.slack_ps
 
-    # Cache accounting is independent of the fan-out.
-    assert serial_stats.misses == parallel_stats.misses
-    assert serial_stats.hits == parallel_stats.hits
-    assert serial.subgraphs_evaluated == parallel.subgraphs_evaluated
+def test_every_run_starts_from_a_cold_cache():
+    """The cache is an in-memory memo per loop: a second loop over the same
+    design re-synthesises exactly what the first did, and every miss is one
+    synthesis run."""
+    first, second = _run("rrot"), _run("rrot")
+    _, misses, synth_runs = first["stats"]
+    assert misses > 0
+    assert synth_runs == misses == first["evaluated"]
+    assert second == first
 
 
 def test_estimator_backend_runs_the_loop():
@@ -69,31 +79,3 @@ def test_estimator_backend_runs_the_loop():
     assert result.iterations >= 0
     assert result.final_report.num_registers <= \
         result.initial_report.num_registers
-
-
-def test_disk_cache_warms_a_second_run(tmp_path):
-    case = _case("rrot")
-    path = tmp_path / "evals.jsonl"
-
-    def run():
-        config = IsdcConfig(clock_period_ps=case.clock_period_ps,
-                            subgraphs_per_iteration=4, max_iterations=2,
-                            patience=2, track_estimation_error=False,
-                            cache_path=str(path))
-        scheduler = IsdcScheduler(config)
-        result = scheduler.schedule(case.build())
-        return result, scheduler.feedback.cache.stats
-
-    cold_result, cold_stats = run()
-    warm_result, warm_stats = run()
-    assert cold_stats.synth_runs > 0
-    assert cold_stats.synth_runs == cold_stats.misses
-    assert warm_stats.disk_loaded == cold_stats.synth_runs
-    # The warm run is answered entirely by the disk layer: its memory misses
-    # are all disk hits and nothing is synthesised.
-    assert warm_stats.synth_runs == 0
-    assert warm_stats.disk_hits == warm_stats.misses > 0
-    assert warm_result.subgraphs_evaluated == 0
-    assert cold_result.subgraphs_evaluated == cold_stats.synth_runs
-    assert warm_result.final_report.num_registers == \
-        cold_result.final_report.num_registers

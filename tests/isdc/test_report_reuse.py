@@ -26,9 +26,6 @@ class CountingBackend:
         self.library = inner.library
         self.subgraphs = 0
 
-    def signature(self) -> str:
-        return self.inner.signature()
-
     def evaluate_batch(self, graph, node_sets, names=None):
         self.subgraphs += len(node_sets)
         return self.inner.evaluate_batch(graph, node_sets, names)

@@ -5,8 +5,7 @@ The ISDC loop re-solves through :class:`~repro.sdc.solver.IncrementalSolver`
 produce byte-identical schedules, iteration histories and serialized JSON
 to a reference run with that class swapped for
 :class:`~repro.sdc.solver.FullSolver` (rebuild every iteration) on every
-design of the arith + misc suites -- the same spirit as the
-``jobs=1 == jobs=4`` determinism test.
+design of the arith + misc suites.
 """
 
 import dataclasses
@@ -45,10 +44,7 @@ def _run(name: str, backend: str = "estimator"):
                         use_characterized_delays=(backend == "local"),
                         backend=backend)
     scheduler = IsdcScheduler(config)
-    result = scheduler.schedule(case.build())
-    if hasattr(scheduler.feedback.backend, "close"):
-        scheduler.feedback.backend.close()
-    return result, scheduler
+    return scheduler.schedule(case.build()), scheduler
 
 
 def _certified_run(monkeypatch, name: str, backend: str = "estimator"):

@@ -129,6 +129,13 @@ class TestPayloadLoading:
         with pytest.raises(ValueError, match="fig5"):
             load_experiment_payload(path)
 
+    def test_deeply_nested_payload_is_a_value_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"experiment": "table1", "data": '
+                        + "[" * 100_000 + "]" * 100_000 + "}")
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_experiment_payload(path)
+
     def test_non_payload_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text(json.dumps({"whatever": 1}))
@@ -201,6 +208,14 @@ class TestSniffingAndMerging:
                                 "isdc_registers": 30}]}}))
         assert len(load_any(store_path).rows) == 4
         assert len(load_any(payload_path).rows) == 1
+
+    def test_deeply_nested_first_line_is_a_value_error(self, tmp_path):
+        """Sniffing a first line nested past the decoder's recursion limit
+        falls through to the payload loader's typed error."""
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[" * 100_000 + "]" * 100_000 + "\n{}\n")
+        with pytest.raises(ValueError, match="nested too deeply"):
+            load_any(path)
 
     def test_load_frames_concatenates(self, tmp_path, store_path):
         other = tmp_path / "other.jsonl"

@@ -84,6 +84,31 @@ def test_stdin_pipeline_coalesces_and_reports_errors():
     assert stats["warm_hits"] + stats["coalesced"] == 2
 
 
+#: A 10 KB request line nested past the JSON decoder's recursion limit.
+DEEP_LINE = '{"kind":"schedule","design":' + "[" * 5000 + "]" * 5000 + "}"
+
+
+def test_stdin_deeply_nested_line_is_one_bad_request():
+    daemon = _spawn("--stdin")
+    try:
+        out, err = daemon.communicate(
+            DEEP_LINE + "\n" + json.dumps({"kind": "ping", "id": "p"}) + "\n",
+            timeout=120)
+    finally:
+        daemon.kill()
+    assert daemon.returncode == 0, err
+    assert "Traceback" not in err
+
+    responses = [json.loads(line) for line in out.splitlines()]
+    assert responses[0] == {"event": "ready"}
+    assert len(responses) == 3
+    bad = [r for r in responses[1:] if not r.get("ok")]
+    assert len(bad) == 1 and bad[0]["error"] == "bad-request"
+    assert "nested too deeply" in bad[0]["message"]
+    stats = _stopped_stats(err)
+    assert stats["bad_requests"] == 1 and stats["requests"] == 2
+
+
 @pytest.fixture
 def tcp_daemon():
     daemon = _spawn("--port", "0")
@@ -259,6 +284,18 @@ def test_http_non_utf8_body_is_a_400(tcp_daemon):
     status, refused = _http_exchange(host, port, head, body)
     assert status == 400 and refused["error"] == "bad-request"
     assert "not JSON" in refused["message"]
+
+
+def test_http_deeply_nested_body_is_a_400(tcp_daemon):
+    daemon, host, port = tcp_daemon
+    body = DEEP_LINE.encode()
+    head = (f"POST / HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode()
+    status, refused = _http_exchange(host, port, head, body)
+    assert status == 400 and refused["error"] == "bad-request"
+    assert "nested too deeply" in refused["message"]
+    stats = _line_request(host, port, {"kind": "stats"})["result"]
+    assert stats["bad_requests"] == 1
 
 
 def test_tcp_client_disconnect_leaves_the_daemon_serving(tcp_daemon):

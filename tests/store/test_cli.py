@@ -55,6 +55,18 @@ class TestSubcommands:
         assert "2 superseded duplicates" in out
         assert "torn tail: yes" in out
 
+    def test_ls_lists_legacy_synth_eval_records(self, tmp_path, capsys):
+        """A store holding the retired disk cache's records still lists."""
+        path = tmp_path / "store.jsonl"
+        store = _seeded_store(path)
+        store.put(StoreRecord(kind="synth-eval", key="e1", schema=1,
+                              body={"fingerprint": "fp"}))
+        assert main(["store", "ls", str(path), "--kind", "synth-eval",
+                     "--json"]) == 0
+        lines = [json.loads(line)
+                 for line in capsys.readouterr().out.splitlines()]
+        assert lines == [{"kind": "synth-eval", "key": "e1", "schema": 1}]
+
     def test_compact_drops_superseded_records(self, tmp_path, capsys):
         path = tmp_path / "store.jsonl"
         _seeded_store(path, duplicates=3)
@@ -93,3 +105,21 @@ class TestSubcommands:
         assert "legacy.jsonl line 1 is a non-envelope record" in err
         assert "re-run the command that wrote this file" in err
         assert legacy.read_bytes() == before
+
+
+def test_deeply_nested_record_is_one_error_line_and_exit_2(tmp_path, capsys):
+    """A record nested past the JSON decoder's recursion limit is a corrupt
+    line (typed ``ValueError``), not a ``RecursionError`` traceback."""
+    path = tmp_path / "deep.jsonl"
+    _seeded_store(path)
+    deep = '{"kind": "payload", "key": "d", "schema": 1, "body": {"x": ' \
+        + "[" * 100_000 + "]" * 100_000 + "}}\n"
+    with path.open("a") as handle:
+        handle.write(deep + json.dumps(
+            {"kind": "payload", "key": "p2", "schema": 1, "body": {}}) + "\n")
+    with pytest.raises(SystemExit) as excinfo:
+        main(["store", "ls", str(path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert "is corrupt at line 3" in err

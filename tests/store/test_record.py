@@ -4,11 +4,10 @@ import json
 
 import pytest
 
-from repro.store import (CAMPAIGN_BODY_SCHEMA, KEY_BYTES,
-                         SYNTH_EVAL_BODY_SCHEMA, StoreRecord,
+from repro.store import (CAMPAIGN_BODY_SCHEMA, KEY_BYTES, StoreRecord,
                          campaign_header_record, campaign_job_record,
                          canonical_json, content_key, is_store_record,
-                         payload_key, payload_record, synth_eval_key)
+                         payload_key, payload_record)
 
 
 class TestContentKey:
@@ -86,8 +85,7 @@ class TestRecordBuilders:
                 "elapsed_s": 1.0, "data": {"rows": [{"benchmark": "rrot"}]}}
 
     def test_body_schemas_are_pinned(self):
-        assert CAMPAIGN_BODY_SCHEMA == 2
-        assert SYNTH_EVAL_BODY_SCHEMA == 1
+        assert CAMPAIGN_BODY_SCHEMA == 3
 
     def test_campaign_header_record_is_keyed_by_fingerprint(self):
         body = {"name": "sweep", "fingerprint": "f" * 32, "num_jobs": 2,
@@ -95,7 +93,7 @@ class TestRecordBuilders:
         record = campaign_header_record(body)
         assert record.to_line() == (
             '{"kind": "campaign-header", "key": "' + "f" * 32 + '", '
-            '"schema": 2, "body": {"name": "sweep", "fingerprint": "'
+            '"schema": 3, "body": {"name": "sweep", "fingerprint": "'
             + "f" * 32 + '", "num_jobs": 2, "spec": {"name": "sweep"}}}\n')
 
     def test_campaign_job_record_is_keyed_by_job_id(self):
@@ -105,12 +103,6 @@ class TestRecordBuilders:
         assert record.identity == ("campaign-job", "a" * 32)
         assert record.schema == CAMPAIGN_BODY_SCHEMA
         assert record.body is body
-
-    def test_synth_eval_key_is_pinned(self):
-        key = synth_eval_key("SynthesisFlow(optimize=True)", "fp1")
-        assert key == "0e3028469b4cb64776fb8dc97e55b396"
-        assert key == content_key({"backend": "SynthesisFlow(optimize=True)",
-                                   "fingerprint": "fp1"})
 
     def test_payload_key_covers_only_experiment_and_data(self):
         key = payload_key(self.ENVELOPE)

@@ -1,4 +1,4 @@
-"""Tests for the ArtifactStore: appends, compaction, GC, merge, verify."""
+"""Tests for the ArtifactStore: appends, compaction, GC, verify."""
 
 import json
 
@@ -175,31 +175,7 @@ class TestGc:
         assert path.stat().st_size <= budget
 
 
-class TestMergeAndVerify:
-    def test_merge_folds_worker_shards_idempotently(self, tmp_path):
-        main = ArtifactStore(tmp_path / "main.jsonl").open_for_append()
-        main.put(_record(key="shared", body={"from": "main"}))
-        shards = []
-        for worker in range(3):
-            shard = ArtifactStore(
-                tmp_path / f"shard{worker}.jsonl").open_for_append()
-            shard.put(_record(key="shared", body={"from": f"w{worker}"}))
-            shard.put(_record(key=f"only-{worker}"))
-            shards.append(shard.path)
-        assert main.merge(shards) == 3
-        # The main store wins on shared identities; merging again adds nothing.
-        assert main.get("payload", "shared").body == {"from": "main"}
-        assert main.merge(shards) == 0
-        assert len(ArtifactStore.load(main.path)) == 4
-
-    def test_merge_tolerates_a_shard_with_a_torn_tail(self, tmp_path):
-        shard_path = tmp_path / "shard.jsonl"
-        ArtifactStore(shard_path).open_for_append().put(_record(key="a"))
-        with shard_path.open("a") as handle:
-            handle.write('{"kind": "payload", "key": "to')
-        main = ArtifactStore(tmp_path / "main.jsonl").open_for_append()
-        assert main.merge([shard_path]) == 1
-
+class TestVerify:
     def test_verify_reports_health_without_modifying(self, tmp_path):
         path = tmp_path / "store.jsonl"
         store = ArtifactStore(path).open_for_append()
@@ -213,3 +189,24 @@ class TestMergeAndVerify:
         assert report.dropped == 1
         assert report.torn_tail
         assert path.read_bytes() == before
+
+    def test_legacy_synth_eval_records_still_load(self, tmp_path):
+        """Files written by the retired synthesis disk cache hold
+        ``synth-eval`` records; the store accepts any kind, so they load,
+        verify and compact like any other record."""
+        path = tmp_path / "evals.jsonl"
+        body = {"fingerprint": "fp", "backend": "SynthesisFlow,sky130",
+                "name": "blk", "delay_ps": 1.0, "num_gates": 1,
+                "num_gates_unoptimized": 1, "area_um2": 0.1,
+                "aig_depth": None, "node_ids": [4]}
+        lines = [{"kind": "synth-eval", "key": key, "schema": 1,
+                  "body": body, "t": 1.0} for key in ("e1", "e2", "e1")]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        store = ArtifactStore.load(path)
+        assert store.kinds() == {"synth-eval": 2}
+        assert store.get("synth-eval", "e1").body == body
+        report = store.verify()
+        assert (report.num_records, report.dropped) == (2, 1)
+        assert not report.torn_tail
+        ArtifactStore(path).open_for_append().compact()
+        assert len(path.read_text().splitlines()) == 2

@@ -6,11 +6,9 @@ from repro.synth.backend import (
     BACKENDS,
     EstimatorBackend,
     FlowBackend,
-    LocalSynthesisBackend,
     create_backend,
 )
 from repro.synth.flow import SynthesisFlow
-from repro.synth.report import SynthesisReport
 
 
 def _stage_sets(graph):
@@ -24,13 +22,12 @@ def _stage_sets(graph):
 
 
 def test_backends_satisfy_protocol(library):
-    assert isinstance(LocalSynthesisBackend(library), FlowBackend)
     assert isinstance(EstimatorBackend(library), FlowBackend)
     assert isinstance(SynthesisFlow(library), FlowBackend)
 
 
 def test_create_backend_registry(library):
-    assert isinstance(create_backend("local", library), LocalSynthesisBackend)
+    assert type(create_backend("local", library)) is SynthesisFlow
     assert isinstance(create_backend("estimator", library), EstimatorBackend)
     assert set(BACKENDS) == {"local", "estimator"}
     with pytest.raises(ValueError, match="unknown flow backend"):
@@ -38,7 +35,8 @@ def test_create_backend_registry(library):
 
 
 def test_create_backend_estimator_ignores_synthesis_knobs(library):
-    backend = create_backend("estimator", library, optimize=True, jobs=8)
+    backend = create_backend("estimator", library, optimize=True,
+                             compute_aig=True)
     assert isinstance(backend, EstimatorBackend)
 
 
@@ -51,21 +49,26 @@ def test_serial_batch_matches_individual_evaluations(adder_chain_graph, library)
     assert [r.num_gates for r in batch] == [r.num_gates for r in individual]
 
 
-def test_parallel_batch_identical_to_serial(adder_chain_graph, library):
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_batch_is_identical_to_individual_reports(kind, adder_chain_graph,
+                                                  library):
+    backend = create_backend(kind, library)
     sets = _stage_sets(adder_chain_graph)
-    serial = SynthesisFlow(library).evaluate_batch(adder_chain_graph, sets)
-    with LocalSynthesisBackend(library, jobs=3) as backend:
-        parallel = backend.evaluate_batch(adder_chain_graph, sets)
-    assert parallel == serial  # frozen dataclasses: field-wise equality
+    batch = backend.evaluate_batch(adder_chain_graph, sets)
+    individual = [backend.evaluate_subgraph(adder_chain_graph, s)
+                  for s in sets]
+    assert batch == individual  # frozen dataclasses: field-wise equality
 
 
-def test_parallel_batch_preserves_order_and_names(adder_chain_graph, library):
+@pytest.mark.parametrize("kind", sorted(BACKENDS))
+def test_batch_preserves_order_and_names(kind, adder_chain_graph, library):
     sets = _stage_sets(adder_chain_graph)
     names = [f"block{i}" for i in range(len(sets))]
-    with LocalSynthesisBackend(library, jobs=2) as backend:
-        reports = backend.evaluate_batch(adder_chain_graph, sets, names)
+    reports = create_backend(kind, library).evaluate_batch(
+        adder_chain_graph, sets, names)
     assert [r.name for r in reports] == names
-    assert all(isinstance(r, SynthesisReport) for r in reports)
+    assert [r.node_ids for r in reports] == \
+        [tuple(sorted(s)) for s in sets]
 
 
 def test_estimator_backend_is_cheap_but_consistent(adder_chain_graph, library):
@@ -94,9 +97,3 @@ def test_estimator_backend_drives_the_analyzer(adder_chain_graph, library):
     report = analyzer.report(schedule)
     assert report.num_stages == schedule.num_stages
     assert all(d >= 0 for d in report.stage_delays_ps)
-
-
-def test_backend_close_is_idempotent(library):
-    backend = LocalSynthesisBackend(library, jobs=2)
-    backend.close()
-    backend.close()

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.ir.builder import GraphBuilder
-from repro.synth.backend import LocalSynthesisBackend
 from repro.synth.cache import EvaluationCache
 from repro.synth.flow import SynthesisFlow
 
@@ -79,75 +78,59 @@ def test_batch_accounting_matches_serial_semantics(adder_chain_graph, library):
     ]
     reports = cache.evaluate_batch(adder_chain_graph, sets)
     assert cache.stats.misses == 2
-    assert cache.stats.synth_runs == 2  # no disk layer: every miss synthesises
+    assert cache.stats.synth_runs == 2  # every miss synthesises
     assert cache.stats.hits == 2
     assert reports[1] is reports[2]
     assert reports[0] is reports[3]
     assert len(cache) == 2
 
 
-def test_batch_through_parallel_backend_keeps_accounting(adder_chain_graph,
-                                                         library):
+class _CountingBackend:
+    """Records every batch the cache forwards to the wrapped flow."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.library = inner.library
+        self.batches = []
+
+    def evaluate_subgraph(self, graph, node_ids, name=""):
+        return self.evaluate_batch(graph, [node_ids], [name])[0]
+
+    def evaluate_batch(self, graph, node_sets, names=None):
+        self.batches.append([tuple(s) for s in node_sets])
+        return self.inner.evaluate_batch(graph, node_sets, names)
+
+
+def test_only_distinct_misses_reach_the_backend(adder_chain_graph, library):
     names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-    sets = [[names["s1"]], [names["s2"]], [names["s3"]],
-            [names["s1"], names["s2"]]]
-    serial_cache = EvaluationCache(SynthesisFlow(library))
-    serial = serial_cache.evaluate_batch(adder_chain_graph, sets)
-    with LocalSynthesisBackend(library, jobs=2) as backend:
-        parallel_cache = EvaluationCache(backend)
-        parallel = parallel_cache.evaluate_batch(adder_chain_graph, sets)
-        assert parallel == serial
-        assert parallel_cache.stats.misses == serial_cache.stats.misses
-        assert parallel_cache.stats.hits == serial_cache.stats.hits
+    s1, s2, product = names["s1"], names["s2"], names["product"]
+    backend = _CountingBackend(SynthesisFlow(library))
+    cache = EvaluationCache(backend)
+    cache.evaluate_batch(adder_chain_graph, [[s1], [s2, s1], [s1, s2], [s1]])
+    cache.evaluate_batch(adder_chain_graph, [[s1], [s1, s2]])  # all hits
+    cache.evaluate(adder_chain_graph, [product])
+    assert backend.batches == [[(s1,), (s1, s2)], [(product,)]]
+    forwarded = sum(len(batch) for batch in backend.batches)
+    assert cache.stats.misses == cache.stats.synth_runs == forwarded == 3
+    assert cache.stats.hits == 4
 
 
-def test_disk_layer_warms_future_caches(adder_chain_graph, library, tmp_path):
-    path = tmp_path / "cache" / "evals.jsonl"
-    names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-    cold = EvaluationCache(SynthesisFlow(library), disk_path=path)
-    report = cold.evaluate(adder_chain_graph, [names["s1"], names["s2"]])
-    assert cold.stats.misses == 1
-    assert path.exists()
-
-    warm = EvaluationCache(SynthesisFlow(library), disk_path=path)
-    assert warm.stats.disk_loaded == 1
-    reloaded = warm.evaluate(adder_chain_graph, [names["s1"], names["s2"]])
-    # A disk answer is a memory miss but NOT a synthesis run.
-    assert warm.stats.misses == 1
-    assert warm.stats.disk_hits == 1
-    assert warm.stats.synth_runs == 0
-    assert reloaded.delay_ps == report.delay_ps
-    assert reloaded.num_gates == report.num_gates
-    # The promoted entry answers repeats from memory.
-    warm.evaluate(adder_chain_graph, [names["s1"], names["s2"]])
-    assert warm.stats.hits == 1
-    assert warm.stats.synth_runs == 0
-
-
-def test_disk_layer_is_backend_configuration_specific(adder_chain_graph,
-                                                      library, tmp_path):
-    """Entries persisted by one backend configuration (e.g. the estimator)
-    must not be served to a differently-configured backend."""
+def test_accounting_is_independent_of_the_backend(adder_chain_graph, library):
     from repro.synth.backend import EstimatorBackend
 
-    path = tmp_path / "evals.jsonl"
     names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-    nodes = [names["s1"], names["s2"]]
-
-    estimator_cache = EvaluationCache(EstimatorBackend(library), disk_path=path)
-    estimated = estimator_cache.evaluate(adder_chain_graph, nodes)
-
-    synth_cache = EvaluationCache(SynthesisFlow(library), disk_path=path)
-    assert synth_cache.stats.disk_loaded == 0
-    measured = synth_cache.evaluate(adder_chain_graph, nodes)
-    assert synth_cache.stats.misses == 1
-    assert synth_cache.stats.synth_runs == 1
-    assert synth_cache.stats.disk_hits == 0
-    assert measured.delay_ps != estimated.delay_ps
-
-    # Same configuration -> the persisted entry is served again.
-    rewarmed = EvaluationCache(SynthesisFlow(library), disk_path=path)
-    assert rewarmed.stats.disk_loaded == 1
+    # [s2] is structurally the same 16-bit add as [s1]: a hit on both.
+    sets = [[names["s1"]], [names["product"]], [names["s1"], names["s2"]],
+            [names["s2"]], [names["s3"], names["product"]]]
+    local = EvaluationCache(SynthesisFlow(library))
+    estimator = EvaluationCache(EstimatorBackend(library))
+    local.evaluate_batch(adder_chain_graph, sets)
+    estimated = estimator.evaluate_batch(adder_chain_graph, sets)
+    direct = EstimatorBackend(library).evaluate_batch(adder_chain_graph, sets)
+    assert [(r.delay_ps, r.num_gates) for r in estimated] == \
+        [(r.delay_ps, r.num_gates) for r in direct]
+    assert (estimator.stats.hits, estimator.stats.misses) == \
+        (local.stats.hits, local.stats.misses) == (1, 4)
 
 
 def test_empty_cache_is_not_discarded_by_the_analyzer(library):
@@ -181,121 +164,3 @@ def test_analyzer_over_cache_uses_the_backend_library(adder_chain_graph,
     assert report.slack_ps == expected
     default = PipelineAnalyzer(flow=SynthesisFlow(library)).report(schedule)
     assert report.slack_ps == pytest.approx(default.slack_ps - 275.0)
-
-
-def test_disk_layer_skips_corrupt_lines(adder_chain_graph, library, tmp_path):
-    path = tmp_path / "evals.jsonl"
-    path.write_text("not json\n{\"key\": \"missing fields\"}\n")
-    cache = EvaluationCache(SynthesisFlow(library), disk_path=path)
-    assert cache.stats.disk_loaded == 0
-    names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-    assert cache.evaluate(adder_chain_graph, [names["s1"]]).delay_ps > 0
-
-
-def test_disk_records_are_store_envelopes(adder_chain_graph, library,
-                                          tmp_path):
-    """The cache's disk layer writes unified synth-eval store records."""
-    import json
-
-    from repro.store import synth_eval_key
-    from repro.synth.cache import backend_signature
-
-    path = tmp_path / "evals.jsonl"
-    flow = SynthesisFlow(library)
-    cache = EvaluationCache(flow, disk_path=path)
-    names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-    cache.evaluate(adder_chain_graph, [names["s1"]])
-    record = json.loads(path.read_text().splitlines()[0])
-    assert record["kind"] == "synth-eval"
-    assert record["body"]["backend"] == backend_signature(flow)
-    assert record["key"] == synth_eval_key(record["body"]["backend"],
-                                           record["body"]["fingerprint"])
-    assert "t" in record  # GC timestamp rides on the envelope
-
-
-def test_foreign_signature_records_are_ignored_not_errors(adder_chain_graph,
-                                                          library, tmp_path):
-    """A store full of records under other/legacy signatures is simply a
-    cold cache -- never a failed run."""
-    import json
-
-    path = tmp_path / "evals.jsonl"
-    legacy_body = {"fingerprint": "fp", "backend": "SynthesisFlow,legacy",
-                   "name": "old", "delay_ps": 1.0, "num_gates": 1,
-                   "num_gates_unoptimized": 1, "area_um2": 0.1,
-                   "aig_depth": None, "node_ids": []}
-    path.write_text(json.dumps({"kind": "synth-eval", "key": "k1",
-                                "schema": 1, "body": legacy_body}) + "\n")
-    cache = EvaluationCache(SynthesisFlow(library), disk_path=path)
-    assert cache.stats.disk_loaded == 0
-    names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-    assert cache.evaluate(adder_chain_graph, [names["s1"]]).delay_ps > 0
-    assert cache.stats.synth_runs == 1
-
-
-def test_signature_tracks_library_characterisation(library):
-    """Two libraries sharing a name but differing in one delay figure must
-    not share disk records (the flaw the explicit signature() fixes)."""
-    import copy
-
-    from repro.synth.cache import backend_signature
-
-    retimed = copy.deepcopy(library)
-    cell = retimed.cells["xor2"]
-    retimed.cells["xor2"] = type(cell)(name=cell.name,
-                                       delay_ps=cell.delay_ps * 2,
-                                       area_um2=cell.area_um2,
-                                       num_inputs=cell.num_inputs)
-    assert retimed.name == library.name
-    assert backend_signature(SynthesisFlow(library)) != \
-        backend_signature(SynthesisFlow(retimed))
-
-
-def test_estimator_and_synthesis_signatures_differ(library):
-    from repro.synth.backend import EstimatorBackend, LocalSynthesisBackend
-    from repro.synth.cache import backend_signature
-
-    synth = backend_signature(SynthesisFlow(library))
-    assert backend_signature(EstimatorBackend(library)) != synth
-    # The parallel backend is bit-identical to the serial flow and
-    # legitimately shares its persisted records.
-    with LocalSynthesisBackend(library) as parallel:
-        assert backend_signature(parallel) == synth
-
-
-def test_repeated_runs_with_compaction_stop_growing_the_file(
-        adder_chain_graph, library, tmp_path):
-    """Satellite acceptance: re-running the same evaluations re-appends the
-    same (kind, key) identities, and compaction converges the file size."""
-    from repro.store import ArtifactStore
-
-    path = tmp_path / "evals.jsonl"
-    names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-    sets = [[names["s1"]], [names["s1"], names["s2"]]]
-    sizes = []
-    for _ in range(3):
-        cache = EvaluationCache(SynthesisFlow(library), disk_path=path)
-        for node_ids in sets:
-            cache.evaluate(adder_chain_graph, node_ids)
-        ArtifactStore(path).open_for_append().compact()
-        sizes.append(path.stat().st_size)
-    assert sizes[0] == sizes[1] == sizes[2]
-    warm = EvaluationCache(SynthesisFlow(library), disk_path=path)
-    assert warm.stats.disk_loaded == 2
-
-
-def test_cache_can_share_an_open_store(adder_chain_graph, library, tmp_path):
-    """One artifact store can hold campaign records and evaluations."""
-    from repro.store import ArtifactStore, StoreRecord
-
-    store = ArtifactStore(tmp_path / "unified.jsonl").open_for_append()
-    store.put(StoreRecord(kind="campaign-header", key="fp", schema=2,
-                          body={"fingerprint": "fp"}))
-    cache = EvaluationCache(SynthesisFlow(library), store=store)
-    names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
-    cache.evaluate(adder_chain_graph, [names["s1"]])
-    reloaded = ArtifactStore.load(store.path)
-    assert reloaded.kinds() == {"campaign-header": 1, "synth-eval": 1}
-    with pytest.raises(ValueError, match="not both"):
-        EvaluationCache(SynthesisFlow(library),
-                        disk_path=tmp_path / "x.jsonl", store=store)

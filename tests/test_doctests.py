@@ -1,6 +1,6 @@
 """Tier-1 doctest runner for the modules whose docstrings promise
 runnable examples (campaign spec/store, the report engine, the artifact
-store and the SDC constraint system).
+store, the bounded JSON decoder and the SDC constraint system).
 
 CI additionally runs ``pytest --doctest-modules`` over the same files;
 this test keeps the examples honest under the plain tier-1 invocation
@@ -21,6 +21,7 @@ DOCTESTED_MODULES = [
     "repro.report.diff",
     "repro.report.frame",
     "repro.report.render",
+    "repro.safejson",
     "repro.sdc.constraints",
     "repro.store.record",
     "repro.store.store",
