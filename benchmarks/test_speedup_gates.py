@@ -86,10 +86,10 @@ OPTIMIZER_GATED_DESIGNS = ("ML-core datapath1", "rrot", "crc32", "hsv2rgb")
 DSE_SPEEDUP_FLOOR = 0.8 * 3.035
 
 #: Bytes a min-clock search of :data:`DSE_MEMORY_DESIGN` leaves allocated
-#: while its worker cache (every solved probe's problem) lives, as
-#: tracemalloc counts them: 1.2 x 7.23 MiB, the recorded figure plus a 20%
-#: allowance.
-DSE_RETAINED_CEILING_BYTES = 1.2 * 7.23 * 2 ** 20
+#: while its worker cache (the design's context and template problem, and
+#: every probe's answer) lives, as tracemalloc counts them: 1.2 x 2.27 MiB,
+#: the recorded figure plus a 20% allowance.
+DSE_RETAINED_CEILING_BYTES = 1.2 * 2.27 * 2 ** 20
 DSE_MEMORY_DESIGN = "sha256"
 
 #: Service replay (300 draws, bursts of 2, 2 workers, 12 clients, seed 0).

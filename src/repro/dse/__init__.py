@@ -6,15 +6,16 @@ clock periods?") by treating one (design, clock period) schedule as a
 black-box probe and searching over periods.  The perf heart is the
 warm-start engine (:mod:`repro.dse.warm`): across clock points of one
 design the delay matrix is *identical* -- only the combinational budget
-moves -- so the solved :class:`~repro.sdc.problem.ScheduleProblem` of the
-nearest previously-probed period is cloned and rebased to the new budget
-by patching just the timing bounds whose ``ceil(delay / budget)`` bucket
-changed, byte-identical to a cold rebuild.
+moves -- so it keeps answers, not constraint systems: one template
+:class:`~repro.sdc.problem.ScheduleProblem` per design carries the
+per-graph constants, and a probe whose timing bounds all equal a solved
+period's takes that period's schedule without a build or a solve,
+byte-identical to a cold solve.
 
 Modules:
 
 * :mod:`repro.dse.warm` -- per-design :class:`ProblemCache` (context build,
-  fingerprint memoization, clone + rebase warm start) and
+  fingerprint memoization, answer-reuse warm start) and
   :class:`ProbeOutcome`.
 * :mod:`repro.dse.optimizer` -- the :class:`Optimizer` protocol
   (``next_batch`` / ``process_outcome`` / ``done`` / ``best``) with

@@ -10,7 +10,7 @@ cache, so its answers are the offline per-design entries.  Every worker
 process keeps its own module-global :class:`~repro.dse.warm.ProblemCache`
 so warm-start state accumulates worker-locally across batches and designs.
 Because warm-started probes are byte-identical to cold ones, the schedule
-results never depend on which worker (or which donor problem) served a
+results never depend on which worker (or which donor period) served a
 probe -- only the provenance counters do.
 
 Batch *width* is decoupled from worker count by ``speculate``: the

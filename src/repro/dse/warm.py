@@ -1,36 +1,40 @@
-"""The DSE warm-start engine: cross-clock-point ``ScheduleProblem`` reuse.
+"""The DSE warm-start engine: answers kept across clock probes.
 
-A clock-period search probes the *same* design at many periods.  Everything
-expensive about one probe except the LP solve itself -- building the graph,
-characterising per-node delays, the all-pairs critical-path matrix, the
-register weights and users map, the constraint system, the flow objective --
-depends only on the design, or changes between periods in a tightly
-structured way.  The :class:`ProblemCache` exploits both levels:
+A clock-period search probes the *same* design at many periods.  In the
+SDC formulation a period changes only the Eq. 2 timing bounds over a fixed
+delay matrix; everything else -- the graph, per-node delays, the all-pairs
+critical-path matrix, the register weights, users map and flow objective
+-- depends only on the design.  The :class:`ProblemCache` keeps answers,
+not constraint systems:
 
 * a :class:`DesignContext` is built once per design and shared by every
   probe (graph, delay matrix, structural fingerprint);
-* the solved :class:`~repro.sdc.problem.ScheduleProblem` of each feasible
-  probe is retained, and a new probe warm-starts by cloning the problem of
-  the *nearest* previously-solved period and retargeting it to the new
-  budget (:meth:`~repro.sdc.problem.ScheduleProblem.retarget` -- only
-  bounds whose ``ceil(delay / budget)`` bucket changed are patched,
-  falling back to a full constraint rebuild when the constrained-pair set
-  moved);
+* one template :class:`~repro.sdc.problem.ScheduleProblem` per design
+  carries the per-graph constants; a probe that solves clones it and
+  builds its own system at its own budget, dropped when the probe returns;
+* each feasible probe leaves only a :class:`SolvedPeriod` -- its budget,
+  pair rank, II and schedule.  A probe whose pair rank equals a solved
+  period's shares that period's constrained-pair set; when none of the
+  timing bounds over that set differ between the two budgets, the system
+  is the donor's and the donor's answer is the probe's, with no build and
+  no solve;
 * repeated probes of a structurally identical design at the same period
   are memoized on the design's subgraph fingerprint and cost nothing.
 
-Warm-started probes are byte-identical to cold ones: the retargeted
-constraint arrays equal a from-scratch build's (see
-:meth:`ScheduleProblem.retarget`) and both paths run the one shared
+Every solved probe's system equals a from-scratch build at its budget,
+and every solve runs the one shared
 :func:`~repro.sdc.loops.min_feasible_ii`, whose least optimal schedule is
-a function of the system alone.
-The parity suite under ``tests/dse/`` enforces this on every probe.
+a function of the system alone, so warm and cold probes are
+byte-identical.  The parity suite under ``tests/dse/`` enforces this on
+every probe, and holds every probe's provenance to the clone-and-retarget
+mechanism the cache used to run (``tests/dse/warm_oracle.py``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +44,7 @@ from repro.sdc.delays import NOT_CONNECTED, critical_path_matrix, node_delays
 from repro.sdc.flow import check_latency_weight
 from repro.sdc.loops import min_feasible_ii
 from repro.sdc.pipeline import count_pipeline_registers
-from repro.sdc.problem import ScheduleProblem
+from repro.sdc.problem import ScheduleProblem, timing_bounds, timing_pairs
 from repro.sdc.scheduler import Schedule
 from repro.sdc.solver import SdcInfeasibleError
 from repro.synth.fingerprint import subgraph_fingerprint
@@ -143,11 +147,12 @@ class ProbeOutcome:
     """The result of scheduling one design at one clock period.
 
     The schedule-describing fields (``feasible``, ``num_stages``,
-    ``num_registers``, ``stages``) are deterministic: warm and cold probes
-    are byte-identical, so they do not depend on which cache served the
-    probe.  The provenance fields (``warm_patched``, ``lp_rebuild``,
-    ``memo_hit``, ``bound_patches``, ``solve_time_s``) describe how *this*
-    evaluation was served and vary with worker/cache layout.
+    ``num_registers``, ``ii``, ``stages``) are deterministic: warm and cold
+    probes are byte-identical, so they do not depend on which cache served
+    the probe.  The provenance fields (``warm_patched``,
+    ``solution_reuse``, ``lp_rebuild``, ``memo_hit``, ``bound_patches``,
+    ``solve_time_s``) describe how *this* evaluation was served and vary
+    with worker/cache layout.
 
     Attributes:
         design: design name.
@@ -163,16 +168,18 @@ class ProbeOutcome:
             the per-candidate probes of a min-II search trace, where it is
             the *probed* candidate).
         stages: the full node id -> stage schedule (feasible probes only).
-        warm_patched: served by rebasing a cloned donor problem in place.
-        solution_reuse: the rebase patched *zero* bounds -- the system is
-            the donor's, so the donor's schedule was reused without a
-            solve (the solve returns the least optimal schedule, a function
-            of the system alone, so a fresh solve would return exactly the
-            same schedule).
-        lp_rebuild: a full constraint/LP build was performed (cold probe,
-            or a rebase whose pair set moved).
+        warm_patched: a solved period with the same pair rank (the same
+            constrained-pair set) was the donor; its system differs from
+            this probe's in ``bound_patches`` timing bounds.
+        solution_reuse: the donor's bounds all equal this probe's -- the
+            system is the donor's, so the donor's schedule and II were
+            reused without a build or a solve (the solve returns the least
+            optimal schedule, a function of the system alone, so a fresh
+            solve would return exactly the same schedule).
+        lp_rebuild: no same-rank donor existed; the probe was solved cold.
         memo_hit: served from the fingerprint memo without any solve.
-        bound_patches: timing bounds patched during the rebase.
+        bound_patches: timing bounds that differ between the donor's budget
+            and this probe's, over their shared pair set.
         solve_time_s: wall-clock seconds of this evaluation (0 for memo
             hits and budget rejections).
     """
@@ -240,25 +247,61 @@ def _solve(context: DesignContext, problem: ScheduleProblem, period: float,
                      solve_time_s=time.perf_counter() - start, **provenance)
 
 
+class SolvedPeriod(NamedTuple):
+    """What a :class:`ProblemCache` keeps of one feasible probe.
+
+    Attributes:
+        budget_ps: the probe's combinational stage budget.
+        pair_rank: its :meth:`DesignContext.pair_rank`.
+        ii: the schedule's initiation interval.
+        stages: the schedule (the memoized outcome's own dict).
+    """
+
+    budget_ps: float
+    pair_rank: int
+    ii: int
+    stages: dict[int, int]
+
+
+def _bound_changes(matrix: np.ndarray, donor_budget_ps: float,
+                   budget_ps: float) -> int:
+    """Timing bounds that differ between two budgets of equal pair rank.
+
+    Equal ranks mean equal constrained-pair sets, so both budgets bound
+    the pairs :func:`~repro.sdc.problem.timing_pairs` enumerates at
+    ``budget_ps``; this counts those whose ``ceil(delay / budget)``
+    bucket moved.
+    """
+    rows, cols, bounds = timing_pairs(matrix, budget_ps)
+    donor_bounds, _ = timing_bounds(matrix[rows, cols], donor_budget_ps)
+    return int(np.count_nonzero(bounds != donor_bounds))
+
+
 class ProblemCache:
     """Per-process warm-start state of a clock-period search.
 
-    One cache holds, per design: the :class:`DesignContext`, every solved
-    :class:`~repro.sdc.problem.ScheduleProblem` keyed by clock period, and
-    a fingerprint-keyed memo of probe outcomes.  :meth:`probe` is the
-    single evaluation entry point; the search driver keeps one cache per
-    worker process so parallel batches warm-start independently (results
-    are identical either way -- see the module docstring).
+    The cache keeps answers, not constraint systems.  Per design it holds
+    the :class:`DesignContext`, one template
+    :class:`~repro.sdc.problem.ScheduleProblem` carrying the per-graph
+    constants (register weights, users map, flow objective), and one
+    :class:`SolvedPeriod` -- budget, pair rank, II and schedule -- per
+    feasible period; a fingerprint-keyed memo holds every probe outcome.
+    A probe that solves clones the template and builds its own system at
+    its own budget, and that system is dropped when the probe returns.
+    :meth:`probe` is the single evaluation entry point; the search driver
+    keeps one cache per worker process so parallel batches warm-start
+    independently (results are identical either way -- see the module
+    docstring).
 
     Attributes:
         latency_weight: LP tie-breaking weight, part of the memo key.
         memo_hits: probes served from the fingerprint memo.
-        warm_solves: probes served by clone + in-place rebase (including
-            zero-patch rebases that reused the donor's solution outright).
-        reused_solutions: the zero-patch subset of ``warm_solves`` -- no
-            LP call at all.
-        cold_solves: probes that built (or rebuilt) the full constraint
-            system and LP.
+        warm_solves: probes with a solved same-pair-rank donor period
+            (including those that reused the donor's solution outright).
+        reused_solutions: the subset of ``warm_solves`` whose bounds equal
+            the donor's -- no build and no LP call at all.
+        cold_solves: probes with no same-rank donor, solved on a fresh
+            system.
         budget_skips: probes rejected analytically without any LP.
     """
 
@@ -270,8 +313,8 @@ class ProblemCache:
         self.cold_solves = 0
         self.budget_skips = 0
         self._contexts: dict[str, DesignContext] = {}
-        self._solved: dict[str, dict[float, tuple[ScheduleProblem,
-                                                  dict[int, int], int]]] = {}
+        self._templates: dict[str, ScheduleProblem] = {}
+        self._solved: dict[str, dict[float, SolvedPeriod]] = {}
         self._memo: dict[tuple, ProbeOutcome] = {}
 
     def context(self, design: str) -> DesignContext:
@@ -282,33 +325,51 @@ class ProblemCache:
             self._contexts[design] = context
         return context
 
-    def _nearest_solved(self, design: str, clock_period_ps: float,
-                        pair_rank: int
-                        ) -> tuple[ScheduleProblem, dict[int, int], int] | None:
-        """Solved (problem, schedule, rank) of the best donor period.
+    def _donor(self, design: str, clock_period_ps: float, pair_rank: int
+               ) -> SolvedPeriod | None:
+        """The nearest solved period sharing ``pair_rank``, if any.
 
-        Donors sharing the target's pair rank are preferred (their rebase
-        is guaranteed to succeed as a pure bound patch); among candidates
-        the nearest period wins, smaller period breaking ties.
+        Only such a donor shares the target's constrained-pair set; the
+        nearest period wins, the smaller period breaking ties.
         """
-        solved = self._solved.get(design)
-        if not solved:
+        same_rank = {period: solved for period, solved
+                     in self._solved.get(design, {}).items()
+                     if solved.pair_rank == pair_rank}
+        if not same_rank:
             return None
-        same_rank = {period: entry for period, entry in solved.items()
-                     if entry[2] == pair_rank}
-        candidates = same_rank or solved
-        donor_period = min(candidates,
-                           key=lambda p: (abs(p - clock_period_ps), p))
-        return candidates[donor_period]
+        return same_rank[min(same_rank,
+                             key=lambda p: (abs(p - clock_period_ps), p))]
+
+    def _problem(self, context: DesignContext,
+                 budget_ps: float) -> ScheduleProblem:
+        """A fresh problem at ``budget_ps``, cloned from the design's template.
+
+        The template is the design's first built problem; its objective is
+        built up front so every clone shares it, its weights and its users
+        map.  A clone at another budget rebuilds its own system.
+        """
+        template = self._templates.get(context.name)
+        if template is None:
+            template = ScheduleProblem(context.graph, context.matrix,
+                                       context.index_of, budget_ps,
+                                       latency_weight=self.latency_weight)
+            template.objective  # built once, shared by every clone
+            self._templates[context.name] = template
+        problem = template.clone()
+        if problem.timing_budget_ps != budget_ps:
+            problem.timing_budget_ps = budget_ps
+            problem.rebuild(context.matrix, context.index_of)
+        return problem
 
     def probe(self, design: str, clock_period_ps: float) -> ProbeOutcome:
         """Schedule ``design`` at ``clock_period_ps``, as warmly as possible.
 
         The fast paths, in order: fingerprint memo (free), analytic budget
-        rejection (free), clone-and-rebase from the nearest solved period
-        (bound patches only), full cold build.  All solving paths go
-        through the shared :func:`~repro.sdc.loops.min_feasible_ii`, so the
-        returned schedule never depends on which path served the probe.
+        rejection (free), a same-pair-rank donor whose bounds are all equal
+        (the donor's answer, no build and no solve), then a solve on a
+        fresh system.  All solving paths go through the shared
+        :func:`~repro.sdc.loops.min_feasible_ii`, so the returned schedule
+        never depends on which path served the probe.
         """
         context = self.context(design)
         period = float(clock_period_ps)
@@ -329,50 +390,31 @@ class ProblemCache:
 
         start = time.perf_counter()
         rank = context.pair_rank(budget)
-        donor = self._nearest_solved(design, period, rank)
-        warm_patched = False
+        donor = self._donor(design, period, rank)
         patches = 0
         if donor is None:
-            problem = ScheduleProblem(context.graph, context.matrix,
-                                      context.index_of, budget,
-                                      latency_weight=self.latency_weight)
-        else:
-            donor_problem, donor_stages, donor_rank = donor
-            problem = donor_problem.clone()
-            if donor_rank == rank:
-                patches_before = problem.bound_patches
-                warm_patched = problem.retarget(context.matrix,
-                                                context.index_of, budget)
-                patches = problem.bound_patches - patches_before
-            else:
-                # The pair sets provably differ (nested sets of different
-                # cardinality): skip the doomed rebase attempt and rebuild
-                # the cloned system directly, still reusing the donor's
-                # register weights and users map.
-                problem.timing_budget_ps = budget
-                problem.rebuild(context.matrix, context.index_of)
-
-        if warm_patched:
-            self.warm_solves += 1
-        else:
             self.cold_solves += 1
-        provenance = dict(warm_patched=warm_patched,
-                          lp_rebuild=not warm_patched, bound_patches=patches)
-        if warm_patched and patches == 0:
-            # The rebase touched nothing: the clone's system is the
-            # donor's, and the solve's output (the least optimal schedule)
-            # is a function of the system alone, so a fresh solve would
-            # return exactly the donor's schedule.
+        else:
+            self.warm_solves += 1
+            patches = _bound_changes(context.matrix, donor.budget_ps, budget)
+        provenance = dict(warm_patched=donor is not None,
+                          lp_rebuild=donor is None, bound_patches=patches)
+        if donor is not None and patches == 0:
+            # Every bound equals the donor's, so the system is the donor's,
+            # and the solve's output (the least optimal schedule) is a
+            # function of the system alone: a fresh solve would return
+            # exactly the donor's schedule at the donor's II.
             self.reused_solutions += 1
-            outcome = _feasible(context, period, problem.ii, donor_stages,
+            outcome = _feasible(context, period, donor.ii, donor.stages,
                                 solution_reuse=True,
                                 solve_time_s=time.perf_counter() - start,
                                 **provenance)
         else:
-            outcome = _solve(context, problem, period, start, **provenance)
+            outcome = _solve(context, self._problem(context, budget), period,
+                             start, **provenance)
         if outcome.feasible:
-            self._solved.setdefault(design, {})[period] = (
-                problem, dict(outcome.stages), rank)
+            self._solved.setdefault(design, {})[period] = SolvedPeriod(
+                budget, rank, outcome.ii, outcome.stages)
         self._memo[key] = outcome
         return outcome
 

@@ -139,7 +139,9 @@ class CandidatePath:
         stage: pipeline stage both nodes live in.
         delay_ps: estimated critical-path delay ``D(ccp(vi, vj))``.
         score: ranking score (depends on the extraction strategy).
-        path_nodes: nodes on the critical path, source to sink.
+        path_nodes: nodes on the critical path, source to sink; empty when
+            the extractor's expansion never reads it (see
+            :meth:`SubgraphExtractor.extract`).
     """
 
     source: int
@@ -272,13 +274,20 @@ def enumerate_candidate_paths(schedule: Schedule, delay_matrix: DelayMatrix,
     what unlocks merging it with a neighbouring stage.
     """
     return _enumerate_candidate_paths(_ScheduleContext(schedule), delay_matrix,
-                                      strategy, clock_period_ps)
+                                      strategy, clock_period_ps,
+                                      with_paths=True)
 
 
 def _enumerate_candidate_paths(context: _ScheduleContext,
                                delay_matrix: DelayMatrix,
                                strategy: ExtractionStrategy,
-                               clock_period_ps: float) -> list[CandidatePath]:
+                               clock_period_ps: float,
+                               with_paths: bool) -> list[CandidatePath]:
+    """The candidates of :func:`enumerate_candidate_paths`.
+
+    ``with_paths`` off leaves every ``path_nodes`` empty and skips the
+    critical-path search; sources, delays, scores and order are the same.
+    """
     schedule = context.schedule
     graph = schedule.graph
     candidates: list[CandidatePath] = []
@@ -291,7 +300,8 @@ def _enumerate_candidate_paths(context: _ScheduleContext,
             score = fanout_score(graph, sink, delay, clock_period_ps)
         else:
             score = delay
-        path = _critical_in_stage_path(context, delay_matrix, best_source, sink)
+        path = (_critical_in_stage_path(context, delay_matrix, best_source,
+                                        sink) if with_paths else ())
         candidates.append(CandidatePath(
             source=best_source, sink=sink, stage=schedule.stage_of(sink),
             delay_ps=delay, score=score, path_nodes=path))
@@ -346,11 +356,16 @@ class SubgraphExtractor:
 
     def extract(self, schedule: Schedule, delay_matrix: DelayMatrix
                 ) -> list[tuple[CandidatePath, frozenset[int]]]:
-        """Top-m candidates of the schedule, expanded and de-duplicated."""
+        """Top-m candidates of the schedule, expanded and de-duplicated.
+
+        Critical paths are searched only under the ``PATH`` expansion, the
+        one that reads them; otherwise every ``path_nodes`` is empty.
+        """
         context = _ScheduleContext(schedule)
         candidates = _enumerate_candidate_paths(
             context, delay_matrix, self.config.extraction,
-            self.config.clock_period_ps)
+            self.config.clock_period_ps,
+            with_paths=self.config.expansion is ExpansionStrategy.PATH)
         selected: list[tuple[CandidatePath, frozenset[int]]] = []
         seen: set[frozenset[int]] = set()
         for candidate in candidates:

@@ -8,8 +8,8 @@ single :class:`~repro.sdc.problem.ScheduleProblem` -- each probe is a
 :meth:`~repro.sdc.problem.ScheduleProblem.rebase_ii` (an in-place patch of
 the loop bounds, never a rebuild) followed by one
 :func:`~repro.sdc.solver.solve_problem` call.  This is the same
-bound-patch discipline the clock-period DSE uses for ``retarget``, applied
-to the II axis.
+bound-patch discipline the ISDC loop uses for ``retarget``, applied to the
+II axis.
 """
 
 from __future__ import annotations

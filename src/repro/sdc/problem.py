@@ -2,13 +2,15 @@
 
 A :class:`ScheduleProblem` owns everything the LP re-solve of one graph
 needs -- the difference-constraint system and the register weights and
-users map of the objective -- and keeps it alive across ISDC iterations,
-DSE clock probes and II probes.  Each of those changes only row *bounds*:
+users map of the objective -- and keeps it alive across ISDC iterations
+and II probes.  Each of those changes only row *bounds*:
 :meth:`ScheduleProblem.retarget` re-derives the timing bounds from the
-whole delay matrix at a budget (ISDC feedback and DSE clock probes alike)
-and :meth:`ScheduleProblem.rebase_ii` the loop bounds at a new initiation
+whole delay matrix at a budget (after ISDC feedback) and
+:meth:`ScheduleProblem.rebase_ii` the loop bounds at a new initiation
 interval; both hand the new bounds to one bound-write step.  Row positions
-never move between rebuilds.
+never move between rebuilds.  DSE clock probes clone one per-design
+template and rebuild the clone at their own budget
+(:mod:`repro.dse.warm`).
 
 The system keeps every row; the solve (:func:`~repro.sdc.solver.solve_problem`)
 receives only the rows no other rows imply (:attr:`ScheduleProblem.lp_rows`).
@@ -229,10 +231,9 @@ class ScheduleProblem:
     Built once per graph (typically by the baseline SDC schedule) and then
     kept alive for the whole ISDC loop: the register weights and users map
     are computed exactly once and the constraint system persists with
-    fixed row positions.  Timing retargets (ISDC feedback, DSE clock
-    probes) and II rebases only compute new bounds and hand them to one
-    bound-write step, which updates the system's ``bound`` array (see the
-    module docstring).
+    fixed row positions.  Timing retargets (ISDC feedback) and II rebases
+    only compute new bounds and hand them to one bound-write step, which
+    updates the system's ``bound`` array (see the module docstring).
 
     Attributes:
         graph: the scheduled dataflow graph.
@@ -271,10 +272,11 @@ class ScheduleProblem:
                       ) -> None:
         """(Re)build the constraint system from scratch.
 
-        Also records where the timing rows sit: their system rows and their
-        ``row * n + col`` delay-matrix keys, which are ascending because
-        :func:`timing_pairs` enumerates row-major.  Both stay fixed until
-        the next rebuild, so clones share them, as they share the
+        Also records where the timing rows sit: the slice of system rows
+        :func:`build_system` places them in, after the dependency rows, and
+        their ``row * n + col`` delay-matrix keys, which are ascending
+        because :func:`timing_pairs` enumerates row-major.  Both stay fixed
+        until the next rebuild, so clones share them, as they share the
         dependency rows' adjacency lists.
         """
         self.system = build_system(self.graph, matrix, index_of,
@@ -286,7 +288,9 @@ class ScheduleProblem:
         tails, heads = table[system.u[dependency]], table[system.v[dependency]]
         self._operands = _adjacency(heads, tails, size)
         self._users = _adjacency(tails, heads, size)
-        self._timing_rows = system.rows_of("timing")
+        # build_system orders its rows by kind: dependency, timing, loop.
+        start, stop = np.searchsorted(system.kind, [TIMING, LOOP])
+        self._timing_rows = slice(int(start), int(stop))
         rows = table[system.u[self._timing_rows]]
         cols = table[system.v[self._timing_rows]]
         self._timing_keys = rows * size + cols
@@ -327,18 +331,18 @@ class ScheduleProblem:
 
     # ----------------------------------------------------------- bound writes
 
-    def _write_bounds(self, rows: np.ndarray, bounds: np.ndarray) -> int:
+    def _write_bounds(self, rows: np.ndarray | slice, bounds: np.ndarray
+                      ) -> int:
         """Write new bounds into rows of the system.
 
         Returns:
             The number of rows whose bound changed; added to
             :attr:`bound_patches`.
         """
-        changed = bounds != self.system.bound[rows]
-        rows, bounds = rows[changed], bounds[changed]
+        changed = int(np.count_nonzero(bounds != self.system.bound[rows]))
         self.system.bound[rows] = bounds
-        self.bound_patches += len(rows)
-        return len(rows)
+        self.bound_patches += changed
+        return changed
 
     def retarget(self, matrix: np.ndarray, index_of: Mapping[int, int],
                  budget_ps: float) -> bool:
@@ -424,7 +428,7 @@ class ScheduleProblem:
             The kept system rows, ascending.
         """
         keep = np.ones(len(self.system), dtype=bool)
-        keep[self._timing_rows[self._implied]] = False
+        keep[self._timing_rows] = ~self._implied
         return np.flatnonzero(keep)
 
     @property

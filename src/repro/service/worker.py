@@ -6,13 +6,16 @@ plain-dict work spec (:func:`repro.service.protocol.work_item`).  Each
 worker process keeps the same module-global
 :class:`~repro.dse.warm.ProblemCache` the DSE driver uses
 (:func:`repro.dse.search.worker_cache`), so service cold misses
-warm-start against everything the worker has already solved -- including
-probes evaluated for *other* requests of the same design.
+warm-start against everything the worker has already answered --
+including probes evaluated for *other* requests of the same design.  The
+cache keeps answers, not constraint systems: a long-lived worker holds
+one template problem per design it has seen and one schedule per
+(design, clock) it has solved, never one system per answer.
 
 Every result builder returns only deterministic fields: warm-start
 provenance and wall-clock never enter a result payload, so the served
 answer is byte-identical to the offline reference regardless of which
-worker (or which donor problem) computed it:
+worker (or which donor period) computed it:
 
 * ``schedule`` results are one :meth:`ProblemCache.probe`, equal to a
   :meth:`ProblemCache.cold_probe` payload;

@@ -1,20 +1,29 @@
-"""Warm-start engine tests: cache behaviour, rebasing, clone isolation.
+"""Warm-start engine tests: cache behaviour, retention, clone isolation.
 
 The byte-parity *sweeps* live in ``test_parity.py``; this module pins the
 mechanics -- which path serves a probe (memo / budget / warm / cold), the
-pair-rank donor selection, the vectorized rebase, and the guarantee that
-mutating a cloned :class:`~repro.sdc.problem.ScheduleProblem` never
-perturbs its donor's solved schedule.
+pair-rank donor selection, equality with the clone-and-retarget oracle
+(``warm_oracle.py``), what the cache retains, the vectorized rebase, and
+the guarantee that mutating a cloned
+:class:`~repro.sdc.problem.ScheduleProblem` never perturbs its donor's
+solved schedule.
 """
 
 from __future__ import annotations
 
+import gc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.designs.generator import GeneratorParams
+from repro.designs.suite import table1_suite
+from repro.dse.search import search_clock
 from repro.dse.warm import ProblemCache, build_context
 from repro.sdc.problem import ScheduleProblem
 from repro.sdc.solver import solve_problem
+from tests.dse.warm_oracle import CloningProblemCache
 from tests.sdc.helpers import assert_flow_equal, flow_arrays
 from tests.sdc.test_lp_golden import LOOP_DESIGN
 
@@ -110,14 +119,15 @@ class TestProblemCacheServingPaths:
                 return
         pytest.skip("no zero-patch plateau neighbour found")
 
-    def test_rank_mismatch_rebuilds_instead_of_rebasing(self, context):
+    def test_rank_mismatch_solves_cold(self, context):
         cache = ProblemCache()
         cache.probe(DESIGN, context.default_clock_ps * 4)
         near = cache.probe(DESIGN, context.lower_bound_ps + 50.0)
-        # Very different periods constrain very different pair sets; the
-        # cache must rebuild the clone, not attempt the doomed rebase.
+        # Very different periods constrain very different pair sets: the
+        # solved period is no donor, and the probe is solved cold.
         assert near.lp_rebuild and not near.warm_patched
         assert near.bound_patches == 0
+        assert cache.cold_solves == 2 and cache.warm_solves == 0
 
     def test_counters_partition_all_probes(self):
         cache = ProblemCache()
@@ -129,6 +139,73 @@ class TestProblemCacheServingPaths:
         total = (cache.memo_hits + cache.warm_solves + cache.cold_solves
                  + cache.budget_skips)
         assert total == len(periods)
+
+
+#: Every Table-I row, three ``gen:`` designs and a loop design.
+ORACLE_DESIGNS = (*(case.name for case in table1_suite()),
+                  *(GeneratorParams(seed=seed, depth=8, width=6).name
+                    for seed in (1, 2, 3)),
+                  "examples/loop_accum.ir")
+COUNTERS = ("cold_solves", "warm_solves", "reused_solutions", "budget_skips",
+            "memo_hits")
+
+
+def min_clock_search(cache: ProblemCache, design: str, resolution_ps: float,
+                     speculate: int) -> list:
+    """One min-clock search on ``cache``; its probes, timing zeroed."""
+    result = search_clock(
+        design, "minclock", cache.context(design).default_clock_ps,
+        lambda batch: [cache.probe(design, period) for period in batch],
+        speculate, resolution_ps=resolution_ps)
+    return [replace(probe, solve_time_s=0.0) for probe in result.probes]
+
+
+class TestCloningOracle:
+    """The cache keeps answers, yet serves every probe as the old cache,
+    which kept and retargeted solved problems, did."""
+
+    @pytest.mark.parametrize("resolution_ps, speculate",
+                             [(25.0, 1), (1.0, 4)])
+    def test_probes_and_counters_equal_the_oracle(self, resolution_ps,
+                                                  speculate):
+        for design in ORACLE_DESIGNS:
+            cache, oracle = ProblemCache(), CloningProblemCache()
+            probes = min_clock_search(cache, design, resolution_ps,
+                                      speculate)
+            assert probes == min_clock_search(oracle, design, resolution_ps,
+                                              speculate), design
+            assert [getattr(cache, key) for key in COUNTERS] \
+                == [getattr(oracle, key) for key in COUNTERS], design
+
+    def test_reused_loop_answer_carries_the_donor_ii(self):
+        design = "examples/loop_accum.ir"
+        probes = min_clock_search(ProblemCache(), design, 1.0, 4)
+        reused = [probe for probe in probes if probe.solution_reuse]
+        assert reused and all(probe.ii == 2 for probe in reused)
+        for probe in reused:
+            assert probe == replace(
+                ProblemCache().cold_probe(design, probe.clock_period_ps),
+                warm_patched=True, solution_reuse=True, lp_rebuild=False,
+                solve_time_s=0.0)
+
+
+def test_cache_keeps_at_most_one_problem_per_design():
+    """After min-clock searches, the cache holds one template problem per
+    design, not one constraint system per solved period."""
+    designs = ("rrot", "crc32", "examples/loop_accum.ir")
+
+    def live_problems() -> int:
+        gc.collect()
+        return sum(isinstance(obj, ScheduleProblem)
+                   for obj in gc.get_objects())
+
+    before = live_problems()
+    cache = ProblemCache()
+    for design in designs:
+        probes = min_clock_search(cache, design, 1.0, 4)
+        assert sum(probe.feasible for probe in probes) > 1
+    assert live_problems() - before <= len(designs)
+    assert set(cache._templates) == set(designs)
 
 
 class TestColdProbeReference:

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.designs.generator import case_from_name
+from repro.designs.suite import table1_suite
 from repro.ir.builder import GraphBuilder
 from repro.isdc.config import ExpansionStrategy, ExtractionStrategy, IsdcConfig
 from repro.isdc.delay_matrix import DelayMatrix
@@ -14,7 +16,7 @@ from repro.isdc.extraction import (
     registered_nodes,
 )
 from repro.sdc.delays import node_delays
-from repro.sdc.scheduler import Schedule
+from repro.sdc.scheduler import Schedule, SdcScheduler
 from repro.tech.delay_model import OperatorModel
 
 
@@ -194,3 +196,44 @@ class TestExtractor:
         for candidate, nodes in SubgraphExtractor(config).extract(schedule, matrix):
             stages = {schedule.stage_of(nid) for nid in nodes}
             assert stages == {candidate.stage}
+
+
+def _baseline(design: str):
+    """The design's baseline SDC schedule and delay matrix at its clock."""
+    case = case_from_name(design)
+    result = SdcScheduler(clock_period_ps=case.clock_period_ps).schedule(
+        case.build())
+    matrix = DelayMatrix(result.schedule.graph, result.delay_matrix,
+                         dict(result.index_of))
+    return result.schedule, matrix, case.clock_period_ps
+
+
+@pytest.mark.parametrize("design", [
+    *(case.name for case in table1_suite()), "examples/loop_accum.ir"])
+def test_extract_skips_paths_without_changing_its_selection(design):
+    """``extract`` searches critical paths only under ``PATH``; under every
+    expansion it selects the node sets, in the candidate order, that
+    expanding the path-carrying candidates of
+    :func:`enumerate_candidate_paths` selects."""
+    schedule, matrix, clock = _baseline(design)
+    for expansion in ExpansionStrategy:
+        config = IsdcConfig(clock_period_ps=clock, expansion=expansion,
+                            subgraphs_per_iteration=len(schedule.graph))
+        extractor = SubgraphExtractor(config)
+        expected, seen = [], set()
+        for candidate in enumerate_candidate_paths(
+                schedule, matrix, config.extraction, clock):
+            node_set = extractor.expand(schedule, candidate)
+            if node_set and node_set not in seen:
+                seen.add(node_set)
+                expected.append((candidate, node_set))
+        selected = extractor.extract(schedule, matrix)
+        assert selected, (design, expansion)
+        assert [(c.source, c.sink, c.stage, c.delay_ps, c.score, nodes)
+                for c, nodes in selected] \
+            == [(c.source, c.sink, c.stage, c.delay_ps, c.score, nodes)
+                for c, nodes in expected], (design, expansion)
+        with_paths = expansion is ExpansionStrategy.PATH
+        for (candidate, _), (reference, _) in zip(selected, expected):
+            assert candidate.path_nodes == (
+                reference.path_nodes if with_paths else ())
