@@ -3,8 +3,7 @@
 Jobs are shipped to worker processes as ``(design name, config payload)``
 pairs -- both plain picklable data -- and re-built worker-side through the
 design registry (:func:`repro.designs.generator.case_from_name`) and
-:meth:`~repro.isdc.config.IsdcConfig.from_payload`, the same scheme the
-Table-I harness uses for its process-pool fan-out.  Results stream back in
+:meth:`~repro.isdc.config.IsdcConfig.from_payload`.  Results stream back in
 completion order and are checkpointed into the :class:`~repro.campaign.store.RunStore`
 immediately, so an interrupted campaign resumes from its completed jobs.
 
@@ -31,13 +30,7 @@ def execute_job(design: str, config_payload: dict) -> dict:
     """Run one campaign job and return its deterministic result payload."""
     case = case_from_name(design)
     config = IsdcConfig.from_payload(config_payload)
-    scheduler = IsdcScheduler(config)
-    try:
-        result = scheduler.schedule(case.build())
-    finally:
-        close = getattr(scheduler.feedback.backend, "close", None)
-        if close is not None:
-            close()
+    result = IsdcScheduler(config).schedule(case.build())
     final = result.final_schedule
     return {
         "design": design,

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.designs.suite import BenchmarkCase, suite_by_name
 from repro.ir.builder import GraphBuilder
@@ -199,7 +200,7 @@ def scale_of(params: GeneratorParams) -> str:
 def generated_case(params: GeneratorParams) -> BenchmarkCase:
     """Wrap a parameter set as a :class:`BenchmarkCase` (Table-I compatible)."""
     return BenchmarkCase(params.name, params.clock_period_ps,
-                         lambda: build_generated_design(params),
+                         partial(build_generated_design, params),
                          scale_of(params))
 
 

@@ -15,6 +15,7 @@ clock period (default 2500 ps, the suite's standard).
 from __future__ import annotations
 
 import os
+from functools import partial
 
 from repro.designs.suite import BenchmarkCase
 from repro.ir.graph import DataflowGraph
@@ -58,23 +59,25 @@ def load_ir_design(path: str) -> tuple[DataflowGraph, float]:
     return graph, clock_ps if clock_ps is not None else DEFAULT_CLOCK_PS
 
 
+def _load_ir_graph(path: str) -> DataflowGraph:
+    """The graph of one ``.ir`` file (module-level, so a case pickles)."""
+    graph, _ = load_ir_design(path)
+    return graph
+
+
 def ir_file_case(path: str) -> BenchmarkCase:
     """Wrap a ``.ir`` file as a :class:`BenchmarkCase`.
 
     The file is parsed eagerly once (so malformed files fail at resolution
-    time, not inside a worker) and again by the factory at build time
-    (workers re-resolve cases by name).
+    time, not inside a worker) and again by the factory at build time: the
+    case carries the path, not the graph, and pickles as such.
 
     Raises:
         ValueError: when the file cannot be loaded (see :func:`load_ir_design`).
     """
     _, clock_ps = load_ir_design(path)
-
-    def factory() -> DataflowGraph:
-        graph, _ = load_ir_design(path)
-        return graph
-
-    return BenchmarkCase(path, clock_ps, factory, "small")
+    return BenchmarkCase(path, clock_ps, partial(_load_ir_graph, path),
+                         "small")
 
 
 __all__ = ["DEFAULT_CLOCK_PS", "ir_file_case", "is_ir_path", "load_ir_design"]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from repro.designs.suite import BenchmarkCase
 from repro.ir.builder import GraphBuilder
@@ -154,7 +155,7 @@ def build_loop_design(params: LoopParams) -> DataflowGraph:
 def loop_case(params: LoopParams) -> BenchmarkCase:
     """Wrap a parameter set as a :class:`BenchmarkCase` (Table-I compatible)."""
     return BenchmarkCase(params.name, params.clock_period_ps,
-                         lambda: build_loop_design(params), "small")
+                         partial(build_loop_design, params), "small")
 
 
 def loop_suite(count: int = 3, seed: int = 0, depth: int = 4, width: int = 3,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from repro.designs.arith import (
@@ -35,6 +36,12 @@ class BenchmarkCase:
         factory: zero-argument callable building the design's DFG.
         scale: relative size class ("small", "medium", "large"), used by the
             pytest benchmarks to pick tractable subsets.
+
+    Every case this package builds pickles (its factory is a module-level
+    function or a :func:`functools.partial` of one), so the experiment
+    harnesses ship cases to worker processes as they are.  A caller's own
+    factory must pickle too when it runs with ``jobs > 1``; a lambda or a
+    closure makes the pool raise its pickling error.
     """
 
     name: str
@@ -59,41 +66,45 @@ def table1_suite() -> list[BenchmarkCase]:
     """
     return [
         BenchmarkCase("ML-core datapath1", 2500.0,
-                      lambda: build_ml_core_datapath1(lanes=4, width=16), "small"),
+                      partial(build_ml_core_datapath1, lanes=4, width=16),
+                      "small"),
         BenchmarkCase("ML-core datapath0 opcode4", 5000.0,
-                      lambda: build_ml_core_datapath0_opcode(4), "small"),
+                      partial(build_ml_core_datapath0_opcode, 4), "small"),
         BenchmarkCase("rrot", 2500.0,
-                      lambda: build_rrot(width=32, num_rounds=6), "small"),
+                      partial(build_rrot, width=32, num_rounds=6), "small"),
         BenchmarkCase("ML-core datapath0 opcode3", 5000.0,
-                      lambda: build_ml_core_datapath0_opcode(3), "small"),
+                      partial(build_ml_core_datapath0_opcode, 3), "small"),
         BenchmarkCase("binary divide", 2500.0,
-                      lambda: build_binary_divide(width=16), "small"),
+                      partial(build_binary_divide, width=16), "small"),
         BenchmarkCase("hsv2rgb", 5000.0, build_hsv2rgb, "small"),
         BenchmarkCase("ML-core datapath0 opcode0", 5000.0,
-                      lambda: build_ml_core_datapath0_opcode(0), "small"),
+                      partial(build_ml_core_datapath0_opcode, 0), "small"),
         BenchmarkCase("crc32", 2500.0,
-                      lambda: build_crc32(num_steps=24), "small"),
+                      partial(build_crc32, num_steps=24), "small"),
         BenchmarkCase("ML-core datapath0 opcode1", 5000.0,
-                      lambda: build_ml_core_datapath0_opcode(1), "medium"),
+                      partial(build_ml_core_datapath0_opcode, 1), "medium"),
         BenchmarkCase("ML-core datapath0 opcode2", 5000.0,
-                      lambda: build_ml_core_datapath0_opcode(2), "medium"),
+                      partial(build_ml_core_datapath0_opcode, 2), "medium"),
         BenchmarkCase("ML-core datapath0 (all opcodes)", 5000.0,
                       build_ml_core_datapath0_all, "medium"),
         BenchmarkCase("ML-core datapath2", 2500.0,
-                      lambda: build_ml_core_datapath2(lanes=8, width=16, depth=4),
+                      partial(build_ml_core_datapath2, lanes=8, width=16,
+                              depth=4),
                       "medium"),
         BenchmarkCase("float32 fast rsqrt", 5000.0,
-                      lambda: build_float32_fast_rsqrt(newton_iterations=2),
+                      partial(build_float32_fast_rsqrt, newton_iterations=2),
                       "medium"),
         BenchmarkCase("video-core datapath", 2500.0,
-                      lambda: build_video_core_datapath(taps=5, width=16),
+                      partial(build_video_core_datapath, taps=5, width=16),
                       "large"),
         BenchmarkCase("internal datapath", 2500.0,
-                      lambda: build_internal_datapath(num_rounds=12), "large"),
+                      partial(build_internal_datapath, num_rounds=12),
+                      "large"),
         BenchmarkCase("sha256", 2500.0,
-                      lambda: build_sha256(num_rounds=10), "large"),
+                      partial(build_sha256, num_rounds=10), "large"),
         BenchmarkCase("fpexp 32", 5000.0,
-                      lambda: build_fpexp32(polynomial_degree=5, num_segments=2),
+                      partial(build_fpexp32, polynomial_degree=5,
+                              num_segments=2),
                       "large"),
     ]
 

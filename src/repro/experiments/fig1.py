@@ -12,9 +12,9 @@ measured delays, i.e. unused slack the feedback loop can reclaim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.designs.suite import BenchmarkCase, table1_suite
-from repro.experiments.table1 import registry_case_names
 from repro.experiments.tables import pearson_correlation
 from repro.parallel import parallel_map
 from repro.sdc.scheduler import SdcScheduler
@@ -53,13 +53,14 @@ def _default_cases() -> list[BenchmarkCase]:
 
 
 def _profile_case(case: BenchmarkCase, clock_scales: tuple[float, ...],
-                  model: CharacterizedOperatorModel,
-                  cache: EvaluationCache) -> list[DesignPoint]:
+                  compute_aig: bool) -> list[DesignPoint]:
     """Profile every pipeline stage of one case across the clock sweep.
 
-    AIG depths appear in the points iff the cache's flow was built with
-    ``compute_aig=True`` (the caller owns the flow configuration).
+    Each case has its own operator model and evaluation cache; AIG depths
+    appear in the points iff ``compute_aig`` is set.
     """
+    model = CharacterizedOperatorModel()
+    cache = EvaluationCache(SynthesisFlow(compute_aig=compute_aig))
     graph = case.build()
     points: list[DesignPoint] = []
     for scale in clock_scales:
@@ -94,17 +95,6 @@ def _profile_case(case: BenchmarkCase, clock_scales: tuple[float, ...],
     return points
 
 
-def _profile_registry_case(payload: tuple) -> list[DesignPoint]:
-    """Worker-side profiling of one case, shipped by name (lambdas don't pickle)."""
-    name, clock_scales, compute_aig = payload
-    for case in table1_suite():
-        if case.name == name:
-            model = CharacterizedOperatorModel()
-            cache = EvaluationCache(SynthesisFlow(compute_aig=compute_aig))
-            return _profile_case(case, clock_scales, model, cache)
-    raise KeyError(f"benchmark case {name!r} not in the Table-I suite")
-
-
 def run_delay_profile(cases: list[BenchmarkCase] | None = None,
                       clock_scales: tuple[float, ...] = (0.7, 0.85, 1.0, 1.25, 1.5),
                       compute_aig: bool = True, jobs: int = 1
@@ -118,35 +108,15 @@ def run_delay_profile(cases: list[BenchmarkCase] | None = None,
             stages becomes one design point.
         compute_aig: also record each stage's AIG depth (needed by Fig. 8).
         jobs: profile cases concurrently over a process pool; point values
-            and ordering are identical to a serial run.  Cases outside the
-            Table-I registry run serially.
+            and ordering are identical to a serial run.
 
     Returns:
         All profiled design points.
     """
     cases = cases if cases is not None else _default_cases()
-    per_case: list[list[DesignPoint] | None] = [None] * len(cases)
-
-    if jobs > 1:
-        registry = registry_case_names(cases)
-        indices = [i for i, case in enumerate(cases) if case.name in registry]
-        payloads = [(cases[i].name, clock_scales, compute_aig) for i in indices]
-        for i, case_points in zip(indices,
-                                  parallel_map(_profile_registry_case,
-                                               payloads, jobs)):
-            per_case[i] = case_points
-
-    model = None
-    cache = None
-    points: list[DesignPoint] = []
-    for i, case in enumerate(cases):
-        if per_case[i] is None:
-            if model is None:
-                model = CharacterizedOperatorModel()
-                cache = EvaluationCache(SynthesisFlow(compute_aig=compute_aig))
-            per_case[i] = _profile_case(case, clock_scales, model, cache)
-        points.extend(per_case[i])
-    return points
+    per_case = parallel_map(partial(_profile_case, clock_scales=clock_scales,
+                                    compute_aig=compute_aig), cases, jobs)
+    return [point for case_points in per_case for point in case_points]
 
 
 def profile_summary(points: list[DesignPoint]) -> dict[str, float]:

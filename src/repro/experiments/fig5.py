@@ -9,6 +9,7 @@ strategies.  The fanout-driven strategy converges faster and ends lower.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.designs.suite import ablation_design
 from repro.ir.graph import DataflowGraph
@@ -68,15 +69,11 @@ def run_single_ablation(graph: DataflowGraph, clock_period_ps: float,
     )
 
 
-def _run_default_design_ablation(payload: tuple) -> AblationCurve:
-    """Worker-side ablation over the default design (module-level: picklable).
-
-    The ablation design is re-built inside the worker from
-    :func:`~repro.designs.suite.ablation_design`, because graphs are cheap to
-    rebuild deterministically while configuration tuples pickle trivially.
-    """
-    extraction, expansion, count, iterations = payload
-    design, clock_period_ps = ablation_design()
+def _run_configuration(design: DataflowGraph, clock_period_ps: float,
+                       configuration: tuple[str, str, int, int]
+                       ) -> AblationCurve:
+    """Run one ``(extraction, expansion, m, iterations)`` grid point."""
+    extraction, expansion, count, iterations = configuration
     return run_single_ablation(design, clock_period_ps,
                                ExtractionStrategy(extraction),
                                ExpansionStrategy(expansion), count, iterations)
@@ -86,15 +83,14 @@ def _ablation_grid(configurations: list[tuple[str, str, int, int]],
                    design: DataflowGraph | None,
                    clock_period_ps: float | None,
                    jobs: int) -> list[AblationCurve]:
-    """Run a grid of ablation configurations, fanning out when possible."""
-    if design is None and clock_period_ps is None and jobs > 1:
-        return parallel_map(_run_default_design_ablation, configurations, jobs)
+    """Run a grid of ablation configurations, one pool task each.
+
+    Each task carries the design graph with its configuration.
+    """
     if design is None or clock_period_ps is None:
         design, clock_period_ps = ablation_design()
-    return [run_single_ablation(design, clock_period_ps,
-                                ExtractionStrategy(extraction),
-                                ExpansionStrategy(expansion), count, iterations)
-            for extraction, expansion, count, iterations in configurations]
+    return parallel_map(partial(_run_configuration, design, clock_period_ps),
+                        configurations, jobs)
 
 
 def run_extraction_ablation(subgraph_counts: tuple[int, ...] = (4, 8, 16),
@@ -106,9 +102,8 @@ def run_extraction_ablation(subgraph_counts: tuple[int, ...] = (4, 8, 16),
     """Reproduce Fig. 5: delay-driven vs. fanout-driven, path-based expansion.
 
     Args:
-        jobs: run the ablation configurations concurrently (default-design
-            runs only; explicit ``design`` graphs may not pickle and run
-            serially).  Trajectories are identical to a serial run.
+        jobs: run the ablation configurations concurrently over a process
+            pool.  Trajectories are identical to a serial run.
 
     Returns:
         Mapping from ``(strategy, m)`` to the corresponding trajectory.

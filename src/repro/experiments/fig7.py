@@ -11,9 +11,9 @@ the naive estimate misses.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.designs.suite import BenchmarkCase, table1_suite
-from repro.experiments.table1 import registry_case_names
 from repro.isdc.config import IsdcConfig
 from repro.isdc.scheduler import IsdcScheduler
 from repro.parallel import parallel_map
@@ -64,16 +64,6 @@ def _accuracy_curves(case: BenchmarkCase, max_iterations: int,
             [e for e in sdc_curve if e is not None])
 
 
-def _accuracy_registry_case(payload: tuple) -> tuple[list[float], list[float]]:
-    """Worker-side accuracy run, shipped by case name (lambdas don't pickle)."""
-    name, max_iterations, subgraphs_per_iteration = payload
-    for case in table1_suite():
-        if case.name == name:
-            return _accuracy_curves(case, max_iterations,
-                                    subgraphs_per_iteration)
-    raise KeyError(f"benchmark case {name!r} not in the Table-I suite")
-
-
 def run_estimation_accuracy(cases: list[BenchmarkCase] | None = None,
                             max_iterations: int = 8,
                             subgraphs_per_iteration: int = 16,
@@ -93,21 +83,13 @@ def run_estimation_accuracy(cases: list[BenchmarkCase] | None = None,
     if cases is None:
         cases = [case for case in table1_suite() if case.scale != "large"]
 
-    curves: list[tuple[list[float], list[float]] | None] = [None] * len(cases)
-    if jobs > 1:
-        registry = registry_case_names(cases)
-        indices = [i for i, case in enumerate(cases) if case.name in registry]
-        payloads = [(cases[i].name, max_iterations, subgraphs_per_iteration)
-                    for i in indices]
-        for i, pair in zip(indices, parallel_map(_accuracy_registry_case,
-                                                 payloads, jobs)):
-            curves[i] = pair
-
+    curves = parallel_map(
+        partial(_accuracy_curves, max_iterations=max_iterations,
+                subgraphs_per_iteration=subgraphs_per_iteration),
+        cases, jobs)
     per_design_isdc: dict[str, list[float]] = {}
     per_design_sdc: dict[str, list[float]] = {}
-    for i, case in enumerate(cases):
-        isdc_curve, sdc_curve = curves[i] or _accuracy_curves(
-            case, max_iterations, subgraphs_per_iteration)
+    for case, (isdc_curve, sdc_curve) in zip(cases, curves):
         per_design_isdc[case.name] = isdc_curve
         per_design_sdc[case.name] = sdc_curve
 

@@ -57,8 +57,8 @@ batched over ``--jobs`` workers.  See :mod:`repro.dse.cli`.
 
 ``serve`` runs the scheduling-service daemon: schedule / min-clock /
 min-II requests over a JSON line protocol (stdin or TCP/HTTP), answered
-from a content-addressed warm cache with request coalescing and batched
-cold-miss execution over a persistent worker pool.  See
+from a content-addressed warm cache with request coalescing; each cold
+miss is one task on a persistent worker pool.  See
 :mod:`repro.service.cli` and ``docs/service.md``.
 
 ``store`` maintains unified artifact-store files (:mod:`repro.store`):
@@ -173,21 +173,6 @@ def run_experiment_result(name: str, quick: bool = False, jobs: int = 1,
     raise ValueError(f"unknown experiment {name!r}; expected table1 or fig1/5/6/7/8")
 
 
-def run_experiment(name: str, quick: bool = False, jobs: int = 1) -> str:
-    """Run one experiment by name and return its printable report.
-
-    Args:
-        name: one of ``table1``, ``fig1``, ``fig5``, ``fig6``, ``fig7``, ``fig8``.
-        quick: use reduced settings.
-        jobs: worker processes for the experiment's parallel fan-out.
-
-    Raises:
-        ValueError: for an unknown experiment name.
-    """
-    _, report = run_experiment_result(name, quick=quick, jobs=jobs)
-    return report
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -211,7 +196,7 @@ def main(argv: list[str] | None = None) -> int:
         return store_main(argv[1:])
     if argv and argv[0] == "serve":
         # The scheduling-service daemon (stdin/TCP front ends, warm
-        # cache, coalescing, batched cold misses) owns its grammar too.
+        # cache, coalescing, pooled cold misses) owns its grammar too.
         from repro.service.cli import serve_main
 
         return serve_main(argv[1:])

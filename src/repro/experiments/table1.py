@@ -3,32 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.designs.suite import BenchmarkCase, table1_suite
 from repro.experiments.tables import format_table, geometric_mean
 from repro.isdc.config import IsdcConfig
 from repro.isdc.scheduler import IsdcScheduler
 from repro.parallel import parallel_map
-
-
-def registry_case_names(cases: list[BenchmarkCase]) -> set[str]:
-    """Names of the given cases that can be re-built from :func:`table1_suite`.
-
-    Worker processes receive cases by *name* (factories are lambdas and do
-    not pickle), so a case only qualifies when the registry entry of the same
-    name also matches its clock period and scale -- a caller-supplied custom
-    case that merely reuses a suite name must not be silently replaced by the
-    registry design.
-    """
-    registry = {case.name: case for case in table1_suite()}
-    matched = set()
-    for case in cases:
-        reference = registry.get(case.name)
-        if (reference is not None
-                and reference.clock_period_ps == case.clock_period_ps
-                and reference.scale == case.scale):
-            matched.add(case.name)
-    return matched
 
 
 @dataclass(frozen=True)
@@ -146,18 +127,15 @@ def run_table1_case(case: BenchmarkCase, subgraphs_per_iteration: int = 16,
     )
 
 
-def _run_registry_case(payload: tuple) -> TableOneRow:
-    """Worker-side case runner (module-level so it pickles into the pool).
-
-    Cases are shipped by *name* and re-built from :func:`table1_suite` in the
-    worker, because :class:`BenchmarkCase` factories are lambdas and do not
-    pickle.
-    """
-    name, subgraphs_per_iteration, max_iterations = payload
-    for case in table1_suite():
-        if case.name == name:
-            return run_table1_case(case, subgraphs_per_iteration, max_iterations)
-    raise KeyError(f"benchmark case {name!r} not in the Table-I suite")
+def _table1_row(case: BenchmarkCase, subgraphs_per_iteration: int,
+                max_iterations: int, verbose: bool) -> TableOneRow:
+    """:func:`run_table1_case`, printing the row's line when ``verbose``."""
+    row = run_table1_case(case, subgraphs_per_iteration, max_iterations)
+    if verbose:
+        print(f"  {row.benchmark:35s} registers {row.sdc_registers:6d} -> "
+              f"{row.isdc_registers:6d} ({row.register_reduction:+.1%})",
+              flush=True)
+    return row
 
 
 def run_table1(cases: list[BenchmarkCase] | None = None,
@@ -172,32 +150,14 @@ def run_table1(cases: list[BenchmarkCase] | None = None,
         verbose: print one line per row as it completes.
         jobs: run cases concurrently over a process pool.  Row order and all
             schedule-quality figures are identical to a serial run (only the
-            wall-clock timing columns differ).  Cases whose names are not in
-            the Table-I registry cannot be shipped to workers and run
-            serially.
+            wall-clock timing columns differ).
     """
     case_list = list(cases) if cases is not None else table1_suite()
-    rows: list[TableOneRow | None] = [None] * len(case_list)
-
-    if jobs > 1:
-        registry = registry_case_names(case_list)
-        indices = [i for i, case in enumerate(case_list)
-                   if case.name in registry]
-        payloads = [(case_list[i].name, subgraphs_per_iteration, max_iterations)
-                    for i in indices]
-        for i, row in zip(indices, parallel_map(_run_registry_case, payloads,
-                                                jobs)):
-            rows[i] = row
-
-    result = TableOneResult()
-    for i, case in enumerate(case_list):
-        row = rows[i] or run_table1_case(case, subgraphs_per_iteration,
-                                         max_iterations)
-        result.rows.append(row)
-        if verbose:
-            print(f"  {row.benchmark:35s} registers {row.sdc_registers:6d} -> "
-                  f"{row.isdc_registers:6d} ({row.register_reduction:+.1%})")
-    return result
+    rows = parallel_map(
+        partial(_table1_row, subgraphs_per_iteration=subgraphs_per_iteration,
+                max_iterations=max_iterations, verbose=verbose),
+        case_list, jobs)
+    return TableOneResult(rows=rows)
 
 
 def format_table1(result: TableOneResult) -> str:

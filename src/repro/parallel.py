@@ -56,10 +56,11 @@ def parallel_map(function: Callable[[_T], _R], items: Sequence[_T],
 class PersistentPool:
     """A lazily-created, reusable process pool with ordered ``map``.
 
-    Batch evaluation calls arrive once per ISDC iteration; keeping the
-    workers alive across calls amortises the fork cost over the whole loop.
-    The pool is created on first use and torn down via :meth:`close` (also
-    invoked by ``with`` and on garbage collection).
+    DSE probe batches, campaign jobs and service cold misses arrive in
+    many calls; keeping the workers alive across calls pays the fork cost
+    once per run, not once per call.  The pool is created on first use and
+    torn down via :meth:`close` (also invoked by ``with`` and on garbage
+    collection).
 
     Worker processes accumulate per-process state (the DSE worker caches,
     the service :class:`~repro.dse.warm.ProblemCache`), which is exactly

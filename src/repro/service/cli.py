@@ -70,8 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="persist served results as service-result "
                              "records in this artifact store (warm "
                              "restarts)")
-    parser.add_argument("--allow-crash-probes", action="store_true",
-                        help=argparse.SUPPRESS)  # fault-injection tests only
     return parser
 
 
@@ -84,8 +82,7 @@ def config_from_args(arguments: argparse.Namespace) -> ServiceConfig:
         resolution_ps=arguments.resolution_ps,
         speculate=arguments.speculate,
         max_probes=arguments.max_probes,
-        store_path=arguments.store_path,
-        allow_crash_probes=arguments.allow_crash_probes)
+        store_path=arguments.store_path)
 
 
 async def _serve(config: ServiceConfig, use_stdin: bool,

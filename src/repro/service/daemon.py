@@ -44,7 +44,7 @@ from repro.sdc.flow import check_latency_weight
 from repro.service import protocol
 from repro.service.protocol import (ServiceRequest, error_response, normalize,
                                     ok_response, parse_request,
-                                    service_result_record, work_item)
+                                    service_result_record)
 from repro.service.worker import evaluate_request
 from repro.store import ArtifactStore
 
@@ -66,8 +66,6 @@ class ServiceConfig:
         max_probes: default min-clock probe budget.
         store_path: artifact store persisting ``service-result`` records
             (warm restarts); in-memory only when ``None``.
-        allow_crash_probes: honour the crash-injection design
-            (:data:`~repro.service.protocol.CRASH_DESIGN`); tests only.
 
     Raises:
         ValueError: a count is below 1, ``resolution_ps`` is not a
@@ -83,7 +81,6 @@ class ServiceConfig:
     speculate: int = 4
     max_probes: int = 96
     store_path: str | None = None
-    allow_crash_probes: bool = False
 
     def __post_init__(self) -> None:
         for name in ("jobs", "queue_limit", "speculate", "max_probes"):
@@ -228,8 +225,7 @@ class SchedulingService:
                                 resolution_ps=self.config.resolution_ps,
                                 speculate=self.config.speculate,
                                 max_probes=self.config.max_probes,
-                                latency_weight=self.config.latency_weight,
-                                allow_crash=self.config.allow_crash_probes)
+                                latency_weight=self.config.latency_weight)
         except protocol.ProtocolError as error:
             self.stats.bad_requests += 1
             client_id = None
@@ -308,7 +304,7 @@ class SchedulingService:
         executor = pool.executor()
         try:
             outcome = await asyncio.get_running_loop().run_in_executor(
-                executor, evaluate_request, work_item(item.request))
+                executor, evaluate_request, item.request.identity())
         except BrokenExecutor:
             # Every request on the dead pool lands here; only the first
             # one to report replaces the pool and counts the crash.

@@ -51,11 +51,6 @@ ERROR_WORKER_CRASH = "worker-crash"  # a pool worker died mid-request
 ERROR_SHUTDOWN = "shutting-down"     # daemon is draining
 ERROR_INTERNAL = "internal"          # unexpected evaluator exception
 
-#: Design name that makes a worker die mid-request (``os._exit``).  Only
-#: honoured when the daemon runs with ``allow_crash_probes`` (the fault
-#: injection tests); otherwise it is rejected as a bad request.
-CRASH_DESIGN = "crash!"
-
 #: Body schema of ``service-result`` artifact-store records.
 SERVICE_RESULT_BODY_SCHEMA = 1
 
@@ -216,19 +211,11 @@ def parse_request(raw: Any) -> ServiceRequest:
 
 
 def normalize(request: ServiceRequest, *, resolution_ps: float,
-              speculate: int, max_probes: int, latency_weight: float,
-              allow_crash: bool = False) -> ServiceRequest:
-    """Fill config defaults so equal questions always produce equal keys.
-
-    Raises:
-        ProtocolError: the crash-injection design is used without the
-            daemon opting in (``allow_crash_probes``).
-    """
+              speculate: int, max_probes: int,
+              latency_weight: float) -> ServiceRequest:
+    """Fill config defaults so equal questions always produce equal keys."""
     if request.kind not in COMPUTE_KINDS:
         return request
-    if request.design == CRASH_DESIGN and not allow_crash:
-        raise ProtocolError(f"design {CRASH_DESIGN!r} is reserved for fault "
-                            "injection (enable --allow-crash-probes)")
     fills: dict[str, Any] = {"latency_weight": float(latency_weight)}
     if request.kind == "min-clock":
         if request.resolution_ps is None:
@@ -238,13 +225,6 @@ def normalize(request: ServiceRequest, *, resolution_ps: float,
         if request.max_probes is None:
             fills["max_probes"] = int(max_probes)
     return replace(request, **fills)
-
-
-def work_item(request: ServiceRequest) -> dict:
-    """The plain-dict work spec shipped to a pool worker (picklable)."""
-    work = dict(request.identity())
-    work["crash"] = request.design == CRASH_DESIGN
-    return work
 
 
 def ok_response(request: ServiceRequest, result: dict, served: str,
@@ -297,7 +277,6 @@ def service_result_record(request: ServiceRequest,
 
 __all__ = [
     "COMPUTE_KINDS",
-    "CRASH_DESIGN",
     "ERROR_BAD_DESIGN",
     "ERROR_BAD_REQUEST",
     "ERROR_DEADLINE",
@@ -314,5 +293,4 @@ __all__ = [
     "ok_response",
     "parse_request",
     "service_result_record",
-    "work_item",
 ]

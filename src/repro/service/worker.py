@@ -1,8 +1,9 @@
 """Pool-side evaluators of the scheduling service (the cold path).
 
 One module-level entry point, :func:`evaluate_request`, is shipped to the
-process-wide persistent pool (:func:`repro.parallel.shared_pool`) with a
-plain-dict work spec (:func:`repro.service.protocol.work_item`).  Each
+process-wide persistent pool (:func:`repro.parallel.shared_pool`) with the
+request's identity as its plain-dict work spec
+(:meth:`repro.service.protocol.ServiceRequest.identity`).  Each
 worker process keeps the same module-global
 :class:`~repro.dse.warm.ProblemCache` the DSE driver uses
 (:func:`repro.dse.search.worker_cache`), so service cold misses
@@ -27,8 +28,6 @@ worker (or which donor period) computed it:
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.dse.search import (NONDETERMINISTIC_KEYS, DesignSearchResult,
                               search_clock, search_min_ii, worker_cache)
@@ -82,8 +81,6 @@ def evaluate_request(work: dict) -> dict:
     exceptions propagate -- the daemon maps them to ``internal`` errors
     without caching.
     """
-    if work.get("crash"):  # fault injection: die like a real worker crash
-        os._exit(13)
     cache = worker_cache(work["latency_weight"])
     kind = work["kind"]
     try:

@@ -26,21 +26,19 @@ from repro.tech.library import TechLibrary
 
 @dataclass
 class CacheStatistics:
-    """Hit/miss counters of an :class:`EvaluationCache`.
+    """Lookup counters of an :class:`EvaluationCache`.
 
-    A *miss* is any lookup the cache could not answer; every miss is
-    forwarded to the backend, so ``misses == synth_runs`` always holds.
-    Consumers reporting "distinct subgraphs synthesised" read
-    ``synth_runs``.
+    Every lookup the cache could not answer is forwarded to the backend,
+    so ``synth_runs`` counts both the misses and the distinct subgraphs
+    synthesised.
     """
 
     hits: int = 0
-    misses: int = 0
     synth_runs: int = 0
 
     @property
     def total(self) -> int:
-        return self.hits + self.misses
+        return self.hits + self.synth_runs
 
     @property
     def hit_rate(self) -> float:
@@ -114,7 +112,6 @@ class EvaluationCache:
             if key in self._entries or key in missing_seen:
                 self.stats.hits += 1
                 continue
-            self.stats.misses += 1
             self.stats.synth_runs += 1
             missing_order.append(key)
             missing_seen.add(key)

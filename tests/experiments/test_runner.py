@@ -8,24 +8,24 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.runner import main, run_experiment, run_experiment_result
+from repro.experiments.runner import main, run_experiment_result
 from repro.experiments.serialize import SCHEMA_VERSION, experiment_payload
 from repro.store import ArtifactStore, StoreRecord
 
 
 def test_unknown_experiment_rejected():
     with pytest.raises(ValueError, match="unknown experiment"):
-        run_experiment("table7")
+        run_experiment_result("table7")
 
 
 def test_quick_fig8_report_contains_correlation():
-    report = run_experiment("fig8", quick=True)
+    _, report = run_experiment_result("fig8", quick=True)
     assert "Pearson correlation" in report
     assert "ps/level" in report
 
 
 def test_quick_fig5_report_lists_both_strategies():
-    report = run_experiment("fig5", quick=True)
+    _, report = run_experiment_result("fig5", quick=True)
     assert "fanout" in report
     assert "delay" in report
 

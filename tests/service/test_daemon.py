@@ -5,6 +5,7 @@ loop with :func:`asyncio.run`.
 """
 
 import asyncio
+import os
 import random
 import re
 from pathlib import Path
@@ -13,8 +14,7 @@ import pytest
 
 from repro.parallel import close_shared_pool
 from repro.service.daemon import SchedulingService, ServiceConfig
-from repro.service.protocol import CRASH_DESIGN
-from repro.service.worker import reference_result
+from repro.service.worker import evaluate_request, reference_result
 from repro.store import ArtifactStore, canonical_json
 
 from tests.service.certify import certify_schedule_answer
@@ -220,14 +220,26 @@ def test_deadline_miss_still_caches_the_result():
     asyncio.run(scenario())
 
 
-def test_worker_crash_fails_the_batch_and_recovers():
+#: Design name that makes :func:`_exit_on_crash_design` kill its worker.
+CRASH_DESIGN = "crash!"
+
+
+def _exit_on_crash_design(work):
+    """Pool evaluator that dies like a real worker crash on one design."""
+    if work["design"] == CRASH_DESIGN:
+        os._exit(13)
+    return evaluate_request(work)
+
+
+def test_worker_crash_fails_the_batch_and_recovers(monkeypatch):
     # The shared pool only grows: drop one an earlier test module left
     # with more workers, so both requests below share one worker.
     close_shared_pool()
+    monkeypatch.setattr("repro.service.daemon.evaluate_request",
+                        _exit_on_crash_design)
 
     async def scenario():
-        service = await _started(ServiceConfig(jobs=1,
-                                               allow_crash_probes=True))
+        service = await _started(ServiceConfig(jobs=1))
         try:
             crash = {"kind": "schedule", "design": CRASH_DESIGN,
                      "clock_period_ps": 1000, "id": "boom"}

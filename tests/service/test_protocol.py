@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.service.protocol import (COMPUTE_KINDS, CRASH_DESIGN,
+from repro.service.protocol import (COMPUTE_KINDS, ERROR_BAD_DESIGN,
                                     ERROR_BAD_REQUEST, ProtocolError,
                                     ServiceRequest, error_response, normalize,
                                     ok_response, parse_request,
-                                    service_result_record, work_item)
+                                    service_result_record)
+from repro.service.worker import evaluate_request
 
 _DEFAULTS = dict(resolution_ps=25.0, speculate=4, max_probes=96,
                  latency_weight=1e-3)
@@ -83,13 +84,11 @@ class TestKeys:
         )}
         assert len(keys) == 5
 
-    def test_crash_design_needs_opt_in(self):
-        raw = {"kind": "schedule", "design": CRASH_DESIGN,
-               "clock_period_ps": 1000}
-        with pytest.raises(ProtocolError, match="fault"):
-            _normalized(raw)
-        request = normalize(parse_request(raw), allow_crash=True, **_DEFAULTS)
-        assert work_item(request)["crash"] is True
+    def test_crash_name_is_an_ordinary_unknown_design(self):
+        request = _normalized({"kind": "schedule", "design": "crash!",
+                               "clock_period_ps": 1000})
+        answer = evaluate_request(request.identity())
+        assert answer["error"] == ERROR_BAD_DESIGN
 
 
 class TestEnvelopes:

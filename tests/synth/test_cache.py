@@ -14,7 +14,8 @@ def test_cache_hits_and_misses(adder_chain_graph, library):
     second = cache.evaluate(adder_chain_graph, [names["s2"], names["s1"]])
     assert first is second
     assert cache.stats.hits == 1
-    assert cache.stats.misses == 1
+    assert cache.stats.synth_runs == 1
+    assert cache.stats.total == 2
     assert cache.stats.hit_rate == 0.5
     assert len(cache) == 1
 
@@ -24,7 +25,7 @@ def test_different_subsets_are_distinct(adder_chain_graph, library):
     names = {n.name: n.node_id for n in adder_chain_graph.nodes()}
     cache.evaluate(adder_chain_graph, [names["s1"]])
     cache.evaluate(adder_chain_graph, [names["s1"], names["s2"]])
-    assert cache.stats.misses == 2
+    assert cache.stats.synth_runs == 2
     assert len(cache) == 2
 
 
@@ -53,7 +54,7 @@ def test_same_name_different_structure_do_not_collide(library):
     cache = EvaluationCache(SynthesisFlow(library))
     report_a = cache.evaluate(graph_a, nodes_a)
     report_b = cache.evaluate(graph_b, nodes_b)
-    assert cache.stats.misses == 2
+    assert cache.stats.synth_runs == 2
     assert report_a.delay_ps != report_b.delay_ps
 
 
@@ -77,9 +78,9 @@ def test_batch_accounting_matches_serial_semantics(adder_chain_graph, library):
         [names["s1"]],               # duplicate of the first set
     ]
     reports = cache.evaluate_batch(adder_chain_graph, sets)
-    assert cache.stats.misses == 2
     assert cache.stats.synth_runs == 2  # every miss synthesises
     assert cache.stats.hits == 2
+    assert cache.stats.total == len(sets)
     assert reports[1] is reports[2]
     assert reports[0] is reports[3]
     assert len(cache) == 2
@@ -111,8 +112,9 @@ def test_only_distinct_misses_reach_the_backend(adder_chain_graph, library):
     cache.evaluate(adder_chain_graph, [product])
     assert backend.batches == [[(s1,), (s1, s2)], [(product,)]]
     forwarded = sum(len(batch) for batch in backend.batches)
-    assert cache.stats.misses == cache.stats.synth_runs == forwarded == 3
+    assert cache.stats.synth_runs == forwarded == 3
     assert cache.stats.hits == 4
+    assert cache.stats.total == 7
 
 
 def test_accounting_is_independent_of_the_backend(adder_chain_graph, library):
@@ -129,8 +131,8 @@ def test_accounting_is_independent_of_the_backend(adder_chain_graph, library):
     direct = EstimatorBackend(library).evaluate_batch(adder_chain_graph, sets)
     assert [(r.delay_ps, r.num_gates) for r in estimated] == \
         [(r.delay_ps, r.num_gates) for r in direct]
-    assert (estimator.stats.hits, estimator.stats.misses) == \
-        (local.stats.hits, local.stats.misses) == (1, 4)
+    assert (estimator.stats.hits, estimator.stats.synth_runs) == \
+        (local.stats.hits, local.stats.synth_runs) == (1, 4)
 
 
 def test_empty_cache_is_not_discarded_by_the_analyzer(library):
